@@ -11,18 +11,15 @@ Subcommands:
 
 Exit codes: 0 pass, 2 configuration error, 3 domain violation, 4 numerical
 tolerance failure.  All randomness flows from the --seed value, so repeated
-runs produce byte-identical JSON.  NONHOLO_THREADS caps the worker threads
-used to fan out probe evaluations.
+runs produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,21 +50,6 @@ SCHEMA_VERSION = 1
 DEMO_M = (0.3, -0.2, 0.5)
 # unit vector along (1, -2, 4)
 DEMO_GAMMA = tuple(np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("NONHOLO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    n = _workers()
-    if n == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(report: dict, path: str | None) -> None:
@@ -243,7 +225,7 @@ def _check_jacobi(args, rng, states) -> tuple[dict, bool]:
     if args.negative_control:
         K = ball_K(BallParams(**DEMO_BALL))
         P = bivector_field(g=ScalarField.constant(1.0), K=K)
-        vals = _pmap(lambda x: jacobiator(P, x), states)
+        vals = [jacobiator(P, x) for x in states]
         frac = float(np.mean([v > 1e-3 for v in vals]))
         ok = frac >= 0.9
         return {"suite": "jacobi-negative-control", "max": float(max(vals)),
@@ -252,7 +234,7 @@ def _check_jacobi(args, rng, states) -> tuple[dict, bool]:
     model, params = _model_params(args, cfg)
     sysm = _build_system(model, params)
     P = lambda x: assemble_P(sysm, x)
-    vals = _pmap(lambda x: jacobiator(P, x), states)
+    vals = [jacobiator(P, x) for x in states]
     worst = float(max(vals))
     ok = worst <= 1e-6
     return {"suite": "jacobi", "model": sysm.name, "max": worst,
@@ -270,7 +252,7 @@ def _check_measure(args, rng, states) -> tuple[dict, bool]:
         rho = sysm.s_spec.g.reciprocal()
         from .sphere import DirectS
         spec = DirectS(K=K)
-        vals = _pmap(lambda x: float(np.max(np.abs(measure_residual(spec, x, rho=rho)))), states)
+        vals = [float(np.max(np.abs(measure_residual(spec, x, rho=rho)))) for x in states]
         report[model] = float(max(vals))
         worst = max(worst, report[model])
     ok = worst <= 1e-10
@@ -287,7 +269,7 @@ def _check_conformal(args, rng, states) -> tuple[dict, bool]:
     ]
     report = {}
     for sysm in systems:
-        vals = _pmap(lambda x: conformal_residual(sysm, x), states)
+        vals = [conformal_residual(sysm, x) for x in states]
         report[sysm.name] = float(max(vals))
     worst = max(report.values())
     ok = worst <= 1e-10
@@ -309,7 +291,7 @@ def _check_duality(args, rng, states) -> tuple[dict, bool]:
         M, g = unpack(x)
         return abs(H1(M, g) - 0.5 * Dinv * (M @ M) + Dinv * H2(M, g))
 
-    h_dev = float(max(_pmap(dev, states)))
+    h_dev = float(max(dev(x) for x in states))
     g_dev = float(max(abs(g1(unpack(x)[1]) - g2(unpack(x)[1]) / np.sqrt(D)) for x in states))
     ok = h_dev <= 1e-12 and g_dev <= 1e-12
     return {"suite": "duality", "D": D, "hamiltonian_identity_max": h_dev,
@@ -329,11 +311,10 @@ def _check_gauge(args, rng, states) -> tuple[dict, bool]:
     t2 = gauge_mod.GaugeTransform(a2, 0.8, h2)
     t21 = gauge_mod.compose(t2, t1)
 
-    comp_dev = float(max(_pmap(
-        lambda x: float(np.max(np.abs(
-            gauge_mod.apply_gauge_state(t2, gauge_mod.apply_gauge_state(t1, x))
-            - gauge_mod.apply_gauge_state(t21, x)))),
-        states)))
+    comp_dev = float(max(
+        float(np.max(np.abs(gauge_mod.apply_gauge_state(t2, gauge_mod.apply_gauge_state(t1, x))
+                            - gauge_mod.apply_gauge_state(t21, x))))
+        for x in states))
 
     base = gauge_mod.GFParams(g=ball_system(BallParams(**DEMO_BALL)).s_spec.g,
                               f=ScalarField.constant(0.0))

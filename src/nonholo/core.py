@@ -125,17 +125,21 @@ def fd_gradient(fn: Callable[[Array], float], point, step: float | None = None,
 
 def fd_jacobian(fn: Callable[[Array], Array], point, step: float | None = None,
                 richardson: bool = False) -> Array:
-    """Jacobian J[i, j] = d fn_i / d x_j by central differences."""
+    """Jacobian J[..., i, j] = d fn_i / d x_j by central differences.
+
+    ``point`` is one point of shape (n,) or a stack of shape (..., n), and
+    ``fn`` maps a stack of points to the stack of its values.  Each point's
+    step is scaled by its own norm, so stacked points give the per-point
+    Jacobians.
+    """
     x = np.asarray(point, float)
-    h = _base_step(x, step)
+    h = (TOLS.fd_step if step is None else step) \
+        * np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
 
     def one(hh):
-        cols = []
-        for j in range(x.size):
-            e = np.zeros(x.size)
-            e[j] = hh
-            cols.append((np.asarray(fn(x + e), float) - np.asarray(fn(x - e), float)) / (2.0 * hh))
-        return np.stack(cols, axis=-1)
+        cols = [np.asarray(fn(x + hh * e), float) - np.asarray(fn(x - hh * e), float)
+                for e in np.eye(x.shape[-1])]
+        return np.stack(cols, axis=-1) / (2.0 * hh[..., None])
 
     J1 = one(h)
     if not richardson:
@@ -146,9 +150,11 @@ def fd_jacobian(fn: Callable[[Array], Array], point, step: float | None = None,
 
 def fd_curl(fn: Callable[[Array], Array], point, step: float | None = None,
             richardson: bool = False) -> Array:
-    """curl F = (dF3/dx2 - dF2/dx3, dF1/dx3 - dF3/dx1, dF2/dx1 - dF1/dx2)."""
+    """curl F = (dF3/dx2 - dF2/dx3, dF1/dx3 - dF3/dx1, dF2/dx1 - dF1/dx2),
+    over the last axis of ``point`` as in ``fd_jacobian``."""
     J = fd_jacobian(fn, point, step, richardson)
-    return np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
+    return np.stack([J[..., 2, 1] - J[..., 1, 2], J[..., 0, 2] - J[..., 2, 0],
+                     J[..., 1, 0] - J[..., 0, 1]], axis=-1)
 
 
 def jacobiator(P: Callable[[Array], Array], x, step: float | None = None) -> float:
@@ -240,7 +246,7 @@ class VectorField3:
 
     @staticmethod
     def zero() -> "VectorField3":
-        return VectorField3(lambda x: np.zeros(3), curl=lambda x: np.zeros(3))
+        return VectorField3(lambda x: np.zeros(np.shape(x)), curl=lambda x: np.zeros(np.shape(x)))
 
     def __add__(self, other: "VectorField3") -> "VectorField3":
         c = None

@@ -77,20 +77,17 @@ def integrate(fn: Callable[[Array], Array], state0, cfg: IntegratorConfig,
     return Trajectory(t=sol.t, states=states, integrals=tracked, nfev=int(sol.nfev))
 
 
-def _sphere_integral_fns(sys: SphereSystem) -> dict[str, Callable[[Array], float]]:
-    fns: dict[str, Callable[[Array], float]] = {
-        "H": lambda x: integrals(sys, x).F3,
-        "F1": lambda x: integrals(sys, x).F1,
-        "F2": lambda x: integrals(sys, x).F2,
-    }
-    for name, f in sys.extra_integrals:
-        fns[name] = (lambda fn: lambda x: float(fn(*unpack(x))))(f)
-    return fns
-
-
 def integrate_sphere(sys: SphereSystem, state0, cfg: IntegratorConfig) -> Trajectory:
-    """Trajectory of a sphere system with its registered integrals tracked."""
-    return integrate(lambda x: rhs(sys, x), state0, cfg, _sphere_integral_fns(sys))
+    """Trajectory of a sphere system with its registered integrals tracked:
+    H, F1, F2 and the extras, from one ``integrals`` call per sample."""
+    traj = integrate(lambda x: rhs(sys, x), state0, cfg)
+    vals = [integrals(sys, x) for x in traj.states]
+    tracked = {"H": np.array([v.F3 for v in vals]),
+               "F1": np.array([v.F1 for v in vals]),
+               "F2": np.array([v.F2 for v in vals])}
+    for name, _ in sys.extra_integrals:
+        tracked[name] = np.array([v.extras[name] for v in vals])
+    return Trajectory(t=traj.t, states=traj.states, integrals=tracked, nfev=traj.nfev)
 
 
 def integrate_reparametrized(sys: SphereSystem, state0, cfg: IntegratorConfig,
@@ -123,21 +120,34 @@ def integrate_reparametrized(sys: SphereSystem, state0, cfg: IntegratorConfig,
     reached.terminal = True
     reached.direction = 1.0
 
-    # rho > 0 is bounded on the sphere, so the horizon in tau is finite;
-    # estimate it from the initial multiplier with a generous margin.
+    # rho > 0 is bounded on the sphere, so the horizon in tau is finite.
+    # Budgets of tau estimated from the initial multiplier, with a generous
+    # margin, are integrated one after another, each continuing from the
+    # last state of the one before, until the physical clock reaches it.
     tau_max = 4.0 * cfg.horizon / rho_of(x0) + 1.0
-    tau_eval = np.linspace(0.0, tau_max, max(4 * cfg.samples, 8))
-    sol = solve_ivp(z_rhs, (0.0, tau_max), np.append(x0, 0.0), method="RK45",
-                    rtol=cfg.rtol, atol=cfg.atol, t_eval=tau_eval, events=reached)
-    if not sol.success:
-        raise StiffnessError(f"rescaled integration stalled: {sol.message}")
-    if sol.status != 1:
-        raise DomainError("rescaled run never reached the requested horizon; "
-                          "raise the tau budget")
-    keep = sol.y[-1] < cfg.horizon
-    tau = np.append(sol.t[keep], sol.t_events[0][0])
-    z = np.concatenate([sol.y[:, keep], sol.y_events[0].T], axis=1)
-    traj = Trajectory(t=tau, states=z[:-1].T, integrals={}, nfev=int(sol.nfev))
+    n_eval = max(4 * cfg.samples, 8)
+    tau0, z0 = 0.0, np.append(x0, 0.0)
+    taus, zs, nfev = [], [], 0
+    while True:
+        tau_eval = np.linspace(tau0, tau0 + tau_max, n_eval)
+        sol = solve_ivp(z_rhs, (tau0, tau0 + tau_max), z0, method="RK45",
+                        rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
+                        t_eval=tau_eval, events=reached)
+        if not sol.success:
+            raise StiffnessError(f"rescaled integration stalled: {sol.message}")
+        nfev += sol.nfev
+        # each budget after the first repeats the last sample of the one before
+        skip = 1 if taus else 0
+        taus.append(sol.t[skip:])
+        zs.append(sol.y[:, skip:])
+        if sol.status == 1:
+            break
+        tau0, z0 = sol.t[-1], sol.y[:, -1]
+    tau, z = np.concatenate(taus), np.concatenate(zs, axis=1)
+    keep = z[-1] < cfg.horizon
+    tau = np.append(tau[keep], sol.t_events[0][0])
+    z = np.concatenate([z[:, keep], sol.y_events[0].T], axis=1)
+    traj = Trajectory(t=tau, states=z[:-1].T, integrals={}, nfev=int(nfev))
     return traj, z[-1]
 
 

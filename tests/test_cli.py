@@ -117,14 +117,6 @@ class TestCheck:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_threads_env_does_not_change_result(self, workdir, capsys, monkeypatch):
-        run(["check", "measure", "-n", "40"])
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("NONHOLO_THREADS", "4")
-        run(["check", "measure", "-n", "40"])
-        threaded = capsys.readouterr().out
-        assert serial == threaded
-
 
 class TestReduce:
     def test_trivial_parameters(self, workdir, capsys):

@@ -84,6 +84,19 @@ class TestFdGradient:
             fd_gradient(lambda g: g @ g, np.ones(3), step=0.0)
 
 
+def test_stacked_fd_curl_matches_per_point(rng):
+    # the stencil acts on the last axis, and each point's step is scaled by
+    # its own norm, so every row is that point's own finite-difference curl
+    fn = lambda g: np.stack([g[..., 1] * g[..., 2] ** 2, g[..., 0] ** 3,
+                             g[..., 0] * g[..., 1] - g[..., 2]], axis=-1)
+    pts = 3.0 * rng.standard_normal((20, 3))
+    stacked = fd_curl(fn, pts, richardson=True)
+    for p, row in zip(pts, stacked):
+        np.testing.assert_array_equal(row, fd_curl(fn, p, richardson=True))
+    np.testing.assert_array_equal(fd_curl(fn, pts.reshape(4, 5, 3), richardson=True),
+                                  stacked.reshape(4, 5, 3))
+
+
 class TestJacobiator:
     def test_constant_bivector(self, rng):
         B = rng.standard_normal((6, 6))

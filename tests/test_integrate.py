@@ -24,6 +24,10 @@ from nonholo import (
 
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 X0 = pack([0.3, -0.2, 0.5], np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
+# g grows along this orbit far beyond its initial value, so a long run
+# outlasts the tau budget estimated from the initial multiplier
+FAST_BALL = BallParams(A=(0.2, 0.4, 0.6), D=1.66)
+FAST_X0 = pack([3.0, 0.0, 0.0], [0.0, 0.0, 1.0])
 
 
 def toy_system(g_const: float) -> SphereSystem:
@@ -138,6 +142,21 @@ class TestReparametrized:
         tau_traj, t_phys = integrate_reparametrized(sys, X0, cfg)
         mapped = map_to_physical_time(tau_traj, t_phys, direct.t)
         assert np.max(np.abs(mapped - direct.states)) <= 1e-6
+
+    def test_max_step_is_honoured(self):
+        sys = ball_system(FAST_BALL)
+        free, _ = integrate_reparametrized(sys, FAST_X0, IntegratorConfig(horizon=5.0))
+        capped, _ = integrate_reparametrized(sys, FAST_X0,
+                                             IntegratorConfig(horizon=5.0, max_step=0.01))
+        assert capped.nfev > free.nfev
+
+    def test_horizon_beyond_first_tau_budget(self):
+        traj, t_phys = integrate_reparametrized(ball_system(FAST_BALL), FAST_X0,
+                                                IntegratorConfig(horizon=50.0))
+        assert t_phys[-1] == pytest.approx(50.0, abs=1e-9)
+        assert np.all(np.diff(t_phys) > 0.0)
+        F1 = np.sum(traj.states[:, 3:] ** 2, axis=1)
+        assert np.max(np.abs(F1 - F1[0])) <= 1e-8
 
     def test_vanishing_multiplier_rejected(self):
         bad = toy_system(1.0)

@@ -7,6 +7,7 @@ from nonholo import (
     ScalarField,
     SphereSpectralField,
     fd_curl,
+    fd_gradient,
     make_grid,
     solve_curl_equation,
     sphere_quadrature,
@@ -61,13 +62,19 @@ class TestSpectralField:
 
     def test_surface_gradient_matches_fd(self, rng):
         f = random_band_limited(rng, 8)
-        for _ in range(10):
-            u = rng.standard_normal(3)
-            u /= np.linalg.norm(u)
+        # more points than one synthesis chunk, evaluated as one array
+        u = rng.standard_normal((70, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        values, grads = f.value(u), f.surface_gradient(u)
+        for k in range(len(u)):
             # degree-zero extension makes the full gradient tangential
-            from nonholo import fd_gradient
-            fd = fd_gradient(lambda x: f.value(x / np.linalg.norm(x)), u)
-            np.testing.assert_allclose(f.surface_gradient(u), fd, atol=1e-8)
+            fd = fd_gradient(lambda x: f.value(x / np.linalg.norm(x)), u[k])
+            np.testing.assert_allclose(f.surface_gradient(u[k]), fd, atol=1e-8)
+            np.testing.assert_allclose(grads[k], f.surface_gradient(u[k]), rtol=1e-13, atol=1e-13)
+            assert values[k] == pytest.approx(f.value(u[k]), rel=1e-13, abs=1e-13)
+        np.testing.assert_array_equal(f.value(u.reshape(7, 10, 3)), values.reshape(7, 10))
+        np.testing.assert_array_equal(f.surface_gradient(u.reshape(7, 10, 3)),
+                                      grads.reshape(7, 10, 3))
 
     def test_laplace_invert(self, rng):
         # degree-l harmonics are eigenfunctions with eigenvalue -l(l+1)
@@ -95,6 +102,10 @@ class TestCurlSolver:
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             assert sol.psi.value(u) == pytest.approx(-u[2] / 2, abs=1e-12)
+            # the analytic orientation h = u x grad_S psi; the opposite sign
+            # would miss by |u x e3|
+            np.testing.assert_allclose(sol.h(u), -0.5 * np.cross(u, [0.0, 0.0, 1.0]),
+                                       atol=1e-13)
 
     def test_smooth_rhs_spectral_accuracy(self):
         A = np.array([0.4, 0.5, 0.6])
