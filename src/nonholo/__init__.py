@@ -25,6 +25,7 @@ from .core import (
     pack,
     skew_defect,
     unpack,
+    vector,
 )
 from .gauge import (
     GFParams,

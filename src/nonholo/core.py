@@ -1,9 +1,10 @@
 """Shared numerical primitives.
 
 Phase points on R^6 are packed as ``x = (M, gamma)`` with the momentum
-``M = x[:3]`` and the direction (Poisson) vector ``gamma = x[3:]``.
-Everything in this module is a pure function of immutable values and is
-safe to evaluate from concurrent workers.
+``M = x[..., :3]`` and the direction (Poisson) vector ``gamma = x[..., 3:]``.
+Points, states and fields act over the last axis: a stack of shape
+(..., n) is evaluated in one call, and one point of shape (n,) is the same
+code on a stack of one.
 """
 
 from __future__ import annotations
@@ -53,29 +54,35 @@ TOLS = Tolerances()
 
 
 def pack(M, gamma) -> Array:
-    """Stack (M, gamma) into a single 6-vector."""
-    return np.concatenate([np.asarray(M, float), np.asarray(gamma, float)])
+    """Stack (M, gamma) into 6-vectors over the last axis."""
+    return np.concatenate([np.asarray(M, float), np.asarray(gamma, float)], axis=-1)
 
 
 def unpack(x) -> tuple[Array, Array]:
     x = np.asarray(x, float)
-    return x[:3], x[3:]
+    return x[..., :3], x[..., 3:]
 
 
 def require_unit_gamma(gamma: Array, tol: float = TOLS.unit_gamma) -> None:
-    err = abs(gamma @ gamma - 1.0)
+    err = np.max(np.abs(np.vecdot(gamma, gamma) - 1.0))
     if err > tol:
         raise DomainError(f"gamma is off the unit sphere: |gamma^2 - 1| = {err:.3e}")
 
 
+# hat(v) flattened is v @ _HAT: each entry of the cross-product matrix is
+# +-1 times one component of v
+_HAT = np.zeros((3, 9))
+_HAT[2, 1] = _HAT[0, 5] = _HAT[1, 6] = -1.0
+_HAT[1, 2] = _HAT[2, 3] = _HAT[0, 7] = 1.0
+
+
 def hat(v) -> Array:
-    """Matrix of the cross product: hat(v) @ w == v x w."""
+    """Matrix of the cross product over the last axis: hat(v) @ w == v x w.
+
+    v of shape (..., 3) gives matrices of shape (..., 3, 3).
+    """
     v = np.asarray(v, float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    return (v @ _HAT).reshape(v.shape[:-1] + (3, 3))
 
 
 def skew_defect(P: Array) -> float:
@@ -92,35 +99,41 @@ def _base_step(x: Array, step: float | None) -> float:
     return h * max(1.0, float(np.linalg.norm(x)))
 
 
-def _central(fn, x: Array, h: float) -> Array:
-    n = x.size
-    out = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        out[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"non-finite field value near {x}")
-    return out
+def _stencil(fn, x: Array, h: Array) -> Array:
+    """Central differences of fn along each coordinate of the last axis of x,
+    stacked on a new last axis.  h has shape (..., 1), one step per point."""
+    cols = [np.asarray(fn(x + h * e), float) - np.asarray(fn(x - h * e), float)
+            for e in np.eye(x.shape[-1])]
+    D = np.stack(cols, axis=-1)
+    # scalar fields give (..., n), vector fields (..., m, n)
+    return D / (2.0 * h.reshape(h.shape + (1,) * (D.ndim - x.ndim)))
 
 
-def fd_gradient(fn: Callable[[Array], float], point, step: float | None = None,
+def _steps(x: Array, step: float | None) -> Array:
+    return (TOLS.fd_step if step is None else step) \
+        * np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
+
+
+def fd_gradient(fn: Callable[[Array], Array], point, step: float | None = None,
                 richardson: bool = True) -> Array:
-    """Central-difference gradient of a scalar function.
+    """Central-difference gradient of a scalar function over the last axis.
 
+    ``point`` is one point of shape (n,) or a stack of shape (..., n), and
+    ``fn`` maps a stack of points to the stack of its values, shape (...).
     One level of Richardson extrapolation brings the truncation error to
     O(step^4), which keeps polynomial fields of degree <= 3 exact up to
     round-off.
     """
     x = np.asarray(point, float)
-    h = _base_step(x, step)
-    if h <= 0.0:
+    h = _steps(x, step)
+    if np.any(h <= 0.0):
         raise DomainError("finite-difference step must be positive")
-    d1 = _central(fn, x, h)
-    if not richardson:
-        return d1
-    d2 = _central(fn, x, h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    d = _stencil(fn, x, h)
+    if richardson:
+        d = (4.0 * _stencil(fn, x, h / 2.0) - d) / 3.0
+    if not np.all(np.isfinite(d)):
+        raise DomainError(f"non-finite field value near {x}")
+    return d
 
 
 def fd_jacobian(fn: Callable[[Array], Array], point, step: float | None = None,
@@ -133,18 +146,11 @@ def fd_jacobian(fn: Callable[[Array], Array], point, step: float | None = None,
     Jacobians.
     """
     x = np.asarray(point, float)
-    h = (TOLS.fd_step if step is None else step) \
-        * np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
-
-    def one(hh):
-        cols = [np.asarray(fn(x + hh * e), float) - np.asarray(fn(x - hh * e), float)
-                for e in np.eye(x.shape[-1])]
-        return np.stack(cols, axis=-1) / (2.0 * hh[..., None])
-
-    J1 = one(h)
+    h = _steps(x, step)
+    J1 = _stencil(fn, x, h)
     if not richardson:
         return J1
-    J2 = one(h / 2.0)
+    J2 = _stencil(fn, x, h / 2.0)
     return (4.0 * J2 - J1) / 3.0
 
 
@@ -184,36 +190,73 @@ def jacobiator(P: Callable[[Array], Array], x, step: float | None = None) -> flo
 # fields with optional analytic derivatives
 # ---------------------------------------------------------------------------
 
+def lift(v, n: int = 1):
+    """Field values of shape (...) as shape (..., 1) (n = 1) or (..., 1, 1)
+    (n = 2), so that they scale vectors or matrices point by point; one
+    point's float passes as is."""
+    return v[(..., *(None,) * n)] if isinstance(v, np.ndarray) else v
+
+
+def any_point(mask) -> bool:
+    """Whether a condition holds at any point of a stack (or at the one point)."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def vector(*components) -> Array:
+    """Vectors over the last axis from per-point components of shape (...);
+    constant components are broadcast."""
+    try:
+        v = np.array(components, float)
+    except ValueError:
+        # a constant beside components of a stack
+        v = np.array(np.broadcast_arrays(*components), float)
+    return v if v.ndim == 1 else np.moveaxis(v, 0, -1)
+
+
+def _fit(v, shape) -> Array:
+    """A field result as a float array of the stack's shape; a result that
+    does not depend on the point (a constant) is broadcast."""
+    v = np.asarray(v, float)
+    return v if v.shape == shape else np.broadcast_to(v, shape)
+
+
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar function of a point, with an optional analytic gradient.
+    """A scalar function of points, with an optional analytic gradient.
 
-    Where no gradient is supplied, differentiation falls back to
-    ``fd_gradient``.  The dimension of the point is not fixed; the same
-    type serves fields of gamma on R^3 and fields of q on R^2.
+    ``fn`` maps points of shape (..., n) to values of shape (...) and
+    ``grad`` maps them to gradients of shape (..., n); both read the
+    components of a point as ``x[..., i]``, and a result that does not depend
+    on the point may be a constant.  Calling the field on one point of shape
+    (n,) gives a float.  Where no gradient is supplied,
+    differentiation falls back to ``fd_gradient``.  The dimension of the
+    point is not fixed; the same type serves fields of gamma on R^3 and
+    fields of q on R^2.
     """
 
-    fn: Callable[[Array], float]
+    fn: Callable[[Array], Array]
     grad: Callable[[Array], Array] | None = None
 
-    def __call__(self, point) -> float:
-        return float(self.fn(np.asarray(point, float)))
+    def __call__(self, point):
+        x = np.asarray(point, float)
+        v = self.fn(x)
+        return float(v) if x.ndim == 1 else _fit(v, x.shape[:-1])
 
     def gradient(self, point, step: float | None = None) -> Array:
         x = np.asarray(point, float)
-        if self.grad is not None:
-            return np.asarray(self.grad(x), float)
-        return fd_gradient(self.fn, x, step)
+        if self.grad is None:
+            return fd_gradient(self, x, step)
+        return _fit(self.grad(x), x.shape)
 
     @staticmethod
     def constant(c: float) -> "ScalarField":
-        return ScalarField(lambda x: c, grad=lambda x: np.zeros_like(np.asarray(x, float)))
+        return ScalarField(lambda x: c, grad=lambda x: 0.0)
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
             g = None
             if self.grad is not None and other.grad is not None:
-                g = lambda x: self(x) * other.gradient(x) + other(x) * self.gradient(x)
+                g = lambda x: lift(self(x)) * other.gradient(x) + lift(other(x)) * self.gradient(x)
             return ScalarField(lambda x: self(x) * other(x), grad=g)
         c = float(other)
         g = None if self.grad is None else (lambda x: c * self.gradient(x))
@@ -224,29 +267,35 @@ class ScalarField:
     def reciprocal(self) -> "ScalarField":
         g = None
         if self.grad is not None:
-            g = lambda x: -self.gradient(x) / self(x) ** 2
+            g = lambda x: -self.gradient(x) / lift(self(x) ** 2)
         return ScalarField(lambda x: 1.0 / self(x), grad=g)
 
 
 @dataclass(frozen=True)
 class VectorField3:
-    """An R^3-valued function of gamma, with an optional analytic curl."""
+    """An R^3-valued function of gamma, with an optional analytic curl.
+
+    ``fn`` and ``curl`` map points of shape (..., 3) to vectors of shape
+    (..., 3), or to one constant 3-vector; one point of shape (3,) gives one
+    3-vector.
+    """
 
     fn: Callable[[Array], Array]
     curl: Callable[[Array], Array] | None = None
 
     def __call__(self, point) -> Array:
-        return np.asarray(self.fn(np.asarray(point, float)), float)
+        x = np.asarray(point, float)
+        return _fit(self.fn(x), x.shape)
 
     def curl_at(self, point, step: float | None = None, richardson: bool = False) -> Array:
         x = np.asarray(point, float)
         if self.curl is not None:
-            return np.asarray(self.curl(x), float)
-        return fd_curl(self.fn, x, step, richardson)
+            return _fit(self.curl(x), x.shape)
+        return fd_curl(self, x, step, richardson)
 
     @staticmethod
     def zero() -> "VectorField3":
-        return VectorField3(lambda x: np.zeros(np.shape(x)), curl=lambda x: np.zeros(np.shape(x)))
+        return VectorField3(lambda x: 0.0, curl=lambda x: 0.0)
 
     def __add__(self, other: "VectorField3") -> "VectorField3":
         c = None
@@ -260,5 +309,5 @@ class VectorField3:
             s = ScalarField.constant(float(s))
         c = None
         if self.curl is not None and s.grad is not None:
-            c = lambda x: s(x) * self.curl_at(x) + np.cross(s.gradient(x), self(x))
-        return VectorField3(lambda x: s(x) * self(x), curl=c)
+            c = lambda x: lift(s(x)) * self.curl_at(x) + np.cross(s.gradient(x), self(x))
+        return VectorField3(lambda x: lift(s(x)) * self(x), curl=c)

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, ScalarField, VectorField3
+from .core import DomainError, ScalarField, VectorField3, lift
 from .sphere import ReducedS, SphereSystem, s_value
 
 Array = np.ndarray
@@ -61,13 +61,13 @@ def _diag3(value, name: str) -> Array:
 def linear_potential(r: Sequence[float]) -> ScalarField:
     """U(gamma) = (r, gamma)."""
     r = np.asarray(r, float)
-    return ScalarField(lambda g: float(r @ g), grad=lambda g: r.copy())
+    return ScalarField(lambda g: np.vecdot(g, r), grad=lambda g: np.broadcast_to(r, g.shape))
 
 
 def quadratic_potential(c_diag: Sequence[float]) -> ScalarField:
     """U(gamma) = (gamma, C gamma) with diagonal C."""
     c = np.asarray(c_diag, float)
-    return ScalarField(lambda g: float(g @ (c * g)), grad=lambda g: 2.0 * c * g)
+    return ScalarField(lambda g: np.vecdot(g, c * g), grad=lambda g: 2.0 * c * g)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ class BallParams:
 
 
 def _ball_s(A: Array, Dinv: float, M: Array, gamma: Array) -> float:
-    return float((A * M) @ gamma / (Dinv - gamma @ (A * gamma)))
+    return float(np.vecdot(A * M, gamma) / (Dinv - np.vecdot(gamma, A * gamma)))
 
 
 def ball_system(p: BallParams) -> SphereSystem:
@@ -106,7 +106,7 @@ def ball_system(p: BallParams) -> SphereSystem:
     U = p.U
 
     def u(g):
-        return Dinv - g @ (A * g)
+        return Dinv - np.vecdot(g, A * g)
 
     def H(M, g):
         am = A * M
@@ -125,7 +125,7 @@ def ball_system(p: BallParams) -> SphereSystem:
         return out
 
     g_field = ScalarField(lambda g: np.sqrt(u(g)),
-                          grad=lambda g: -(A * g) / np.sqrt(u(g)))
+                          grad=lambda g: -(A * g) / lift(np.sqrt(u(g))))
     extras = ()
     if U is None and not np.any(p.k):
         extras = (("Msq", lambda M, g: float(M @ M)),)
@@ -143,7 +143,7 @@ def ball_system(p: BallParams) -> SphereSystem:
 def ball_K(p: BallParams) -> VectorField3:
     """Closed form of the ball's S-vector: K = A gamma / (1/D - (gamma, A gamma))."""
     A, Dinv = p.A, 1.0 / p.D
-    return VectorField3(lambda g: (A * g) / (Dinv - g @ (A * g)))
+    return VectorField3(lambda g: (A * g) / lift(Dinv - np.vecdot(g, A * g)))
 
 
 def ball_M_from_omega(p: BallParams, omega, gamma) -> Array:
@@ -176,8 +176,8 @@ class VeselovaParams:
 
 
 def _veselova_s(Ah: Array, k: Array, M: Array, gamma: Array) -> float:
-    G = gamma @ (Ah * gamma)
-    w = (Ah * M - M - k) @ gamma
+    G = np.vecdot(gamma, Ah * gamma)
+    w = np.vecdot(Ah * M - M - k, gamma)
     return float(-w / G)
 
 
@@ -187,7 +187,7 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
     U = p.U
 
     def G(g):
-        return g @ (Ah * g)
+        return np.vecdot(g, Ah * g)
 
     def H(M, g):
         w = (Ah * M - M - k) @ g
@@ -206,13 +206,14 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
         return out
 
     g_field = ScalarField(lambda g: np.sqrt(G(g)),
-                          grad=lambda g: (Ah * g) / np.sqrt(G(g)))
+                          grad=lambda g: (Ah * g) / lift(np.sqrt(G(g))))
     f_field = ScalarField(lambda g: 1.0 / np.sqrt(G(g)),
-                          grad=lambda g: -(Ah * g) / G(g) ** 1.5)
+                          grad=lambda g: -(Ah * g) / lift(G(g) ** 1.5))
     phi_field = None
     if np.any(k):
-        phi_field = ScalarField(lambda g: (k @ g) / np.sqrt(G(g)),
-                                grad=lambda g: k / np.sqrt(G(g)) - (k @ g) * (Ah * g) / G(g) ** 1.5)
+        phi_field = ScalarField(
+            lambda g: np.vecdot(g, k) / np.sqrt(G(g)),
+            grad=lambda g: k / lift(np.sqrt(G(g))) - lift(np.vecdot(g, k)) * (Ah * g) / lift(G(g) ** 1.5))
     extras = ()
     if U is None:
         name = "MkSq" if np.any(k) else "Msq"
@@ -231,7 +232,7 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
 def veselova_K(p: VeselovaParams) -> VectorField3:
     """Closed form of the Veselova S-vector: K = -(Ahat - E) gamma / (gamma, Ahat gamma)."""
     Ah = p.Ahat
-    return VectorField3(lambda g: -(Ah * g - g) / (g @ (Ah * g)))
+    return VectorField3(lambda g: -(Ah * g - g) / lift(np.vecdot(g, Ah * g)))
 
 
 def veselova_M_from_omega(p: VeselovaParams, omega, gamma) -> Array:

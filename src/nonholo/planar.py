@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DomainError, ScalarField, TOLS
+from .core import DomainError, ScalarField, TOLS, vector
 
 Array = np.ndarray
 
@@ -197,8 +197,8 @@ def energy_fn(sys: PlanarSystem) -> Callable[[Array], float]:
 def demo_system(B: Callable[[Array], float] | None = None) -> PlanarSystem:
     """Admissible demo: N = exp(q1), A2 = 1, A1 = 0, unit kinetic matrix,
     bounded potential, and an arbitrary (default cosine) B."""
-    V = ScalarField(lambda q: float(np.cos(q[0]) + np.sin(q[1])),
-                    grad=lambda q: np.array([-np.sin(q[0]), np.cos(q[1])]))
+    V = ScalarField(lambda q: np.cos(q[..., 0]) + np.sin(q[..., 1]),
+                    grad=lambda q: vector(-np.sin(q[..., 0]), np.cos(q[..., 1])))
     return PlanarSystem(
         H=lambda q, P: float(0.5 * P @ P + V(q)),
         dH_dq=lambda q, P: V.gradient(q),
@@ -206,6 +206,6 @@ def demo_system(B: Callable[[Array], float] | None = None) -> PlanarSystem:
         A1=lambda q: 0.0,
         A2=lambda q: 1.0,
         B=B if B is not None else (lambda q: 0.5 * float(np.cos(q[1]))),
-        N=ScalarField(lambda q: float(np.exp(q[0])),
-                      grad=lambda q: np.array([np.exp(q[0]), 0.0])),
+        N=ScalarField(lambda q: np.exp(q[..., 0]),
+                      grad=lambda q: vector(np.exp(q[..., 0]), 0.0)),
     )

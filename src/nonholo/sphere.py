@@ -33,7 +33,9 @@ from .core import (
     DomainError,
     ScalarField,
     VectorField3,
+    any_point,
     hat,
+    lift,
     pack,
     unpack,
 )
@@ -66,16 +68,17 @@ SFunctionSpec = ReducedS | DirectS
 
 
 def k_from_gf(g: ScalarField, f: ScalarField, gamma) -> Array:
-    """The S-vector of a reduced spec: K = (f*gamma - dg/dgamma) / g.
+    """The S-vector of a reduced spec: K = (f*gamma - dg/dgamma) / g, over
+    the last axis of gamma.
 
     This is exactly the one-parameter family of solutions of the
     invariant-measure equation for density rho = 1/g.
     """
     gamma = np.asarray(gamma, float)
     gv = g(gamma)
-    if gv <= 0.0:
-        raise DomainError(f"g(gamma) = {gv:.3e} is not positive")
-    return (f(gamma) * gamma - g.gradient(gamma)) / gv
+    if any_point(gv <= 0.0):
+        raise DomainError(f"g(gamma) = {np.min(gv):.3e} is not positive")
+    return (lift(f(gamma)) * gamma - g.gradient(gamma)) / lift(gv)
 
 
 @dataclass(frozen=True)
@@ -110,12 +113,12 @@ def s_value(sys: SphereSystem, x) -> float:
     M, gamma = unpack(x)
     spec = sys.s_spec
     if isinstance(spec, DirectS):
-        s = float(spec.K(gamma) @ M)
+        s = float(np.vecdot(spec.K(gamma), M))
         if spec.offset is not None:
             s += spec.offset(gamma)
         return s
     K = k_from_gf(spec.g, spec.f, gamma)
-    s = float(K @ M)
+    s = float(np.vecdot(K, M))
     if spec.phi is not None:
         s += spec.phi(gamma) / spec.g(gamma)
     return s
@@ -168,17 +171,21 @@ def measure_residual(sys_or_spec, x, rho: ScalarField | None = None) -> Array:
 # bivector assembly
 # ---------------------------------------------------------------------------
 
-def _pgf_matrix(M: Array, gamma: Array, g_val: float, S_val: float, k: Array) -> Array:
-    P = np.zeros((6, 6))
+def _pgf_matrix(M: Array, gamma: Array, g_val, S_val, k: Array) -> Array:
+    """The 6x6 bracket matrices of states stacked over the last axis of M
+    and gamma, shape (..., 6, 6), with g and S of shape (...)."""
+    g_val, S_val = lift(g_val, 2), lift(S_val, 2)
     G = hat(gamma)
-    P[:3, :3] = g_val * hat(M + k) - g_val * S_val * G
-    P[:3, 3:] = g_val * G
-    P[3:, :3] = g_val * G
+    P = np.zeros(G.shape[:-2] + (6, 6))
+    P[..., :3, :3] = g_val * hat(M + k) - g_val * S_val * G
+    P[..., :3, 3:] = g_val * G
+    P[..., 3:, :3] = g_val * G
     return P
 
 
 def e3_bivector(x) -> Array:
-    """The standard e(3) Lie-Poisson bivector [[hat(M), hat(g)], [hat(g), 0]]."""
+    """The standard e(3) Lie-Poisson bivector [[hat(M), hat(g)], [hat(g), 0]]
+    at states of shape (..., 6)."""
     M, gamma = unpack(x)
     return _pgf_matrix(M, gamma, 1.0, 0.0, np.zeros(3))
 
@@ -187,7 +194,8 @@ def bivector_field(g: ScalarField, K: VectorField3 | None = None,
                    f: ScalarField | None = None,
                    phi: ScalarField | None = None,
                    k: Array | None = None) -> Callable[[Array], Array]:
-    """Build x -> P(x) from either (g, f[, phi]) or (g, K[, phi as offset]).
+    """Build x -> P(x) from either (g, f[, phi]) or (g, K[, phi as offset]),
+    for states x of shape (..., 6) and matrices of shape (..., 6, 6).
 
     With K supplied the S-term is (K, M) regardless of any measure
     compatibility, which is how deliberately broken (non-Jacobi) structures
@@ -201,9 +209,9 @@ def bivector_field(g: ScalarField, K: VectorField3 | None = None,
         M, gamma = unpack(x)
         gv = g(gamma)
         Kv = k_from_gf(g, f, gamma) if K is None else K(gamma)
-        S = float(Kv @ M)
+        S = np.vecdot(Kv, M)
         if phi is not None:
-            S += phi(gamma) / gv
+            S = S + phi(gamma) / gv
         return _pgf_matrix(M, gamma, gv, S, kvec)
 
     return P

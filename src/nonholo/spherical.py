@@ -14,7 +14,9 @@ shape (..., 3), read at their radial projections; one point of shape (3,)
 gives a float or a 3-vector.  Synthesis builds the Legendre tables for a
 chunk of points at once and contracts the coefficients over (l, m) in one
 einsum, the batched evaluation of pseudospectral transforms (Schaeffer
-2013, SHTns).
+2013, SHTns).  The tangential gradient carries Pbar_lm / sin(theta) through
+the Legendre recursions instead of dividing by sin(theta), so it is regular
+on the whole sphere, poles included.
 
 The solver below finds, for smooth F, a constant c and a tangent vector
 field h with (gamma, curl h) = F + c on the sphere: c = -mean(F) makes F + c
@@ -84,11 +86,13 @@ def make_grid(L: int) -> SphereGrid:
 
 
 def _grid_values(field, grid: SphereGrid) -> Array:
-    """A scalar field at every grid point, shape (ntheta, nphi)."""
-    vals = np.array([field(p) for p in grid.points().reshape(-1, 3)], float)
+    """A scalar field at every grid point in one call, shape (ntheta, nphi)."""
+    if not isinstance(field, ScalarField):
+        field = ScalarField(field)
+    vals = field(grid.points())
     if not np.all(np.isfinite(vals)):
         raise DomainError(f"field is non-finite on the L={grid.L} sphere grid")
-    return vals.reshape(grid.ntheta, grid.nphi)
+    return vals
 
 
 def sphere_quadrature(field, L: int = 32) -> float:
@@ -102,35 +106,61 @@ def sphere_quadrature(field, L: int = 32) -> float:
 # normalized associated Legendre functions
 # ---------------------------------------------------------------------------
 
-def _legendre_tables(L: int, x: Array) -> tuple[Array, Array]:
-    """Pbar_lm(x) and d/dtheta Pbar_lm for all l, m <= L.
-
-    x is an array of cos(theta) values strictly inside (-1, 1); the standard
-    three-term recursion is run once per degree with the order dimension
-    vectorized.  Returns arrays of shape (L+1, L+1, len(x)) indexed [l, m].
-    """
-    x = np.asarray(x, float)
-    n = x.size
-    s = np.sqrt(1.0 - x**2)
-    P = np.zeros((L + 1, L + 1, n))
-    P[0, 0] = 1.0 / np.sqrt(FOUR_PI)
-    for m in range(1, L + 1):
-        P[m, m] = s * np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * P[m - 1, m - 1]
-    for m in range(L):
-        P[m + 1, m] = np.sqrt(2.0 * m + 3.0) * x * P[m, m]
+@lru_cache(maxsize=8)
+def _recursion(L: int) -> tuple[Array, Array, list]:
+    """Coefficients of the Legendre recursions up to degree L: the sectoral
+    factors sqrt((2m+1)/(2m)), the derivative weights
+    sqrt((l^2-m^2)(2l+1)/(2l-1)) and, per degree l >= 2, the three-term
+    pair (a, b) over orders m < l-1."""
+    m = np.arange(1, L + 1)
+    sectoral = np.sqrt((2.0 * m + 1.0) / (2.0 * m))
+    l, mm = np.meshgrid(np.arange(L + 1.0), np.arange(L + 1.0), indexing="ij")
+    dweight = np.sqrt(np.maximum(l * l - mm * mm, 0.0) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
+    three_term = []
     for l in range(2, L + 1):
         m = np.arange(0, l - 1)
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
         b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-        P[l, : l - 1] = a[:, None] * (x[None, :] * P[l - 1, : l - 1] - b[:, None] * P[l - 2, : l - 1])
-    dP = np.zeros_like(P)
-    for l in range(1, L + 1):
-        m = np.arange(0, l + 1)
-        c = np.sqrt(np.maximum(l * l - m * m, 0.0) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
-        prev = np.zeros((l + 1, n))
-        prev[: l] = P[l - 1, : l]
-        dP[l, : l + 1] = (l * x[None, :] * P[l, : l + 1] - c[:, None] * prev) / s[None, :]
-    return P, dP
+        three_term.append((a[:, None], b[:, None]))
+    return sectoral, dweight, three_term
+
+
+def _legendre_tables(L: int, x: Array, s: Array, gradient: bool = False):
+    """Pbar_lm(cos theta) for all l, m <= L, shape (L+1, L+1, len(x)) indexed
+    [l, m], from x = cos(theta) and s = sin(theta) >= 0.
+
+    With ``gradient`` it returns instead the pair (d/dtheta Pbar_lm,
+    Pbar_lm / sin(theta)), the second zero at m = 0, and both regular at the
+    poles: Pbar_lm / sin(theta) runs through the same recursions as Pbar_lm
+    from the seed Pbar_11 / sin(theta), and the theta-derivative is formed
+    from the two tables with no division by sin(theta).
+    """
+    x = np.asarray(x, float)
+    n = x.size
+    sectoral, dweight, three_term = _recursion(L)
+    # T[0] = Pbar, T[1] = Pbar / sin(theta); the sectoral seeds Pbar_mm are
+    # a running product of s * sqrt((2m+1)/(2m)), and Pbar_mm / s drops one s
+    T = np.zeros((2 if gradient else 1, L + 1, L + 1, n))
+    steps = s * sectoral[:, None]
+    diag = np.cumprod(np.vstack([np.full((1, n), 1.0 / np.sqrt(FOUR_PI)), steps]), axis=0)
+    i = np.arange(L + 1)
+    T[0, i, i] = diag
+    if gradient and L > 0:
+        T[1, i[1:], i[1:]] = np.cumprod(np.vstack([sectoral[:1, None] * diag[:1], steps[1:]]), axis=0)
+    T[:, i[1:], i[:-1]] = np.sqrt(2.0 * i[:-1] + 3.0)[:, None] * x * T[:, i[:-1], i[:-1]]
+    for l, (a, b) in enumerate(three_term, start=2):
+        T[:, l, : l - 1] = a * (x * T[:, l - 1, : l - 1] - b * T[:, l - 2, : l - 1])
+    if not gradient:
+        return T[0]
+    P, Q = T
+    # d/dtheta Pbar_lm = l x Q_lm - w_lm Q_(l-1)m for m >= 1, and
+    # d/dtheta Pbar_l0 = -sqrt(l(l+1)) Pbar_l1
+    Q_prev = np.zeros_like(Q)
+    Q_prev[1:] = Q[:-1]
+    dP = i[:, None, None] * x * Q - dweight[:, :, None] * Q_prev
+    if L > 0:
+        dP[:, 0] = -np.sqrt(i * (i + 1.0))[:, None] * P[:, 1]
+    return dP, Q
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +194,7 @@ class SphereSpectralField:
         scale = 2.0 * np.pi / grid.nphi
         Fc = vals @ cosm.T * scale    # (ntheta, L+1)
         Fs = vals @ sinm.T * scale
-        P, _ = _legendre_tables(L, grid.x)
+        P = _legendre_tables(L, grid.x, np.sqrt(1.0 - grid.x**2))
         c_cos = np.einsum("lmn,n,nm->lm", P, grid.w, Fc)
         c_sin = np.einsum("lmn,n,nm->lm", P, grid.w, Fs)
         c_cos[:, 1:] *= np.sqrt(2.0)
@@ -189,9 +219,7 @@ class SphereSpectralField:
             raise DomainError("spectral field evaluated at the origin")
         u = (p / r).reshape(-1, 3)
         ct = np.clip(u[:, 2], -1.0, 1.0)
-        st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
-        if gradient and np.any(st < 1e-12):
-            raise DomainError("surface gradient evaluated at a pole")
+        st = np.hypot(u[:, 0], u[:, 1])
         phi = np.arctan2(u[:, 1], u[:, 0])
         m = np.arange(self.L + 1)
         # Re(c[l, m] e^{i m phi}) = c_cos cos(m phi) + c_sin sin(m phi), and
@@ -200,20 +228,22 @@ class SphereSpectralField:
         sums = np.empty((2 if gradient else 1, u.shape[0]))
         for k in range(0, u.shape[0], _CHUNK):
             n = slice(k, k + _CHUNK)
-            P, dP = _legendre_tables(self.L, ct[n])
             E = np.exp(1j * np.outer(m, phi[n]))
             if gradient:
+                dP, Q = _legendre_tables(self.L, ct[n], st[n], gradient=True)
                 sums[0, n] = np.einsum("lm,lmn,mn->n", c, dP, E).real
-                sums[1, n] = np.einsum("lm,lmn,mn->n", 1j * m * c, P, E).real
+                sums[1, n] = np.einsum("lm,lmn,mn->n", 1j * m * c, Q, E).real
             else:
+                P = _legendre_tables(self.L, ct[n], st[n])
                 sums[0, n] = np.einsum("lm,lmn,mn->n", c, P, E).real
         if not gradient:
             return sums[0].reshape(p.shape[:-1])[()]
-        d_theta, d_phi = sums[0], sums[1] / st
+        # d_theta f e_theta + (1/sin theta) d_phi f e_phi; the second sum
+        # already carries the 1/sin theta
         cp, sp = np.cos(phi), np.sin(phi)
         e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
         e_phi = np.stack([-sp, cp, np.zeros_like(cp)], axis=-1)
-        grad = d_theta[:, None] * e_theta + d_phi[:, None] * e_phi
+        grad = sums[0][:, None] * e_theta + sums[1][:, None] * e_phi
         return grad.reshape(p.shape)
 
     def laplace_invert(self) -> "SphereSpectralField":
@@ -283,8 +313,8 @@ def solve_curl_equation(F, L: int = 32, residual_tol: float = 1e-6,
         h = _rotated_gradient(psi)
 
     pts = make_grid(L).points()[::verify_stride, ::verify_stride].reshape(-1, 3)
-    lhs = np.einsum("ni,ni->n", pts, fd_curl(h.fn, pts, step=1e-4, richardson=True))
-    residual = float(np.max(np.abs(lhs - np.array([F(p) for p in pts]) - c)))
+    lhs = np.einsum("ni,ni->n", pts, fd_curl(h, pts, step=1e-4, richardson=True))
+    residual = float(np.max(np.abs(lhs - F(pts) - c)))
     if residual > residual_tol:
         warnings.warn(
             f"curl-equation residual {residual:.3e} exceeds {residual_tol:.1e}; "

@@ -47,6 +47,7 @@ from nonholo import (
     veselova_system,
     zero_level_jacobian,
     zero_level_reduce,
+    vector,
 )
 from nonholo.planar import demo_system, energy_fn, planar_rhs, to_conformal
 from nonholo.planar import PlanarSystem
@@ -129,11 +130,11 @@ def test_criterion_04_conformal_hamiltonicity():
 
 def test_criterion_05_gauge_group():
     rng = np.random.default_rng(5)
-    a1 = ScalarField(lambda g: 1.2 + 0.3 * g[0] + 0.1 * g[1] ** 2,
-                     grad=lambda g: np.array([0.3, 0.2 * g[1], 0.0]))
-    h1 = VectorField3(lambda g: np.array([0.2 * g[1], -0.1 * g[2] ** 2, 0.3 * g[0] * g[1]]))
-    a2 = ScalarField(lambda g: 0.9 + 0.2 * g[2], grad=lambda g: np.array([0.0, 0.0, 0.2]))
-    h2 = VectorField3(lambda g: np.array([0.1 * g[0], 0.05 * g[1], -0.2 * g[2]]))
+    a1 = ScalarField(lambda g: 1.2 + 0.3 * g[..., 0] + 0.1 * g[..., 1] ** 2,
+                     grad=lambda g: vector(0.3, 0.2 * g[..., 1], 0.0))
+    h1 = VectorField3(lambda g: vector(0.2 * g[..., 1], -0.1 * g[..., 2] ** 2, 0.3 * g[..., 0] * g[..., 1]))
+    a2 = ScalarField(lambda g: 0.9 + 0.2 * g[..., 2], grad=lambda g: np.array([0.0, 0.0, 0.2]))
+    h2 = VectorField3(lambda g: vector(0.1 * g[..., 0], 0.05 * g[..., 1], -0.2 * g[..., 2]))
     t1, t2 = GaugeTransform(a1, 1.7, h1), GaugeTransform(a2, 0.8, h2)
     t21 = compose(t2, t1)
 
@@ -260,7 +261,7 @@ def test_criterion_10_planar_module():
 
 def test_criterion_11_quadrature_and_spectral_oracles():
     q1 = abs(sphere_quadrature(lambda g: 1.0) - 4 * np.pi)
-    q2 = abs(sphere_quadrature(lambda g: g[2] ** 2) - 4 * np.pi / 3)
+    q2 = abs(sphere_quadrature(lambda g: g[..., 2] ** 2) - 4 * np.pi / 3)
     criterion(11, "surface quadrature moments", max(q1, q2), 1e-12)
 
     rng = np.random.default_rng(11)
@@ -275,5 +276,5 @@ def test_criterion_11_quadrature_and_spectral_oracles():
     rt = max(float(np.max(np.abs(g.c_cos - c_cos))), float(np.max(np.abs(g.c_sin - c_sin))))
     criterion(11, "harmonic analysis/synthesis round trip", rt, 1e-10)
 
-    sol = solve_curl_equation(ScalarField(lambda g: g[2]), L=8)
+    sol = solve_curl_equation(ScalarField(lambda g: g[..., 2]), L=8)
     criterion(11, "sign-calibration case residual", sol.residual, 1e-10)

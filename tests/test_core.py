@@ -14,6 +14,7 @@ from nonholo import (
     hat,
     jacobiator,
     skew_defect,
+    vector,
 )
 
 from conftest import rand_state
@@ -52,36 +53,36 @@ def test_hat_matches_cross_product(rng):
 
 class TestFdGradient:
     def test_quadratic_form(self):
-        grad = fd_gradient(lambda g: g @ g, np.array([1.0, 0.0, 0.0]))
+        grad = fd_gradient(lambda g: np.vecdot(g, g), np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(grad, [2.0, 0.0, 0.0], atol=1e-10)
 
     def test_linear_field_is_exact(self):
         c = np.array([0.3, -1.2, 0.7])
-        grad = fd_gradient(lambda g: c @ g, np.array([0.4, 0.1, -0.9]))
+        grad = fd_gradient(lambda g: np.vecdot(g, c), np.array([0.4, 0.1, -0.9]))
         np.testing.assert_allclose(grad, c, atol=1e-13)
 
     def test_diagonal_quadratic(self):
         A = np.array([0.4, 0.5, 0.6])
         point = np.array([0.0, 0.0, 1.0])
-        grad = fd_gradient(lambda g: g @ (A * g), point)
+        grad = fd_gradient(lambda g: np.vecdot(g, A * g), point)
         # analytic gradient is 2 A gamma
         np.testing.assert_allclose(grad, 2 * A * point, atol=1e-8)
 
     def test_cubic_polynomial(self, rng):
         for _ in range(5):
             x = rng.standard_normal(3)
-            grad = fd_gradient(lambda g: g[0] ** 3 - 2 * g[1] ** 2 * g[2], x)
+            grad = fd_gradient(lambda g: g[..., 0] ** 3 - 2 * g[..., 1] ** 2 * g[..., 2], x)
             exact = np.array([3 * x[0] ** 2, -4 * x[1] * x[2], -2 * x[1] ** 2])
             np.testing.assert_allclose(grad, exact, rtol=1e-8, atol=1e-10)
 
     def test_nonfinite_field_raises(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(DomainError):
-                fd_gradient(lambda g: 1.0 / (g[0] - g[0]), np.ones(3))
+                fd_gradient(lambda g: 1.0 / (g[..., 0] - g[..., 0]), np.ones(3))
 
     def test_step_must_be_positive(self):
         with pytest.raises(DomainError):
-            fd_gradient(lambda g: g @ g, np.ones(3), step=0.0)
+            fd_gradient(lambda g: np.vecdot(g, g), np.ones(3), step=0.0)
 
 
 def test_stacked_fd_curl_matches_per_point(rng):
@@ -115,31 +116,31 @@ class TestJacobiator:
 
 class TestFields:
     def test_scalar_product_gradient(self, rng):
-        a = ScalarField(lambda g: g[0] ** 2, grad=lambda g: np.array([2 * g[0], 0, 0]))
-        b = ScalarField(lambda g: np.sin(g[1]), grad=lambda g: np.array([0, np.cos(g[1]), 0]))
+        a = ScalarField(lambda g: g[..., 0] ** 2, grad=lambda g: vector(2 * g[..., 0], 0, 0))
+        b = ScalarField(lambda g: np.sin(g[..., 1]), grad=lambda g: vector(0, np.cos(g[..., 1]), 0))
         prod = a * b
         x = rng.standard_normal(3)
         np.testing.assert_allclose(prod.gradient(x),
                                    fd_gradient(prod.fn, x), atol=1e-9)
 
     def test_reciprocal_gradient(self, rng):
-        a = ScalarField(lambda g: 2.0 + g @ g, grad=lambda g: 2.0 * g)
+        a = ScalarField(lambda g: 2.0 + np.vecdot(g, g), grad=lambda g: 2.0 * g)
         inv = a.reciprocal()
         x = rng.standard_normal(3)
         np.testing.assert_allclose(inv.gradient(x), fd_gradient(inv.fn, x), atol=1e-10)
         assert inv(x) == pytest.approx(1.0 / a(x))
 
     def test_gradient_fd_fallback_matches_analytic(self, rng):
-        fn = lambda g: g[0] * g[1] - g[2] ** 2
-        with_grad = ScalarField(fn, grad=lambda g: np.array([g[1], g[0], -2 * g[2]]))
+        fn = lambda g: g[..., 0] * g[..., 1] - g[..., 2] ** 2
+        with_grad = ScalarField(fn, grad=lambda g: vector(g[..., 1], g[..., 0], -2 * g[..., 2]))
         without = ScalarField(fn)
         x = rng.standard_normal(3)
         np.testing.assert_allclose(without.gradient(x), with_grad.gradient(x), atol=1e-6)
 
     def test_vector_field_scaled_curl(self, rng):
-        h = VectorField3(lambda g: np.array([g[1], -g[2] ** 2, g[0] * g[1]]),
-                         curl=lambda g: np.array([g[0] + 2 * g[2], -g[1], -1.0]))
-        s = ScalarField(lambda g: 1.0 + g[2] ** 2, grad=lambda g: np.array([0, 0, 2 * g[2]]))
+        h = VectorField3(lambda g: vector(g[..., 1], -g[..., 2] ** 2, g[..., 0] * g[..., 1]),
+                         curl=lambda g: vector(g[..., 0] + 2 * g[..., 2], -g[..., 1], -1.0))
+        s = ScalarField(lambda g: 1.0 + g[..., 2] ** 2, grad=lambda g: vector(0, 0, 2 * g[..., 2]))
         sh = h.scaled(s)
         x = rng.standard_normal(3)
         np.testing.assert_allclose(sh.curl_at(x), fd_curl(sh.fn, x, richardson=True),

@@ -27,6 +27,7 @@ from nonholo import (
     veselova_system,
     zero_level_jacobian,
     zero_level_reduce,
+    vector,
 )
 
 from conftest import rand_state, rand_unit
@@ -35,12 +36,12 @@ BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 
 
 def analytic_gauges():
-    a1 = ScalarField(lambda g: 1.2 + 0.3 * g[0] + 0.1 * g[1] ** 2,
-                     grad=lambda g: np.array([0.3, 0.2 * g[1], 0.0]))
-    h1 = VectorField3(lambda g: np.array([0.2 * g[1], -0.1 * g[2] ** 2, 0.3 * g[0] * g[1]]),
-                      curl=lambda g: np.array([0.3 * g[0] + 0.2 * g[2], -0.3 * g[1], -0.2]))
-    a2 = ScalarField(lambda g: 0.9 + 0.2 * g[2], grad=lambda g: np.array([0.0, 0.0, 0.2]))
-    h2 = VectorField3(lambda g: np.array([0.1 * g[0], 0.05 * g[1], -0.2 * g[2]]),
+    a1 = ScalarField(lambda g: 1.2 + 0.3 * g[..., 0] + 0.1 * g[..., 1] ** 2,
+                     grad=lambda g: vector(0.3, 0.2 * g[..., 1], 0.0))
+    h1 = VectorField3(lambda g: vector(0.2 * g[..., 1], -0.1 * g[..., 2] ** 2, 0.3 * g[..., 0] * g[..., 1]),
+                      curl=lambda g: vector(0.3 * g[..., 0] + 0.2 * g[..., 2], -0.3 * g[..., 1], -0.2))
+    a2 = ScalarField(lambda g: 0.9 + 0.2 * g[..., 2], grad=lambda g: np.array([0.0, 0.0, 0.2]))
+    h2 = VectorField3(lambda g: vector(0.1 * g[..., 0], 0.05 * g[..., 1], -0.2 * g[..., 2]),
                       curl=lambda g: np.zeros(3))
     return GaugeTransform(a1, 1.7, h1), GaugeTransform(a2, 0.8, h2)
 
@@ -321,6 +322,19 @@ class TestReduction:
             g = rand_unit(rng)
             assert abs(q.g(g) - 1.0) <= 1e-12
             assert abs(q.f(g)) <= 1e-10
+
+    @pytest.mark.parametrize("gamma", [(1e-6, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+                                       (0.0, -1e-6, -1.0)])
+    def test_reduction_holds_at_and_near_poles(self, gamma):
+        # the 1e-6 finite-difference steps of the state Jacobian used to reach
+        # a surface gradient within 1e-12 of the pole, which raised
+        p = ball_params()
+        gauge, _ = reduce_to_e3(p, L=16)
+        gamma = np.asarray(gamma) / np.linalg.norm(gamma)
+        x = pack(np.array([0.3, -0.2, 0.5]), gamma)
+        left = pushforward_bivector(gauge, gf_bivector(p), x)
+        right = e3_bivector(apply_gauge_state(gauge, x))
+        np.testing.assert_allclose(left, right, atol=1e-7)
 
     def test_ball_reduction_moderate_band_limit(self, rng):
         p = ball_params()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nonholo import DomainError, IntegratorConfig, ScalarField, drift_report, integrate, jacobiator
+from nonholo import (DomainError, IntegratorConfig, ScalarField, drift_report, integrate, jacobiator,
+                     vector)
 from nonholo.planar import (
     PlanarLagrangian,
     PlanarSystem,
@@ -28,7 +29,7 @@ def random_lagrangian(rng, constant_G=False):
             return G0
         return G0 * (1.0 + 0.1 * np.sin(q[0] + q[1]))
 
-    V = ScalarField(lambda q: float(np.cos(q[0] * q[1])))
+    V = ScalarField(lambda q: np.cos(q[..., 0] * q[..., 1]))
     return PlanarLagrangian(G=G, V=V, a1=lambda q: 0.3, a2=lambda q: -0.1,
                             b=lambda q: 0.2 * q[0])
 
@@ -181,9 +182,9 @@ class TestConformal:
         eps = 1e-6
         near = PlanarSystem(H=sys.H, dH_dq=sys.dH_dq, dH_dP=sys.dH_dP,
                             A1=sys.A1, A2=sys.A2, B=sys.B,
-                            N=ScalarField(lambda q: float(np.exp((1 + eps) * q[0])),
-                                          grad=lambda q: np.array(
-                                              [(1 + eps) * np.exp((1 + eps) * q[0]), 0.0])))
+                            N=ScalarField(lambda q: np.exp((1 + eps) * q[..., 0]),
+                                          grad=lambda q: vector(
+                                              (1 + eps) * np.exp((1 + eps) * q[..., 0]), 0.0)))
         for _ in range(20):
             z = rng.standard_normal(4)
             r = np.max(np.abs(measure_residual(near, z[:2])))

@@ -259,14 +259,14 @@ class TestAssembleP:
     def test_phi_term_keeps_jacobi(self, rng):
         # an arbitrary Phi added to an admissible structure stays Poisson
         spec = ball_system(BALL).s_spec
-        phi = ScalarField(lambda g: 0.7 * g[0] * g[2])
+        phi = ScalarField(lambda g: 0.7 * g[..., 0] * g[..., 2])
         P = bivector_field(g=spec.g, f=spec.f, phi=phi)
         for _ in range(30):
             assert jacobiator(P, rand_state(rng)) <= 1e-6
 
     def test_phi_term_keeps_area_casimir(self, rng):
         spec = ball_system(BALL).s_spec
-        phi = ScalarField(lambda g: 0.7 * g[0] * g[2])
+        phi = ScalarField(lambda g: 0.7 * g[..., 0] * g[..., 2])
         P = bivector_field(g=spec.g, f=spec.f, phi=phi)
         for _ in range(30):
             x = rand_state(rng)

@@ -1,9 +1,12 @@
 """Quadrature, spherical-harmonic transforms, and the curl-equation solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from nonholo import (
+    DomainError,
     ScalarField,
     SphereSpectralField,
     fd_curl,
@@ -21,14 +24,14 @@ class TestQuadrature:
         assert sphere_quadrature(lambda g: 1.0) == pytest.approx(FOUR_PI, abs=1e-12)
 
     def test_odd_moment_vanishes(self):
-        assert sphere_quadrature(lambda g: g[2]) == pytest.approx(0.0, abs=1e-12)
+        assert sphere_quadrature(lambda g: g[..., 2]) == pytest.approx(0.0, abs=1e-12)
 
     def test_second_moment(self):
-        assert sphere_quadrature(lambda g: g[2] ** 2) == pytest.approx(FOUR_PI / 3, abs=1e-12)
+        assert sphere_quadrature(lambda g: g[..., 2] ** 2) == pytest.approx(FOUR_PI / 3, abs=1e-12)
 
     def test_mixed_moment(self):
         # int g1^2 g2^2 = 4 pi / 15
-        val = sphere_quadrature(lambda g: g[0] ** 2 * g[1] ** 2)
+        val = sphere_quadrature(lambda g: g[..., 0] ** 2 * g[..., 1] ** 2)
         assert val == pytest.approx(FOUR_PI / 15, abs=1e-12)
 
 
@@ -50,7 +53,7 @@ class TestSpectralField:
 
     def test_degree_one_harmonics(self):
         # gamma_3 = sqrt(4 pi / 3) * Y_10
-        f = SphereSpectralField.analyze(ScalarField(lambda g: g[2]), 4)
+        f = SphereSpectralField.analyze(ScalarField(lambda g: g[..., 2]), 4)
         assert f.c_cos[1, 0] == pytest.approx(np.sqrt(FOUR_PI / 3), abs=1e-12)
         others = np.abs(f.c_cos).sum() + np.abs(f.c_sin).sum() - abs(f.c_cos[1, 0])
         assert others <= 1e-12
@@ -68,7 +71,7 @@ class TestSpectralField:
         values, grads = f.value(u), f.surface_gradient(u)
         for k in range(len(u)):
             # degree-zero extension makes the full gradient tangential
-            fd = fd_gradient(lambda x: f.value(x / np.linalg.norm(x)), u[k])
+            fd = fd_gradient(lambda x: f.value(x / np.linalg.norm(x, axis=-1, keepdims=True)), u[k])
             np.testing.assert_allclose(f.surface_gradient(u[k]), fd, atol=1e-8)
             np.testing.assert_allclose(grads[k], f.surface_gradient(u[k]), rtol=1e-13, atol=1e-13)
             assert values[k] == pytest.approx(f.value(u[k]), rel=1e-13, abs=1e-13)
@@ -85,6 +88,51 @@ class TestSpectralField:
                                        atol=1e-14)
 
 
+class TestPoles:
+    """Synthesis is regular on the whole sphere, poles included."""
+
+    def test_value_at_pole_builds_no_gradient_table(self):
+        # the derivative table divided by sin(theta) = 0 here and warned
+        f = SphereSpectralField.analyze(ScalarField(lambda g: g[..., 2]), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f.value((0.0, 0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+            assert f.value((0.0, 0.0, -1.0)) == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_gradient_closed_form_at_pole(self, pole):
+        # grad_S gamma_1 = e1 - gamma_1 gamma, which is e1 at both poles
+        f = SphereSpectralField.analyze(ScalarField(lambda g: g[..., 0]), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(f.surface_gradient((0.0, 0.0, pole)), [1.0, 0.0, 0.0],
+                                       atol=1e-14)
+
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_gradient_matches_fd_near_pole(self, rng, pole):
+        f = random_band_limited(rng, 8)
+        for eps in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+            u = np.array([eps, -0.5 * eps, pole])
+            u /= np.linalg.norm(u)
+            fd = fd_gradient(lambda x: f.value(x / np.linalg.norm(x, axis=-1, keepdims=True)), u)
+            np.testing.assert_allclose(f.surface_gradient(u), fd, atol=1e-8)
+
+    def test_curl_solution_at_poles(self):
+        F = ScalarField(lambda g: g[..., 2] + g[..., 0] * g[..., 1] + 0.5 * g[..., 0] ** 3)
+        sol = solve_curl_equation(F, L=8)
+        pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-6, 0.0, 1.0], [0.0, 1e-9, -1.0]])
+        pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+        lhs = np.vecdot(pts, fd_curl(sol.h, pts, step=1e-4, richardson=True))
+        np.testing.assert_allclose(lhs, F(pts) + sol.c, atol=1e-8)
+
+    def test_origin_still_rejected(self):
+        f = SphereSpectralField.analyze(ScalarField(lambda g: g[..., 0]), 4)
+        with pytest.raises(DomainError, match="origin"):
+            f.surface_gradient(np.zeros(3))
+        with pytest.raises(DomainError, match="origin"):
+            f.value(np.zeros((2, 3)))
+
+
 class TestCurlSolver:
     def test_constant_rhs(self):
         sol = solve_curl_equation(ScalarField(lambda g: 2.5), L=8)
@@ -95,7 +143,7 @@ class TestCurlSolver:
 
     def test_degree_one_rhs(self, rng):
         # F = gamma_3: c = 0 and the potential is -gamma_3 / 2
-        sol = solve_curl_equation(ScalarField(lambda g: g[2]), L=8)
+        sol = solve_curl_equation(ScalarField(lambda g: g[..., 2]), L=8)
         assert abs(sol.c) <= 1e-12
         assert sol.residual <= 1e-10
         for _ in range(10):
@@ -109,13 +157,13 @@ class TestCurlSolver:
 
     def test_smooth_rhs_spectral_accuracy(self):
         A = np.array([0.4, 0.5, 0.6])
-        F = ScalarField(lambda g: -1.0 / (1.0 - g @ (A * g)) ** 1.5)
+        F = ScalarField(lambda g: -1.0 / (1.0 - np.vecdot(g, A * g)) ** 1.5)
         sol = solve_curl_equation(F, L=16)
         assert sol.residual <= 1e-6
 
     def test_under_resolved_solve_warns(self):
         A = np.array([0.4, 0.5, 0.6])
-        F = ScalarField(lambda g: -1.0 / (1.0 - g @ (A * g)) ** 1.5)
+        F = ScalarField(lambda g: -1.0 / (1.0 - np.vecdot(g, A * g)) ** 1.5)
         with pytest.warns(UserWarning, match="band limit"):
             sol = solve_curl_equation(F, L=4)
         assert sol.residual > 1e-6

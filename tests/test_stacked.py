@@ -1,0 +1,146 @@
+"""Fields and state maps on a stack of points give their one-point results.
+
+A field callable that indexes ``g[0]`` instead of ``g[..., 0]`` reads a row
+of a stack, not a component; every row of a (7, 3) or (7, 6) stack is
+compared with the same point evaluated alone.
+"""
+
+import numpy as np
+import pytest
+
+from nonholo import (
+    BallParams,
+    GFParams,
+    GaugeTransform,
+    ScalarField,
+    VectorField3,
+    VeselovaParams,
+    apply_gauge_state,
+    ball_K,
+    ball_system,
+    bivector_field,
+    compose,
+    e3_bivector,
+    gf_bivector,
+    inverse,
+    linear_potential,
+    pack,
+    pushforward_bivector,
+    quadratic_potential,
+    reduce_to_e3,
+    vector,
+    veselova_K,
+    veselova_system,
+)
+from nonholo.gauge import gauge_state_jacobian
+
+from conftest import rand_state, rand_unit
+
+BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
+VES = VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=np.array([0.0, 0.0, 0.1]))
+
+_ball = ball_system(BALL).s_spec
+_ves = veselova_system(VES).s_spec
+_alpha = ScalarField(lambda g: 1.2 + 0.3 * g[..., 0] + 0.1 * g[..., 1] ** 2,
+                     grad=lambda g: vector(0.3, 0.2 * g[..., 1], 0.0))
+_h = VectorField3(lambda g: vector(0.2 * g[..., 1], -0.1 * g[..., 2] ** 2, 0.3 * g[..., 0] * g[..., 1]),
+                  curl=lambda g: vector(0.3 * g[..., 0] + 0.2 * g[..., 2], -0.3 * g[..., 1], -0.2))
+_t1 = GaugeTransform(_alpha, 1.7, _h)
+_t2 = GaugeTransform(ScalarField(lambda g: 0.9 + 0.2 * g[..., 2], grad=lambda g: np.array([0.0, 0.0, 0.2])),
+                     0.8, VectorField3(lambda g: vector(0.1 * g[..., 0], 0.05 * g[..., 1], -0.2 * g[..., 2])))
+
+SCALARS = {
+    "ball g": _ball.g,
+    "ball f": _ball.f,
+    "veselova g": _ves.g,
+    "veselova f": _ves.f,
+    "veselova phi": _ves.phi,
+    "linear potential": linear_potential((0.3, -0.2, 0.5)),
+    "quadratic potential": quadratic_potential((1.0, 2.0, 3.0)),
+    "constant": ScalarField.constant(2.5),
+    "product": _ball.g * _ves.f,
+    "scalar multiple": 3.0 * _ves.g,
+    "reciprocal": _ves.g.reciprocal(),
+    "finite-difference gradient": ScalarField(_ves.phi.fn),
+    "compose alpha": compose(_t2, _t1).alpha,
+    "inverse alpha": inverse(_t1).alpha,
+}
+
+VECTORS = {
+    "ball K": ball_K(BALL),
+    "veselova K": veselova_K(VES),
+    "zero": VectorField3.zero(),
+    "scaled": _h.scaled(_ves.g),
+    "sum": _h + _h.scaled(2.0),
+    "finite-difference curl": VectorField3(_h.fn),
+    "compose h": compose(_t2, _t1).h,
+    "inverse h": inverse(_t1).h,
+}
+
+
+def _gammas(rng, n=7):
+    return np.array([rand_unit(rng) for _ in range(n)])
+
+
+def _states(rng, n=7):
+    return np.array([rand_state(rng) for _ in range(n)])
+
+
+def _same_rows(stacked, one_point, rows):
+    np.testing.assert_allclose(stacked, np.array([one_point(r) for r in rows]), rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+def test_scalar_field_stack_matches_points(name, rng):
+    field, G = SCALARS[name], _gammas(rng)
+    assert isinstance(field(G[0]), float)
+    assert field(G).shape == (7,) and field.gradient(G).shape == (7, 3)
+    _same_rows(field(G), field, G)
+    _same_rows(field.gradient(G), field.gradient, G)
+
+
+@pytest.mark.parametrize("name", sorted(VECTORS))
+def test_vector_field_stack_matches_points(name, rng):
+    field, G = VECTORS[name], _gammas(rng)
+    assert field(G[0]).shape == (3,)
+    assert field(G).shape == (7, 3) and field.curl_at(G).shape == (7, 3)
+    _same_rows(field(G), field, G)
+    _same_rows(field.curl_at(G), field.curl_at, G)
+
+
+@pytest.fixture(scope="module")
+def spectral_gauge():
+    p = GFParams(g=_ball.g, f=_ball.f)
+    return reduce_to_e3(p, L=16)[0], p
+
+
+BIVECTORS = {
+    "ball (g, f)": gf_bivector(GFParams(g=_ball.g, f=_ball.f)),
+    "veselova (g, f, phi, k)": bivector_field(g=_ves.g, f=_ves.f, phi=_ves.phi, k=VES.k),
+    "ball (g, K)": bivector_field(g=ScalarField.constant(1.0), K=ball_K(BALL)),
+    "e(3)": e3_bivector,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIVECTORS))
+def test_bivector_stack_matches_points(name, rng):
+    P, X = BIVECTORS[name], _states(rng)
+    assert P(X).shape == (7, 6, 6)
+    _same_rows(P(X), P, X)
+
+
+@pytest.mark.parametrize("which", ["polynomial", "spectral"])
+def test_state_maps_stack_matches_points(which, rng, spectral_gauge):
+    t, p = (_t1, GFParams(g=_ball.g, f=_ball.f)) if which == "polynomial" else spectral_gauge
+    X = _states(rng)
+    P = gf_bivector(p)
+    assert apply_gauge_state(t, X).shape == (7, 6)
+    assert gauge_state_jacobian(t, X).shape == (7, 6, 6)
+    _same_rows(apply_gauge_state(t, X), lambda x: apply_gauge_state(t, x), X)
+    _same_rows(gauge_state_jacobian(t, X), lambda x: gauge_state_jacobian(t, x), X)
+    _same_rows(pushforward_bivector(t, P, X), lambda x: pushforward_bivector(t, P, x), X)
+
+
+def test_pack_keeps_stack_shape(rng):
+    M, G = rng.standard_normal((2, 4, 3)), _gammas(rng, 8).reshape(2, 4, 3)
+    assert pack(M, G).shape == (2, 4, 6)
