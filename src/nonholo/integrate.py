@@ -5,9 +5,11 @@ samples taken from the solver's dense output.  No projection or
 renormalization is applied to gamma; the drift of the known first integrals
 is the advertised measure of integration quality.
 
-The time-rescaled run integrates, in the new time tau,
+Both runs step through the system's ``flow`` (a closed-form kernel for the
+model systems, the reference ``sphere.rhs`` otherwise).  The time-rescaled
+run integrates, in the new time tau,
 
-    dx/dtau = rho(gamma) * rhs(x),      dt/dtau = rho(gamma),
+    dx/dtau = rho(gamma) * flow(x),     dt/dtau = rho(gamma),
 
 with the multiplier rho = 1/g, so that t = integral of rho dtau recovers the
 physical clock and the mapped trajectory coincides with direct integration.
@@ -22,10 +24,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from .core import DomainError, StiffnessError, pack, unpack
-from .sphere import ReducedS, SphereSystem, integrals, rhs
+from .core import DomainError, StiffnessError
+from .sphere import ReducedS, SphereSystem, integrals
 
 Array = np.ndarray
+
+# how far, in ulps of the horizon, the clock at the terminal event of a
+# rescaled run may miss the horizon and still count as round-off
+_CLOCK_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ def integrate(fn: Callable[[Array], Array], state0, cfg: IntegratorConfig,
 def integrate_sphere(sys: SphereSystem, state0, cfg: IntegratorConfig) -> Trajectory:
     """Trajectory of a sphere system with its registered integrals tracked:
     H, F1, F2 and the extras, from one ``integrals`` call per sample."""
-    traj = integrate(lambda x: rhs(sys, x), state0, cfg)
+    traj = integrate(sys.flow, state0, cfg)
     vals = [integrals(sys, x) for x in traj.states]
     tracked = {"H": np.array([v.F3 for v in vals]),
                "F1": np.array([v.F1 for v in vals]),
@@ -104,16 +110,18 @@ def integrate_reparametrized(sys: SphereSystem, state0, cfg: IntegratorConfig,
         raise DomainError("time rescaling needs a reduced S-spec (rho = 1/g)")
     x0 = np.asarray(state0, float)
 
-    def rho_of(x):
-        g = spec.g(unpack(x)[1])
+    def rho_of(gamma):
+        g = spec.g(gamma)
         if g <= g_floor:
             raise DomainError(f"conformal factor hit g = {g:.3e} <= {g_floor:.1e}")
         return 1.0 / g
 
     def z_rhs(t, z):
-        x = z[:-1]
-        r = rho_of(x)
-        return np.append(r * rhs(sys, x), r)
+        r = rho_of(z[3:-1])
+        dz = np.empty_like(z)
+        np.multiply(sys.flow(z[:-1]), r, out=dz[:-1])
+        dz[-1] = r
+        return dz
 
     def reached(t, z):
         return z[-1] - cfg.horizon
@@ -124,7 +132,7 @@ def integrate_reparametrized(sys: SphereSystem, state0, cfg: IntegratorConfig,
     # Budgets of tau estimated from the initial multiplier, with a generous
     # margin, are integrated one after another, each continuing from the
     # last state of the one before, until the physical clock reaches it.
-    tau_max = 4.0 * cfg.horizon / rho_of(x0) + 1.0
+    tau_max = 4.0 * cfg.horizon / rho_of(x0[3:]) + 1.0
     n_eval = max(4 * cfg.samples, 8)
     tau0, z0 = 0.0, np.append(x0, 0.0)
     taus, zs, nfev = [], [], 0
@@ -147,6 +155,11 @@ def integrate_reparametrized(sys: SphereSystem, state0, cfg: IntegratorConfig,
     keep = z[-1] < cfg.horizon
     tau = np.append(tau[keep], sol.t_events[0][0])
     z = np.concatenate([z[:, keep], sol.y_events[0].T], axis=1)
+    # The terminal event puts the clock at the horizon up to the root
+    # finder's round-off, which can leave it a few ulps short; record the
+    # horizon exactly, so that a query at the horizon stays inside the run.
+    if abs(z[-1, -1] - cfg.horizon) <= _CLOCK_ULPS * np.spacing(cfg.horizon):
+        z[-1, -1] = cfg.horizon
     traj = Trajectory(t=tau, states=z[:-1].T, integrals={}, nfev=int(nfev))
     return traj, z[-1]
 

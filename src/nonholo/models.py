@@ -27,6 +27,11 @@ G = (gamma, Ahat gamma) and w = ((Ahat - E) M - k, gamma):
 The Veselova sign convention is pinned jointly by the invariant-measure
 equation for rho = 1/g, the ball-Veselova duality identity, and
 conservation of (M + k)^2; see the tests.
+
+Each model system carries a closed-form ``flow`` built once from its
+parameters: S and the H-gradients above, and the cross products of the
+sphere flow, written out by components on Python floats.  The generic
+``sphere.rhs`` stays the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -68,6 +73,44 @@ def quadratic_potential(c_diag: Sequence[float]) -> ScalarField:
     """U(gamma) = (gamma, C gamma) with diagonal C."""
     c = np.asarray(c_diag, float)
     return ScalarField(lambda g: np.vecdot(g, c * g), grad=lambda g: 2.0 * c * g)
+
+
+# ---------------------------------------------------------------------------
+# closed-form flows
+# ---------------------------------------------------------------------------
+
+def _closed_form_flow(k: Array, U: ScalarField | None, parts):
+    """x -> dx/dt of the sphere flow for one state of shape (6,).
+
+    ``parts(M1, M2, M3, g1, g2, g3)`` gives S, dH/dM and dH/dgamma (the
+    latter without the potential) as Python floats; the flow adds
+    grad U and forms
+
+        dM/dt = (M + k - S gamma) x dH/dM + gamma x dH/dgamma,
+        dgamma/dt = gamma x dH/dM
+
+    by components, with no per-call array arithmetic.
+    """
+    k1, k2, k3 = np.asarray(k, float).tolist()
+
+    def flow(x):
+        x = np.asarray(x, float)
+        M1, M2, M3, g1, g2, g3 = x.tolist()
+        S, (h1, h2, h3), (q1, q2, q3) = parts(M1, M2, M3, g1, g2, g3)
+        if U is not None:
+            u1, u2, u3 = U.gradient(x[3:]).tolist()
+            q1, q2, q3 = q1 + u1, q2 + u2, q3 + u3
+        p1, p2, p3 = M1 + k1 - S * g1, M2 + k2 - S * g2, M3 + k3 - S * g3
+        return np.array([
+            (p2 * h3 - p3 * h2) + (g2 * q3 - g3 * q2),
+            (p3 * h1 - p1 * h3) + (g3 * q1 - g1 * q3),
+            (p1 * h2 - p2 * h1) + (g1 * q2 - g2 * q1),
+            g2 * h3 - g3 * h2,
+            g3 * h1 - g1 * h3,
+            g1 * h2 - g2 * h1,
+        ])
+
+    return flow
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +167,21 @@ def ball_system(p: BallParams) -> SphereSystem:
             out = out + U.gradient(g)
         return out
 
+    a1, a2, a3 = A.tolist()
+
+    def parts(M1, M2, M3, g1, g2, g3):
+        m1, m2, m3 = a1 * M1, a2 * M2, a3 * M3
+        n1, n2, n3 = a1 * g1, a2 * g2, a3 * g3
+        uv = Dinv - (g1 * n1 + g2 * n2 + g3 * n3)
+        if uv <= 0.0:
+            # BallParams keeps uv > 0 on the unit sphere
+            raise DomainError(f"1/D - (gamma, A gamma) = {uv:.3e} is not positive: "
+                              f"gamma is off the unit sphere")
+        S = (m1 * g1 + m2 * g2 + m3 * g3) / uv
+        SS = S * S
+        return (S, (m1 + S * n1, m2 + S * n2, m3 + S * n3),
+                (S * m1 + SS * n1, S * m2 + SS * n2, S * m3 + SS * n3))
+
     g_field = ScalarField(lambda g: np.sqrt(u(g)),
                           grad=lambda g: -(A * g) / lift(np.sqrt(u(g))))
     extras = ()
@@ -137,6 +195,7 @@ def ball_system(p: BallParams) -> SphereSystem:
         s_spec=ReducedS(g=g_field, f=ScalarField.constant(0.0)),
         k=p.k,
         extra_integrals=extras,
+        flow=_closed_form_flow(p.k, U, parts),
     )
 
 
@@ -205,6 +264,17 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
             out = out + U.gradient(g)
         return out
 
+    b1, b2, b3 = Ah.tolist()
+    k1, k2, k3 = k.tolist()
+
+    def parts(M1, M2, M3, g1, g2, g3):
+        n1, n2, n3 = b1 * g1, b2 * g2, b3 * g3
+        r1, r2, r3 = b1 * M1 - M1 - k1, b2 * M2 - M2 - k2, b3 * M3 - M3 - k3
+        S = -(r1 * g1 + r2 * g2 + r3 * g3) / (g1 * n1 + g2 * n2 + g3 * n3)
+        SS = S * S
+        return (S, (b1 * M1 + S * (n1 - g1), b2 * M2 + S * (n2 - g2), b3 * M3 + S * (n3 - g3)),
+                (S * r1 + SS * n1, S * r2 + SS * n2, S * r3 + SS * n3))
+
     g_field = ScalarField(lambda g: np.sqrt(G(g)),
                           grad=lambda g: (Ah * g) / lift(np.sqrt(G(g))))
     f_field = ScalarField(lambda g: 1.0 / np.sqrt(G(g)),
@@ -226,6 +296,7 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
         s_spec=ReducedS(g=g_field, f=f_field, phi=phi_field),
         k=k,
         extra_integrals=extras,
+        flow=_closed_form_flow(k, U, parts),
     )
 
 

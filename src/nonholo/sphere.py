@@ -19,6 +19,11 @@ the flow equals (1/g) P grad H for the skew 6x6 field
 
 which satisfies the Jacobi identity, has Casimirs gamma^2 and (M+k, gamma),
 and admits the invariant measure density rho = 1/g.
+
+``rhs`` evaluates the flow from the generic data (the H-gradients and the
+S-spec); it is the reference.  The integrators step through a system's
+``flow``, which is ``rhs`` unless the system supplies a closed-form kernel,
+as the ball and Veselova models do.
 """
 
 from __future__ import annotations
@@ -88,7 +93,9 @@ class SphereSystem:
     Hamiltonian gradients are analytic callables of (M, gamma); the tight
     residual tolerances downstream are not reachable with finite-difference
     gradients.  ``extra_integrals`` holds named first integrals beyond the
-    three automatic ones, e.g. M^2 where it is conserved.
+    three automatic ones, e.g. M^2 where it is conserved.  ``flow`` maps one
+    state of shape (6,) to dx/dt; it defaults to the reference ``rhs`` and
+    is what the integrators call.
     """
 
     name: str
@@ -98,6 +105,11 @@ class SphereSystem:
     s_spec: SFunctionSpec
     k: Array = field(default_factory=lambda: np.zeros(3))
     extra_integrals: tuple[tuple[str, Callable[[Array, Array], float]], ...] = ()
+    flow: Callable[[Array], Array] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.flow is None:
+            object.__setattr__(self, "flow", lambda x: rhs(self, x))
 
 
 @dataclass(frozen=True)
@@ -125,7 +137,8 @@ def s_value(sys: SphereSystem, x) -> float:
 
 
 def rhs(sys: SphereSystem, x) -> Array:
-    """Right-hand side of the equations of motion."""
+    """Right-hand side of the equations of motion, from the generic data:
+    the reference against which a closed-form ``flow`` is tested."""
     M, gamma = unpack(x)
     hm = np.asarray(sys.dH_dM(M, gamma), float)
     hg = np.asarray(sys.dH_dgamma(M, gamma), float)

@@ -19,6 +19,7 @@ from nonholo import (
     integrate_sphere,
     map_to_physical_time,
     pack,
+    rhs,
     trajectory_csv,
 )
 
@@ -28,6 +29,8 @@ X0 = pack([0.3, -0.2, 0.5], np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
 # outlasts the tau budget estimated from the initial multiplier
 FAST_BALL = BallParams(A=(0.2, 0.4, 0.6), D=1.66)
 FAST_X0 = pack([3.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+# 1/D - A_3 = 0.01: g = sqrt(1/D - (gamma, A gamma)) nearly vanishes near +-e3
+NEAR_BOUNDARY_BALL = BallParams(A=(0.4, 0.5, 0.99), D=1.0)
 
 
 def toy_system(g_const: float) -> SphereSystem:
@@ -109,6 +112,19 @@ class TestIntegrate:
         assert info.value.last_state is not None
         assert info.value.last_t < 2.0
 
+    def test_system_without_flow_steps_through_reference_rhs(self):
+        sys = toy_system(1.0)
+        cfg = IntegratorConfig(horizon=20.0, samples=101)
+        traj = integrate_sphere(sys, X0, cfg)
+        ref = integrate(lambda x: rhs(sys, x), X0, cfg)
+        assert np.array_equal(traj.states, ref.states)
+        assert traj.nfev == ref.nfev
+
+    def test_near_boundary_drifts(self):
+        cfg = IntegratorConfig(horizon=10.0, samples=1001)
+        traj = integrate_sphere(ball_system(NEAR_BOUNDARY_BALL), X0, cfg)
+        assert max(drift_report(traj).values()) <= 1e-8
+
     def test_nonfinite_initial_state_rejected(self):
         with pytest.raises(DomainError):
             integrate(lambda x: x, np.array([np.nan]), IntegratorConfig(horizon=1.0))
@@ -157,6 +173,28 @@ class TestReparametrized:
         assert np.all(np.diff(t_phys) > 0.0)
         F1 = np.sum(traj.states[:, 3:] ** 2, axis=1)
         assert np.max(np.abs(F1 - F1[0])) <= 1e-8
+
+    @pytest.mark.parametrize("A, horizon, samples", [
+        ((0.4, 0.5, 0.6), 3.5, 51),
+        ((0.4, 0.5, 0.6), 27.5, 51),
+        ((0.4, 0.5, 0.999), 10.0, 1001),
+    ])
+    def test_clock_ends_exactly_at_horizon(self, A, horizon, samples):
+        # the terminal event used to leave the last clock value a few ulps
+        # short of the horizon, so mapping onto the full grid raised
+        cfg = IntegratorConfig(horizon=horizon, samples=samples)
+        traj, t_phys = integrate_reparametrized(ball_system(BallParams(A=A, D=1.0)), X0, cfg)
+        assert t_phys[-1] == horizon
+        grid = np.linspace(0.0, horizon, samples)
+        assert map_to_physical_time(traj, t_phys, grid).shape == (samples, 6)
+
+    def test_near_boundary_round_trip(self):
+        cfg = IntegratorConfig(horizon=10.0, samples=1001)
+        sys = ball_system(NEAR_BOUNDARY_BALL)
+        direct = integrate_sphere(sys, X0, cfg)
+        tau_traj, t_phys = integrate_reparametrized(sys, X0, cfg)
+        mapped = map_to_physical_time(tau_traj, t_phys, direct.t)
+        assert np.max(np.abs(mapped - direct.states)) <= 1e-6
 
     def test_vanishing_multiplier_rejected(self):
         bad = toy_system(1.0)

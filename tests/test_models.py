@@ -214,3 +214,54 @@ class TestDuality:
         bp = duality_map(VES, D=0.1)
         np.testing.assert_allclose(bp.A, (1 - np.asarray(VES.Ahat)) / 0.1)
         ball_system(bp)  # constructor enforces the domain invariant
+
+
+K_FULL = np.array([0.05, -0.08, 0.1])     # a gyrostat with no zero component
+FLOW_CASES = {
+    "ball": BALL,
+    "ball+gyrostat": BallParams(A=(0.4, 0.5, 0.6), D=1.0, k=K_FULL),
+    "ball+linear U": BallParams(A=(0.4, 0.5, 0.6), D=1.0, U=linear_potential([0.3, -0.1, 0.7])),
+    "ball near the boundary": BallParams(A=(0.4, 0.5, 1.0 - 1e-6), D=1.0),
+    "veselova": VES,
+    "veselova+gyrostat": VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=K_FULL),
+    "veselova+gyrostat+quadratic U": VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=K_FULL,
+                                                    U=quadratic_potential([0.2, 0.5, -0.3])),
+}
+
+
+def _flow_states(seed: int) -> np.ndarray:
+    """200 seeded states with gamma uniform on the sphere, then 100 with
+    gamma within about 1e-3 of the poles, where S of the near-boundary
+    ball is largest."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((300, 6))
+    X[200:, 3:5] *= 1e-3
+    X[:, 3:] /= np.linalg.norm(X[:, 3:], axis=1, keepdims=True)
+    return X
+
+
+@pytest.mark.parametrize("name", list(FLOW_CASES))
+def test_closed_form_flow_matches_reference_rhs(name):
+    p = FLOW_CASES[name]
+    sys = ball_system(p) if isinstance(p, BallParams) else veselova_system(p)
+    eps = np.finfo(float).eps
+    for x in _flow_states(2024):
+        ref = rhs(sys, x)
+        # 1e-13 wherever S is well conditioned.  For the ball,
+        # u = 1/D - (gamma, A gamma) cancels near the axis where 1/D - A_i
+        # is small: its condition number kappa = (1/D)/u (about 1e6 near the
+        # poles of the near-boundary ball) scales any two roundings of it.
+        kappa = 1.0
+        if isinstance(p, BallParams):
+            g = x[3:]
+            kappa = (1.0 / p.D) / (1.0 / p.D - g @ (p.A * g))
+        tol = max(1e-13, 16.0 * eps * kappa) * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(sys.flow(x) - ref)) <= tol, x
+
+
+def test_closed_form_ball_flow_rejects_gamma_off_the_sphere():
+    # 1/D - (gamma, A gamma) > 0 holds on the unit sphere only; off it the
+    # closed form would flip the sign of S instead of failing
+    sys = ball_system(BallParams(A=(0.4, 0.5, 0.99), D=1.0))
+    with pytest.raises(DomainError, match="off the unit sphere"):
+        sys.flow(pack([0.3, -0.2, 0.5], [0.0, 0.0, 1.01]))
