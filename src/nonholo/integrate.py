@@ -85,14 +85,10 @@ def integrate(fn: Callable[[Array], Array], state0, cfg: IntegratorConfig,
 
 def integrate_sphere(sys: SphereSystem, state0, cfg: IntegratorConfig) -> Trajectory:
     """Trajectory of a sphere system with its registered integrals tracked:
-    H, F1, F2 and the extras, from one ``integrals`` call per sample."""
+    H, F1, F2 and the extras, from one ``integrals`` call on all samples."""
     traj = integrate(sys.flow, state0, cfg)
-    vals = [integrals(sys, x) for x in traj.states]
-    tracked = {"H": np.array([v.F3 for v in vals]),
-               "F1": np.array([v.F1 for v in vals]),
-               "F2": np.array([v.F2 for v in vals])}
-    for name, _ in sys.extra_integrals:
-        tracked[name] = np.array([v.extras[name] for v in vals])
+    v = integrals(sys, traj.states)
+    tracked = {"H": v.F3, "F1": v.F1, "F2": v.F2, **v.extras}
     return Trajectory(t=traj.t, states=traj.states, integrals=tracked, nfev=traj.nfev)
 
 

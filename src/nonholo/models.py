@@ -28,9 +28,11 @@ The Veselova sign convention is pinned jointly by the invariant-measure
 equation for rho = 1/g, the ball-Veselova duality identity, and
 conservation of (M + k)^2; see the tests.
 
-Each model system carries a closed-form ``flow`` built once from its
-parameters: S and the H-gradients above, and the cross products of the
-sphere flow, written out by components on Python floats.  The generic
+H, S and the H-gradients act over the last axis of M and gamma, so that
+the sphere layer evaluates a stack of states in one call.  Each model
+system also carries a closed-form ``flow`` built once from its parameters:
+S and the H-gradients above, and the cross products of the sphere flow,
+written out by components on Python floats for one state.  The generic
 ``sphere.rhs`` stays the reference it is tested against.
 """
 
@@ -42,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DomainError, ScalarField, VectorField3, lift
-from .sphere import ReducedS, SphereSystem, s_value
+from .sphere import ReducedS, SphereSystem
 
 Array = np.ndarray
 
@@ -139,8 +141,8 @@ class BallParams:
             )
 
 
-def _ball_s(A: Array, Dinv: float, M: Array, gamma: Array) -> float:
-    return float(np.vecdot(A * M, gamma) / (Dinv - np.vecdot(gamma, A * gamma)))
+def _ball_s(A: Array, Dinv: float, M: Array, gamma: Array):
+    return np.vecdot(A * M, gamma) / (Dinv - np.vecdot(gamma, A * gamma))
 
 
 def ball_system(p: BallParams) -> SphereSystem:
@@ -153,15 +155,15 @@ def ball_system(p: BallParams) -> SphereSystem:
 
     def H(M, g):
         am = A * M
-        val = 0.5 * (am @ M + (am @ g) ** 2 / u(g))
+        val = 0.5 * (np.vecdot(am, M) + np.vecdot(am, g) ** 2 / u(g))
         return val + (U(g) if U is not None else 0.0)
 
     def dH_dM(M, g):
-        S = _ball_s(A, Dinv, M, g)
+        S = lift(_ball_s(A, Dinv, M, g))
         return A * M + S * (A * g)
 
     def dH_dgamma(M, g):
-        S = _ball_s(A, Dinv, M, g)
+        S = lift(_ball_s(A, Dinv, M, g))
         out = S * (A * M) + S * S * (A * g)
         if U is not None:
             out = out + U.gradient(g)
@@ -186,7 +188,7 @@ def ball_system(p: BallParams) -> SphereSystem:
                           grad=lambda g: -(A * g) / lift(np.sqrt(u(g))))
     extras = ()
     if U is None and not np.any(p.k):
-        extras = (("Msq", lambda M, g: float(M @ M)),)
+        extras = (("Msq", lambda M, g: np.vecdot(M, M)),)
     return SphereSystem(
         name="ball" if not np.any(p.k) else "ball+gyrostat",
         hamiltonian=H,
@@ -214,7 +216,7 @@ def ball_M_from_omega(p: BallParams, omega, gamma) -> Array:
 def ball_omega_from_M(p: BallParams, M, gamma) -> Array:
     M = np.asarray(M, float)
     gamma = np.asarray(gamma, float)
-    S = _ball_s(p.A, 1.0 / p.D, M, gamma)
+    S = lift(_ball_s(p.A, 1.0 / p.D, M, gamma))
     return p.A * (M + S * gamma)
 
 
@@ -234,10 +236,10 @@ class VeselovaParams:
         object.__setattr__(self, "k", np.asarray(self.k, float))
 
 
-def _veselova_s(Ah: Array, k: Array, M: Array, gamma: Array) -> float:
+def _veselova_s(Ah: Array, k: Array, M: Array, gamma: Array):
     G = np.vecdot(gamma, Ah * gamma)
     w = np.vecdot(Ah * M - M - k, gamma)
-    return float(-w / G)
+    return -w / G
 
 
 def veselova_system(p: VeselovaParams) -> SphereSystem:
@@ -249,16 +251,16 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
         return np.vecdot(g, Ah * g)
 
     def H(M, g):
-        w = (Ah * M - M - k) @ g
-        val = 0.5 * ((Ah * M) @ M - w * w / G(g))
+        w = np.vecdot(Ah * M - M - k, g)
+        val = 0.5 * (np.vecdot(Ah * M, M) - w * w / G(g))
         return val + (U(g) if U is not None else 0.0)
 
     def dH_dM(M, g):
-        S = _veselova_s(Ah, k, M, g)
+        S = lift(_veselova_s(Ah, k, M, g))
         return Ah * M + S * (Ah * g - g)
 
     def dH_dgamma(M, g):
-        S = _veselova_s(Ah, k, M, g)
+        S = lift(_veselova_s(Ah, k, M, g))
         out = S * (Ah * M - M - k) + S * S * (Ah * g)
         if U is not None:
             out = out + U.gradient(g)
@@ -287,7 +289,7 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
     extras = ()
     if U is None:
         name = "MkSq" if np.any(k) else "Msq"
-        extras = ((name, lambda M, g: float((M + k) @ (M + k))),)
+        extras = ((name, lambda M, g: np.vecdot(M + k, M + k)),)
     return SphereSystem(
         name="veselova" if not np.any(k) else "veselova+gyrostat",
         hamiltonian=H,
@@ -316,7 +318,7 @@ def veselova_M_from_omega(p: VeselovaParams, omega, gamma) -> Array:
 def veselova_omega_from_M(p: VeselovaParams, M, gamma) -> Array:
     M = np.asarray(M, float)
     gamma = np.asarray(gamma, float)
-    S = _veselova_s(p.Ahat, p.k, M, gamma)
+    S = lift(_veselova_s(p.Ahat, p.k, M, gamma))
     return p.Ahat * (M + S * gamma)
 
 

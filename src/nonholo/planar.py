@@ -128,17 +128,17 @@ def measure_residual(sys: PlanarSystem, q) -> Array:
 
 
 def conformal_bracket(sys: PlanarSystem) -> Callable[[Array], Array]:
-    """The 4x4 bracket matrix field in (q1, q2, p1, p2) coordinates."""
+    """The 4x4 bracket matrix field in (q1, q2, p1, p2) coordinates, for
+    states of shape (..., 4) and matrices of shape (..., 4, 4).  N and B
+    must act over the last axis of q."""
+    canonical = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
 
     def P4(z):
-        q = np.asarray(z, float)[:2]
-        nb = sys.N(q) * sys.B(q)
-        return np.array([
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [-1.0, 0.0, 0.0, nb],
-            [0.0, -1.0, -nb, 0.0],
-        ])
+        q = np.asarray(z, float)[..., :2]
+        P = np.broadcast_to(canonical, q.shape[:-1] + (4, 4)).copy()
+        P[..., 2, 3] = sys.N(q) * sys.B(q)
+        P[..., 3, 2] = -P[..., 2, 3]
+        return P
 
     return P4
 
@@ -205,7 +205,7 @@ def demo_system(B: Callable[[Array], float] | None = None) -> PlanarSystem:
         dH_dP=lambda q, P: np.asarray(P, float),
         A1=lambda q: 0.0,
         A2=lambda q: 1.0,
-        B=B if B is not None else (lambda q: 0.5 * float(np.cos(q[1]))),
+        B=B if B is not None else (lambda q: 0.5 * np.cos(q[..., 1])),
         N=ScalarField(lambda q: np.exp(q[..., 0]),
                       grad=lambda q: vector(np.exp(q[..., 0]), 0.0)),
     )

@@ -24,6 +24,14 @@ and admits the invariant measure density rho = 1/g.
 S-spec); it is the reference.  The integrators step through a system's
 ``flow``, which is ``rhs`` unless the system supplies a closed-form kernel,
 as the ball and Veselova models do.
+
+States act over the last axis, as the fields do: ``s_value``, ``rhs``,
+``integrals``, ``assemble_P``, ``conformal_residual`` and
+``measure_residual`` take one state of shape (6,) or a stack of shape
+(..., 6) and give per-state results of shape (...), (..., 6) or
+(..., 6, 6); one state gives a float (or one vector or matrix).  A
+system's Hamiltonian and its gradients act over the last axis of M and
+gamma in the same way.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from .core import (
     hat,
     lift,
     pack,
+    point_values,
     unpack,
 )
 
@@ -90,21 +99,23 @@ def k_from_gf(g: ScalarField, f: ScalarField, gamma) -> Array:
 class SphereSystem:
     """Immutable specification of a flow on R^6(M, gamma).
 
-    Hamiltonian gradients are analytic callables of (M, gamma); the tight
-    residual tolerances downstream are not reachable with finite-difference
-    gradients.  ``extra_integrals`` holds named first integrals beyond the
-    three automatic ones, e.g. M^2 where it is conserved.  ``flow`` maps one
-    state of shape (6,) to dx/dt; it defaults to the reference ``rhs`` and
-    is what the integrators call.
+    The Hamiltonian, its gradients and the extra integrals are analytic
+    callables of (M, gamma) that act over the last axis: M and gamma of
+    shape (..., 3) give values of shape (...) or gradients of shape
+    (..., 3).  The tight residual tolerances downstream are not reachable
+    with finite-difference gradients.  ``extra_integrals`` holds named first
+    integrals beyond the three automatic ones, e.g. M^2 where it is
+    conserved.  ``flow`` maps one state of shape (6,) to dx/dt; it defaults
+    to the reference ``rhs`` and is what the integrators call.
     """
 
     name: str
-    hamiltonian: Callable[[Array, Array], float]
+    hamiltonian: Callable[[Array, Array], Array]
     dH_dM: Callable[[Array, Array], Array]
     dH_dgamma: Callable[[Array, Array], Array]
     s_spec: SFunctionSpec
     k: Array = field(default_factory=lambda: np.zeros(3))
-    extra_integrals: tuple[tuple[str, Callable[[Array, Array], float]], ...] = ()
+    extra_integrals: tuple[tuple[str, Callable[[Array, Array], Array]], ...] = ()
     flow: Callable[[Array], Array] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,26 +125,28 @@ class SphereSystem:
 
 @dataclass(frozen=True)
 class IntegralValues:
-    F1: float                      # gamma^2
-    F2: float                      # (M + k, gamma)
-    F3: float                      # H
-    extras: dict[str, float]
+    """First integrals: floats at one state, arrays of shape (...) at a
+    stack of states."""
+
+    F1: float | Array              # gamma^2
+    F2: float | Array              # (M + k, gamma)
+    F3: float | Array              # H
+    extras: dict[str, float | Array]
 
 
-def s_value(sys: SphereSystem, x) -> float:
-    """Evaluate S at a state, for either spec form."""
+def s_value(sys: SphereSystem, x):
+    """S at states, for either spec form."""
     M, gamma = unpack(x)
     spec = sys.s_spec
     if isinstance(spec, DirectS):
-        s = float(np.vecdot(spec.K(gamma), M))
+        s = np.vecdot(spec.K(gamma), M)
         if spec.offset is not None:
-            s += spec.offset(gamma)
-        return s
-    K = k_from_gf(spec.g, spec.f, gamma)
-    s = float(np.vecdot(K, M))
-    if spec.phi is not None:
-        s += spec.phi(gamma) / spec.g(gamma)
-    return s
+            s = s + spec.offset(gamma)
+    else:
+        s = np.vecdot(k_from_gf(spec.g, spec.f, gamma), M)
+        if spec.phi is not None:
+            s = s + spec.phi(gamma) / spec.g(gamma)
+    return point_values(s, x)
 
 
 def rhs(sys: SphereSystem, x) -> Array:
@@ -142,7 +155,7 @@ def rhs(sys: SphereSystem, x) -> Array:
     M, gamma = unpack(x)
     hm = np.asarray(sys.dH_dM(M, gamma), float)
     hg = np.asarray(sys.dH_dgamma(M, gamma), float)
-    S = s_value(sys, x)
+    S = lift(s_value(sys, x))
     Mdot = np.cross(M + sys.k - S * gamma, hm) + np.cross(gamma, hg)
     gdot = np.cross(gamma, hm)
     return pack(Mdot, gdot)
@@ -150,17 +163,17 @@ def rhs(sys: SphereSystem, x) -> Array:
 
 def integrals(sys: SphereSystem, x) -> IntegralValues:
     M, gamma = unpack(x)
-    extras = {name: float(fn(M, gamma)) for name, fn in sys.extra_integrals}
     return IntegralValues(
-        F1=float(gamma @ gamma),
-        F2=float((M + sys.k) @ gamma),
-        F3=float(sys.hamiltonian(M, gamma)),
-        extras=extras,
+        F1=point_values(np.vecdot(gamma, gamma), x),
+        F2=point_values(np.vecdot(M + sys.k, gamma), x),
+        F3=point_values(sys.hamiltonian(M, gamma), x),
+        extras={name: point_values(fn(M, gamma), x) for name, fn in sys.extra_integrals},
     )
 
 
 def measure_residual(sys_or_spec, x, rho: ScalarField | None = None) -> Array:
-    """The obstruction ((1/rho) drho/dgamma - K) x gamma.
+    """The obstruction ((1/rho) drho/dgamma - K) x gamma, a 3-vector per
+    state.
 
     Zero iff rho(gamma) dM dgamma is an invariant measure of the flow.  For
     a reduced spec the density defaults to rho = 1/g; a direct spec needs an
@@ -176,7 +189,7 @@ def measure_residual(sys_or_spec, x, rho: ScalarField | None = None) -> Array:
         if rho is None:
             raise ConfigError("a direct S-spec carries no density; pass rho explicitly")
         K = spec.K(gamma)
-    dlog_rho = rho.gradient(gamma) / rho(gamma)
+    dlog_rho = rho.gradient(gamma) / lift(rho(gamma))
     return np.cross(dlog_rho - K, gamma)
 
 
@@ -231,27 +244,27 @@ def bivector_field(g: ScalarField, K: VectorField3 | None = None,
 
 
 def assemble_P(sys: SphereSystem, x) -> Array:
-    """The bracket matrix of a reduced-spec system at a state."""
+    """The bracket matrices of a reduced-spec system at states."""
     spec = sys.s_spec
     if not isinstance(spec, ReducedS):
         raise ConfigError("bracket assembly needs a reduced S-spec (g, f, Phi)")
     M, gamma = unpack(x)
     gv = spec.g(gamma)
-    if gv <= 0.0:
-        raise DomainError(f"g(gamma) = {gv:.3e} is not positive")
+    if any_point(gv <= 0.0):
+        raise DomainError(f"g(gamma) = {np.min(gv):.3e} is not positive")
     return _pgf_matrix(M, gamma, gv, s_value(sys, x), sys.k)
 
 
-def conformal_residual(sys: SphereSystem, x) -> float:
-    """Sup-norm of rhs(x) - (1/g) P(x) grad H(x); zero for admissible systems."""
+def conformal_residual(sys: SphereSystem, x):
+    """Sup-norm of rhs(x) - (1/g) P(x) grad H(x) per state; zero for
+    admissible systems."""
     spec = sys.s_spec
     if not isinstance(spec, ReducedS):
         raise ConfigError("conformal residual needs a reduced S-spec")
     M, gamma = unpack(x)
     gradH = pack(sys.dH_dM(M, gamma), sys.dH_dgamma(M, gamma))
-    lhs = rhs(sys, x)
-    rhs_bracket = assemble_P(sys, x) @ gradH / spec.g(gamma)
-    return float(np.max(np.abs(lhs - rhs_bracket)))
+    bracket = (assemble_P(sys, x) @ gradH[..., None])[..., 0] / lift(spec.g(gamma))
+    return point_values(np.max(np.abs(rhs(sys, x) - bracket), axis=-1), x)
 
 
 def gradient_consistency(sys: SphereSystem, x, step: float | None = None) -> float:

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DomainError, ScalarField, VectorField3, fd_curl
+from .core import CHUNK, DomainError, ScalarField, VectorField3, fd_curl
 
 Array = np.ndarray
 
@@ -167,13 +167,6 @@ def _legendre_tables(L: int, x: Array, s: Array, gradient: bool = False):
 # spectral fields
 # ---------------------------------------------------------------------------
 
-# Points per Legendre table in synthesis.  The tables hold (L+1)^2 values per
-# point.  At 32 points the peak memory of `reduce --model ball --L 32` stays
-# that of one-point synthesis; 128 points add about 3 MB and save no
-# measurable wall time.
-_CHUNK = 32
-
-
 @dataclass(frozen=True)
 class SphereSpectralField:
     """A band-limited scalar field stored as real spherical-harmonic
@@ -226,8 +219,9 @@ class SphereSpectralField:
         # d/dphi multiplies c by i m
         c = (self.c_cos - 1j * self.c_sin) * np.where(m > 0, np.sqrt(2.0), 1.0)
         sums = np.empty((2 if gradient else 1, u.shape[0]))
-        for k in range(0, u.shape[0], _CHUNK):
-            n = slice(k, k + _CHUNK)
+        # in blocks of CHUNK points, which bounds the Legendre tables' memory
+        for k in range(0, u.shape[0], CHUNK):
+            n = slice(k, k + CHUNK)
             E = np.exp(1j * np.outer(m, phi[n]))
             if gradient:
                 dP, Q = _legendre_tables(self.L, ct[n], st[n], gradient=True)

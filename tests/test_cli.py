@@ -5,6 +5,24 @@ import json
 import numpy as np
 import pytest
 
+import nonholo.cli as cli
+from nonholo import (
+    BallParams,
+    DirectS,
+    ScalarField,
+    VeselovaParams,
+    assemble_P,
+    ball_K,
+    ball_system,
+    bivector_field,
+    conformal_residual,
+    duality_map,
+    jacobiator,
+    measure_residual,
+    pack,
+    veselova_K,
+    veselova_system,
+)
 from nonholo.cli import main
 
 
@@ -116,6 +134,115 @@ class TestCheck:
         run(["check", "duality", "-n", "50", "--seed", "3"])
         second = capsys.readouterr().out
         assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "jacobi", "-n", "0"],
+    ["check", "gauge", "-n", "0"],
+    ["check", "planar", "-n", "0"],
+    ["check", "conformal", "-n", "-3"],
+    ["reduce", "--model", "ball", "-n", "0"],
+])
+def test_fewer_than_one_state_exits_2(workdir, capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "-n" in err
+
+
+def _one_state_draws(seed, n):
+    """The states a check suite draws, one state at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        g = rng.standard_normal(3)
+        g /= np.linalg.norm(g)
+        out.append(pack(rng.standard_normal(3), g))
+    return out
+
+
+def _one_state_bodies(states):
+    """Each sphere suite's report body, rebuilt from one-state library calls."""
+    ball, ves = BallParams(A=(0.4, 0.5, 0.6), D=1.0), VeselovaParams(Ahat=(0.6, 0.75, 0.9))
+    k = np.array([0.0, 0.0, 0.1])
+    bodies = {}
+    for argv, sysm in ((["--model", "ball"], ball_system(ball)),
+                       (["--model", "veselova", "--gyrostat", "0,0,0.1"],
+                        veselova_system(VeselovaParams(Ahat=ves.Ahat, k=k)))):
+        worst = max(jacobiator(lambda x: assemble_P(sysm, x), x) for x in states)
+        bodies[("jacobi", *argv)] = {"suite": "jacobi", "model": sysm.name, "max": worst,
+                                     "threshold": 1e-6, "pass": True}
+    P = bivector_field(g=ScalarField.constant(1.0), K=ball_K(ball))
+    vals = [jacobiator(P, x) for x in states]
+    frac = float(np.mean([v > 1e-3 for v in vals]))
+    bodies[("jacobi", "--negative-control")] = {
+        "suite": "jacobi-negative-control", "max": max(vals), "min": min(vals),
+        "fraction_violating": frac, "threshold": 1e-3, "pass": True}
+    systems = [ball_system(ball), ball_system(BallParams(A=ball.A, D=1.0, k=k)),
+               veselova_system(ves), veselova_system(VeselovaParams(Ahat=ves.Ahat, k=k))]
+    by_model = {s.name: max(conformal_residual(s, x) for x in states) for s in systems}
+    bodies[("conformal",)] = {"suite": "conformal", "max_by_model": by_model,
+                              "max": max(by_model.values()), "threshold": 1e-10, "pass": True}
+    by_model = {}
+    for name, sysm, K in (("ball", ball_system(ball), ball_K(ball)),
+                          ("veselova", veselova_system(ves), veselova_K(ves))):
+        rho = sysm.s_spec.g.reciprocal()
+        by_model[name] = max(float(np.max(np.abs(measure_residual(DirectS(K=K), x, rho=rho))))
+                             for x in states)
+    bodies[("measure",)] = {"suite": "measure", "max_by_model": by_model,
+                            "max": max(by_model.values()), "threshold": 1e-10, "pass": True}
+    H1, g1 = ball_system(duality_map(ves, D=1.0)).hamiltonian, ball_system(duality_map(ves, D=1.0)).s_spec.g
+    H2, g2 = veselova_system(ves).hamiltonian, veselova_system(ves).s_spec.g
+    h_dev = max(abs(H1(x[:3], x[3:]) - 0.5 * (x[:3] @ x[:3]) + H2(x[:3], x[3:])) for x in states)
+    g_dev = max(abs(g1(x[3:]) - g2(x[3:])) for x in states)
+    bodies[("duality",)] = {"suite": "duality", "D": 1.0, "hamiltonian_identity_max": h_dev,
+                            "g_relation_max": g_dev, "threshold": 1e-12, "pass": True}
+    return bodies
+
+
+class TestStackedSuites:
+    """The sphere suites run on one array of states: a bounded number of
+    library calls, and the reports of one-state calls on the same draws."""
+
+    @pytest.mark.parametrize("argv, name, models", [
+        (["check", "jacobi", "--model", "ball"], "jacobiator", 1),
+        (["check", "jacobi", "--model", "veselova", "--gyrostat", "0,0,0.1"], "jacobiator", 1),
+        (["check", "jacobi", "--negative-control"], "jacobiator", 1),
+        (["check", "conformal"], "conformal_residual", 4),
+        (["check", "measure"], "measure_residual", 2),
+    ])
+    def test_at_most_one_call_per_model(self, workdir, capsys, monkeypatch, argv, name, models):
+        calls = []
+        original = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+        assert run(argv + ["-n", "1000"]) == 0
+        assert 1 <= len(calls) <= models
+
+    def test_reports_equal_one_state_calls(self, workdir, capsys):
+        bodies = _one_state_bodies(_one_state_draws(7, 200))
+        for argv, body in bodies.items():
+            assert run(["check", *argv, "-n", "200", "--seed", "7"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out == {"schema_version": 1, "command": "check", "seed": 7, "n": 200, **body}, argv
+
+    def test_failed_gate_names_the_worst_state(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "jacobiator",
+                            lambda P, X: np.where(np.arange(len(X)) == 17, 0.25, 1e-12))
+        assert run(["check", "jacobi", "--model", "ball", "-n", "50", "--seed", "3"]) == 4
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["max"] == 0.25 and out["pass"] is False
+        state = cli._random_states(np.random.default_rng(3), 50)[17]
+        assert captured.err == ("jacobi ball: worst value 2.500000e-01 > 1e-06 at state 17: ("
+                                + ", ".join(f"{v:.17g}" for v in state) + ")\n")
+
+    def test_passing_gate_writes_nothing_to_stderr(self, workdir, capsys):
+        assert run(["check", "conformal", "-n", "50"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestReduce:

@@ -36,9 +36,9 @@ NEAR_BOUNDARY_BALL = BallParams(A=(0.4, 0.5, 0.99), D=1.0)
 def toy_system(g_const: float) -> SphereSystem:
     return SphereSystem(
         name="toy",
-        hamiltonian=lambda M, g: 0.5 * float(M @ M),
+        hamiltonian=lambda M, g: 0.5 * np.vecdot(M, M),
         dH_dM=lambda M, g: np.asarray(M, float),
-        dH_dgamma=lambda M, g: np.zeros(3),
+        dH_dgamma=lambda M, g: np.zeros_like(g),
         s_spec=ReducedS(g=ScalarField.constant(g_const), f=ScalarField.constant(0.0)),
     )
 

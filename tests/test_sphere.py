@@ -43,9 +43,9 @@ VES_GYRO = VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=np.array([0.0, 0.0, 0.1]))
 def free_top():
     return SphereSystem(
         name="free-top",
-        hamiltonian=lambda M, g: 0.5 * float(M @ M),
+        hamiltonian=lambda M, g: 0.5 * np.vecdot(M, M),
         dH_dM=lambda M, g: np.asarray(M, float),
-        dH_dgamma=lambda M, g: np.zeros(3),
+        dH_dgamma=lambda M, g: np.zeros_like(g),
         s_spec=ReducedS(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0)),
     )
 

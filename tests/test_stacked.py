@@ -1,8 +1,11 @@
-"""Fields and state maps on a stack of points give their one-point results.
+"""Fields, state maps and the sphere layer on a stack of points give their
+one-point results.
 
 A field callable that indexes ``g[0]`` instead of ``g[..., 0]`` reads a row
 of a stack, not a component; every row of a (7, 3) or (7, 6) stack is
-compared with the same point evaluated alone.
+compared with the same point evaluated alone.  The jacobiator works in
+blocks of ``CHUNK`` states, so it is also compared on a stack longer than
+two blocks.
 """
 
 import numpy as np
@@ -18,21 +21,32 @@ from nonholo import (
     apply_gauge_state,
     ball_K,
     ball_system,
+    assemble_P,
     bivector_field,
     compose,
+    conformal_residual,
     e3_bivector,
     gf_bivector,
+    integrals,
     inverse,
+    jacobiator,
     linear_potential,
+    measure_residual,
     pack,
     pushforward_bivector,
     quadratic_potential,
     reduce_to_e3,
+    rhs,
+    s_value,
+    unpack,
     vector,
     veselova_K,
     veselova_system,
 )
+from nonholo.core import CHUNK
 from nonholo.gauge import gauge_state_jacobian
+from nonholo.planar import conformal_bracket, demo_system
+from nonholo.sphere import DirectS, SphereSystem
 
 from conftest import rand_state, rand_unit
 
@@ -144,3 +158,95 @@ def test_state_maps_stack_matches_points(which, rng, spectral_gauge):
 def test_pack_keeps_stack_shape(rng):
     M, G = rng.standard_normal((2, 4, 3)), _gammas(rng, 8).reshape(2, 4, 3)
     assert pack(M, G).shape == (2, 4, 6)
+
+
+# ---------------------------------------------------------------------------
+# the sphere layer
+# ---------------------------------------------------------------------------
+
+_K = np.array([0.05, -0.08, 0.1])
+SYSTEMS = {
+    "ball": ball_system(BALL),
+    "ball+gyrostat+linear U": ball_system(BallParams(A=(0.4, 0.5, 0.6), D=1.0, k=_K,
+                                                    U=linear_potential((0.3, -0.2, 0.5)))),
+    "veselova": veselova_system(VeselovaParams(Ahat=(0.6, 0.75, 0.9))),
+    "veselova+gyrostat": veselova_system(VES),
+    "veselova+gyrostat+quadratic U": veselova_system(VeselovaParams(
+        Ahat=(0.6, 0.75, 0.9), k=_K, U=quadratic_potential((1.0, 2.0, 3.0)))),
+}
+
+
+def _direct(sysm):
+    """The ball as a system with a direct S-spec: K in closed form and an
+    offset, so that both branches of ``s_value`` are stacked."""
+    return SphereSystem("direct", sysm.hamiltonian, sysm.dH_dM, sysm.dH_dgamma,
+                        DirectS(K=ball_K(BALL), offset=linear_potential((0.1, 0.2, -0.3))), k=sysm.k)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_hamiltonian_and_gradients_stack_matches_points(name, rng):
+    sysm, X = SYSTEMS[name], _states(rng)
+    M, G = unpack(X)
+    assert isinstance(sysm.hamiltonian(M[0], G[0]), float)
+    assert sysm.hamiltonian(M, G).shape == (7,)
+    assert sysm.dH_dM(M, G).shape == (7, 3) and sysm.dH_dgamma(M, G).shape == (7, 3)
+    for fn in (sysm.hamiltonian, sysm.dH_dM, sysm.dH_dgamma):
+        _same_rows(fn(M, G), lambda x: fn(*unpack(x)), X)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_sphere_functions_stack_matches_points(name, rng):
+    sysm, X = SYSTEMS[name], _states(rng)
+    for sys_ in (sysm, _direct(sysm)):
+        assert isinstance(s_value(sys_, X[0]), float) and s_value(sys_, X).shape == (7,)
+        _same_rows(s_value(sys_, X), lambda x: s_value(sys_, x), X)
+        assert rhs(sys_, X).shape == (7, 6)
+        _same_rows(rhs(sys_, X), lambda x: rhs(sys_, x), X)
+    assert assemble_P(sysm, X).shape == (7, 6, 6)
+    _same_rows(assemble_P(sysm, X), lambda x: assemble_P(sysm, x), X)
+    assert isinstance(conformal_residual(sysm, X[0]), float)
+    assert conformal_residual(sysm, X).shape == (7,)
+    _same_rows(conformal_residual(sysm, X), lambda x: conformal_residual(sysm, x), X)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_integrals_stack_matches_points(name, rng):
+    sysm, X = SYSTEMS[name], _states(rng)
+    stacked, one = integrals(sysm, X), [integrals(sysm, x) for x in X]
+    assert isinstance(one[0].F3, float) and stacked.F3.shape == (7,)
+    for key in ("F1", "F2", "F3"):
+        _same_rows(getattr(stacked, key), lambda x: getattr(integrals(sysm, x), key), X)
+    assert set(stacked.extras) == {n for n, _ in sysm.extra_integrals}
+    for key, vals in stacked.extras.items():
+        assert isinstance(one[0].extras[key], float)
+        _same_rows(vals, lambda x: integrals(sysm, x).extras[key], X)
+
+
+def test_measure_residual_stack_matches_points(rng):
+    X = _states(rng)
+    for spec, rho in ((ball_system(BALL), None), (veselova_system(VES), None),
+                      (DirectS(K=ball_K(BALL)), _ball.g.reciprocal()),
+                      (DirectS(K=veselova_K(VES)), _ves.g.reciprocal())):
+        assert measure_residual(spec, X, rho=rho).shape == (7, 3)
+        _same_rows(measure_residual(spec, X, rho=rho), lambda x: measure_residual(spec, x, rho=rho), X)
+
+
+@pytest.mark.parametrize("name", ["ball", "veselova+gyrostat", "negative control"])
+def test_jacobiator_blocks_match_points(name, rng):
+    P = (BIVECTORS["ball (g, K)"] if name == "negative control"
+         else lambda x: assemble_P(SYSTEMS[name], x))
+    X = _states(rng, 70)
+    assert X.shape[0] > 2 * CHUNK and X.shape[0] % CHUNK
+    assert isinstance(jacobiator(P, X[0]), float)
+    vals = jacobiator(P, X)
+    assert vals.shape == (70,)
+    _same_rows(vals, lambda x: jacobiator(P, x), X)
+    np.testing.assert_array_equal(jacobiator(P, X.reshape(2, 35, 6)), vals.reshape(2, 35))
+
+
+def test_planar_bracket_stack_matches_points(rng):
+    P4 = conformal_bracket(demo_system())
+    Z = rng.standard_normal((7, 4))
+    assert P4(Z).shape == (7, 4, 4)
+    _same_rows(P4(Z), P4, Z)
+    _same_rows(jacobiator(P4, Z), lambda z: jacobiator(P4, z), Z)
