@@ -4,14 +4,17 @@ Subcommands:
 
     simulate      integrate a model, write a trajectory CSV and a JSON
                   drift report; exit 0 iff all tracked drifts pass
-    check SUITE   run a verification suite (jacobi, measure, conformal,
-                  duality, gauge, planar) at seeded random states
+    check SUITE   run a verification suite of ``nonholo.checks`` (jacobi,
+                  measure, conformal, duality, gauge, planar) at seeded
+                  random states
     reduce        run the bracket reduction pipeline and report deviations
     planar-demo   integrate the admissible planar demo system
 
-Exit codes: 0 pass, 2 configuration error, 3 domain violation, 4 numerical
-tolerance failure.  All randomness flows from the --seed value, so repeated
-runs produce byte-identical JSON.
+Each subcommand reads its flags and config, builds the objects, calls the
+library and writes the report; the gates live in the library.  Exit codes:
+0 pass, 2 configuration error, 3 domain violation, 4 numerical tolerance
+failure.  All randomness flows from the --seed value, so repeated runs
+produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -24,28 +27,14 @@ import warnings
 
 import numpy as np
 
+from . import checks
 from . import gauge as gauge_mod
 from . import planar as planar_mod
-from .core import (ConfigError, DomainError, ScalarField, ToleranceFailure, jacobiator, lift, pack,
-                   unpack, vector)
+from .core import ConfigError, DomainError, ScalarField, ToleranceFailure, pack
 from .integrate import IntegratorConfig, drift_report, integrate, integrate_sphere, trajectory_csv
-from .models import (
-    BallParams,
-    DEMO_BALL,
-    DEMO_GYROSTAT,
-    DEMO_VESELOVA,
-    VeselovaParams,
-    ball_K,
-    ball_omega_from_M,
-    ball_system,
-    duality_map,
-    linear_potential,
-    quadratic_potential,
-    veselova_K,
-    veselova_M_from_omega,
-    veselova_system,
-)
-from .sphere import DirectS, assemble_P, bivector_field, conformal_residual, measure_residual
+from .models import (DEMO_BALL, DEMO_VESELOVA, BallParams, VeselovaParams, ball_M_from_omega,
+                     ball_system, linear_potential, quadratic_potential, veselova_M_from_omega,
+                     veselova_system)
 
 SCHEMA_VERSION = 1
 
@@ -62,41 +51,9 @@ def _emit(report: dict, path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _vec3(text: str) -> np.ndarray:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated values, got {text!r}")
-    return np.array(parts)
-
-
-def _random_states(rng, n):
-    """n states of shape (n, 6), each drawn as a direction (normalised) and
-    then a momentum."""
-    raw = rng.standard_normal((n, 6))
-    g = raw[:, :3]
-    # bitwise the one-vector norm; norm(axis=-1) is not
-    return pack(raw[:, 3:], g / lift(np.sqrt(np.vecdot(g, g))))
-
-
 def _require_n(n: int) -> None:
     if n < 1:
         raise ConfigError(f"-n must be at least 1, got {n}")
-
-
-def _gate(label: str, vals, threshold: float, points) -> tuple[float, bool]:
-    """The largest of the per-state values and whether it passes the
-    threshold; a failure names the worst value and its state on stderr."""
-    i = int(np.argmax(vals))
-    worst = float(vals[i])
-    ok = worst <= threshold
-    if not ok:
-        _report_worst(label, worst, f"> {threshold:g}", i, points[i])
-    return worst, ok
-
-
-def _report_worst(label, value, relation, i, point) -> None:
-    state = ", ".join(f"{v:.17g}" for v in point)
-    sys.stderr.write(f"{label}: worst value {value:.6e} {relation} at state {i}: ({state})\n")
 
 
 # ---------------------------------------------------------------------------
@@ -105,92 +62,92 @@ def _report_worst(label, value, relation, i, point) -> None:
 
 def _load_config(args) -> dict:
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
     return cfg
 
 
-def _potential(spec):
-    if spec is None or spec.get("kind", "zero") == "zero":
+def _vec3(value, field: str) -> np.ndarray:
+    """Three numbers from a flag's "a,b,c" text or a config list; anything
+    else is a configuration error that names the field."""
+    try:
+        parts = [float(v) for v in (value.split(",") if isinstance(value, str) else value)]
+    except (TypeError, ValueError):
+        parts = None
+    if parts is None or len(parts) != 3:
+        raise ConfigError(f"{field} needs three numbers, got {value!r}")
+    return np.array(parts)
+
+
+def _flag_or_config(flag_value, flag: str, cfg: dict, key: str, default=None):
+    """A 3-vector from its flag, else from the config field ``key`` (dotted
+    for a nested entry), else the default."""
+    if flag_value is not None:
+        return _vec3(flag_value, flag)
+    value = cfg
+    for part in key.split("."):
+        value = value.get(part) if isinstance(value, dict) else None
+    return default if value is None else _vec3(value, key)
+
+
+_POTENTIALS = {"linear": ("r", linear_potential), "quadratic": ("C", quadratic_potential)}
+
+
+def _potential(args, cfg):
+    """U from --U and --U-vec, each over its config field: potential.kind,
+    then potential.r (linear) or potential.C (quadratic).  None for zero."""
+    spec = cfg.get("potential") or {}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"potential must be an object with a kind, got {spec!r}")
+    kind = args.U or spec.get("kind", "zero")
+    if kind == "zero":
         return None
-    kind = spec["kind"]
-    if kind == "linear":
-        return linear_potential(spec["r"])
-    if kind == "quadratic":
-        return quadratic_potential(spec["C"])
-    raise ConfigError(f"unknown potential kind {kind!r}; use zero, linear or quadratic")
+    if kind not in _POTENTIALS:
+        raise ConfigError(f"unknown potential kind {kind!r}; use zero, linear or quadratic")
+    key, make = _POTENTIALS[kind]
+    vec = _flag_or_config(args.U_vec, "--U-vec", cfg, f"potential.{key}")
+    if vec is None:
+        x = key.lower()
+        raise ConfigError(f"--U {kind} needs --U-vec {x}1,{x}2,{x}3 (or potential.{key} in the config)")
+    return make(vec)
 
 
-def _potential_from_args(args, cfg):
-    if getattr(args, "U", None) is not None:
-        kind = args.U
-        if kind == "zero":
-            return None
-        if kind == "linear":
-            if args.U_vec is None:
-                raise ConfigError("--U linear needs --U-vec r1,r2,r3")
-            return linear_potential(_vec3(args.U_vec))
-        if kind == "quadratic":
-            if args.U_vec is None:
-                raise ConfigError("--U quadratic needs --U-vec c1,c2,c3")
-            return quadratic_potential(_vec3(args.U_vec))
-        raise ConfigError(f"unknown potential {kind!r}")
-    return _potential(cfg.get("potential"))
-
-
-def _model_params(args, cfg):
-    model = getattr(args, "model", None) or cfg.get("model")
+def _model(args, cfg):
+    """The model's parameters and its system, flags over the config."""
+    model = args.model or cfg.get("model")
     if model not in ("ball", "veselova"):
         raise ConfigError("pick a model: --model ball | veselova")
-    U = _potential_from_args(args, cfg)
-    k = np.zeros(3)
-    if getattr(args, "gyrostat", None) is not None:
-        k = _vec3(args.gyrostat)
-    elif cfg.get("gyrostat") is not None:
-        k = np.asarray(cfg["gyrostat"], float)
+    U = _potential(args, cfg)
+    k = _flag_or_config(args.gyrostat, "--gyrostat", cfg, "gyrostat", np.zeros(3))
     if model == "ball":
-        A = _vec3(args.A) if getattr(args, "A", None) else np.asarray(cfg.get("A", DEMO_BALL["A"]), float)
-        D = args.D if getattr(args, "D", None) is not None else float(cfg.get("D", DEMO_BALL["D"]))
-        return model, BallParams(A=A, D=D, U=U, k=k)
-    Ah = _vec3(args.Ahat) if getattr(args, "Ahat", None) else np.asarray(cfg.get("Ahat", DEMO_VESELOVA["Ahat"]), float)
-    return model, VeselovaParams(Ahat=Ah, U=U, k=k)
+        A = _flag_or_config(args.A, "--A", cfg, "A", np.asarray(DEMO_BALL["A"], float))
+        D = args.D if args.D is not None else float(cfg.get("D", DEMO_BALL["D"]))
+        params = BallParams(A=A, D=D, U=U, k=k)
+        return params, ball_system(params)
+    Ah = _flag_or_config(args.Ahat, "--Ahat", cfg, "Ahat", np.asarray(DEMO_VESELOVA["Ahat"], float))
+    params = VeselovaParams(Ahat=Ah, U=U, k=k)
+    return params, veselova_system(params)
 
 
-def _build_system(model, params):
-    return ball_system(params) if model == "ball" else veselova_system(params)
-
-
-def _initial_state(args, cfg, model, params):
-    ic = dict(cfg.get("initial", {}))
-    if getattr(args, "M", None):
-        ic = {"M": list(_vec3(args.M)), "gamma": ic.get("gamma")}
-    if getattr(args, "omega", None):
-        ic = {"omega": list(_vec3(args.omega)), "gamma": ic.get("gamma")}
-    if getattr(args, "gamma", None):
-        ic["gamma"] = list(_vec3(args.gamma))
-    if getattr(args, "demo", False):
-        ic.setdefault("gamma", list(DEMO_GAMMA))
-        if "M" not in ic and "omega" not in ic:
-            ic["M"] = list(DEMO_M)
-    if "gamma" not in ic or ic["gamma"] is None:
+def _initial_state(args, cfg, params):
+    M, omega, gamma = (_flag_or_config(getattr(args, name), f"--{name}", cfg, f"initial.{name}")
+                       for name in ("M", "omega", "gamma"))
+    if args.omega is not None:  # a velocity flag overrides any momentum
+        M = None
+    if args.demo:
+        gamma = np.array(DEMO_GAMMA) if gamma is None else gamma
+        M = np.array(DEMO_M) if M is None and omega is None else M
+    if gamma is None:
         raise ConfigError("no initial condition; pass --gamma (plus --M or --omega) or --demo")
-    gamma = np.asarray(ic["gamma"], float)
     norm = np.linalg.norm(gamma)
     if abs(norm - 1.0) > 1e-6:
         warnings.warn(f"renormalizing gamma: |gamma| = {norm:.8f}")
     gamma = gamma / norm
-    if "M" in ic and ic["M"] is not None:
-        M = np.asarray(ic["M"], float)
-    elif "omega" in ic and ic["omega"] is not None:
-        omega = np.asarray(ic["omega"], float)
-        if model == "ball":
-            from .models import ball_M_from_omega
-            M = ball_M_from_omega(params, omega, gamma)
-        else:
-            M = veselova_M_from_omega(params, omega, gamma)
-    else:
+    if M is None and omega is None:
         raise ConfigError("initial condition needs M or omega")
+    if M is None:
+        M = (ball_M_from_omega if isinstance(params, BallParams) else veselova_M_from_omega)(params, omega, gamma)
     return pack(M, gamma)
 
 
@@ -199,12 +156,8 @@ def _integrator_config(args, cfg) -> IntegratorConfig:
     def pick(name, default):
         v = getattr(args, name, None)
         return v if v is not None else icfg.get(name, default)
-    return IntegratorConfig(
-        rtol=float(pick("rtol", 1e-10)),
-        atol=float(pick("atol", 1e-12)),
-        horizon=float(pick("horizon", 100.0)),
-        samples=int(pick("samples", 1001)),
-    )
+    return IntegratorConfig(rtol=float(pick("rtol", 1e-10)), atol=float(pick("atol", 1e-12)),
+                            horizon=float(pick("horizon", 100.0)), samples=int(pick("samples", 1001)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +166,8 @@ def _integrator_config(args, cfg) -> IntegratorConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    model, params = _model_params(args, cfg)
-    sysm = _build_system(model, params)
-    x0 = _initial_state(args, cfg, model, params)
+    params, sysm = _model(args, cfg)
+    x0 = _initial_state(args, cfg, params)
     icfg = _integrator_config(args, cfg)
     threshold = args.threshold if args.threshold is not None else float(cfg.get("drift_threshold", 1e-8))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
@@ -243,149 +195,22 @@ def cmd_simulate(args) -> int:
     return 0 if ok else 4
 
 
-def _check_jacobi(args, rng, states) -> tuple[dict, bool]:
-    cfg = _load_config(args)
-    if args.negative_control:
-        K = ball_K(BallParams(**DEMO_BALL))
-        P = bivector_field(g=ScalarField.constant(1.0), K=K)
-        vals = jacobiator(P, states)
-        frac = float(np.mean(vals > 1e-3))
-        ok = frac >= 0.9
-        if not ok:
-            i = int(np.argmin(vals))
-            _report_worst(f"jacobi negative control (fraction violating {frac:.3f} < 0.9)",
-                          vals[i], "<= 0.001", i, states[i])
-        return {"suite": "jacobi-negative-control", "max": float(np.max(vals)),
-                "min": float(np.min(vals)), "fraction_violating": frac,
-                "threshold": 1e-3, "pass": ok}, ok
-    model, params = _model_params(args, cfg)
-    sysm = _build_system(model, params)
-    vals = jacobiator(lambda x: assemble_P(sysm, x), states)
-    worst, ok = _gate(f"jacobi {sysm.name}", vals, 1e-6, states)
-    return {"suite": "jacobi", "model": sysm.name, "max": worst,
-            "threshold": 1e-6, "pass": ok}, ok
-
-
-def _gate_by_model(suite, vals_by_model, threshold, states) -> tuple[dict, bool]:
-    """A suite's report body from per-state values of several models."""
-    report = {name: float(np.max(vals)) for name, vals in vals_by_model.items()}
-    name = max(report, key=report.get)
-    worst, ok = _gate(f"{suite} {name}", vals_by_model[name], threshold, states)
-    return {"suite": suite, "max_by_model": report, "max": worst,
-            "threshold": threshold, "pass": ok}, ok
-
-
-def _check_measure(args, rng, states) -> tuple[dict, bool]:
-    vals = {}
-    for model, params, K in (
-        ("ball", BallParams(**DEMO_BALL), ball_K(BallParams(**DEMO_BALL))),
-        ("veselova", VeselovaParams(**DEMO_VESELOVA), veselova_K(VeselovaParams(**DEMO_VESELOVA))),
-    ):
-        rho = _build_system(model, params).s_spec.g.reciprocal()
-        vals[model] = np.max(np.abs(measure_residual(DirectS(K=K), states, rho=rho)), axis=-1)
-    return _gate_by_model("measure", vals, 1e-10, states)
-
-
-def _check_conformal(args, rng, states) -> tuple[dict, bool]:
-    systems = [
-        ball_system(BallParams(**DEMO_BALL)),
-        ball_system(BallParams(**DEMO_BALL, k=np.asarray(DEMO_GYROSTAT))),
-        veselova_system(VeselovaParams(**DEMO_VESELOVA)),
-        veselova_system(VeselovaParams(**DEMO_VESELOVA, k=np.asarray(DEMO_GYROSTAT))),
-    ]
-    return _gate_by_model("conformal", {s.name: conformal_residual(s, states) for s in systems},
-                          1e-10, states)
-
-
-def _check_duality(args, rng, states) -> tuple[dict, bool]:
-    D = args.D if getattr(args, "D", None) is not None else 1.0
-    vparams = VeselovaParams(**DEMO_VESELOVA)
-    bparams = duality_map(vparams, D=D)
-    H1 = ball_system(bparams).hamiltonian
-    H2 = veselova_system(vparams).hamiltonian
-    g1 = ball_system(bparams).s_spec.g
-    g2 = veselova_system(vparams).s_spec.g
-    Dinv = 1.0 / D
-    M, G = unpack(states)
-    h_dev, h_ok = _gate("duality hamiltonian identity",
-                        np.abs(H1(M, G) - 0.5 * Dinv * np.vecdot(M, M) + Dinv * H2(M, G)), 1e-12, states)
-    g_dev, g_ok = _gate("duality g relation", np.abs(g1(G) - g2(G) / np.sqrt(D)), 1e-12, states)
-    ok = h_ok and g_ok
-    return {"suite": "duality", "D": D, "hamiltonian_identity_max": h_dev,
-            "g_relation_max": g_dev, "threshold": 1e-12, "pass": ok}, ok
-
-
-def _check_gauge(args, rng, states) -> tuple[dict, bool]:
-    a1 = ScalarField(lambda g: 1.2 + 0.3 * g[..., 0] + 0.1 * g[..., 1] ** 2,
-                     grad=lambda g: vector(0.3, 0.2 * g[..., 1], 0.0))
-    h1 = gauge_mod.VectorField3(
-        lambda g: vector(0.2 * g[..., 1], -0.1 * g[..., 2] ** 2, 0.3 * g[..., 0] * g[..., 1]),
-        curl=lambda g: vector(0.3 * g[..., 0] + 0.2 * g[..., 2], -0.3 * g[..., 1], -0.2))
-    a2 = ScalarField(lambda g: 0.9 + 0.2 * g[..., 2], grad=lambda g: np.array([0.0, 0.0, 0.2]))
-    h2 = gauge_mod.VectorField3(lambda g: vector(0.1 * g[..., 0], 0.05 * g[..., 1], -0.2 * g[..., 2]),
-                                curl=lambda g: np.zeros(3))
-    t1 = gauge_mod.GaugeTransform(a1, 1.7, h1)
-    t2 = gauge_mod.GaugeTransform(a2, 0.8, h2)
-    t21 = gauge_mod.compose(t2, t1)
-
-    comp = np.max(np.abs(gauge_mod.apply_gauge_state(t2, gauge_mod.apply_gauge_state(t1, states))
-                         - gauge_mod.apply_gauge_state(t21, states)), axis=-1)
-
-    base = gauge_mod.GFParams(g=ball_system(BallParams(**DEMO_BALL)).s_spec.g,
-                              f=ScalarField.constant(0.0))
-    # strip analytic derivatives to exercise the finite-difference tier
-    fd_t1 = gauge_mod.GaugeTransform(ScalarField(a1.fn), t1.c, gauge_mod.VectorField3(h1.fn))
-    fd_t2 = gauge_mod.GaugeTransform(ScalarField(a2.fn), t2.c, gauge_mod.VectorField3(h2.fn))
-    fd_base = gauge_mod.GFParams(g=ScalarField(base.g.fn), f=ScalarField(base.f.fn))
-    two_step = gauge_mod.pushforward_params(fd_t2, gauge_mod.pushforward_params(fd_t1, fd_base))
-    composed = gauge_mod.pushforward_params(gauge_mod.compose(fd_t2, fd_t1), fd_base)
-    G = unpack(states)[1]
-    action = np.maximum(np.abs(two_step.g(G) - composed.g(G)), np.abs(two_step.f(G) - composed.f(G)))
-    comp_dev, comp_ok = _gate("gauge composition", comp, 1e-12, states)
-    action_dev, action_ok = _gate("gauge action property", action, 1e-8, states)
-    ok = comp_ok and action_ok
-    return {"suite": "gauge", "composition_state_max": comp_dev,
-            "action_property_max": action_dev,
-            "thresholds": {"composition": 1e-12, "action": 1e-8}, "pass": ok}, ok
-
-
-def _check_planar(args, rng, states) -> tuple[dict, bool]:
-    sysm = planar_mod.demo_system()
-    probes = [rng.standard_normal(4) for _ in range(len(states))]
-    residual, residual_ok = _gate("planar conformal residual",
-                                  [planar_mod.to_conformal(sysm, z)[2] for z in probes], 1e-8, probes)
-    P4 = planar_mod.conformal_bracket(sysm)
-    jac, jac_ok = _gate("planar bracket jacobiator", jacobiator(P4, np.array(probes[:50])), 1e-9, probes)
-    bad = planar_mod.PlanarSystem(H=sysm.H, dH_dq=sysm.dH_dq, dH_dP=sysm.dH_dP,
-                                  A1=sysm.A1, A2=sysm.A2, B=sysm.B,
-                                  N=ScalarField.constant(1.0))
-    try:
-        planar_mod.to_conformal(bad, probes[0])
-        gate_ok = False
-    except DomainError:
-        gate_ok = True
-    ok = residual_ok and jac_ok and gate_ok
-    return {"suite": "planar", "conformal_residual_max": residual,
-            "bracket_jacobiator_max": jac, "gate_rejects_inadmissible": gate_ok,
-            "thresholds": {"residual": 1e-8, "jacobiator": 1e-9}, "pass": ok}, ok
-
-
-_CHECKS = {
-    "jacobi": _check_jacobi,
-    "measure": _check_measure,
-    "conformal": _check_conformal,
-    "duality": _check_duality,
-    "gauge": _check_gauge,
-    "planar": _check_planar,
-}
-
-
 def cmd_check(args) -> int:
     _require_n(args.n)
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
-    states = _random_states(rng, args.n)
-    body, ok = _CHECKS[args.suite](args, rng, states)
+    states = checks.random_states(rng, args.n)
+    if args.suite == "jacobi" and args.negative_control:
+        body, ok = checks.negative_control(states)
+    elif args.suite == "jacobi":
+        body, ok = checks.jacobi(states, _model(args, _load_config(args))[1])
+    elif args.suite == "duality":
+        body, ok = checks.duality(states, args.D if args.D is not None else 1.0)
+    elif args.suite == "planar":
+        # the probes follow the states in the seeded stream
+        body, ok = checks.planar(rng.standard_normal((args.n, 4)))
+    else:
+        body, ok = getattr(checks, args.suite)(states)
     report = {"schema_version": SCHEMA_VERSION, "command": "check",
               "seed": seed, "n": args.n, **body}
     _emit(report, args.report)
@@ -404,11 +229,8 @@ def cmd_reduce(args) -> int:
                                     f=ScalarField.constant(args.f))
         label = f"constant(g={args.g}, f={args.f})"
     else:
-        model, mparams = _model_params(args, cfg)
-        sysm = _build_system(model, mparams)
-        spec = sysm.s_spec
-        params = gauge_mod.GFParams(g=spec.g, f=spec.f)
-        label = sysm.name
+        sysm = _model(args, cfg)[1]
+        params, label = gauge_mod.GFParams(g=sysm.s_spec.g, f=sysm.s_spec.f), sysm.name
     seed = args.seed if args.seed is not None else 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -438,11 +260,7 @@ def cmd_planar_demo(args) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     residual = float(max(planar_mod.to_conformal(sysm, rng.standard_normal(4))[2]
                          for _ in range(100)))
-    with open(args.csv, "w") as fh:
-        fh.write("t,q1,q2,P1,P2,E\n")
-        for i, t in enumerate(traj.t):
-            row = [t, *traj.states[i], traj.integrals["E"][i]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    trajectory_csv(traj, args.csv, columns=("q1", "q2", "P1", "P2"))
     ok = drift <= 1e-8 and residual <= 1e-8
     report = {"schema_version": SCHEMA_VERSION, "command": "planar-demo",
               "energy_drift": float(drift), "conformal_residual_max": residual,
@@ -493,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(_CHECKS))
+    p.add_argument("suite", choices=checks.SUITES)
     _add_model_flags(p)
     p.add_argument("-n", type=int, default=1000, help="number of probe states")
     p.add_argument("--negative-control", action="store_true",

@@ -179,16 +179,17 @@ def drift_report(traj: Trajectory, names: Sequence[str] | None = None) -> dict[s
     return out
 
 
-def trajectory_csv(traj: Trajectory, path) -> None:
-    """Write a sphere trajectory as CSV, full double precision.
+def trajectory_csv(traj: Trajectory, path,
+                   columns: Sequence[str] = ("M1", "M2", "M3", "g1", "g2", "g3")) -> None:
+    """Write a trajectory as CSV, full double precision (%.17g).
 
-    Columns: t, M1..M3, g1..g3, then the tracked integrals in the order
-    H, F1, F2, extras.
+    Columns: t, the state components under ``columns``, then the tracked
+    integrals: H, F1 and F2 first where present, then the rest in order.
     """
-    order = ["H", "F1", "F2"] + [n for n in traj.integrals if n not in ("H", "F1", "F2")]
-    header = "t,M1,M2,M3,g1,g2,g3," + ",".join(order)
+    first = [n for n in ("H", "F1", "F2") if n in traj.integrals]
+    order = first + [n for n in traj.integrals if n not in first]
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(["t", *columns, *order]) + "\n")
         for i, t in enumerate(traj.t):
             row = [t, *traj.states[i], *(traj.integrals[n][i] for n in order)]
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -5,25 +5,37 @@ import json
 import numpy as np
 import pytest
 
-import nonholo.cli as cli
+import nonholo.checks as checks
+import nonholo.core as core
+import nonholo.gauge as gauge_mod
+import nonholo.sphere as sphere
 from nonholo import (
     BallParams,
     DirectS,
+    DomainError,
+    GFParams,
+    GaugeTransform,
     ScalarField,
+    VectorField3,
     VeselovaParams,
+    apply_gauge_state,
     assemble_P,
     ball_K,
     ball_system,
     bivector_field,
+    compose,
     conformal_residual,
     duality_map,
     jacobiator,
     measure_residual,
     pack,
+    pushforward_params,
+    vector,
     veselova_K,
     veselova_system,
 )
 from nonholo.cli import main
+from nonholo.planar import PlanarSystem, conformal_bracket, demo_system, to_conformal
 
 
 @pytest.fixture
@@ -100,6 +112,78 @@ class TestSimulate:
         assert code == 4
 
 
+BALL_CFG = {"model": "ball", "initial": {"M": [0.3, -0.2, 0.5], "gamma": [0.0, 0.0, 1.0]},
+            "integrator": {"horizon": 1.0, "samples": 11}}
+
+
+class TestConfigVectors:
+    """Every 3-vector of a config file passes the check its flag passes."""
+
+    @pytest.mark.parametrize("entries, field", [
+        ({"potential": {"kind": "linear"}}, "potential.r"),
+        ({"potential": {"kind": "quadratic"}}, "potential.C"),
+        ({"potential": {"kind": "linear", "r": [1, 2]}}, "potential.r"),
+        ({"potential": {"kind": "quadratic", "C": "1,2"}}, "potential.C"),
+        ({"potential": "linear"}, "potential"),
+        ({"gyrostat": [0, 0.1]}, "gyrostat"),
+        ({"A": [0.4, 0.5]}, "A"),
+        ({"model": "veselova", "Ahat": [0.6, "x", 0.9]}, "Ahat"),
+        ({"initial": {"M": [0.3, -0.2], "gamma": [0, 0, 1]}}, "initial.M"),
+        ({"initial": {"omega": [1, 0, 0, 0], "gamma": [0, 0, 1]}}, "initial.omega"),
+        ({"initial": {"M": [0.3, -0.2, 0.5], "gamma": 1.0}}, "initial.gamma"),
+    ])
+    def test_malformed_config_vector_exits_2(self, workdir, capsys, entries, field):
+        (workdir / "cfg.json").write_text(json.dumps({**BALL_CFG, **entries}))
+        assert run(["simulate", "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and field in err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--U", "linear"], "--U-vec"),
+        (["--U", "quadratic", "--U-vec", "1,2"], "--U-vec"),
+        (["--gyrostat", "0,0.1"], "--gyrostat"),
+        (["--A", "x,0.5,0.6"], "--A"),
+        (["--M", "0.3,-0.2,y"], "--M"),
+    ])
+    def test_malformed_flag_vector_exits_2(self, workdir, capsys, flags, field):
+        assert run(["simulate", "--model", "ball", "--demo", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and field in err
+
+    @pytest.mark.parametrize("model, kind, key, vec", [
+        ("ball", "linear", "r", "0,0.2,1"),
+        ("veselova", "quadratic", "C", "1,2,3"),
+    ])
+    def test_potential_from_config_equals_flags(self, workdir, model, kind, key, vec):
+        common = ["--horizon", "2", "--samples", "21", "--demo"]
+        assert run(["simulate", "--model", model, "--U", kind, "--U-vec", vec, *common,
+                    "--report", "flags.json"]) == 0
+        cfg = {"model": model, "potential": {"kind": kind, key: [float(v) for v in vec.split(",")]}}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", "cfg.json", *common, "--report", "config.json"]) == 0
+        # --U-vec overrides the config's vector
+        assert run(["simulate", "--config", "cfg.json", "--U-vec", "0.5,0.5,0.5", *common,
+                    "--report", "override.json"]) == 0
+        assert run(["simulate", "--model", model, *common, "--report", "zero.json"]) == 0
+        flags, config, override, zero = (json.loads((workdir / f"{name}.json").read_text())
+                                          for name in ("flags", "config", "override", "zero"))
+        assert flags == config
+        assert flags["drifts"] != zero["drifts"] and override["drifts"] != flags["drifts"]
+
+    def test_potential_flag_kind_needs_its_own_vector(self, workdir, capsys):
+        (workdir / "cfg.json").write_text(json.dumps(
+            {**BALL_CFG, "potential": {"kind": "linear", "r": [0, 0, 1]}}))
+        assert run(["simulate", "--config", "cfg.json", "--U", "quadratic"]) == 2
+        assert "--U quadratic needs --U-vec c1,c2,c3" in capsys.readouterr().err
+
+    def test_momentum_flag_with_demo_direction(self, workdir):
+        assert run(["simulate", "--model", "ball", "--M", "1,0,0", "--demo", "--horizon", "1",
+                    "--samples", "11", "--report", "r.json"]) == 0
+        report = json.loads((workdir / "r.json").read_text())
+        assert report["initial_state"][:3] == [1.0, 0.0, 0.0]
+        assert report["initial_state"][3:] == list(np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
+
+
 class TestCheck:
     def test_jacobi(self, workdir, capsys):
         assert run(["check", "jacobi", "--model", "ball", "-n", "50"]) == 0
@@ -150,18 +234,19 @@ def test_fewer_than_one_state_exits_2(workdir, capsys, argv):
 
 
 def _one_state_draws(seed, n):
-    """The states a check suite draws, one state at a time."""
+    """The states a check suite draws, one state at a time, then the planar
+    suite's probes, which follow them in the stream."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
         g = rng.standard_normal(3)
         g /= np.linalg.norm(g)
         out.append(pack(rng.standard_normal(3), g))
-    return out
+    return out, [rng.standard_normal(4) for _ in range(n)]
 
 
-def _one_state_bodies(states):
-    """Each sphere suite's report body, rebuilt from one-state library calls."""
+def _one_state_bodies(states, probes):
+    """Each suite's report body, rebuilt from one-state library calls."""
     ball, ves = BallParams(A=(0.4, 0.5, 0.6), D=1.0), VeselovaParams(Ahat=(0.6, 0.75, 0.9))
     k = np.array([0.0, 0.0, 0.1])
     bodies = {}
@@ -196,12 +281,40 @@ def _one_state_bodies(states):
     g_dev = max(abs(g1(x[3:]) - g2(x[3:])) for x in states)
     bodies[("duality",)] = {"suite": "duality", "D": 1.0, "hamiltonian_identity_max": h_dev,
                             "g_relation_max": g_dev, "threshold": 1e-12, "pass": True}
+
+    t1 = GaugeTransform(ScalarField(lambda g: 1.2 + 0.3 * g[..., 0] + 0.1 * g[..., 1] ** 2), 1.7,
+                        VectorField3(lambda g: vector(0.2 * g[..., 1], -0.1 * g[..., 2] ** 2,
+                                                      0.3 * g[..., 0] * g[..., 1])))
+    t2 = GaugeTransform(ScalarField(lambda g: 0.9 + 0.2 * g[..., 2]), 0.8,
+                        VectorField3(lambda g: vector(0.1 * g[..., 0], 0.05 * g[..., 1], -0.2 * g[..., 2])))
+    comp = max(float(np.max(np.abs(apply_gauge_state(t2, apply_gauge_state(t1, x))
+                                   - apply_gauge_state(compose(t2, t1), x)))) for x in states)
+    base = GFParams(g=ScalarField(ball_system(ball).s_spec.g.fn), f=ScalarField(lambda g: 0.0))
+    two_step = pushforward_params(t2, pushforward_params(t1, base))
+    one_step = pushforward_params(compose(t2, t1), base)
+    action = max(max(abs(two_step.g(x[3:]) - one_step.g(x[3:])), abs(two_step.f(x[3:]) - one_step.f(x[3:])))
+                 for x in states)
+    bodies[("gauge",)] = {"suite": "gauge", "composition_state_max": comp, "action_property_max": action,
+                          "thresholds": {"composition": 1e-12, "action": 1e-8}, "pass": True}
+
+    planar = demo_system()
+    P4 = conformal_bracket(planar)
+    inadmissible = PlanarSystem(H=planar.H, dH_dq=planar.dH_dq, dH_dP=planar.dH_dP, A1=planar.A1,
+                                A2=planar.A2, B=planar.B, N=ScalarField.constant(1.0))
+    with pytest.raises(DomainError):
+        to_conformal(inadmissible, probes[0])
+    bodies[("planar",)] = {"suite": "planar",
+                           "conformal_residual_max": max(to_conformal(planar, z)[2] for z in probes),
+                           "bracket_jacobiator_max": max(jacobiator(P4, z) for z in probes[:50]),
+                           "gate_rejects_inadmissible": True,
+                           "thresholds": {"residual": 1e-8, "jacobiator": 1e-9}, "pass": True}
     return bodies
 
 
 class TestStackedSuites:
-    """The sphere suites run on one array of states: a bounded number of
-    library calls, and the reports of one-state calls on the same draws."""
+    """The suites of ``nonholo.checks`` run on one array of states: a
+    bounded number of library calls, and the reports of one-state calls on
+    the same draws."""
 
     @pytest.mark.parametrize("argv, name, models", [
         (["check", "jacobi", "--model", "ball"], "jacobiator", 1),
@@ -209,34 +322,37 @@ class TestStackedSuites:
         (["check", "jacobi", "--negative-control"], "jacobiator", 1),
         (["check", "conformal"], "conformal_residual", 4),
         (["check", "measure"], "measure_residual", 2),
+        (["check", "gauge"], "apply_gauge_state", 3),
     ])
     def test_at_most_one_call_per_model(self, workdir, capsys, monkeypatch, argv, name, models):
+        # each name is counted in its home module, where the suites look it up
+        module = {"jacobiator": core, "apply_gauge_state": gauge_mod}.get(name, sphere)
         calls = []
-        original = getattr(cli, name)
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
         assert run(argv + ["-n", "1000"]) == 0
         assert 1 <= len(calls) <= models
 
     def test_reports_equal_one_state_calls(self, workdir, capsys):
-        bodies = _one_state_bodies(_one_state_draws(7, 200))
+        bodies = _one_state_bodies(*_one_state_draws(7, 200))
         for argv, body in bodies.items():
             assert run(["check", *argv, "-n", "200", "--seed", "7"]) == 0
             out = json.loads(capsys.readouterr().out)
             assert out == {"schema_version": 1, "command": "check", "seed": 7, "n": 200, **body}, argv
 
     def test_failed_gate_names_the_worst_state(self, workdir, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "jacobiator",
+        monkeypatch.setattr(core, "jacobiator",
                             lambda P, X: np.where(np.arange(len(X)) == 17, 0.25, 1e-12))
         assert run(["check", "jacobi", "--model", "ball", "-n", "50", "--seed", "3"]) == 4
         captured = capsys.readouterr()
         out = json.loads(captured.out)
         assert out["max"] == 0.25 and out["pass"] is False
-        state = cli._random_states(np.random.default_rng(3), 50)[17]
+        state = checks.random_states(np.random.default_rng(3), 50)[17]
         assert captured.err == ("jacobi ball: worst value 2.500000e-01 > 1e-06 at state 17: ("
                                 + ", ".join(f"{v:.17g}" for v in state) + ")\n")
 

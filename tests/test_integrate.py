@@ -22,6 +22,7 @@ from nonholo import (
     rhs,
     trajectory_csv,
 )
+from nonholo.planar import demo_system, energy_fn, planar_rhs
 
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 X0 = pack([0.3, -0.2, 0.5], np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
@@ -244,4 +245,22 @@ def test_csv_round_trip(tmp_path):
     # 17 significant digits preserve doubles exactly
     np.testing.assert_array_equal(data[:, 0], traj.t)
     np.testing.assert_array_equal(data[:, 1:7], traj.states)
-    np.testing.assert_array_equal(data[:, 7], traj.integrals["H"])
+    for j, name in enumerate(["H", "F1", "F2", "Msq"]):
+        np.testing.assert_array_equal(data[:, 7 + j], traj.integrals[name])
+
+
+def test_planar_csv_reads_back_every_field_exactly(tmp_path):
+    sysm = demo_system()
+    cfg = IntegratorConfig(horizon=2.0, samples=21)
+    traj = integrate(lambda z: planar_rhs(sysm, z), np.array([0.2, -0.3, 0.4, 0.1]), cfg,
+                     integral_fns={"E": energy_fn(sysm)})
+    path = tmp_path / "planar.csv"
+    trajectory_csv(traj, path, columns=("q1", "q2", "P1", "P2"))
+    header, *rows = path.read_text().splitlines()
+    # no H, F1, F2 in a planar trajectory: E follows the state
+    assert header == "t,q1,q2,P1,P2,E"
+    assert len(rows) == 21
+    for i, row in enumerate(rows):
+        fields = [float(v) for v in row.split(",")]
+        assert fields == [traj.t[i], *traj.states[i], traj.integrals["E"][i]]
+

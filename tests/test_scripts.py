@@ -1,0 +1,35 @@
+"""Smoke runs of the example scripts, so that an API change cannot break
+them silently."""
+
+import json
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_conservation_demo(monkeypatch, capsys):
+    out = run_script("conservation_demo.py", ["1"], monkeypatch, capsys)
+    lines = out.strip().splitlines()
+    assert lines[0] == "relative integral drifts over t in [0, 1] at rtol 1e-10"
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["ball", "ball+gyrostat", "veselova", "veselova+gyrostat"]
+    for row in rows:
+        drifts = {cell.split("=")[0]: float(cell.split("=")[1]) for cell in row if "=" in cell}
+        assert {"H", "F1", "F2"} <= set(drifts) and max(drifts.values()) <= 1e-8
+
+
+def test_reduction_demo(monkeypatch, capsys):
+    out = run_script("reduction_demo.py", ["8"], monkeypatch, capsys)
+    (line,) = out.strip().splitlines()
+    rep = json.loads(line)
+    assert set(rep) == {"L", "c", "residual", "g_tilde_dev", "f_tilde_dev", "bracket_dev",
+                        "n_states", "seed"}
+    assert rep["L"] == 8 and rep["n_states"] == 50 and rep["g_tilde_dev"] <= 1e-8
