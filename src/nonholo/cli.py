@@ -24,6 +24,7 @@ import functools
 import json
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,11 +62,10 @@ def _require_n(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_config(args) -> dict:
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    return cfg
+    if not args.config:
+        return {}
+    with open(args.config) as fh:
+        return json.load(fh)
 
 
 def _vec3(value, field: str) -> np.ndarray:
@@ -80,15 +80,31 @@ def _vec3(value, field: str) -> np.ndarray:
     return np.array(parts)
 
 
-def _flag_or_config(flag_value, flag: str, cfg: dict, key: str, default=None):
-    """A 3-vector from its flag, else from the config field ``key`` (dotted
-    for a nested entry), else the default."""
+def _number(value, field: str, kind=float):
+    """One number from a flag or a config field; anything else (a list, a boolean,
+    text, a fraction where an integer belongs) is a configuration error naming it."""
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fraction:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{field} needs {'an integer' if kind is int else 'a number'}, got {value!r}")
+
+
+_integer = functools.partial(_number, kind=int)
+
+
+def _flag_or_config(flag_value, flag: str, cfg: dict, key: str, default=None, parse=_vec3):
+    """A value (a 3-vector unless ``parse`` says otherwise) from its flag,
+    else from the config field ``key`` (dotted for a nested entry), else
+    the default."""
     if flag_value is not None:
-        return _vec3(flag_value, flag)
+        return parse(flag_value, flag)
     value = cfg
     for part in key.split("."):
         value = value.get(part) if isinstance(value, dict) else None
-    return default if value is None else _vec3(value, key)
+    return default if value is None else parse(value, key)
 
 
 _POTENTIALS = {"linear": ("r", linear_potential), "quadratic": ("C", quadratic_potential)}
@@ -102,6 +118,9 @@ def _potential(args, cfg):
         raise ConfigError(f"potential must be an object with a kind, got {spec!r}")
     kind = args.U or spec.get("kind", "zero")
     if kind == "zero":
+        if args.U_vec is not None or (args.U is None and ("r" in spec or "C" in spec)):
+            raise ConfigError("a potential vector needs its kind: pass --U linear | quadratic "
+                              "(or potential.kind in the config)")
         return None
     if kind not in _POTENTIALS:
         raise ConfigError(f"unknown potential kind {kind!r}; use zero, linear or quadratic")
@@ -122,7 +141,7 @@ def _model(args, cfg):
     k = _flag_or_config(args.gyrostat, "--gyrostat", cfg, "gyrostat", np.zeros(3))
     if model == "ball":
         A = _flag_or_config(args.A, "--A", cfg, "A", np.asarray(DEMO_BALL["A"], float))
-        D = args.D if args.D is not None else float(cfg.get("D", DEMO_BALL["D"]))
+        D = _flag_or_config(args.D, "--D", cfg, "D", DEMO_BALL["D"], _number)
         params = BallParams(A=A, D=D, U=U, k=k)
         return params, ball_system(params)
     Ah = _flag_or_config(args.Ahat, "--Ahat", cfg, "Ahat", np.asarray(DEMO_VESELOVA["Ahat"], float))
@@ -152,12 +171,10 @@ def _initial_state(args, cfg, params):
 
 
 def _integrator_config(args, cfg) -> IntegratorConfig:
-    icfg = dict(cfg.get("integrator", {}))
-    def pick(name, default):
-        v = getattr(args, name, None)
-        return v if v is not None else icfg.get(name, default)
-    return IntegratorConfig(rtol=float(pick("rtol", 1e-10)), atol=float(pick("atol", 1e-12)),
-                            horizon=float(pick("horizon", 100.0)), samples=int(pick("samples", 1001)))
+    return IntegratorConfig(**{
+        name: _flag_or_config(getattr(args, name), f"--{name}", cfg, f"integrator.{name}", default, parse)
+        for name, default, parse in (("rtol", 1e-10, _number), ("atol", 1e-12, _number),
+                                     ("horizon", 100.0, _number), ("samples", 1001, _integer))})
 
 
 # ---------------------------------------------------------------------------
@@ -169,28 +186,18 @@ def cmd_simulate(args) -> int:
     params, sysm = _model(args, cfg)
     x0 = _initial_state(args, cfg, params)
     icfg = _integrator_config(args, cfg)
-    threshold = args.threshold if args.threshold is not None else float(cfg.get("drift_threshold", 1e-8))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    threshold = _flag_or_config(args.threshold, "--threshold", cfg, "drift_threshold", 1e-8, _number)
+    seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _integer)
 
     traj = integrate_sphere(sysm, x0, icfg)
     trajectory_csv(traj, args.csv)
     drifts = drift_report(traj)
     ok = all(v <= threshold for v in drifts.values())
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "model": sysm.name,
-        "seed": seed,
-        "initial_state": [float(v) for v in x0],
-        "horizon": icfg.horizon,
-        "rtol": icfg.rtol,
-        "atol": icfg.atol,
-        "drift_threshold": threshold,
-        "drifts": {k: float(v) for k, v in drifts.items()},
-        "nfev": traj.nfev,
-        "csv": str(args.csv),
-        "pass": ok,
-    }
+    report = {"schema_version": SCHEMA_VERSION, "command": "simulate", "model": sysm.name,
+              "seed": seed, "initial_state": [float(v) for v in x0], "horizon": icfg.horizon,
+              "rtol": icfg.rtol, "atol": icfg.atol, "drift_threshold": threshold,
+              "drifts": {k: float(v) for k, v in drifts.items()}, "nfev": traj.nfev,
+              "csv": str(args.csv), "pass": ok}
     _emit(report, args.report)
     return 0 if ok else 4
 
@@ -211,8 +218,7 @@ def cmd_check(args) -> int:
         body, ok = checks.planar(rng.standard_normal((args.n, 4)))
     else:
         body, ok = getattr(checks, args.suite)(states)
-    report = {"schema_version": SCHEMA_VERSION, "command": "check",
-              "seed": seed, "n": args.n, **body}
+    report = {"schema_version": SCHEMA_VERSION, "command": "check", "seed": seed, "n": args.n, **body}
     _emit(report, args.report)
     return 0 if ok else 4
 
@@ -225,8 +231,7 @@ def cmd_reduce(args) -> int:
             raise ConfigError("pass both --g and --f (constants) or use --model")
         if args.g <= 0.0:
             raise DomainError(f"g must be positive, got {args.g}")
-        params = gauge_mod.GFParams(g=ScalarField.constant(args.g),
-                                    f=ScalarField.constant(args.f))
+        params = gauge_mod.GFParams(g=ScalarField.constant(args.g), f=ScalarField.constant(args.f))
         label = f"constant(g={args.g}, f={args.f})"
     else:
         sysm = _model(args, cfg)[1]
@@ -235,8 +240,7 @@ def cmd_reduce(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = gauge_mod.reduction_report(params, L=args.L, n_states=args.n, seed=seed)
-    report = {"schema_version": SCHEMA_VERSION, "command": "reduce",
-              "source": label, **rep}
+    report = {"schema_version": SCHEMA_VERSION, "command": "reduce", "source": label, **rep}
     residual_ok = rep["residual"] <= args.residual_tol
     bracket_ok = rep["bracket_dev"] <= 1e-6
     report["pass"] = bool(residual_ok and bracket_ok)
@@ -251,15 +255,12 @@ def cmd_reduce(args) -> int:
 
 def cmd_planar_demo(args) -> int:
     sysm = planar_mod.demo_system()
-    icfg = IntegratorConfig(rtol=args.rtol or 1e-10, atol=args.atol or 1e-12,
-                            horizon=args.horizon or 100.0, samples=args.samples or 1001)
-    z0 = np.array([0.2, -0.3, 0.4, 0.1])
-    E = planar_mod.energy_fn(sysm)
-    traj = integrate(lambda z: planar_mod.planar_rhs(sysm, z), z0, icfg, integral_fns={"E": E})
+    icfg = _integrator_config(args, {})
+    traj = integrate(sysm.flow, np.array([0.2, -0.3, 0.4, 0.1]), icfg)
+    traj = replace(traj, integrals={"E": planar_mod.energy_fn(sysm)(traj.states)})
     drift = drift_report(traj)["E"]
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    residual = float(max(planar_mod.to_conformal(sysm, rng.standard_normal(4))[2]
-                         for _ in range(100)))
+    residual = float(np.max(planar_mod.to_conformal(sysm, rng.standard_normal((100, 4)))[2]))
     trajectory_csv(traj, args.csv, columns=("q1", "q2", "P1", "P2"))
     ok = drift <= 1e-8 and residual <= 1e-8
     report = {"schema_version": SCHEMA_VERSION, "command": "planar-demo",
@@ -286,6 +287,11 @@ def _add_model_flags(p):
     p.add_argument("--report", help="write the JSON report here as well")
 
 
+def _add_integrator_flags(p):
+    for name, kind in (("rtol", float), ("atol", float), ("horizon", float), ("samples", int)):
+        p.add_argument(f"--{name}", type=kind)
+
+
 # One parser per process: an argparse parser holds reference cycles, so one
 # built per call stays in memory until a full garbage collection.  1 600
 # in-process `check` runs raised peak RSS by 2 MB that way, and each build
@@ -302,10 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", help="initial angular velocity w1,w2,w3")
     p.add_argument("--gamma", help="initial direction g1,g2,g3 (renormalized)")
     p.add_argument("--demo", action="store_true", help="fill demo parameters and state")
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--samples", type=int)
+    _add_integrator_flags(p)
     p.add_argument("--threshold", type=float, help="drift pass threshold (default 1e-8)")
     p.add_argument("--csv", default="trajectory.csv")
     p.set_defaults(func=cmd_simulate)
@@ -328,10 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("planar-demo", help="run the planar demo system")
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--samples", type=int)
+    _add_integrator_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--csv", default="planar_trajectory.csv")
     p.add_argument("--report")

@@ -17,7 +17,7 @@ physical clock and the mapped trajectory coincides with direct integration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +47,8 @@ class IntegratorConfig:
             raise DomainError("tolerances must be positive")
         if self.horizon <= 0.0:
             raise DomainError("horizon must be positive")
+        if self.samples < 2:
+            raise DomainError(f"samples must be at least 2, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,13 @@ class Trajectory:
             raise DomainError("sample times must be strictly increasing")
 
 
-def integrate(fn: Callable[[Array], Array], state0, cfg: IntegratorConfig,
-              integral_fns: dict[str, Callable[[Array], float]] | None = None) -> Trajectory:
-    """Integrate dx/dt = fn(x) over [0, horizon] with dense sampling."""
+def integrate(fn: Callable[[Array], Array], state0, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate dx/dt = fn(x) over [0, horizon] with dense sampling.
+
+    ``fn`` maps one state to its velocity.  The trajectory tracks no
+    integrals: a caller evaluates its own once on all samples, as
+    ``integrate_sphere`` does, and puts them in ``integrals``.
+    """
     x0 = np.asarray(state0, float)
     if not np.all(np.isfinite(x0)):
         raise DomainError("initial state is not finite")
@@ -75,12 +81,7 @@ def integrate(fn: Callable[[Array], Array], state0, cfg: IntegratorConfig,
         raise StiffnessError(f"integration stalled: {sol.message}",
                              last_t=float(sol.t[-1]) if sol.t.size else 0.0,
                              last_state=sol.y[:, -1] if sol.t.size else x0)
-    states = sol.y.T
-    tracked = {}
-    if integral_fns:
-        for name, f in integral_fns.items():
-            tracked[name] = np.array([f(s) for s in states])
-    return Trajectory(t=sol.t, states=states, integrals=tracked, nfev=int(sol.nfev))
+    return Trajectory(t=sol.t, states=sol.y.T, integrals={}, nfev=int(sol.nfev))
 
 
 def integrate_sphere(sys: SphereSystem, state0, cfg: IntegratorConfig) -> Trajectory:
@@ -88,8 +89,7 @@ def integrate_sphere(sys: SphereSystem, state0, cfg: IntegratorConfig) -> Trajec
     H, F1, F2 and the extras, from one ``integrals`` call on all samples."""
     traj = integrate(sys.flow, state0, cfg)
     v = integrals(sys, traj.states)
-    tracked = {"H": v.F3, "F1": v.F1, "F2": v.F2, **v.extras}
-    return Trajectory(t=traj.t, states=traj.states, integrals=tracked, nfev=traj.nfev)
+    return replace(traj, integrals={"H": v.F3, "F1": v.F1, "F2": v.F2, **v.extras})
 
 
 def integrate_reparametrized(sys: SphereSystem, state0, cfg: IntegratorConfig,
@@ -188,8 +188,5 @@ def trajectory_csv(traj: Trajectory, path,
     """
     first = [n for n in ("H", "F1", "F2") if n in traj.integrals]
     order = first + [n for n in traj.integrals if n not in first]
-    with open(path, "w") as fh:
-        fh.write(",".join(["t", *columns, *order]) + "\n")
-        for i, t in enumerate(traj.t):
-            row = [t, *traj.states[i], *(traj.integrals[n][i] for n in order)]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, np.column_stack([traj.t, traj.states, *(traj.integrals[n] for n in order)]),
+               fmt="%.17g", delimiter=",", header=",".join(["t", *columns, *order]), comments="")

@@ -16,16 +16,23 @@ p = N(q) P the field becomes N(q) times the Hamiltonian field of
 H(q, p/N) for the bracket
 
     {q_i, p_j} = delta_ij,   {q1, q2} = 0,   {p1, p2} = N(q) B(q).
+
+Everything acts over the last axis, as in the sphere layer: a system's
+callables take q and P of shape (..., 2), the functions here states of
+shape (..., 4), and one state of shape (4,) gives floats.  The integrator
+calls ``PlanarSystem.flow``, which defaults to the reference ``planar_rhs``;
+the demo system supplies a closed-form kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import DomainError, ScalarField, TOLS, vector
+from .core import DomainError, ScalarField, TOLS, fd_gradient, lift, point_values, vector
 
 Array = np.ndarray
 
@@ -34,38 +41,48 @@ Array = np.ndarray
 class PlanarLagrangian:
     """L = (1/2) qdot^T G(q) qdot - V(q) with coupling S = a.qdot + b."""
 
-    G: Callable[[Array], Array]           # 2x2 symmetric positive-definite
+    G: Callable[[Array], Array]           # (..., 2, 2) symmetric positive-definite
     V: ScalarField
-    a1: Callable[[Array], float]
-    a2: Callable[[Array], float]
-    b: Callable[[Array], float]
+    a1: Callable[[Array], Array]
+    a2: Callable[[Array], Array]
+    b: Callable[[Array], Array]
 
 
 @dataclass(frozen=True)
 class PlanarSystem:
-    H: Callable[[Array, Array], float]
+    H: Callable[[Array, Array], Array]
     dH_dq: Callable[[Array, Array], Array]
     dH_dP: Callable[[Array, Array], Array]
-    A1: Callable[[Array], float]
-    A2: Callable[[Array], float]
-    B: Callable[[Array], float]
+    A1: Callable[[Array], Array]
+    A2: Callable[[Array], Array]
+    B: Callable[[Array], Array]
     N: ScalarField                        # candidate invariant-measure density
+    flow: Callable[[Array], Array] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.flow is None:
+            object.__setattr__(self, "flow", lambda z: planar_rhs(self, z))
 
 
-def _check_spd(G: Array, q: Array) -> None:
-    if G[0, 0] <= 0.0 or np.linalg.det(G) <= 0.0:
-        raise DomainError(f"kinetic matrix is not positive-definite at q = {q}")
+def _first(mask, q: Array) -> Array:
+    """The first point of a stack q of shape (..., 2) where mask holds."""
+    return np.reshape(q, (-1, 2))[np.argmax(np.reshape(mask, -1))]
 
 
-def legendre(lag: PlanarLagrangian, q, qdot) -> tuple[Array, float]:
+def _kinetic_matrix(lag: PlanarLagrangian, q: Array) -> Array:
+    G = np.asarray(lag.G(q), float)
+    bad = (G[..., 0, 0] <= 0.0) | (np.linalg.det(G) <= 0.0)
+    if np.any(bad):
+        raise DomainError(f"kinetic matrix is not positive-definite at q = {_first(bad, q)}")
+    return G
+
+
+def legendre(lag: PlanarLagrangian, q, qdot) -> tuple[Array, Array]:
     """Momenta P = G(q) qdot and the energy H = (1/2) P^T G^{-1} P + V."""
     q = np.asarray(q, float)
     qdot = np.asarray(qdot, float)
-    G = np.asarray(lag.G(q), float)
-    _check_spd(G, q)
-    P = G @ qdot
-    H = 0.5 * qdot @ G @ qdot + lag.V(q)
-    return P, float(H)
+    P = np.vecdot(_kinetic_matrix(lag, q), qdot[..., None, :])
+    return P, point_values(0.5 * np.vecdot(qdot, P) + lag.V(q), q)
 
 
 def from_lagrangian(lag: PlanarLagrangian, N: ScalarField,
@@ -78,59 +95,51 @@ def from_lagrangian(lag: PlanarLagrangian, N: ScalarField,
     an analytic G keeps them at FD accuracy only.
     """
 
-    def Ginv(q):
-        G = np.asarray(lag.G(q), float)
-        _check_spd(G, q)
-        return np.linalg.inv(G)
+    def dH_dP(q, P):
+        return np.vecdot(np.linalg.inv(_kinetic_matrix(lag, q)), np.asarray(P, float)[..., None, :])
 
     def H(q, P):
-        return float(0.5 * P @ Ginv(q) @ P + lag.V(q))
-
-    def dH_dP(q, P):
-        return Ginv(q) @ P
+        return point_values(0.5 * np.vecdot(P, dH_dP(q, P)) + lag.V(q), q)
 
     def dH_dq(q, P):
-        from .core import fd_gradient
         return fd_gradient(lambda qq: H(qq, P), q)
 
     def mom_coeffs(q):
-        a = np.array([lag.a1(q), lag.a2(q)])
-        return Ginv(q) @ a
+        return dH_dP(q, vector(lag.a1(q), lag.a2(q)))
 
-    zero = (lambda q: 0.0)
     return PlanarSystem(
         H=H, dH_dq=dH_dq, dH_dP=dH_dP,
-        A1=lambda q: float(mom_coeffs(q)[0]),
-        A2=lambda q: float(mom_coeffs(q)[1]),
-        B=zero if usual_chaplygin else (lambda q: float(lag.b(q))),
+        A1=lambda q: mom_coeffs(q)[..., 0],
+        A2=lambda q: mom_coeffs(q)[..., 1],
+        B=(lambda q: 0.0) if usual_chaplygin else lag.b,
         N=N,
     )
 
 
 def planar_rhs(sys: PlanarSystem, state) -> Array:
-    """(qdot1, qdot2, Pdot1, Pdot2) at a state (q1, q2, P1, P2)."""
+    """(qdot1, qdot2, Pdot1, Pdot2) at states (q1, q2, P1, P2)."""
     z = np.asarray(state, float)
-    q, P = z[:2], z[2:]
+    q, P = z[..., :2], z[..., 2:]
     hp = np.asarray(sys.dH_dP(q, P), float)
     hq = np.asarray(sys.dH_dq(q, P), float)
-    S = sys.A1(q) * P[0] + sys.A2(q) * P[1] + sys.B(q)
-    return np.array([hp[0], hp[1], -hq[0] + hp[1] * S, -hq[1] - hp[0] * S])
+    S = sys.A1(q) * P[..., 0] + sys.A2(q) * P[..., 1] + sys.B(q)
+    return vector(hp[..., 0], hp[..., 1], -hq[..., 0] + hp[..., 1] * S, -hq[..., 1] - hp[..., 0] * S)
 
 
 def measure_residual(sys: PlanarSystem, q) -> Array:
     """(r1, r2) = ((1/N) dN/dq1 - A2, (1/N) dN/dq2 + A1); zero iff N works."""
     q = np.asarray(q, float)
     n = sys.N(q)
-    if n <= 0.0:
-        raise DomainError(f"measure density N(q) = {n:.3e} is not positive")
-    dn = sys.N.gradient(q) / n
-    return np.array([dn[0] - sys.A2(q), dn[1] + sys.A1(q)])
+    if np.any(n <= 0.0):
+        raise DomainError(f"measure density N(q) = {np.min(n):.3e} is not positive "
+                          f"at q = {_first(n <= 0.0, q)}")
+    dn = sys.N.gradient(q) / lift(n)
+    return vector(dn[..., 0] - sys.A2(q), dn[..., 1] + sys.A1(q))
 
 
 def conformal_bracket(sys: PlanarSystem) -> Callable[[Array], Array]:
     """The 4x4 bracket matrix field in (q1, q2, p1, p2) coordinates, for
-    states of shape (..., 4) and matrices of shape (..., 4, 4).  N and B
-    must act over the last axis of q."""
+    states of shape (..., 4) and matrices of shape (..., 4, 4)."""
     canonical = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
 
     def P4(z):
@@ -143,64 +152,73 @@ def conformal_bracket(sys: PlanarSystem) -> Callable[[Array], Array]:
     return P4
 
 
-def _hbar_partials(sys: PlanarSystem, q: Array, p: Array) -> tuple[Array, Array]:
-    """Partials of Hbar(q, p) = H(q, p / N(q)) via the chain rule."""
-    n = sys.N(q)
-    P = p / n
-    hp = np.asarray(sys.dH_dP(q, P), float)
-    hq = np.asarray(sys.dH_dq(q, P), float)
-    dn = sys.N.gradient(q)
-    dHbar_dp = hp / n
-    dHbar_dq = hq - (dn / n) * float(P @ hp)
-    return dHbar_dq, dHbar_dp
+def _conformal_residual(sys: PlanarSystem, state) -> Array:
+    """Sup norm of the rescaled flow minus N X_Hbar, one value per state.
 
-
-def _conformal_residual(sys: PlanarSystem, state) -> float:
+    Hbar(q, p) = H(q, p / N(q)) has its partials by the chain rule, at the
+    momenta P = p / N of the rescaled p = N P.
+    """
     z = np.asarray(state, float)
-    q, P = z[:2], z[2:]
+    q, P = z[..., :2], z[..., 2:]
     n = sys.N(q)
-    p = n * P
+    nv = lift(n)
     dn = sys.N.gradient(q)
     vel = planar_rhs(sys, z)
-    qdot, Pdot = vel[:2], vel[2:]
-    pdot = n * Pdot + float(dn @ qdot) * P
-    hq, hp = _hbar_partials(sys, q, p)
+    qdot, Pdot = vel[..., :2], vel[..., 2:]
+    pdot = nv * Pdot + lift(np.vecdot(dn, qdot)) * P
+    Pn = nv * P / nv
+    hp = np.asarray(sys.dH_dP(q, Pn), float)
+    hq = np.asarray(sys.dH_dq(q, Pn), float) - (dn / nv) * lift(np.vecdot(Pn, hp))
+    hp = hp / nv
     nb = n * sys.B(q)
-    X = np.array([hp[0], hp[1], -hq[0] + nb * hp[1], -hq[1] - nb * hp[0]])
-    lhs = np.array([qdot[0], qdot[1], pdot[0], pdot[1]])
-    return float(np.max(np.abs(lhs - n * X)))
+    X = vector(hp[..., 0], hp[..., 1], -hq[..., 0] + nb * hp[..., 1], -hq[..., 1] - nb * hp[..., 0])
+    lhs = np.concatenate([qdot, pdot], axis=-1)
+    return point_values(np.max(np.abs(lhs - nv * X), axis=-1), z)
 
 
 def to_conformal(sys: PlanarSystem, state,
-                 gate: float = TOLS.measure_gate) -> tuple[Array, float, float]:
+                 gate: float = TOLS.measure_gate) -> tuple[Array, Array, Array]:
     """Rescaled momenta, the {p1, p2} bracket entry, and the representation
-    residual at a state.
+    residual at states of shape (..., 4).
 
-    Refuses when the measure conditions fail: the rescaling only produces a
-    Hamiltonian field (up to the factor N) on an admissible system.
+    Refuses when the measure conditions fail at any state, naming the q of
+    the largest violation: the rescaling only produces a Hamiltonian field
+    (up to the factor N) on an admissible system.
     """
     z = np.asarray(state, float)
-    q, P = z[:2], z[2:]
+    q, P = z[..., :2], z[..., 2:]
     r = measure_residual(sys, q)
-    if np.max(np.abs(r)) > gate:
-        raise DomainError(
-            f"measure conditions violated at q = {q}: (r1, r2) = ({r[0]:.3e}, {r[1]:.3e})"
-        )
+    worst = np.max(np.abs(r), axis=-1)
+    if np.any(worst > gate):
+        at = worst == np.max(worst)
+        r1, r2 = _first(at, r)
+        raise DomainError(f"measure conditions violated at q = {_first(at, q)}: "
+                          f"(r1, r2) = ({r1:.3e}, {r2:.3e})")
     n = sys.N(q)
-    return n * P, float(n * sys.B(q)), _conformal_residual(sys, z)
+    return lift(n) * P, point_values(n * sys.B(q), q), _conformal_residual(sys, z)
 
 
-def energy_fn(sys: PlanarSystem) -> Callable[[Array], float]:
-    return lambda z: float(sys.H(np.asarray(z, float)[:2], np.asarray(z, float)[2:]))
+def energy_fn(sys: PlanarSystem) -> Callable[[Array], Array]:
+    """z -> H at states of shape (..., 4); a float for one state."""
+    return lambda z: point_values(sys.H(np.asarray(z, float)[..., :2], np.asarray(z, float)[..., 2:]), z)
 
 
-def demo_system(B: Callable[[Array], float] | None = None) -> PlanarSystem:
+def _demo_flow(z) -> Array:
+    """The default demo's velocity at one state on Python floats: the float
+    operations of ``planar_rhs`` in the same order, so they agree bitwise."""
+    q1, q2, P1, P2 = np.asarray(z, float).tolist()
+    S = 0.0 * P1 + 1.0 * P2 + 0.5 * math.cos(q2)
+    return np.array([P1, P2, math.sin(q1) + P2 * S, -math.cos(q2) - P1 * S])
+
+
+def demo_system(B: Callable[[Array], Array] | None = None) -> PlanarSystem:
     """Admissible demo: N = exp(q1), A2 = 1, A1 = 0, unit kinetic matrix,
-    bounded potential, and an arbitrary (default cosine) B."""
+    bounded potential, and an arbitrary (default cosine, with its
+    closed-form flow) B."""
     V = ScalarField(lambda q: np.cos(q[..., 0]) + np.sin(q[..., 1]),
                     grad=lambda q: vector(-np.sin(q[..., 0]), np.cos(q[..., 1])))
     return PlanarSystem(
-        H=lambda q, P: float(0.5 * P @ P + V(q)),
+        H=lambda q, P: 0.5 * np.vecdot(P, P) + V(q),
         dH_dq=lambda q, P: V.gradient(q),
         dH_dP=lambda q, P: np.asarray(P, float),
         A1=lambda q: 0.0,
@@ -208,4 +226,5 @@ def demo_system(B: Callable[[Array], float] | None = None) -> PlanarSystem:
         B=B if B is not None else (lambda q: 0.5 * np.cos(q[..., 1])),
         N=ScalarField(lambda q: np.exp(q[..., 0]),
                       grad=lambda q: vector(np.exp(q[..., 0]), 0.0)),
+        flow=_demo_flow if B is None else None,
     )

@@ -4,6 +4,8 @@ Each test prints one summary line (visible with ``pytest -s`` or in the
 captured output of a failing run) and asserts the corresponding bound.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from nonholo import (
@@ -149,8 +151,8 @@ def test_criterion_09_time_reparametrization():
 def test_criterion_10_planar_module():
     sys = demo_system()
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, horizon=100.0, samples=501)
-    traj = integrate(lambda z: planar_rhs(sys, z), np.array([0.2, -0.3, 0.4, 0.1]),
-                     cfg, integral_fns={"E": energy_fn(sys)})
+    traj = integrate(lambda z: planar_rhs(sys, z), np.array([0.2, -0.3, 0.4, 0.1]), cfg)
+    traj = replace(traj, integrals={"E": energy_fn(sys)(traj.states)})
     criterion(10, "planar energy drift over horizon 100", drift_report(traj)["E"], 1e-8)
 
     body, _ = checks.planar(np.random.default_rng(10).standard_normal((100, 4)))

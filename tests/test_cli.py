@@ -8,6 +8,7 @@ import pytest
 import nonholo.checks as checks
 import nonholo.core as core
 import nonholo.gauge as gauge_mod
+import nonholo.planar as planar_mod
 import nonholo.sphere as sphere
 from nonholo import (
     BallParams,
@@ -63,6 +64,11 @@ class TestSimulate:
                     "--D", "3.0", "--demo"])
         assert code == 3
         assert "z-axis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_fewer_than_two_samples_exits_3(self, workdir, capsys, samples):
+        assert run(["simulate", "--model", "ball", "--demo", "--samples", samples]) == 3
+        assert "samples must be at least 2" in capsys.readouterr().err
 
     def test_missing_initial_condition_exits_2(self, workdir, capsys):
         code = run(["simulate", "--model", "ball"])
@@ -182,6 +188,54 @@ class TestConfigVectors:
         report = json.loads((workdir / "r.json").read_text())
         assert report["initial_state"][:3] == [1.0, 0.0, 0.0]
         assert report["initial_state"][3:] == list(np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
+
+
+class TestConfigScalars:
+    """Every scalar field of a config file is checked like the vectors, and
+    a potential vector needs a potential kind."""
+
+    @pytest.mark.parametrize("entries, field", [
+        ({"D": [1.0]}, "D"),
+        ({"D": True}, "D"),
+        ({"integrator": {"horizon": "x", "samples": 11}}, "integrator.horizon"),
+        ({"integrator": {"horizon": 1.0, "rtol": [1e-10]}}, "integrator.rtol"),
+        ({"integrator": {"horizon": 1.0, "atol": "tight"}}, "integrator.atol"),
+        ({"integrator": {"horizon": 1.0, "samples": "many"}}, "integrator.samples"),
+        ({"integrator": {"horizon": 1.0, "samples": 11.5}}, "integrator.samples"),
+        ({"seed": 3.9}, "seed"),
+        ({"drift_threshold": {"H": 1e-8}}, "drift_threshold"),
+        ({"seed": "seven"}, "seed"),
+    ])
+    def test_malformed_config_scalar_exits_2(self, workdir, capsys, entries, field):
+        (workdir / "cfg.json").write_text(json.dumps({**BALL_CFG, **entries}))
+        assert run(["simulate", "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field} needs ")
+
+    def test_potential_vector_flag_without_kind_exits_2(self, workdir, capsys):
+        assert run(["simulate", "--model", "ball", "--demo", "--U-vec", "0,0,1"]) == 2
+        assert "--U linear | quadratic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, potential", [
+        (["--U", "zero", "--U-vec", "0,0,1"], None),
+        ([], {"r": [0, 0, 1]}),
+        ([], {"kind": "zero", "C": [1, 2, 3]}),
+    ])
+    def test_potential_vector_without_kind_exits_2(self, workdir, capsys, flags, potential):
+        cfg = BALL_CFG if potential is None else {**BALL_CFG, "potential": potential}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", "cfg.json", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "--U linear | quadratic" in err
+
+    def test_zero_flag_overrides_a_config_potential(self, workdir):
+        (workdir / "cfg.json").write_text(json.dumps(
+            {**BALL_CFG, "potential": {"kind": "linear", "r": [0, 0, 1]}}))
+        assert run(["simulate", "--config", "cfg.json", "--U", "zero", "--report", "zero.json"]) == 0
+        (workdir / "plain.json").write_text(json.dumps(BALL_CFG))
+        assert run(["simulate", "--config", "plain.json", "--report", "plain.json"]) == 0
+        assert (json.loads((workdir / "zero.json").read_text())["drifts"]
+                == json.loads((workdir / "plain.json").read_text())["drifts"])
 
 
 class TestCheck:
@@ -323,10 +377,13 @@ class TestStackedSuites:
         (["check", "conformal"], "conformal_residual", 4),
         (["check", "measure"], "measure_residual", 2),
         (["check", "gauge"], "apply_gauge_state", 3),
+        # the stacked probes and the negative control
+        (["check", "planar"], "to_conformal", 2),
     ])
     def test_at_most_one_call_per_model(self, workdir, capsys, monkeypatch, argv, name, models):
         # each name is counted in its home module, where the suites look it up
-        module = {"jacobiator": core, "apply_gauge_state": gauge_mod}.get(name, sphere)
+        module = {"jacobiator": core, "apply_gauge_state": gauge_mod,
+                  "to_conformal": planar_mod}.get(name, sphere)
         calls = []
         original = getattr(module, name)
 
@@ -399,3 +456,10 @@ class TestPlanarDemo:
         assert report["conformal_residual_max"] <= 1e-8
         header = (workdir / "planar_trajectory.csv").read_text().splitlines()[0]
         assert header == "t,q1,q2,P1,P2,E"
+
+    @pytest.mark.parametrize("flags", [["--rtol", "0"], ["--atol", "-1"], ["--horizon", "0"],
+                                       ["--samples", "1"]])
+    def test_bad_integrator_flag_exits_3(self, workdir, capsys, flags):
+        # the flags are read as simulate reads them, with no silent default
+        assert run(["planar-demo", *flags]) == 3
+        assert capsys.readouterr().err.startswith("domain error: ")

@@ -1,5 +1,7 @@
 """Adaptive integration, time rescaling, and drift monitoring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,9 @@ class TestIntegrate:
             IntegratorConfig(rtol=-1.0)
         with pytest.raises(DomainError):
             IntegratorConfig(horizon=0.0)
+        for samples in (0, 1):
+            with pytest.raises(DomainError, match="samples must be at least 2"):
+                IntegratorConfig(samples=samples)
 
 
 class TestReparametrized:
@@ -252,8 +257,8 @@ def test_csv_round_trip(tmp_path):
 def test_planar_csv_reads_back_every_field_exactly(tmp_path):
     sysm = demo_system()
     cfg = IntegratorConfig(horizon=2.0, samples=21)
-    traj = integrate(lambda z: planar_rhs(sysm, z), np.array([0.2, -0.3, 0.4, 0.1]), cfg,
-                     integral_fns={"E": energy_fn(sysm)})
+    traj = integrate(lambda z: planar_rhs(sysm, z), np.array([0.2, -0.3, 0.4, 0.1]), cfg)
+    traj = replace(traj, integrals={"E": energy_fn(sysm)(traj.states)})
     path = tmp_path / "planar.csv"
     trajectory_csv(traj, path, columns=("q1", "q2", "P1", "P2"))
     header, *rows = path.read_text().splitlines()

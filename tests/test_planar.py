@@ -1,5 +1,7 @@
 """Planar systems: Legendre conversion, flow, measure gate, rescaling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,6 @@ class TestConformal:
 def test_energy_drift_over_long_horizon():
     sys = demo_system()
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, horizon=100.0, samples=501)
-    traj = integrate(lambda z: planar_rhs(sys, z), np.array([0.2, -0.3, 0.4, 0.1]),
-                     cfg, integral_fns={"E": energy_fn(sys)})
+    traj = integrate(lambda z: planar_rhs(sys, z), np.array([0.2, -0.3, 0.4, 0.1]), cfg)
+    traj = replace(traj, integrals={"E": energy_fn(sys)(traj.states)})
     assert drift_report(traj)["E"] <= 1e-8

@@ -8,11 +8,15 @@ blocks of ``CHUNK`` states, so it is also compared on a stack longer than
 two blocks.
 """
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nonholo import (
     BallParams,
+    DomainError,
     GFParams,
     GaugeTransform,
     ScalarField,
@@ -43,9 +47,11 @@ from nonholo import (
     veselova_K,
     veselova_system,
 )
-from nonholo.core import CHUNK
+from nonholo.core import CHUNK, lift
 from nonholo.gauge import gauge_state_jacobian
-from nonholo.planar import conformal_bracket, demo_system
+from nonholo.planar import (PlanarLagrangian, conformal_bracket, demo_system, energy_fn, from_lagrangian,
+                            planar_rhs, to_conformal)
+from nonholo.planar import measure_residual as planar_measure_residual
 from nonholo.sphere import DirectS, SphereSystem
 
 from conftest import rand_state, rand_unit
@@ -250,3 +256,67 @@ def test_planar_bracket_stack_matches_points(rng):
     assert P4(Z).shape == (7, 4, 4)
     _same_rows(P4(Z), P4, Z)
     _same_rows(jacobiator(P4, Z), lambda z: jacobiator(P4, z), Z)
+
+
+# ---------------------------------------------------------------------------
+# the planar layer
+# ---------------------------------------------------------------------------
+
+_G0 = np.array([[2.0, 0.3], [0.3, 1.5]])
+# G and b depend on q, so every coefficient of the momentum form is a field
+_LAG = PlanarLagrangian(G=lambda q: _G0 * lift(1.0 + 0.1 * np.sin(q[..., 0] + q[..., 1]), 2),
+                        V=ScalarField(lambda q: np.cos(q[..., 0] * q[..., 1])),
+                        a1=lambda q: 0.3 * q[..., 1], a2=lambda q: -0.1,
+                        b=lambda q: 0.2 * q[..., 0] + 0.1 * q[..., 1] ** 2)
+_N = ScalarField(lambda q: np.exp(0.3 * q[..., 0] - 0.2 * q[..., 1]),
+                 grad=lambda q: lift(np.exp(0.3 * q[..., 0] - 0.2 * q[..., 1])) * np.array([0.3, -0.2]))
+PLANAR = {"demo": demo_system(), "lagrangian": from_lagrangian(_LAG, _N),
+          "lagrangian, usual Chaplygin": from_lagrangian(_LAG, _N, usual_chaplygin=True)}
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR))
+def test_planar_functions_stack_matches_points(name, rng):
+    sysm, Z = PLANAR[name], rng.standard_normal((7, 4))
+    # the Lagrangian systems admit no density: read their residuals ungated
+    gate = 1e-8 if name == "demo" else np.inf
+    E = energy_fn(sysm)
+    assert isinstance(E(Z[0]), float) and E(Z).shape == (7,)
+    _same_rows(E(Z), E, Z)
+    assert planar_rhs(sysm, Z).shape == (7, 4)
+    _same_rows(planar_rhs(sysm, Z), lambda z: planar_rhs(sysm, z), Z)
+    assert planar_measure_residual(sysm, Z[:, :2]).shape == (7, 2)
+    _same_rows(planar_measure_residual(sysm, Z[:, :2]), lambda q: planar_measure_residual(sysm, q), Z[:, :2])
+    p, nb, residual = to_conformal(sysm, Z, gate)
+    assert p.shape == (7, 2) and nb.shape == (7,) and residual.shape == (7,)
+    assert all(isinstance(v, float) for v in to_conformal(sysm, Z[0], gate)[1:])
+    for i, stacked in enumerate((p, nb, residual)):
+        _same_rows(stacked, lambda z: to_conformal(sysm, z, gate)[i], Z)
+
+
+def test_lagrangian_bracket_with_field_coefficients_is_jacobi(rng):
+    # {p1, p2} = N(q) b(q) depends on q only, which keeps the Jacobi identity
+    Z = rng.standard_normal((40, 4))
+    P4 = conformal_bracket(from_lagrangian(_LAG, _N))
+    assert P4(Z).shape == (40, 4, 4)
+    assert np.max(jacobiator(P4, Z)) <= 1e-9
+
+
+def test_planar_measure_gate_names_the_worst_state():
+    # r1 = (1/N) dN/dq1 - A2 = 0.2 q1 grows with |q1|: the third probe is worst
+    sysm = replace(demo_system(), N=ScalarField(lambda q: np.exp(q[..., 0] + 0.1 * q[..., 0] ** 2),
+                                                grad=lambda q: vector(np.exp(q[..., 0] + 0.1 * q[..., 0] ** 2)
+                                                                      * (1.0 + 0.2 * q[..., 0]), 0.0)))
+    Z = np.array([[0.1, 0.0, 0.0, 0.0], [-0.5, 0.3, 0.0, 0.0], [2.0, -1.0, 0.0, 0.0]])
+    with pytest.raises(DomainError, match=re.escape(f"at q = {Z[2, :2]}")):
+        to_conformal(sysm, Z)
+
+
+def test_demo_flow_is_the_reference_rhs_bitwise(rng):
+    sysm = demo_system()
+    Z = 3.0 * rng.standard_normal((500, 4))
+    flows = np.array([sysm.flow(z) for z in Z])
+    assert np.array_equal(flows, np.array([planar_rhs(sysm, z) for z in Z]))
+    assert np.array_equal(flows, planar_rhs(sysm, Z))
+    # any other B integrates through the reference
+    other = demo_system(B=lambda q: 0.3 * np.sin(q[..., 0]))
+    np.testing.assert_array_equal(other.flow(Z[0]), planar_rhs(other, Z[0]))
