@@ -81,6 +81,7 @@ from .sphere import (
     integrals,
     k_from_gf,
     measure_residual,
+    random_states,
     rhs,
     s_value,
 )

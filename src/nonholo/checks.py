@@ -35,20 +35,11 @@ import numpy as np
 from . import core, sphere
 from . import gauge as gauge_mod
 from . import planar as planar_mod
-from .core import DomainError, ScalarField, lift, pack, unpack, vector
+from .core import DomainError, ScalarField, unpack, vector
 from .models import (DEMO_BALL, DEMO_GYROSTAT, DEMO_VESELOVA, BallParams, VeselovaParams, ball_K,
                      ball_system, duality_map, veselova_K, veselova_system)
 
 SUITES = ("conformal", "duality", "gauge", "jacobi", "measure", "planar")
-
-
-def random_states(rng, n):
-    """n states of shape (n, 6), each drawn as a direction (normalised) and
-    then a momentum."""
-    raw = rng.standard_normal((n, 6))
-    g = raw[:, :3]
-    # bitwise the one-vector norm; norm(axis=-1) is not
-    return pack(raw[:, 3:], g / lift(np.sqrt(np.vecdot(g, g))))
 
 
 def _gate(label: str, vals, threshold: float, points) -> tuple[float, bool]:

@@ -36,6 +36,7 @@ from .integrate import IntegratorConfig, drift_report, integrate, integrate_sphe
 from .models import (DEMO_BALL, DEMO_VESELOVA, BallParams, VeselovaParams, ball_M_from_omega,
                      ball_system, linear_potential, quadratic_potential, veselova_M_from_omega,
                      veselova_system)
+from .sphere import random_states
 
 SCHEMA_VERSION = 1
 
@@ -204,13 +205,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     _require_n(args.n)
-    seed = args.seed if args.seed is not None else 0
+    cfg = _load_config(args)
+    seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _integer)
     rng = np.random.default_rng(seed)
-    states = checks.random_states(rng, args.n)
+    states = random_states(rng, args.n)
     if args.suite == "jacobi" and args.negative_control:
         body, ok = checks.negative_control(states)
     elif args.suite == "jacobi":
-        body, ok = checks.jacobi(states, _model(args, _load_config(args))[1])
+        body, ok = checks.jacobi(states, _model(args, cfg)[1])
     elif args.suite == "duality":
         body, ok = checks.duality(states, args.D if args.D is not None else 1.0)
     elif args.suite == "planar":
@@ -236,7 +238,7 @@ def cmd_reduce(args) -> int:
     else:
         sysm = _model(args, cfg)[1]
         params, label = gauge_mod.GFParams(g=sysm.s_spec.g, f=sysm.s_spec.f), sysm.name
-    seed = args.seed if args.seed is not None else 0
+    seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _integer)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = gauge_mod.reduction_report(params, L=args.L, n_states=args.n, seed=seed)

@@ -45,7 +45,6 @@ class Tolerances:
 
     unit_gamma: float = 1e-9      # |gamma^2 - 1| accepted for on-sphere states
     fd_step: float = 1e-5         # base finite-difference step, scaled by |x|
-    gradient_check: float = 1e-6  # analytic vs finite-difference agreement
     measure_gate: float = 1e-8    # admissibility gate for conformal forms
     zero_level: float = 1e-12     # |(M, gamma)| accepted as the zero level
 
@@ -109,8 +108,7 @@ def _steps(x: Array, step: float | None) -> Array:
         * np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
 
 
-def fd_gradient(fn: Callable[[Array], Array], point, step: float | None = None,
-                richardson: bool = True) -> Array:
+def fd_gradient(fn: Callable[[Array], Array], point, step: float | None = None) -> Array:
     """Central-difference gradient of a scalar function over the last axis.
 
     ``point`` is one point of shape (n,) or a stack of shape (..., n), and
@@ -123,9 +121,7 @@ def fd_gradient(fn: Callable[[Array], Array], point, step: float | None = None,
     h = _steps(x, step)
     if np.any(h <= 0.0):
         raise DomainError("finite-difference step must be positive")
-    d = _stencil(fn, x, h)
-    if richardson:
-        d = (4.0 * _stencil(fn, x, h / 2.0) - d) / 3.0
+    d = (4.0 * _stencil(fn, x, h / 2.0) - _stencil(fn, x, h)) / 3.0
     if not np.all(np.isfinite(d)):
         raise DomainError(f"non-finite field value near {x}")
     return d
@@ -168,7 +164,7 @@ def fd_curl(fn: Callable[[Array], Array], point, step: float | None = None,
 CHUNK = 32
 
 
-def jacobiator(P: Callable[[Array], Array], x, step: float | None = None):
+def jacobiator(P: Callable[[Array], Array], x):
     """Largest component of the Jacobi-identity obstruction of a bivector
     field, one value per state.
 
@@ -184,16 +180,16 @@ def jacobiator(P: Callable[[Array], Array], x, step: float | None = None):
     """
     x = np.asarray(x, float)
     flat = x.reshape(-1, x.shape[-1])
-    vals = np.concatenate([_jacobi_block(P, flat[k:k + CHUNK], step)
+    vals = np.concatenate([_jacobi_block(P, flat[k:k + CHUNK])
                            for k in range(0, flat.shape[0], CHUNK)])
     return point_values(vals.reshape(x.shape[:-1]), x)
 
 
-def _jacobi_block(P, x: Array, step: float | None) -> Array:
+def _jacobi_block(P, x: Array) -> Array:
     """The jacobiator of states of shape (b, n), shape (b,)."""
     b, n = x.shape
     # sqrt of vecdot is bitwise the one-point norm; norm(axis=-1) is not
-    h = (TOLS.fd_step if step is None else step) * np.maximum(1.0, np.sqrt(np.vecdot(x, x)))
+    h = TOLS.fd_step * np.maximum(1.0, np.sqrt(np.vecdot(x, x)))
     E = h[:, None, None] * np.eye(n)
     X = np.concatenate([x[:, None], x[:, None] + E, x[:, None] - E], axis=1)
     PX = np.broadcast_to(np.asarray(P(X), float), (b, 2 * n + 1, n, n))
@@ -266,10 +262,10 @@ class ScalarField:
         x = np.asarray(point, float)
         return point_values(self.fn(x), x)
 
-    def gradient(self, point, step: float | None = None) -> Array:
+    def gradient(self, point) -> Array:
         x = np.asarray(point, float)
         if self.grad is None:
-            return fd_gradient(self, x, step)
+            return fd_gradient(self, x)
         return _fit(self.grad(x), x.shape)
 
     @staticmethod
@@ -311,11 +307,11 @@ class VectorField3:
         x = np.asarray(point, float)
         return _fit(self.fn(x), x.shape)
 
-    def curl_at(self, point, step: float | None = None, richardson: bool = False) -> Array:
+    def curl_at(self, point) -> Array:
         x = np.asarray(point, float)
         if self.curl is not None:
             return _fit(self.curl(x), x.shape)
-        return fd_curl(self, x, step, richardson)
+        return fd_curl(self, x)
 
     @staticmethod
     def zero() -> "VectorField3":

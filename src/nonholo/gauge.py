@@ -39,8 +39,8 @@ from .core import (
     require_unit_gamma,
     unpack,
 )
-from .sphere import bivector_field, e3_bivector
-from .spherical import CurlSolution, solve_curl_equation
+from .sphere import bivector_field, e3_bivector, random_states
+from .spherical import VERIFY_STRIDE, CurlSolution, make_grid, solve_curl_equation
 
 Array = np.ndarray
 
@@ -88,11 +88,11 @@ def _fiber_map(a, c: float, h: Array, M: Array, gamma: Array) -> Array:
     return lift(a) * m_perp + c * m_par + np.cross(m_par, h)
 
 
-def apply_gauge_state(t: GaugeTransform, x, tol: float = TOLS.unit_gamma) -> Array:
+def apply_gauge_state(t: GaugeTransform, x) -> Array:
     """Image of states of shape (..., 6); preserves gamma and scales
     (M, gamma) by c."""
     M, gamma = unpack(x)
-    require_unit_gamma(gamma, tol)
+    require_unit_gamma(gamma)
     return pack(_fiber_map(t.alpha(gamma), t.c, t.h(gamma), M, gamma), gamma)
 
 
@@ -166,13 +166,13 @@ def gf_bivector(p: GFParams):
 # zero-level reduction
 # ---------------------------------------------------------------------------
 
-def zero_level_reduce(g: ScalarField, x, tol: float = TOLS.zero_level) -> Array:
+def zero_level_reduce(g: ScalarField, x) -> Array:
     """On (M, gamma) = 0 the rescaling M -> M / g(gamma) already lands on the
     e(3) bracket; this returns the rescaled state."""
     M, gamma = unpack(x)
     require_unit_gamma(gamma)
     level = abs(M @ gamma)
-    if level > tol:
+    if level > TOLS.zero_level:
         raise DomainError(f"state is off the zero level: |(M, gamma)| = {level:.3e}")
     return pack(M / g(gamma), gamma)
 
@@ -215,7 +215,7 @@ def reduce_to_e3(p: GFParams, L: int = 32) -> tuple[GaugeTransform, CurlSolution
 
 
 def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
-                     seed: int = 0, probe_stride: int = 4) -> dict:
+                     seed: int = 0) -> dict:
     """End-to-end diagnostics of the reduction, as plain floats.
 
     Reports the curl-equation residual, the sup deviation of the pushed
@@ -223,19 +223,14 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     mismatch between the pushed-forward bivector and the e(3) bivector at
     seeded random unit-gamma states.  Each probe set is one array call.
     """
-    from .spherical import make_grid
-
     gauge, sol = reduce_to_e3(p, L=L)
     pushed = pushforward_params(gauge, p)
 
-    grid_pts = make_grid(L).points()[::probe_stride, ::probe_stride].reshape(-1, 3)
+    grid_pts = make_grid(L).points()[::VERIFY_STRIDE, ::VERIFY_STRIDE].reshape(-1, 3)
     g_dev = np.max(np.abs(pushed.g(grid_pts) - 1.0))
     f_dev = np.max(np.abs(pushed.f(grid_pts)))
 
-    # the same draws as one state at a time: gamma, then M
-    z = np.random.default_rng(seed).standard_normal((n_states, 6))
-    gamma = z[:, :3] / lift(np.sqrt(np.vecdot(z[:, :3], z[:, :3])))
-    X = pack(z[:, 3:], gamma)
+    X = random_states(np.random.default_rng(seed), n_states)
     left = pushforward_bivector(gauge, gf_bivector(p), X)
     right = e3_bivector(apply_gauge_state(gauge, X))
     bracket_dev = np.max(np.abs(left - right), initial=0.0)

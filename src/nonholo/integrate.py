@@ -1,9 +1,11 @@
 """Trajectory generation and invariant-drift monitoring.
 
-Integration uses the adaptive Dormand-Prince 5(4) pair (scipy's RK45) with
-samples taken from the solver's dense output.  No projection or
-renormalization is applied to gamma; the drift of the known first integrals
-is the advertised measure of integration quality.
+Each run is one adaptive Dormand-Prince 5(4) solve (scipy's RK45, in
+``_solve``): the direct run steps to the horizon, the rescaled run steps
+open-ended in tau until its clock event t = horizon, and both sample the
+dense output at ``samples`` uniform times.  No projection or renormalization
+is applied to gamma; the drift of the known first integrals is the
+advertised measure of integration quality.
 
 Both runs step through the system's ``flow`` (a closed-form kernel for the
 model systems, the reference ``sphere.rhs`` otherwise).  The time-rescaled
@@ -32,6 +34,8 @@ Array = np.ndarray
 # how far, in ulps of the horizon, the clock at the terminal event of a
 # rescaled run may miss the horizon and still count as round-off
 _CLOCK_ULPS = 64
+# the smallest conformal factor g a rescaled run accepts: rho = 1/g <= 1e10
+_G_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,19 @@ class Trajectory:
             raise DomainError("sample times must be strictly increasing")
 
 
+def _solve(fn: Callable[[Array], Array], z0: Array, cfg: IntegratorConfig, t_end: float,
+           event: Callable[[float, Array], float] | None = None):
+    """The one adaptive solve: step dz/dt = fn(z) from t = 0 until ``t_end``
+    or a terminal ``event``, keeping the dense output for sampling."""
+    sol = solve_ivp(lambda t, z: fn(z), (0.0, t_end), z0, method="RK45",
+                    rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
+                    dense_output=True, events=event)
+    if not sol.success:
+        raise StiffnessError(f"integration stalled: {sol.message}",
+                             last_t=float(sol.t[-1]), last_state=sol.y[:, -1])
+    return sol
+
+
 def integrate(fn: Callable[[Array], Array], state0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate dx/dt = fn(x) over [0, horizon] with dense sampling.
 
@@ -73,15 +90,9 @@ def integrate(fn: Callable[[Array], Array], state0, cfg: IntegratorConfig) -> Tr
     x0 = np.asarray(state0, float)
     if not np.all(np.isfinite(x0)):
         raise DomainError("initial state is not finite")
-    t_eval = np.linspace(0.0, cfg.horizon, cfg.samples)
-    sol = solve_ivp(lambda t, y: fn(y), (0.0, cfg.horizon), x0, method="RK45",
-                    rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
-                    t_eval=t_eval)
-    if not sol.success:
-        raise StiffnessError(f"integration stalled: {sol.message}",
-                             last_t=float(sol.t[-1]) if sol.t.size else 0.0,
-                             last_state=sol.y[:, -1] if sol.t.size else x0)
-    return Trajectory(t=sol.t, states=sol.y.T, integrals={}, nfev=int(sol.nfev))
+    sol = _solve(fn, x0, cfg, cfg.horizon)
+    t = np.linspace(0.0, cfg.horizon, cfg.samples)
+    return Trajectory(t=t, states=sol.sol(t).T, integrals={}, nfev=int(sol.nfev))
 
 
 def integrate_sphere(sys: SphereSystem, state0, cfg: IntegratorConfig) -> Trajectory:
@@ -92,72 +103,44 @@ def integrate_sphere(sys: SphereSystem, state0, cfg: IntegratorConfig) -> Trajec
     return replace(traj, integrals={"H": v.F3, "F1": v.F1, "F2": v.F2, **v.extras})
 
 
-def integrate_reparametrized(sys: SphereSystem, state0, cfg: IntegratorConfig,
-                             g_floor: float = 1e-10) -> tuple[Trajectory, Array]:
+def integrate_reparametrized(sys: SphereSystem, state0,
+                             cfg: IntegratorConfig) -> tuple[Trajectory, Array]:
     """Integrate in the rescaled time tau until the physical clock reaches
-    the horizon.  Returns the tau-trajectory (states only, sampled in tau)
-    and the physical times t(tau) of the samples.
+    the horizon.  Returns the tau-trajectory (states only, ``samples``
+    uniform taus over the run) and the physical times t(tau) of the samples.
 
     The time map is obtained by co-integrating t as a seventh state
-    component, so it inherits the solver's error control.
+    component, so it inherits the solver's error control.  rho > 0 is
+    bounded below on the sphere, so the clock event comes at a finite tau.
     """
     spec = sys.s_spec
     if not isinstance(spec, ReducedS):
         raise DomainError("time rescaling needs a reduced S-spec (rho = 1/g)")
-    x0 = np.asarray(state0, float)
 
-    def rho_of(gamma):
-        g = spec.g(gamma)
-        if g <= g_floor:
-            raise DomainError(f"conformal factor hit g = {g:.3e} <= {g_floor:.1e}")
-        return 1.0 / g
-
-    def z_rhs(t, z):
-        r = rho_of(z[3:-1])
+    def z_rhs(z):
+        g = spec.g(z[3:-1])
+        if g <= _G_FLOOR:
+            raise DomainError(f"conformal factor hit g = {g:.3e} <= {_G_FLOOR:.1e}")
+        r = 1.0 / g
         dz = np.empty_like(z)
         np.multiply(sys.flow(z[:-1]), r, out=dz[:-1])
         dz[-1] = r
         return dz
 
-    def reached(t, z):
+    def reached(tau, z):
         return z[-1] - cfg.horizon
     reached.terminal = True
     reached.direction = 1.0
 
-    # rho > 0 is bounded on the sphere, so the horizon in tau is finite.
-    # Budgets of tau estimated from the initial multiplier, with a generous
-    # margin, are integrated one after another, each continuing from the
-    # last state of the one before, until the physical clock reaches it.
-    tau_max = 4.0 * cfg.horizon / rho_of(x0[3:]) + 1.0
-    n_eval = max(4 * cfg.samples, 8)
-    tau0, z0 = 0.0, np.append(x0, 0.0)
-    taus, zs, nfev = [], [], 0
-    while True:
-        tau_eval = np.linspace(tau0, tau0 + tau_max, n_eval)
-        sol = solve_ivp(z_rhs, (tau0, tau0 + tau_max), z0, method="RK45",
-                        rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
-                        t_eval=tau_eval, events=reached)
-        if not sol.success:
-            raise StiffnessError(f"rescaled integration stalled: {sol.message}")
-        nfev += sol.nfev
-        # each budget after the first repeats the last sample of the one before
-        skip = 1 if taus else 0
-        taus.append(sol.t[skip:])
-        zs.append(sol.y[:, skip:])
-        if sol.status == 1:
-            break
-        tau0, z0 = sol.t[-1], sol.y[:, -1]
-    tau, z = np.concatenate(taus), np.concatenate(zs, axis=1)
-    keep = z[-1] < cfg.horizon
-    tau = np.append(tau[keep], sol.t_events[0][0])
-    z = np.concatenate([z[:, keep], sol.y_events[0].T], axis=1)
+    sol = _solve(z_rhs, np.append(np.asarray(state0, float), 0.0), cfg, np.inf, reached)
+    tau = np.linspace(0.0, sol.t[-1], cfg.samples)
+    z = sol.sol(tau)
     # The terminal event puts the clock at the horizon up to the root
     # finder's round-off, which can leave it a few ulps short; record the
     # horizon exactly, so that a query at the horizon stays inside the run.
     if abs(z[-1, -1] - cfg.horizon) <= _CLOCK_ULPS * np.spacing(cfg.horizon):
         z[-1, -1] = cfg.horizon
-    traj = Trajectory(t=tau, states=z[:-1].T, integrals={}, nfev=int(nfev))
-    return traj, z[-1]
+    return Trajectory(t=tau, states=z[:-1].T, integrals={}, nfev=int(sol.nfev)), z[-1]
 
 
 def map_to_physical_time(traj_tau: Trajectory, t_phys: Array, t_query: Array) -> Array:

@@ -57,6 +57,15 @@ from .core import (
 Array = np.ndarray
 
 
+def random_states(rng, n):
+    """n states of shape (n, 6), each drawn as a direction (normalised) and
+    then a momentum."""
+    raw = rng.standard_normal((n, 6))
+    g = raw[:, :3]
+    # bitwise the one-vector norm; norm(axis=-1) is not
+    return pack(raw[:, 3:], g / lift(np.sqrt(np.vecdot(g, g))))
+
+
 # ---------------------------------------------------------------------------
 # S-function specifications
 # ---------------------------------------------------------------------------
@@ -267,13 +276,13 @@ def conformal_residual(sys: SphereSystem, x):
     return point_values(np.max(np.abs(rhs(sys, x) - bracket), axis=-1), x)
 
 
-def gradient_consistency(sys: SphereSystem, x, step: float | None = None) -> float:
+def gradient_consistency(sys: SphereSystem, x) -> float:
     """Worst deviation of the analytic H-gradients from central differences."""
     from .core import fd_gradient
 
     M, gamma = unpack(x)
-    gm = fd_gradient(lambda m: sys.hamiltonian(m, gamma), M, step)
-    gg = fd_gradient(lambda g: sys.hamiltonian(M, g), gamma, step)
+    gm = fd_gradient(lambda m: sys.hamiltonian(m, gamma), M)
+    gg = fd_gradient(lambda g: sys.hamiltonian(M, g), gamma)
     err_m = np.max(np.abs(gm - sys.dH_dM(M, gamma)))
     err_g = np.max(np.abs(gg - sys.dH_dgamma(M, gamma)))
     return float(max(err_m, err_g))

@@ -41,6 +41,11 @@ from .core import CHUNK, DomainError, ScalarField, VectorField3, fd_curl
 Array = np.ndarray
 
 FOUR_PI = 4.0 * np.pi
+# the curl-equation residual above which a solve warns, and the stride of the
+# subsampled (theta, phi) grid on which the residual and the pushed
+# parameters are verified
+RESIDUAL_TOL = 1e-6
+VERIFY_STRIDE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +289,7 @@ def _rotated_gradient(psi: SphereSpectralField) -> VectorField3:
     return VectorField3(fn)
 
 
-def solve_curl_equation(F, L: int = 32, residual_tol: float = 1e-6,
-                        verify_stride: int = 4) -> CurlSolution:
+def solve_curl_equation(F, L: int = 32) -> CurlSolution:
     """Find c and a tangent field h with (gamma, curl h) = F(gamma) + c.
 
     The constant is forced by solvability: c = -mean(F) over the sphere,
@@ -306,12 +310,12 @@ def solve_curl_equation(F, L: int = 32, residual_tol: float = 1e-6,
     else:
         h = _rotated_gradient(psi)
 
-    pts = make_grid(L).points()[::verify_stride, ::verify_stride].reshape(-1, 3)
+    pts = make_grid(L).points()[::VERIFY_STRIDE, ::VERIFY_STRIDE].reshape(-1, 3)
     lhs = np.einsum("ni,ni->n", pts, fd_curl(h, pts, step=1e-4, richardson=True))
     residual = float(np.max(np.abs(lhs - F(pts) - c)))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         warnings.warn(
-            f"curl-equation residual {residual:.3e} exceeds {residual_tol:.1e}; "
+            f"curl-equation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
             f"consider raising the band limit to L={2 * L}",
             stacklevel=2,
         )

@@ -25,6 +25,7 @@ from nonholo import (
     integrate_sphere,
     map_to_physical_time,
     pack,
+    random_states,
     reduction_report,
     solve_curl_equation,
     sphere_quadrature,
@@ -63,7 +64,7 @@ def test_criterion_01_conservation_suite():
 
 
 def test_criterion_02_jacobi_identity():
-    states = checks.random_states(np.random.default_rng(2), 3000)
+    states = random_states(np.random.default_rng(2), 3000)
     worst = max(checks.jacobi(states[:1000], ball_system(BALL))[0]["max"],
                 checks.jacobi(states[1000:2000], veselova_system(VES))[0]["max"])
     criterion(2, "bracket jacobiator for both models", worst, 1e-6)
@@ -77,20 +78,20 @@ def test_criterion_02_jacobi_identity():
 
 
 def test_criterion_03_invariant_measure():
-    body, _ = checks.measure(checks.random_states(np.random.default_rng(3), 1000))
+    body, _ = checks.measure(random_states(np.random.default_rng(3), 1000))
     assert set(body["max_by_model"]) == {"ball", "veselova"}
     criterion(3, "invariant-measure residual", body["max"], 1e-10)
 
 
 def test_criterion_04_conformal_hamiltonicity():
-    body, _ = checks.conformal(checks.random_states(np.random.default_rng(4), 1000))
+    body, _ = checks.conformal(random_states(np.random.default_rng(4), 1000))
     assert len(body["max_by_model"]) == 4
     criterion(4, "flow equals (1/g) P grad H for all four models", body["max"], 1e-10)
 
 
 def test_criterion_05_gauge_group():
     # the parameter action runs on the finite-difference tier
-    body, _ = checks.gauge(checks.random_states(np.random.default_rng(5), 200))
+    body, _ = checks.gauge(random_states(np.random.default_rng(5), 200))
     criterion(5, "composition law at state level", body["composition_state_max"], 1e-12)
     criterion(5, "parameter action property (FD derivatives)", body["action_property_max"], 1e-8)
 
@@ -102,7 +103,7 @@ def test_criterion_06_reduction_pipeline():
     criterion(6, "curl-equation residual at L=32", rep["residual"], 1e-6)
 
     # analytic cross-check of the curl target for the ball
-    G = checks.random_states(np.random.default_rng(6), 200)[:, 3:]
+    G = random_states(np.random.default_rng(6), 200)[:, 3:]
     u = 1.0 - np.vecdot(G, np.asarray(BALL.A) * G)
     f_err = np.max(np.abs(curl_target_F(params)(G) + u ** -1.5))
     criterion(6, "curl target matches the closed form", f_err, 1e-10)
@@ -114,7 +115,7 @@ def test_criterion_06_reduction_pipeline():
 
 
 def test_criterion_07_duality():
-    body, _ = checks.duality(checks.random_states(np.random.default_rng(7), 1000), D=1.0)
+    body, _ = checks.duality(random_states(np.random.default_rng(7), 1000), D=1.0)
     criterion(7, "dual Hamiltonian identity", body["hamiltonian_identity_max"], 1e-12)
     criterion(7, "dual measure-factor relation", body["g_relation_max"], 1e-12)
 

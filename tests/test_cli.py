@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-import nonholo.checks as checks
 import nonholo.core as core
 import nonholo.gauge as gauge_mod
 import nonholo.planar as planar_mod
@@ -238,6 +237,26 @@ class TestConfigScalars:
                 == json.loads((workdir / "plain.json").read_text())["drifts"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "jacobi", "-n", "5"],
+    ["check", "planar", "-n", "5"],
+    ["reduce", "--L", "8", "-n", "5"],
+])
+def test_config_seed_is_read_and_flag_overrides_it(workdir, capsys, argv):
+    (workdir / "r.json").write_text(json.dumps({"model": "ball", "seed": 5}))
+
+    def report(*flags):
+        code = run([*argv, *flags])
+        return code, capsys.readouterr().out
+
+    from_config = report("--config", "r.json")
+    assert json.loads(from_config[1])["seed"] == 5
+    assert from_config == report("--model", "ball", "--seed", "5")
+    overridden = report("--config", "r.json", "--seed", "7")
+    assert json.loads(overridden[1])["seed"] == 7
+    assert overridden == report("--model", "ball", "--seed", "7")
+
+
 class TestCheck:
     def test_jacobi(self, workdir, capsys):
         assert run(["check", "jacobi", "--model", "ball", "-n", "50"]) == 0
@@ -409,7 +428,7 @@ class TestStackedSuites:
         captured = capsys.readouterr()
         out = json.loads(captured.out)
         assert out["max"] == 0.25 and out["pass"] is False
-        state = checks.random_states(np.random.default_rng(3), 50)[17]
+        state = sphere.random_states(np.random.default_rng(3), 50)[17]
         assert captured.err == ("jacobi ball: worst value 2.500000e-01 > 1e-06 at state 17: ("
                                 + ", ".join(f"{v:.17g}" for v in state) + ")\n")
 

@@ -1,5 +1,6 @@
 """Adaptive integration, time rescaling, and drift monitoring."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -28,8 +29,8 @@ from nonholo.planar import demo_system, energy_fn, planar_rhs
 
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 X0 = pack([0.3, -0.2, 0.5], np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
-# g grows along this orbit far beyond its initial value, so a long run
-# outlasts the tau budget estimated from the initial multiplier
+# g grows along this orbit far beyond its initial value, so the tau at which
+# a long run's clock reaches the horizon is far from horizon * g(x0)
 FAST_BALL = BallParams(A=(0.2, 0.4, 0.6), D=1.66)
 FAST_X0 = pack([3.0, 0.0, 0.0], [0.0, 0.0, 1.0])
 # 1/D - A_3 = 0.01: g = sqrt(1/D - (gamma, A gamma)) nearly vanishes near +-e3
@@ -179,6 +180,16 @@ class TestReparametrized:
         assert np.all(np.diff(t_phys) > 0.0)
         F1 = np.sum(traj.states[:, 3:] ** 2, axis=1)
         assert np.max(np.abs(F1 - F1[0])) <= 1e-8
+
+    def test_one_solve_per_run(self, monkeypatch):
+        module = sys.modules["nonholo.integrate"]
+        solve, calls = module.solve_ivp, []
+        monkeypatch.setattr(module, "solve_ivp",
+                            lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
+        traj, t_phys = integrate_reparametrized(ball_system(FAST_BALL), FAST_X0,
+                                                IntegratorConfig(horizon=50.0))
+        assert len(calls) == 1
+        assert t_phys[-1] == 50.0 and traj.t.shape == (1001,)
 
     @pytest.mark.parametrize("A, horizon, samples", [
         ((0.4, 0.5, 0.6), 3.5, 51),
