@@ -9,7 +9,6 @@ Usage: python scripts/reduction_demo.py [L ...]
 
 import json
 import sys
-import warnings
 
 from nonholo import BallParams, GFParams, ball_system, reduction_report
 
@@ -19,7 +18,4 @@ spec = ball_system(BallParams(A=(0.4, 0.5, 0.6), D=1.0)).s_spec
 params = GFParams(g=spec.g, f=spec.f)
 
 for L in limits:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = reduction_report(params, L=L, n_states=50, seed=0)
-    print(json.dumps(rep, sort_keys=True))
+    print(json.dumps(reduction_report(params, L=L, n_states=50, seed=0), sort_keys=True))

@@ -14,8 +14,6 @@ from .core import (
     ScalarField,
     StiffnessError,
     ToleranceFailure,
-    Tolerances,
-    TOLS,
     VectorField3,
     fd_curl,
     fd_gradient,

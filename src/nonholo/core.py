@@ -39,17 +39,11 @@ class StiffnessError(RuntimeError):
         self.last_state = last_state
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central record of the package-wide numerical tolerances."""
-
-    unit_gamma: float = 1e-9      # |gamma^2 - 1| accepted for on-sphere states
-    fd_step: float = 1e-5         # base finite-difference step, scaled by |x|
-    measure_gate: float = 1e-8    # admissibility gate for conformal forms
-    zero_level: float = 1e-12     # |(M, gamma)| accepted as the zero level
-
-
-TOLS = Tolerances()
+# the package-wide numerical tolerances
+UNIT_GAMMA = 1e-9      # |gamma^2 - 1| accepted for on-sphere states
+FD_STEP = 1e-5         # base finite-difference step, scaled by |x|
+MEASURE_GATE = 1e-8    # admissibility gate for conformal forms
+ZERO_LEVEL = 1e-12     # |(M, gamma)| accepted as the zero level
 
 
 def pack(M, gamma) -> Array:
@@ -62,9 +56,9 @@ def unpack(x) -> tuple[Array, Array]:
     return x[..., :3], x[..., 3:]
 
 
-def require_unit_gamma(gamma: Array, tol: float = TOLS.unit_gamma) -> None:
+def require_unit_gamma(gamma: Array) -> None:
     err = np.max(np.abs(np.vecdot(gamma, gamma) - 1.0))
-    if err > tol:
+    if err > UNIT_GAMMA:
         raise DomainError(f"gamma is off the unit sphere: |gamma^2 - 1| = {err:.3e}")
 
 
@@ -103,24 +97,22 @@ def _stencil(fn, x: Array, h: Array) -> Array:
     return D / (2.0 * h.reshape(h.shape + (1,) * (D.ndim - x.ndim)))
 
 
-def _steps(x: Array, step: float | None) -> Array:
-    return (TOLS.fd_step if step is None else step) \
+def _steps(x: Array, step: float | None = None) -> Array:
+    return (FD_STEP if step is None else step) \
         * np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
 
 
-def fd_gradient(fn: Callable[[Array], Array], point, step: float | None = None) -> Array:
+def fd_gradient(fn: Callable[[Array], Array], point) -> Array:
     """Central-difference gradient of a scalar function over the last axis.
 
     ``point`` is one point of shape (n,) or a stack of shape (..., n), and
     ``fn`` maps a stack of points to the stack of its values, shape (...).
-    One level of Richardson extrapolation brings the truncation error to
-    O(step^4), which keeps polynomial fields of degree <= 3 exact up to
-    round-off.
+    The step is FD_STEP times the point's norm (at least 1).  One level of
+    Richardson extrapolation brings the truncation error to O(step^4), which
+    keeps polynomial fields of degree <= 3 exact up to round-off.
     """
     x = np.asarray(point, float)
-    h = _steps(x, step)
-    if np.any(h <= 0.0):
-        raise DomainError("finite-difference step must be positive")
+    h = _steps(x)
     d = (4.0 * _stencil(fn, x, h / 2.0) - _stencil(fn, x, h)) / 3.0
     if not np.all(np.isfinite(d)):
         raise DomainError(f"non-finite field value near {x}")
@@ -189,7 +181,7 @@ def _jacobi_block(P, x: Array) -> Array:
     """The jacobiator of states of shape (b, n), shape (b,)."""
     b, n = x.shape
     # sqrt of vecdot is bitwise the one-point norm; norm(axis=-1) is not
-    h = TOLS.fd_step * np.maximum(1.0, np.sqrt(np.vecdot(x, x)))
+    h = FD_STEP * np.maximum(1.0, np.sqrt(np.vecdot(x, x)))
     E = h[:, None, None] * np.eye(n)
     X = np.concatenate([x[:, None], x[:, None] + E, x[:, None] - E], axis=1)
     PX = np.broadcast_to(np.asarray(P(X), float), (b, 2 * n + 1, n, n))

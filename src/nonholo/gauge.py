@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ZERO_LEVEL,
     DomainError,
     ScalarField,
-    TOLS,
     VectorField3,
     lift,
     pack,
@@ -40,9 +40,12 @@ from .core import (
     unpack,
 )
 from .sphere import bivector_field, e3_bivector, random_states
-from .spherical import VERIFY_STRIDE, CurlSolution, make_grid, solve_curl_equation
+from .spherical import RESIDUAL_TOL, CurlSolution, solve_curl_equation, verify_points
 
 Array = np.ndarray
+
+BRACKET_TOL = 1e-6      # largest bracket_dev a reduction passes with
+JACOBIAN_STEP = 1e-6    # central step of gauge_state_jacobian's gamma-block
 
 
 @dataclass(frozen=True)
@@ -100,14 +103,14 @@ def _outer(u: Array, v: Array) -> Array:
     return u[..., :, None] * v[..., None, :]
 
 
-def gauge_state_jacobian(t: GaugeTransform, x, step: float = 1e-6) -> Array:
+def gauge_state_jacobian(t: GaugeTransform, x) -> Array:
     """Jacobian of x -> (M~, gamma) at states of shape (..., 6), shape
     (..., 6, 6).  The M-block is analytic; the gamma-block is
     central-differenced on the raw fiber map.  alpha and h are evaluated
     once on the stacked 7-point stencil gamma, gamma + step e_j,
-    gamma - step e_j."""
+    gamma - step e_j, step = JACOBIAN_STEP."""
     M, gamma = unpack(x)
-    E = step * np.eye(3)
+    E = JACOBIAN_STEP * np.eye(3)
     stencil = gamma[..., None, :] + np.concatenate([np.zeros((1, 3)), E, -E])
     a, h = t.alpha(stencil), t.h(stencil)
     mapped = _fiber_map(a[..., 1:], t.c, h[..., 1:, :], M[..., None, :], stencil[..., 1:, :])
@@ -115,7 +118,7 @@ def gauge_state_jacobian(t: GaugeTransform, x, step: float = 1e-6) -> Array:
     gh = np.cross(gamma, h[..., 0, :])
     J = np.zeros(gamma.shape[:-1] + (6, 6))
     J[..., :3, :3] = a0 * np.eye(3) + (t.c - a0) * _outer(gamma, gamma) + _outer(gh, gamma)
-    J[..., :3, 3:] = np.swapaxes((mapped[..., :3, :] - mapped[..., 3:, :]) / (2.0 * step), -1, -2)
+    J[..., :3, 3:] = np.swapaxes((mapped[..., :3, :] - mapped[..., 3:, :]) / (2.0 * JACOBIAN_STEP), -1, -2)
     J[..., 3:, 3:] = np.eye(3)
     return J
 
@@ -172,7 +175,7 @@ def zero_level_reduce(g: ScalarField, x) -> Array:
     M, gamma = unpack(x)
     require_unit_gamma(gamma)
     level = abs(M @ gamma)
-    if level > TOLS.zero_level:
+    if level > ZERO_LEVEL:
         raise DomainError(f"state is off the zero level: |(M, gamma)| = {level:.3e}")
     return pack(M / g(gamma), gamma)
 
@@ -222,18 +225,20 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     parameters from (1, 0) on the verification grid, and the worst entrywise
     mismatch between the pushed-forward bivector and the e(3) bivector at
     seeded random unit-gamma states.  Each probe set is one array call.
+    ``pass`` holds iff the residual is at most spherical.RESIDUAL_TOL and
+    the bracket mismatch at most BRACKET_TOL.
     """
     gauge, sol = reduce_to_e3(p, L=L)
     pushed = pushforward_params(gauge, p)
 
-    grid_pts = make_grid(L).points()[::VERIFY_STRIDE, ::VERIFY_STRIDE].reshape(-1, 3)
+    grid_pts = verify_points(L)
     g_dev = np.max(np.abs(pushed.g(grid_pts) - 1.0))
     f_dev = np.max(np.abs(pushed.f(grid_pts)))
 
     X = random_states(np.random.default_rng(seed), n_states)
     left = pushforward_bivector(gauge, gf_bivector(p), X)
     right = e3_bivector(apply_gauge_state(gauge, X))
-    bracket_dev = np.max(np.abs(left - right), initial=0.0)
+    bracket_dev = float(np.max(np.abs(left - right), initial=0.0))
 
     return {
         "L": L,
@@ -241,7 +246,8 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
         "residual": float(sol.residual),
         "g_tilde_dev": float(g_dev),
         "f_tilde_dev": float(f_dev),
-        "bracket_dev": float(bracket_dev),
+        "bracket_dev": bracket_dev,
         "n_states": n_states,
         "seed": seed,
+        "pass": sol.residual <= RESIDUAL_TOL and bracket_dev <= BRACKET_TOL,
     }

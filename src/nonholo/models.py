@@ -210,7 +210,7 @@ def ball_K(p: BallParams) -> VectorField3:
 def ball_M_from_omega(p: BallParams, omega, gamma) -> Array:
     omega = np.asarray(omega, float)
     gamma = np.asarray(gamma, float)
-    return omega / p.A - p.D * (omega @ gamma) * gamma
+    return omega / p.A - p.D * lift(np.vecdot(omega, gamma)) * gamma
 
 
 def ball_omega_from_M(p: BallParams, M, gamma) -> Array:
@@ -311,8 +311,8 @@ def veselova_K(p: VeselovaParams) -> VectorField3:
 def veselova_M_from_omega(p: VeselovaParams, omega, gamma) -> Array:
     omega = np.asarray(omega, float)
     gamma = np.asarray(gamma, float)
-    lam = (omega / p.Ahat - omega + p.k) @ gamma
-    return omega / p.Ahat - lam * gamma
+    lam = np.vecdot(omega / p.Ahat - omega + p.k, gamma)
+    return omega / p.Ahat - lift(lam) * gamma
 
 
 def veselova_omega_from_M(p: VeselovaParams, M, gamma) -> Array:
@@ -333,7 +333,7 @@ def veselova_initial_state(p: VeselovaParams, gamma, omega_tangent) -> Array:
     gamma = np.asarray(gamma, float)
     require_unit_gamma(gamma)
     w = np.asarray(omega_tangent, float)
-    omega = w - (w @ gamma) * gamma + p.b * gamma
+    omega = w - lift(np.vecdot(w, gamma)) * gamma + p.b * gamma
     return pack(veselova_M_from_omega(p, omega, gamma), gamma)
 
 

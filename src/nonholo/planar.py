@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DomainError, ScalarField, TOLS, fd_gradient, lift, point_values, vector
+from .core import MEASURE_GATE, DomainError, ScalarField, fd_gradient, lift, point_values, vector
 
 Array = np.ndarray
 
@@ -177,7 +177,7 @@ def _conformal_residual(sys: PlanarSystem, state) -> Array:
 
 
 def to_conformal(sys: PlanarSystem, state,
-                 gate: float = TOLS.measure_gate) -> tuple[Array, Array, Array]:
+                 gate: float = MEASURE_GATE) -> tuple[Array, Array, Array]:
     """Rescaled momenta, the {p1, p2} bracket entry, and the representation
     residual at states of shape (..., 4).
 

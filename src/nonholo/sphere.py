@@ -257,11 +257,7 @@ def assemble_P(sys: SphereSystem, x) -> Array:
     spec = sys.s_spec
     if not isinstance(spec, ReducedS):
         raise ConfigError("bracket assembly needs a reduced S-spec (g, f, Phi)")
-    M, gamma = unpack(x)
-    gv = spec.g(gamma)
-    if any_point(gv <= 0.0):
-        raise DomainError(f"g(gamma) = {np.min(gv):.3e} is not positive")
-    return _pgf_matrix(M, gamma, gv, s_value(sys, x), sys.k)
+    return bivector_field(spec.g, f=spec.f, phi=spec.phi, k=sys.k)(x)
 
 
 def conformal_residual(sys: SphereSystem, x):

@@ -30,7 +30,6 @@ h(x) = x x grad psi~ and curl h = x Lap psi~ - grad psi~, so on |x| = 1
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,8 +40,9 @@ from .core import CHUNK, DomainError, ScalarField, VectorField3, fd_curl
 Array = np.ndarray
 
 FOUR_PI = 4.0 * np.pi
-# the curl-equation residual above which a solve warns, and the stride of the
-# subsampled (theta, phi) grid on which the residual and the pushed
+# the largest curl-equation residual a reduction passes with (read by
+# gauge.reduction_report, never raised to make a run pass), and the stride
+# of the subsampled (theta, phi) grid on which the residual and the pushed
 # parameters are verified
 RESIDUAL_TOL = 1e-6
 VERIFY_STRIDE = 4
@@ -88,6 +88,12 @@ def make_grid(L: int) -> SphereGrid:
     x, w = np.polynomial.legendre.leggauss(ntheta)
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     return SphereGrid(L, x, w, phi)
+
+
+def verify_points(L: int) -> Array:
+    """The verification grid: every VERIFY_STRIDE-th ring and longitude of
+    the L grid, as unit vectors of shape (n, 3)."""
+    return make_grid(L).points()[::VERIFY_STRIDE, ::VERIFY_STRIDE].reshape(-1, 3)
 
 
 def _grid_values(field, grid: SphereGrid) -> Array:
@@ -274,7 +280,6 @@ class CurlSolution:
     h: VectorField3
     residual: float
     psi: SphereSpectralField
-    L: int
 
 
 def _rotated_gradient(psi: SphereSpectralField) -> VectorField3:
@@ -295,7 +300,8 @@ def solve_curl_equation(F, L: int = 32) -> CurlSolution:
     The constant is forced by solvability: c = -mean(F) over the sphere,
     read off the degree-zero coefficient of F.  The reported residual is
     measured independently of the spectral route, with a finite-difference
-    curl of h on a subsampled grid.
+    curl of h on the verification grid; ``gauge.reduction_report`` holds it
+    against RESIDUAL_TOL.
     """
     if not isinstance(F, ScalarField):
         F = ScalarField(F)
@@ -310,13 +316,7 @@ def solve_curl_equation(F, L: int = 32) -> CurlSolution:
     else:
         h = _rotated_gradient(psi)
 
-    pts = make_grid(L).points()[::VERIFY_STRIDE, ::VERIFY_STRIDE].reshape(-1, 3)
+    pts = verify_points(L)
     lhs = np.einsum("ni,ni->n", pts, fd_curl(h, pts, step=1e-4, richardson=True))
     residual = float(np.max(np.abs(lhs - F(pts) - c)))
-    if residual > RESIDUAL_TOL:
-        warnings.warn(
-            f"curl-equation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
-            f"consider raising the band limit to L={2 * L}",
-            stacklevel=2,
-        )
-    return CurlSolution(c=c, h=h, residual=residual, psi=psi, L=L)
+    return CurlSolution(c=c, h=h, residual=residual, psi=psi)

@@ -35,6 +35,7 @@ from nonholo import (
     veselova_system,
 )
 from nonholo.cli import main
+from nonholo.models import DEMO_BALL
 from nonholo.planar import PlanarSystem, conformal_bracket, demo_system, to_conformal
 
 
@@ -235,6 +236,20 @@ class TestConfigScalars:
         assert run(["simulate", "--config", "plain.json", "--report", "plain.json"]) == 0
         assert (json.loads((workdir / "zero.json").read_text())["drifts"]
                 == json.loads((workdir / "plain.json").read_text())["drifts"])
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check", "measure", "-n", "5", "--config", "nope.json"], None),
+    (["simulate", "--config", "bad.json"], "{bad"),
+    (["check", "jacobi", "-n", "5", "--config", "list.json"], "[1,2]"),
+])
+def test_unreadable_config_exits_2(workdir, capsys, argv, text):
+    # a missing file, malformed JSON and a JSON value that is not an object
+    if text is not None:
+        (workdir / argv[-1]).write_text(text)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --config ") and argv[-1] in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -454,6 +469,16 @@ class TestReduce:
     def test_under_resolved_exits_4(self, workdir, capsys):
         assert run(["reduce", "--model", "ball", "--L", "4", "-n", "5"]) == 4
         assert "--L 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("L", [4, 16])
+    def test_pass_is_the_library_verdict(self, workdir, capsys, L):
+        # the CLI reports the pass of reduction_report and exits on it
+        code = run(["reduce", "--model", "ball", "--L", str(L), "-n", "5"])
+        out = json.loads(capsys.readouterr().out)
+        spec = ball_system(BallParams(**DEMO_BALL)).s_spec
+        rep = gauge_mod.reduction_report(GFParams(g=spec.g, f=spec.f), L=L, n_states=5, seed=0)
+        assert out["pass"] is rep["pass"] and code == (0 if rep["pass"] else 4)
+        assert rep["pass"] is (L == 16)
 
     def test_incomplete_constants_exit_2(self, workdir):
         assert run(["reduce", "--g", "1"]) == 2

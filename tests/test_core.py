@@ -80,10 +80,6 @@ class TestFdGradient:
             with pytest.raises(DomainError):
                 fd_gradient(lambda g: 1.0 / (g[..., 0] - g[..., 0]), np.ones(3))
 
-    def test_step_must_be_positive(self):
-        with pytest.raises(DomainError):
-            fd_gradient(lambda g: np.vecdot(g, g), np.ones(3), step=0.0)
-
 
 def test_stacked_fd_curl_matches_per_point(rng):
     # the stencil acts on the last axis, and each point's step is scaled by

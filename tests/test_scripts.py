@@ -31,5 +31,6 @@ def test_reduction_demo(monkeypatch, capsys):
     (line,) = out.strip().splitlines()
     rep = json.loads(line)
     assert set(rep) == {"L", "c", "residual", "g_tilde_dev", "f_tilde_dev", "bracket_dev",
-                        "n_states", "seed"}
+                        "n_states", "seed", "pass"}
     assert rep["L"] == 8 and rep["n_states"] == 50 and rep["g_tilde_dev"] <= 1e-8
+    assert rep["pass"] is (rep["residual"] <= 1e-6 and rep["bracket_dev"] <= 1e-6)

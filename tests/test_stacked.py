@@ -24,6 +24,7 @@ from nonholo import (
     VeselovaParams,
     apply_gauge_state,
     ball_K,
+    ball_M_from_omega,
     ball_system,
     assemble_P,
     bivector_field,
@@ -45,10 +46,12 @@ from nonholo import (
     unpack,
     vector,
     veselova_K,
+    veselova_M_from_omega,
     veselova_system,
 )
 from nonholo.core import CHUNK, lift
 from nonholo.gauge import gauge_state_jacobian
+from nonholo.models import veselova_initial_state
 from nonholo.planar import (PlanarLagrangian, conformal_bracket, demo_system, energy_fn, from_lagrangian,
                             planar_rhs, to_conformal)
 from nonholo.planar import measure_residual as planar_measure_residual
@@ -159,6 +162,22 @@ def test_state_maps_stack_matches_points(which, rng, spectral_gauge):
     _same_rows(apply_gauge_state(t, X), lambda x: apply_gauge_state(t, x), X)
     _same_rows(gauge_state_jacobian(t, X), lambda x: gauge_state_jacobian(t, x), X)
     _same_rows(pushforward_bivector(t, P, X), lambda x: pushforward_bivector(t, P, x), X)
+
+
+MOMENTUM_MAPS = {
+    "ball M(omega)": lambda w, g: ball_M_from_omega(BALL, w, g),
+    "veselova M(omega)": lambda w, g: veselova_M_from_omega(VES, w, g),
+    "veselova initial state": lambda w, g: veselova_initial_state(VES, g, w),
+}
+
+
+@pytest.mark.parametrize("n", [3, 7])
+@pytest.mark.parametrize("name", sorted(MOMENTUM_MAPS))
+def test_momentum_maps_stack_matches_points(name, n, rng):
+    # on exactly three states a product `omega @ gamma` is a matrix product,
+    # not one dot product per state, so three rows are checked besides seven
+    fn, W, G = MOMENTUM_MAPS[name], rng.standard_normal((n, 3)), _gammas(rng, n)
+    _same_rows(fn(W, G), lambda r: fn(r[:3], r[3:]), np.concatenate([W, G], axis=-1))
 
 
 def test_pack_keeps_stack_shape(rng):
