@@ -33,11 +33,13 @@ the sphere layer evaluates a stack of states in one call.  Each model
 system also carries a closed-form ``flow`` built once from its parameters:
 S and the H-gradients above, and the cross products of the sphere flow,
 written out by components on Python floats for one state.  The generic
-``sphere.rhs`` stays the reference it is tested against.
+``sphere.rhs`` stays the reference it is tested against.  Each also carries
+the conformal factor g of one gamma, from the same sums as its flow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -171,15 +173,18 @@ def ball_system(p: BallParams) -> SphereSystem:
 
     a1, a2, a3 = A.tolist()
 
-    def parts(M1, M2, M3, g1, g2, g3):
-        m1, m2, m3 = a1 * M1, a2 * M2, a3 * M3
-        n1, n2, n3 = a1 * g1, a2 * g2, a3 * g3
-        uv = Dinv - (g1 * n1 + g2 * n2 + g3 * n3)
+    def u_closed(g1, g2, g3):
+        uv = Dinv - (g1 * (a1 * g1) + g2 * (a2 * g2) + g3 * (a3 * g3))
         if uv <= 0.0:
             # BallParams keeps uv > 0 on the unit sphere
             raise DomainError(f"1/D - (gamma, A gamma) = {uv:.3e} is not positive: "
                               f"gamma is off the unit sphere")
-        S = (m1 * g1 + m2 * g2 + m3 * g3) / uv
+        return uv
+
+    def parts(M1, M2, M3, g1, g2, g3):
+        m1, m2, m3 = a1 * M1, a2 * M2, a3 * M3
+        n1, n2, n3 = a1 * g1, a2 * g2, a3 * g3
+        S = (m1 * g1 + m2 * g2 + m3 * g3) / u_closed(g1, g2, g3)
         SS = S * S
         return (S, (m1 + S * n1, m2 + S * n2, m3 + S * n3),
                 (S * m1 + SS * n1, S * m2 + SS * n2, S * m3 + SS * n3))
@@ -198,6 +203,7 @@ def ball_system(p: BallParams) -> SphereSystem:
         k=p.k,
         extra_integrals=extras,
         flow=_closed_form_flow(p.k, U, parts),
+        g=lambda gamma: math.sqrt(u_closed(*gamma.tolist())),
     )
 
 
@@ -269,10 +275,13 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
     b1, b2, b3 = Ah.tolist()
     k1, k2, k3 = k.tolist()
 
+    def G_closed(g1, g2, g3):
+        return g1 * (b1 * g1) + g2 * (b2 * g2) + g3 * (b3 * g3)
+
     def parts(M1, M2, M3, g1, g2, g3):
         n1, n2, n3 = b1 * g1, b2 * g2, b3 * g3
         r1, r2, r3 = b1 * M1 - M1 - k1, b2 * M2 - M2 - k2, b3 * M3 - M3 - k3
-        S = -(r1 * g1 + r2 * g2 + r3 * g3) / (g1 * n1 + g2 * n2 + g3 * n3)
+        S = -(r1 * g1 + r2 * g2 + r3 * g3) / G_closed(g1, g2, g3)
         SS = S * S
         return (S, (b1 * M1 + S * (n1 - g1), b2 * M2 + S * (n2 - g2), b3 * M3 + S * (n3 - g3)),
                 (S * r1 + SS * n1, S * r2 + SS * n2, S * r3 + SS * n3))
@@ -299,6 +308,7 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
         k=k,
         extra_integrals=extras,
         flow=_closed_form_flow(k, U, parts),
+        g=lambda gamma: math.sqrt(G_closed(*gamma.tolist())),
     )
 
 

@@ -115,7 +115,9 @@ class SphereSystem:
     with finite-difference gradients.  ``extra_integrals`` holds named first
     integrals beyond the three automatic ones, e.g. M^2 where it is
     conserved.  ``flow`` maps one state of shape (6,) to dx/dt; it defaults
-    to the reference ``rhs`` and is what the integrators call.
+    to the reference ``rhs`` and is what the integrators call.  ``g`` maps
+    one gamma of shape (3,) to the conformal factor as a float; it defaults
+    to the reduced spec's g and is what the time-rescaled run calls.
     """
 
     name: str
@@ -126,10 +128,13 @@ class SphereSystem:
     k: Array = field(default_factory=lambda: np.zeros(3))
     extra_integrals: tuple[tuple[str, Callable[[Array, Array], Array]], ...] = ()
     flow: Callable[[Array], Array] | None = field(default=None, repr=False, compare=False)
+    g: Callable[[Array], float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flow is None:
             object.__setattr__(self, "flow", lambda x: rhs(self, x))
+        if self.g is None and isinstance(self.s_spec, ReducedS):
+            object.__setattr__(self, "g", self.s_spec.g)
 
 
 @dataclass(frozen=True)

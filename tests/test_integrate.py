@@ -141,6 +141,8 @@ class TestIntegrate:
         for samples in (0, 1):
             with pytest.raises(DomainError, match="samples must be at least 2"):
                 IntegratorConfig(samples=samples)
+        with pytest.raises(DomainError, match="max_step must be positive"):
+            IntegratorConfig(max_step=0.0)
 
 
 class TestReparametrized:
@@ -183,8 +185,8 @@ class TestReparametrized:
 
     def test_one_solve_per_run(self, monkeypatch):
         module = sys.modules["nonholo.integrate"]
-        solve, calls = module.solve_ivp, []
-        monkeypatch.setattr(module, "solve_ivp",
+        solve, calls = module._solve, []
+        monkeypatch.setattr(module, "_solve",
                             lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
         traj, t_phys = integrate_reparametrized(ball_system(FAST_BALL), FAST_X0,
                                                 IntegratorConfig(horizon=50.0))
@@ -212,6 +214,11 @@ class TestReparametrized:
         tau_traj, t_phys = integrate_reparametrized(sys, X0, cfg)
         mapped = map_to_physical_time(tau_traj, t_phys, direct.t)
         assert np.max(np.abs(mapped - direct.states)) <= 1e-6
+
+    def test_time_map_needs_a_rescaled_run(self):
+        direct = integrate_sphere(ball_system(BALL), X0, IntegratorConfig(horizon=1.0, samples=11))
+        with pytest.raises(DomainError, match="no dense output"):
+            map_to_physical_time(direct, direct.t, direct.t)
 
     def test_vanishing_multiplier_rejected(self):
         bad = toy_system(1.0)
