@@ -179,10 +179,10 @@ def _initial_state(args, cfg, params):
 
 
 def _integrator_config(args, cfg) -> IntegratorConfig:
-    return IntegratorConfig(**{
-        name: _flag_or_config(getattr(args, name), f"--{name}", cfg, f"integrator.{name}", default, parse)
-        for name, default, parse in (("rtol", 1e-10, _number), ("atol", 1e-12, _number),
-                                     ("horizon", 100.0, _number), ("samples", 1001, _integer))})
+    values = {name: _flag_or_config(getattr(args, name), f"--{name}", cfg, f"integrator.{name}", parse=parse)
+              for name, parse in (("rtol", _number), ("atol", _number), ("horizon", _number),
+                                  ("samples", _integer))}
+    return IntegratorConfig(**{name: v for name, v in values.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def cmd_check(args) -> int:
     elif args.suite == "jacobi":
         body, ok = checks.jacobi(states, _model(args, cfg)[1])
     elif args.suite == "duality":
-        body, ok = checks.duality(states, args.D if args.D is not None else 1.0)
+        body, ok = checks.duality(states, _flag_or_config(args.D, "--D", cfg, "D", 1.0, _number))
     elif args.suite == "planar":
         # the probes follow the states in the seeded stream
         body, ok = checks.planar(rng.standard_normal((args.n, 4)))

@@ -29,7 +29,7 @@ class ToleranceFailure(RuntimeError):
     """A numerical result exceeded its required tolerance."""
 
 
-class StiffnessError(RuntimeError):
+class StiffnessError(ToleranceFailure):
     """Adaptive integration stalled (step-size underflow)."""
 
     def __init__(self, message: str, last_t: float | None = None,
@@ -111,11 +111,9 @@ def fd_gradient(fn: Callable[[Array], Array], point) -> Array:
     Richardson extrapolation brings the truncation error to O(step^4), which
     keeps polynomial fields of degree <= 3 exact up to round-off.
     """
-    x = np.asarray(point, float)
-    h = _steps(x)
-    d = (4.0 * _stencil(fn, x, h / 2.0) - _stencil(fn, x, h)) / 3.0
+    d = fd_jacobian(fn, point, richardson=True)
     if not np.all(np.isfinite(d)):
-        raise DomainError(f"non-finite field value near {x}")
+        raise DomainError(f"non-finite field value near {np.asarray(point, float)}")
     return d
 
 

@@ -11,21 +11,22 @@ grid's degree.  Spectral fields use the orthonormal real basis
 with Pbar the fully normalized associated Legendre functions, so that the
 surface integral of Y^2 is one.  Spectral fields accept arrays of points of
 shape (..., 3), read at their radial projections; one point of shape (3,)
-gives a float or a 3-vector.  Synthesis builds the Legendre tables for a
-chunk of points at once and contracts the coefficients over (l, m) in one
-einsum, the batched evaluation of pseudospectral transforms (Schaeffer
-2013, SHTns).  The tangential gradient carries Pbar_lm / sin(theta) through
-the Legendre recursions instead of dividing by sin(theta), so it is regular
-on the whole sphere, poles included.
+gives a float or a 3-vector.  Analysis sums each ring against e^{-i m phi},
+the conjugate of the e^{i m phi} form synthesis reads.  Synthesis builds the
+Legendre tables for a chunk of points at once and contracts the coefficients
+over (l, m) in one einsum, the batched evaluation of pseudospectral
+transforms (Schaeffer 2013, SHTns).  The tangential gradient runs the
+Legendre recursions on Pbar_lm / sin(theta) alone and never divides by
+sin(theta), so it is regular on the whole sphere, poles included.
 
 The solver below finds, for smooth F, a constant c and a tangent vector
 field h with (gamma, curl h) = F + c on the sphere: c = -mean(F) makes F + c
 zero-mean, the Laplace-Beltrami operator is inverted in the basis above,
 and h = u x grad_S psi is the rotated surface gradient of the resulting
-potential psi, extended to R^3 as a degree-zero homogeneous field.  Its
-orientation is analytic: with psi~ the degree-zero extension of psi,
-h(x) = x x grad psi~ and curl h = x Lap psi~ - grad psi~, so on |x| = 1
-(gamma, curl h) = Lap_S psi = F + c.
+potential psi, extended to R^3 as a degree-zero homogeneous field.  With
+psi~ that extension, h(x) = x x grad psi~ carries its closed-form curl
+x Lap psi~ - grad psi~, so on |x| = 1 (gamma, curl h) = Lap_S psi = F + c;
+the reported residual checks this with a finite-difference curl.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CHUNK, DomainError, ScalarField, VectorField3, fd_curl
+from .core import CHUNK, DomainError, ScalarField, VectorField3, fd_curl, lift
 
 Array = np.ndarray
 
@@ -141,37 +142,36 @@ def _legendre_tables(L: int, x: Array, s: Array, gradient: bool = False):
     [l, m], from x = cos(theta) and s = sin(theta) >= 0.
 
     With ``gradient`` it returns instead the pair (d/dtheta Pbar_lm,
-    Pbar_lm / sin(theta)), the second zero at m = 0, and both regular at the
-    poles: Pbar_lm / sin(theta) runs through the same recursions as Pbar_lm
-    from the seed Pbar_11 / sin(theta), and the theta-derivative is formed
-    from the two tables with no division by sin(theta).
+    Pbar_lm / sin(theta)), the second zero at m = 0, both regular at the
+    poles.  Only Pbar_lm / sin(theta) is built, through the same recursions
+    as Pbar_lm from the seed Pbar_11 / sin(theta); the derivative is formed
+    from it with no division by sin(theta).
     """
     x = np.asarray(x, float)
     n = x.size
     sectoral, dweight, three_term = _recursion(L)
-    # T[0] = Pbar, T[1] = Pbar / sin(theta); the sectoral seeds Pbar_mm are
-    # a running product of s * sqrt((2m+1)/(2m)), and Pbar_mm / s drops one s
-    T = np.zeros((2 if gradient else 1, L + 1, L + 1, n))
+    # the sectoral seeds Pbar_mm are a running product of s * sqrt((2m+1)/(2m))
+    # from Pbar_00; Pbar_mm / s drops one s and has no m = 0 column
+    T = np.zeros((L + 1, L + 1, n))
     steps = s * sectoral[:, None]
-    diag = np.cumprod(np.vstack([np.full((1, n), 1.0 / np.sqrt(FOUR_PI)), steps]), axis=0)
+    p00 = np.full((1, n), 1.0 / np.sqrt(FOUR_PI))
     i = np.arange(L + 1)
-    T[0, i, i] = diag
-    if gradient and L > 0:
-        T[1, i[1:], i[1:]] = np.cumprod(np.vstack([sectoral[:1, None] * diag[:1], steps[1:]]), axis=0)
-    T[:, i[1:], i[:-1]] = np.sqrt(2.0 * i[:-1] + 3.0)[:, None] * x * T[:, i[:-1], i[:-1]]
+    if gradient:
+        T[i[1:], i[1:]] = np.cumprod(np.vstack([sectoral[:1, None] * p00, steps[1:]]), axis=0)
+    else:
+        T[i, i] = np.cumprod(np.vstack([p00, steps]), axis=0)
+    T[i[1:], i[:-1]] = np.sqrt(2.0 * i[:-1] + 3.0)[:, None] * x * T[i[:-1], i[:-1]]
     for l, (a, b) in enumerate(three_term, start=2):
-        T[:, l, : l - 1] = a * (x * T[:, l - 1, : l - 1] - b * T[:, l - 2, : l - 1])
+        T[l, : l - 1] = a * (x * T[l - 1, : l - 1] - b * T[l - 2, : l - 1])
     if not gradient:
-        return T[0]
-    P, Q = T
+        return T
     # d/dtheta Pbar_lm = l x Q_lm - w_lm Q_(l-1)m for m >= 1, and
-    # d/dtheta Pbar_l0 = -sqrt(l(l+1)) Pbar_l1
-    Q_prev = np.zeros_like(Q)
-    Q_prev[1:] = Q[:-1]
-    dP = i[:, None, None] * x * Q - dweight[:, :, None] * Q_prev
+    # d/dtheta Pbar_l0 = -sqrt(l(l+1)) Pbar_l1, with Q = T = Pbar / sin(theta)
+    dP = i[:, None, None] * x * T
+    dP[1:] -= dweight[1:, :, None] * T[:-1]
     if L > 0:
-        dP[:, 0] = -np.sqrt(i * (i + 1.0))[:, None] * P[:, 1]
-    return dP, Q
+        dP[:, 0] = -np.sqrt(i * (i + 1.0))[:, None] * (s * T[:, 1])
+    return dP, T
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +193,11 @@ class SphereSpectralField:
         grid = make_grid(L)
         vals = _grid_values(field, grid)
         m = np.arange(L + 1)
-        cosm = np.cos(m[:, None] * grid.phi[None, :])
-        sinm = np.sin(m[:, None] * grid.phi[None, :])
-        scale = 2.0 * np.pi / grid.nphi
-        Fc = vals @ cosm.T * scale    # (ntheta, L+1)
-        Fs = vals @ sinm.T * scale
+        # per ring, sum over phi of f e^{-i m phi} = F_cos - i F_sin
+        F = vals @ np.exp(-1j * np.outer(grid.phi, m)) * (2.0 * np.pi / grid.nphi)
         P = _legendre_tables(L, grid.x, np.sqrt(1.0 - grid.x**2))
-        c_cos = np.einsum("lmn,n,nm->lm", P, grid.w, Fc)
-        c_sin = np.einsum("lmn,n,nm->lm", P, grid.w, Fs)
-        c_cos[:, 1:] *= np.sqrt(2.0)
-        c_sin[:, 1:] *= np.sqrt(2.0)
-        c_sin[:, 0] = 0.0
-        return cls(L, c_cos, c_sin)
+        c = np.einsum("lmn,n,nm->lm", P, grid.w, F) * np.where(m > 0, np.sqrt(2.0), 1.0)
+        return cls(L, c.real, -c.imag)
 
     def value(self, points):
         """Field values at the radial projections of points of shape
@@ -282,16 +275,22 @@ class CurlSolution:
     psi: SphereSpectralField
 
 
-def _rotated_gradient(psi: SphereSpectralField) -> VectorField3:
+def _rotated_gradient(psi: SphereSpectralField, lap: SphereSpectralField) -> VectorField3:
     """h(x) = (u x grad_S psi)(u), u = x/|x| (degree-zero extension), for x
-    of shape (..., 3).  On the sphere (gamma, curl h) = Lap_S psi."""
+    of shape (..., 3), with its closed-form curl
+    curl h(x) = (u Lap_S psi(u) - grad_S psi(u)) / |x|, where lap = Lap_S psi."""
 
     def fn(x):
         u = np.asarray(x, float)
         u = u / np.linalg.norm(u, axis=-1, keepdims=True)
         return np.cross(u, psi.surface_gradient(u))
 
-    return VectorField3(fn)
+    def curl(x):
+        x = np.asarray(x, float)
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        return (x / r * lift(lap.value(x)) - psi.surface_gradient(x)) / r
+
+    return VectorField3(fn, curl=curl)
 
 
 def solve_curl_equation(F, L: int = 32) -> CurlSolution:
@@ -307,14 +306,15 @@ def solve_curl_equation(F, L: int = 32) -> CurlSolution:
         F = ScalarField(F)
     coeff = SphereSpectralField.analyze(F, L)
     c = -coeff.mean()
-    psi = coeff.drop_mean().laplace_invert()
+    lap = coeff.drop_mean()
+    psi = lap.laplace_invert()
     psi_scale = max(float(np.max(np.abs(psi.c_cos))), float(np.max(np.abs(psi.c_sin))))
     if psi_scale <= 1e-14 * max(1.0, abs(c)):
         # F + c is zero to round-off; the exact solution is h = 0 and the
         # analysis noise would only be amplified by the verification curl
         h = VectorField3.zero()
     else:
-        h = _rotated_gradient(psi)
+        h = _rotated_gradient(psi, lap)
 
     pts = verify_points(L)
     lhs = np.einsum("ni,ni->n", pts, fd_curl(h, pts, step=1e-4, richardson=True))

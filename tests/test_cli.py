@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import nonholo.cli as cli_mod
 import nonholo.core as core
 import nonholo.gauge as gauge_mod
 import nonholo.planar as planar_mod
@@ -76,6 +77,15 @@ class TestSimulate:
 
     def test_unknown_model_exits_2(self, workdir):
         assert run(["simulate", "--demo"]) == 2
+
+    def test_stalled_integration_exits_4(self, workdir, capsys, monkeypatch):
+        def stall(*args, **kwargs):
+            raise core.StiffnessError("integration stalled: the step size underflowed at t = 1.5")
+
+        monkeypatch.setattr(cli_mod, "integrate_sphere", stall)
+        assert run(["simulate", "--model", "ball", "--demo"]) == 4
+        assert capsys.readouterr().err == ("tolerance failure: integration stalled: "
+                                           "the step size underflowed at t = 1.5\n")
 
     def test_gyrostat_report_includes_extra_integral(self, workdir):
         code = run(["simulate", "--model", "veselova", "--gyrostat", "0,0,0.1",
@@ -293,6 +303,19 @@ class TestCheck:
         assert run(["check", "duality", "--D", "1", "-n", "200"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["hamiltonian_identity_max"] <= 1e-12
+
+    def test_duality_reads_config_D(self, workdir, capsys):
+        (workdir / "d.json").write_text(json.dumps({"D": 2.0}))
+        assert run(["check", "duality", "--config", "d.json", "-n", "50"]) == 0
+        from_config = capsys.readouterr().out
+        assert json.loads(from_config)["D"] == 2.0
+        assert run(["check", "duality", "--D", "2", "-n", "50"]) == 0
+        assert capsys.readouterr().out == from_config
+
+    def test_duality_non_number_config_D_exits_2(self, workdir, capsys):
+        (workdir / "d.json").write_text(json.dumps({"D": "two"}))
+        assert run(["check", "duality", "--config", "d.json", "-n", "50"]) == 2
+        assert capsys.readouterr().err == "configuration error: D needs a number, got 'two'\n"
 
     def test_gauge(self, workdir):
         assert run(["check", "gauge", "-n", "60"]) == 0

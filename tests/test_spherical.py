@@ -19,7 +19,10 @@ from nonholo import (
     solve_curl_equation,
     sphere_quadrature,
 )
-from nonholo.spherical import RESIDUAL_TOL
+import nonholo.core as core
+import nonholo.spherical as spherical
+from nonholo.models import DEMO_BALL
+from nonholo.spherical import RESIDUAL_TOL, _legendre_tables
 
 FOUR_PI = 4 * np.pi
 
@@ -93,6 +96,24 @@ class TestSpectralField:
                                        atol=1e-14)
 
 
+class TestLegendreTables:
+    def test_gradient_table_is_pbar_over_sin(self):
+        # one recursion, on Pbar / sin(theta): its m = 0 column is zero and
+        # sin(theta) times it is the Pbar table
+        theta = np.linspace(0.1, 3.0, 7)
+        x, s = np.cos(theta), np.sin(theta)
+        P = _legendre_tables(10, x, s)
+        dP, Q = _legendre_tables(10, x, s, gradient=True)
+        assert dP.shape == Q.shape == P.shape == (11, 11, 7)
+        assert not Q[:, 0].any()
+        np.testing.assert_allclose(s * Q[:, 1:], P[:, 1:], rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_m0_derivative_vanishes_at_pole(self, pole):
+        dP, _ = _legendre_tables(10, np.array([pole]), np.array([0.0]), gradient=True)
+        assert not dP[:, 0].any()
+
+
 class TestPoles:
     """Synthesis is regular on the whole sphere, poles included."""
 
@@ -136,6 +157,45 @@ class TestPoles:
             f.surface_gradient(np.zeros(3))
         with pytest.raises(DomainError, match="origin"):
             f.value(np.zeros((2, 3)))
+
+
+class TestClosedFormCurl:
+    """h carries curl h = (u Lap_S psi - grad_S psi) / |x|; a Richardson
+    finite-difference curl of h's values is the independent oracle."""
+
+    F = ScalarField(lambda g: g[..., 2] + g[..., 0] * g[..., 1] + 0.5 * g[..., 0] ** 3)
+
+    @pytest.mark.parametrize("radius", [1.0, 0.5, 2.0])
+    def test_matches_fd_curl(self, rng, radius):
+        sol = solve_curl_equation(self.F, L=8)
+        u = rng.standard_normal((20, 3))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        x = np.concatenate([u, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]]) * radius
+        fd = fd_curl(sol.h.fn, x, step=1e-4, richardson=True)
+        np.testing.assert_allclose(sol.h.curl_at(x), fd, atol=1e-10)
+        np.testing.assert_allclose(sol.h.curl_at(x[0]), fd[0], atol=1e-10)
+
+    def test_report_makes_one_fd_curl(self, monkeypatch):
+        # the residual's check is the only finite-difference curl of a
+        # reduction; the pushed f~ reads the closed form
+        calls = []
+        original = core.fd_curl
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(core, "fd_curl", counted)
+        monkeypatch.setattr(spherical, "fd_curl", counted)
+        spec = ball_system(BallParams(**DEMO_BALL)).s_spec
+        reduction_report(GFParams(g=spec.g, f=spec.f), L=16, n_states=5)
+        assert len(calls) == 1
+
+    def test_demo_ball_f_tilde_is_band_limit_truncation(self):
+        # with a finite-difference curl in f~ this read 4.6e-11, its noise
+        spec = ball_system(BallParams(**DEMO_BALL)).s_spec
+        rep = reduction_report(GFParams(g=spec.g, f=spec.f), L=32, n_states=5)
+        assert rep["f_tilde_dev"] <= 1e-11
 
 
 class TestCurlSolver:
