@@ -10,12 +10,15 @@ Subcommands:
     reduce        run the bracket reduction pipeline and report deviations
     planar-demo   integrate the admissible planar demo system
 
-Each subcommand reads its flags and config, builds the objects, calls the
-library and writes the report.  The check suites and the reduction decide
-their own pass; simulate and planar-demo gate their drifts.  Exit codes:
-0 pass, 2 configuration error, 3 domain violation, 4 numerical tolerance
-failure.  All randomness flows from the --seed value, so repeated runs
-produce byte-identical JSON.
+Each subcommand and each check suite parses only the flags it reads, and
+they follow the suite name.  Any other flag exits 2, as does a flag that
+acts only under another choice: --A or --D on the Veselova model, --Ahat
+on the ball, a model flag beside --negative-control or --g/--f.  A config
+file may hold fields a command does not read; the command ignores them.
+The check suites and the reduction decide their own pass; simulate and
+planar-demo gate their drifts.  Exit codes: 0 pass, 2 configuration error,
+3 domain violation, 4 numerical tolerance failure.  All randomness flows
+from the --seed value, so repeated runs produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -116,6 +119,7 @@ def _flag_or_config(flag_value, flag: str, cfg: dict, key: str, default=None, pa
 
 
 _POTENTIALS = {"linear": ("r", linear_potential), "quadratic": ("C", quadratic_potential)}
+_MODEL_FLAGS = ("--model", "--A", "--D", "--Ahat", "--gyrostat")
 
 
 def _potential(args, cfg):
@@ -131,7 +135,7 @@ def _potential(args, cfg):
                               "(or potential.kind in the config)")
         return None
     if kind not in _POTENTIALS:
-        raise ConfigError(f"unknown potential kind {kind!r}; use zero, linear or quadratic")
+        raise ConfigError(f"potential.kind must be zero, linear or quadratic, got {kind!r}")
     key, make = _POTENTIALS[kind]
     vec = _flag_or_config(args.U_vec, "--U-vec", cfg, f"potential.{key}")
     if vec is None:
@@ -140,12 +144,19 @@ def _potential(args, cfg):
     return make(vec)
 
 
-def _model(args, cfg):
-    """The model's parameters and its system, flags over the config."""
+def _refuse(args, flags, where: str) -> None:
+    """A configuration error naming the first of the flags set where it does not act."""
+    for flag in flags:
+        if getattr(args, flag[2:]) is not None:
+            raise ConfigError(f"{flag} does not act {where}")
+
+
+def _model(args, cfg, U=None):
+    """The model's parameters, with the potential U, and its system; flags over the config."""
     model = args.model or cfg.get("model")
     if model not in ("ball", "veselova"):
         raise ConfigError("pick a model: --model ball | veselova")
-    U = _potential(args, cfg)
+    _refuse(args, ("--Ahat",) if model == "ball" else ("--A", "--D"), f"on the {model} model")
     k = _flag_or_config(args.gyrostat, "--gyrostat", cfg, "gyrostat", np.zeros(3))
     if model == "ball":
         A = _flag_or_config(args.A, "--A", cfg, "A", np.asarray(DEMO_BALL["A"], float))
@@ -172,7 +183,7 @@ def _initial_state(args, cfg, params):
         warnings.warn(f"renormalizing gamma: |gamma| = {norm:.8f}")
     gamma = gamma / norm
     if M is None and omega is None:
-        raise ConfigError("initial condition needs M or omega")
+        raise ConfigError("initial condition needs --M or --omega (or initial.M or initial.omega)")
     if M is None:
         M = (ball_M_from_omega if isinstance(params, BallParams) else veselova_M_from_omega)(params, omega, gamma)
     return pack(M, gamma)
@@ -191,7 +202,7 @@ def _integrator_config(args, cfg) -> IntegratorConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    params, sysm = _model(args, cfg)
+    params, sysm = _model(args, cfg, _potential(args, cfg))
     x0 = _initial_state(args, cfg, params)
     icfg = _integrator_config(args, cfg)
     threshold = _flag_or_config(args.threshold, "--threshold", cfg, "drift_threshold", 1e-8, _number)
@@ -217,6 +228,7 @@ def cmd_check(args) -> int:
     rng = np.random.default_rng(seed)
     states = random_states(rng, args.n)
     if args.suite == "jacobi" and args.negative_control:
+        _refuse(args, _MODEL_FLAGS, "beside --negative-control")
         body, ok = checks.negative_control(states)
     elif args.suite == "jacobi":
         body, ok = checks.jacobi(states, _model(args, cfg)[1])
@@ -236,6 +248,7 @@ def cmd_reduce(args) -> int:
     _require_n(args.n)
     cfg = _load_config(args)
     if args.g is not None or args.f is not None:
+        _refuse(args, _MODEL_FLAGS, "beside --g/--f")
         if args.g is None or args.f is None:
             raise ConfigError("pass both --g and --f (constants) or use --model")
         if args.g <= 0.0:
@@ -276,63 +289,60 @@ def cmd_planar_demo(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_model_flags(p):
-    p.add_argument("--model", choices=["ball", "veselova"])
-    p.add_argument("--A", help="ball inertia-type diagonal a1,a2,a3")
-    p.add_argument("--D", type=float, help="ball coupling constant")
-    p.add_argument("--Ahat", help="veselova diagonal a1,a2,a3")
-    p.add_argument("--gyrostat", help="gyrostatic momentum k1,k2,k3")
-    p.add_argument("--U", choices=["zero", "linear", "quadratic"])
-    p.add_argument("--U-vec", dest="U_vec", help="potential coefficients r1,r2,r3")
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--report", help="write the JSON report here as well")
-
-
-def _add_integrator_flags(p):
-    for name, kind in (("rtol", float), ("atol", float), ("horizon", float), ("samples", int)):
-        p.add_argument(f"--{name}", type=kind)
-
-
 # One parser per process: an argparse parser holds reference cycles, so one
 # built per call stays in memory until a full garbage collection.  1 600
 # in-process `check` runs raised peak RSS by 2 MB that way, and each build
 # costs about 1.2 ms.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # the flag groups, each declared once and given to the parsers that read it
+    run, coupling, potential, integrator = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    run.add_argument("--config", help="JSON config file; flags override its fields")
+    run.add_argument("--seed", type=int)
+    run.add_argument("--report", help="write the JSON report here as well")
+    coupling.add_argument("--D", type=float, help="ball coupling constant")
+    model = argparse.ArgumentParser(add_help=False, parents=[coupling])
+    model.add_argument("--model", choices=["ball", "veselova"])
+    model.add_argument("--A", help="ball inertia-type diagonal a1,a2,a3")
+    model.add_argument("--Ahat", help="veselova diagonal a1,a2,a3")
+    model.add_argument("--gyrostat", help="gyrostatic momentum k1,k2,k3")
+    potential.add_argument("--U", choices=["zero", "linear", "quadratic"])
+    potential.add_argument("--U-vec", dest="U_vec", help="potential coefficients r1,r2,r3")
+    for name, kind in (("rtol", float), ("atol", float), ("horizon", float), ("samples", int)):
+        integrator.add_argument(f"--{name}", type=kind)
+
     parser = argparse.ArgumentParser(prog="nonholo", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="integrate a model and monitor drifts")
-    _add_model_flags(p)
+    p = sub.add_parser("simulate", parents=[run, model, potential, integrator],
+                       help="integrate a model and monitor drifts")
     p.add_argument("--M", help="initial momentum m1,m2,m3")
     p.add_argument("--omega", help="initial angular velocity w1,w2,w3")
     p.add_argument("--gamma", help="initial direction g1,g2,g3 (renormalized)")
     p.add_argument("--demo", action="store_true", help="fill demo parameters and state")
-    _add_integrator_flags(p)
     p.add_argument("--threshold", type=float, help="drift pass threshold (default 1e-8)")
     p.add_argument("--csv", default="trajectory.csv")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("suite", choices=checks.SUITES)
-    _add_model_flags(p)
-    p.add_argument("-n", type=int, default=1000, help="number of probe states")
-    p.add_argument("--negative-control", action="store_true",
-                   help="jacobi: assemble a measure-mismatched structure instead")
-    p.set_defaults(func=cmd_check)
+    check = sub.add_parser("check", help="run a verification suite")
+    suites = check.add_subparsers(dest="suite", required=True)
+    groups = {"jacobi": [run, model], "duality": [run, coupling]}
+    for suite in checks.SUITES:
+        p = suites.add_parser(suite, parents=groups.get(suite, [run]))
+        p.add_argument("-n", type=int, default=1000, help="number of probe states")
+        p.set_defaults(func=cmd_check)
+    suites.choices["jacobi"].add_argument("--negative-control", action="store_true",
+                                          help="assemble a measure-mismatched structure instead")
 
-    p = sub.add_parser("reduce", help="reduce a bracket to the e(3) form")
-    _add_model_flags(p)
+    p = sub.add_parser("reduce", parents=[run, model], help="reduce a bracket to the e(3) form")
     p.add_argument("--g", type=float, help="constant g instead of a model")
     p.add_argument("--f", type=float, help="constant f instead of a model")
     p.add_argument("--L", type=int, default=32, help="spherical-harmonic band limit")
     p.add_argument("-n", type=int, default=200, help="bracket probe states")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("planar-demo", help="run the planar demo system")
-    _add_integrator_flags(p)
+    p = sub.add_parser("planar-demo", parents=[integrator], help="run the planar demo system")
     p.add_argument("--seed", type=int)
     p.add_argument("--csv", default="planar_trajectory.csv")
     p.add_argument("--report")

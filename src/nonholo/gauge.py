@@ -34,6 +34,7 @@ from .core import (
     DomainError,
     ScalarField,
     VectorField3,
+    any_point,
     lift,
     pack,
     require_unit_gamma,
@@ -171,23 +172,24 @@ def gf_bivector(p: GFParams):
 
 def zero_level_reduce(g: ScalarField, x) -> Array:
     """On (M, gamma) = 0 the rescaling M -> M / g(gamma) already lands on the
-    e(3) bracket; this returns the rescaled state."""
+    e(3) bracket; this returns the rescaled states, over the last axis."""
     M, gamma = unpack(x)
     require_unit_gamma(gamma)
-    level = abs(M @ gamma)
-    if level > ZERO_LEVEL:
-        raise DomainError(f"state is off the zero level: |(M, gamma)| = {level:.3e}")
-    return pack(M / g(gamma), gamma)
+    level = np.abs(np.vecdot(M, gamma))
+    if any_point(level > ZERO_LEVEL):
+        raise DomainError(f"state is off the zero level: |(M, gamma)| = {np.max(level):.3e}")
+    return pack(M / lift(g(gamma)), gamma)
 
 
 def zero_level_jacobian(g: ScalarField, x) -> Array:
-    """Analytic Jacobian of x -> (M / g, gamma), for the bracket congruence."""
+    """Analytic Jacobian of x -> (M / g, gamma) at states of shape (..., 6),
+    shape (..., 6, 6), for the bracket congruence."""
     M, gamma = unpack(x)
     a = 1.0 / g(gamma)
-    J = np.zeros((6, 6))
-    J[:3, :3] = a * np.eye(3)
-    J[:3, 3:] = -a * a * np.outer(M, g.gradient(gamma))
-    J[3:, 3:] = np.eye(3)
+    J = np.zeros(gamma.shape[:-1] + (6, 6))
+    J[..., :3, :3] = lift(a, 2) * np.eye(3)
+    J[..., :3, 3:] = -lift(a * a, 2) * _outer(M, g.gradient(gamma))
+    J[..., 3:, 3:] = np.eye(3)
     return J
 
 

@@ -77,14 +77,11 @@ class IntegratorConfig:
     max_step: float = np.inf
 
     def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise DomainError("tolerances must be positive")
-        if self.horizon <= 0.0:
-            raise DomainError("horizon must be positive")
+        for name in ("rtol", "atol", "horizon", "max_step"):
+            if getattr(self, name) <= 0.0:
+                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         if self.samples < 2:
             raise DomainError(f"samples must be at least 2, got {self.samples}")
-        if self.max_step <= 0.0:
-            raise DomainError(f"max_step must be positive, got {self.max_step}")
 
 
 def _powers(x: Array) -> Array:

@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +132,17 @@ class TestSimulate:
                     "--atol", "1e-6", "--horizon", "50", "--samples", "51"])
         assert code == 4
 
+    @pytest.mark.parametrize("flag, value, shown", [("--rtol", "0", "0.0"), ("--atol", "-1", "-1.0"),
+                                                    ("--horizon", "0", "0.0")])
+    def test_non_positive_integrator_value_is_named(self, workdir, capsys, flag, value, shown):
+        assert run(["simulate", "--model", "ball", "--demo", flag, value]) == 3
+        assert capsys.readouterr().err == f"domain error: {flag[2:]} must be positive, got {shown}\n"
+
+    def test_direction_alone_names_the_momentum_knobs(self, workdir, capsys):
+        assert run(["simulate", "--model", "ball", "--gamma", "0,0,1"]) == 2
+        assert capsys.readouterr().err == ("configuration error: initial condition needs --M or "
+                                           "--omega (or initial.M or initial.omega)\n")
+
 
 BALL_CFG = {"model": "ball", "initial": {"M": [0.3, -0.2, 0.5], "gamma": [0.0, 0.0, 1.0]},
             "integrator": {"horizon": 1.0, "samples": 11}}
@@ -222,6 +238,12 @@ class TestConfigScalars:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {field} needs ")
 
+    def test_unknown_config_potential_kind_names_its_field(self, workdir, capsys):
+        (workdir / "cfg.json").write_text(json.dumps({**BALL_CFG, "potential": {"kind": "cubic"}}))
+        assert run(["simulate", "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err == ("configuration error: potential.kind must be zero, "
+                                           "linear or quadratic, got 'cubic'\n")
+
     def test_potential_vector_flag_without_kind_exits_2(self, workdir, capsys):
         assert run(["simulate", "--model", "ball", "--demo", "--U-vec", "0,0,1"]) == 2
         assert "--U linear | quadratic" in capsys.readouterr().err
@@ -274,12 +296,14 @@ def test_config_seed_is_read_and_flag_overrides_it(workdir, capsys, argv):
         code = run([*argv, *flags])
         return code, capsys.readouterr().out
 
+    # the planar suite takes no model flag and ignores the config's model
+    model = [] if "planar" in argv else ["--model", "ball"]
     from_config = report("--config", "r.json")
     assert json.loads(from_config[1])["seed"] == 5
-    assert from_config == report("--model", "ball", "--seed", "5")
+    assert from_config == report(*model, "--seed", "5")
     overridden = report("--config", "r.json", "--seed", "7")
     assert json.loads(overridden[1])["seed"] == 7
-    assert overridden == report("--model", "ball", "--seed", "7")
+    assert overridden == report(*model, "--seed", "7")
 
 
 class TestCheck:
@@ -316,6 +340,10 @@ class TestCheck:
         (workdir / "d.json").write_text(json.dumps({"D": "two"}))
         assert run(["check", "duality", "--config", "d.json", "-n", "50"]) == 2
         assert capsys.readouterr().err == "configuration error: D needs a number, got 'two'\n"
+
+    def test_duality_non_positive_D_exits_3(self, workdir, capsys):
+        assert run(["check", "duality", "--D", "0", "-n", "5"]) == 3
+        assert capsys.readouterr().err == "domain error: D must be positive, got 0.0\n"
 
     def test_gauge(self, workdir):
         assert run(["check", "gauge", "-n", "60"]) == 0
@@ -470,6 +498,27 @@ class TestStackedSuites:
         assert captured.err == ("jacobi ball: worst value 2.500000e-01 > 1e-06 at state 17: ("
                                 + ", ".join(f"{v:.17g}" for v in state) + ")\n")
 
+    def test_failed_negative_control_names_the_least_violating_state(self, workdir, capsys,
+                                                                      monkeypatch):
+        # 40 of 50 states violate Jacobi, below the 90 % the control needs
+        vals = np.where(np.arange(50) < 10, 1e-6, 1.0)
+        vals[7] = 1e-9
+        monkeypatch.setattr(core, "jacobiator", lambda P, X: vals)
+        assert run(["check", "jacobi", "--negative-control", "-n", "50", "--seed", "3"]) == 4
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["fraction_violating"] == 0.8 and out["pass"] is False
+        state = sphere.random_states(np.random.default_rng(3), 50)[7]
+        assert captured.err == ("jacobi negative control (fraction violating 0.800 < 0.9): worst value "
+                                "1.000000e-09 <= 0.001 at state 7: ("
+                                + ", ".join(f"{v:.17g}" for v in state) + ")\n")
+
+    def test_planar_fails_when_the_gate_admits_the_inadmissible(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(planar_mod, "measure_residual", lambda sys, q: np.zeros(np.shape(q)))
+        assert run(["check", "planar", "-n", "60"]) == 4
+        out = json.loads(capsys.readouterr().out)
+        assert out["gate_rejects_inadmissible"] is False and out["pass"] is False
+
     def test_passing_gate_writes_nothing_to_stderr(self, workdir, capsys):
         assert run(["check", "conformal", "-n", "50"]) == 0
         assert capsys.readouterr().err == ""
@@ -506,6 +555,10 @@ class TestReduce:
     def test_incomplete_constants_exit_2(self, workdir):
         assert run(["reduce", "--g", "1"]) == 2
 
+    def test_non_positive_constant_g_exits_3(self, workdir, capsys):
+        assert run(["reduce", "--g", "0", "--f", "0", "--L", "8", "-n", "5"]) == 3
+        assert capsys.readouterr().err == "domain error: g must be positive, got 0.0\n"
+
     def test_deterministic_report(self, workdir, capsys):
         run(["reduce", "--g", "1", "--f", "0", "--L", "6", "-n", "10"])
         first = capsys.readouterr().out
@@ -530,3 +583,103 @@ class TestPlanarDemo:
         # the flags are read as simulate reads them, with no silent default
         assert run(["planar-demo", *flags]) == 3
         assert capsys.readouterr().err.startswith("domain error: ")
+
+
+RUN_FLAGS = {"--config", "--seed", "--report"}
+MODEL_FLAGS = {"--model", "--A", "--D", "--Ahat", "--gyrostat"}
+INTEGRATOR_FLAGS = {"--rtol", "--atol", "--horizon", "--samples"}
+# the flags each subcommand and each check suite reads, and no other
+FLAG_CENSUS = {
+    "simulate": RUN_FLAGS | MODEL_FLAGS | INTEGRATOR_FLAGS
+    | {"--U", "--U-vec", "--M", "--omega", "--gamma", "--demo", "--threshold", "--csv"},
+    "check jacobi": RUN_FLAGS | MODEL_FLAGS | {"-n", "--negative-control"},
+    "check duality": RUN_FLAGS | {"-n", "--D"},
+    **{f"check {suite}": RUN_FLAGS | {"-n"} for suite in ("conformal", "measure", "gauge", "planar")},
+    "reduce": RUN_FLAGS | MODEL_FLAGS | {"--g", "--f", "--L", "-n"},
+    "planar-demo": INTEGRATOR_FLAGS | {"--seed", "--csv", "--report"},
+}
+
+
+def _leaf_parsers(parser, prefix=""):
+    """(command, parser) for each subcommand and each check suite."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        if any(isinstance(a, argparse._SubParsersAction) for a in p._actions):
+            yield from _leaf_parsers(p, f"{prefix}{name} ")
+        else:
+            yield prefix + name, p
+
+
+def exit_code(argv):
+    """main's exit code, also where argparse refuses the arguments."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestFlags:
+    """Each subcommand and each check suite parses only the flags it reads."""
+
+    def test_census(self):
+        found = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                 for name, p in _leaf_parsers(cli_mod.build_parser())}
+        assert found == FLAG_CENSUS
+        assert sum(map(len, found.values())) == 70
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "conformal", "--model", "veselova"], "--model"),
+        (["check", "measure", "--A", "9,9,9"], "--A"),
+        (["check", "gauge", "--gyrostat", "0,0,1"], "--gyrostat"),
+        (["check", "planar", "--U", "linear", "--U-vec", "1,0,0"], "--U"),
+        (["check", "duality", "--Ahat", "0.5,0.5,0.5"], "--Ahat"),
+        (["check", "jacobi", "--model", "ball", "--U", "linear", "--U-vec", "1,2,3"], "--U"),
+        (["check", "jacobi", "--model", "veselova", "--D", "7"], "--D"),
+        (["check", "jacobi", "--negative-control", "--model", "veselova"], "--model"),
+        (["reduce", "--model", "ball", "--L", "16", "--U", "linear", "--U-vec", "1,2,3"], "--U"),
+        (["reduce", "--g", "1", "--f", "0", "--model", "veselova"], "--model"),
+        (["simulate", "--model", "veselova", "--demo", "--A", "9,9,9"], "--A"),
+        (["simulate", "--model", "ball", "--demo", "--Ahat", "1,2,3"], "--Ahat"),
+    ])
+    def test_flag_that_does_not_act_exits_2(self, workdir, capsys, argv, flag):
+        assert exit_code([*argv, "-n", "5"] if argv[0] == "check" else argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not (workdir / "trajectory.csv").exists()
+
+    def test_model_picked_by_the_config_refuses_the_other_models_flag(self, workdir, capsys):
+        (workdir / "v.json").write_text(json.dumps({"model": "veselova", "A": [9, 9, 9]}))
+        # the config may hold the ball's A: one file serves every subcommand
+        assert run(["check", "jacobi", "--config", "v.json", "-n", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["model"] == "veselova"
+        assert run(["check", "jacobi", "--config", "v.json", "--D", "2", "-n", "5"]) == 2
+        assert capsys.readouterr().err == "configuration error: --D does not act on the veselova model\n"
+
+    def test_config_fields_a_command_does_not_read_are_ignored(self, workdir, capsys):
+        (workdir / "c.json").write_text(json.dumps({"model": "veselova", "D": 2.0, "seed": 3,
+                                                    "potential": {"kind": "cubic"}}))
+        assert run(["check", "conformal", "--config", "c.json", "-n", "5"]) == 0
+        from_config = capsys.readouterr().out
+        assert run(["check", "conformal", "--seed", "3", "-n", "5"]) == 0
+        assert capsys.readouterr().out == from_config
+
+
+def _cli_process(cwd, *argv):
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "nonholo.cli", *argv], capture_output=True, text=True,
+                          cwd=cwd, env=env, timeout=60)
+
+
+class TestProcessBoundary:
+    """``python -m nonholo.cli`` as a user runs it: argparse's exits are the
+    process's exit codes."""
+
+    @pytest.mark.parametrize("command", sorted(FLAG_CENSUS) + ["check"])
+    def test_help_exits_0(self, tmp_path, command):
+        proc = _cli_process(tmp_path, *command.split(), "--help")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: nonholo ")
+
+    def test_rejected_flag_exits_2_and_is_named(self, tmp_path):
+        proc = _cli_process(tmp_path, "check", "conformal", "--model", "veselova")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "unrecognized arguments: --model veselova" in proc.stderr

@@ -199,6 +199,11 @@ class TestParameterAction:
 
 
 class TestBivectorPushforward:
+    def test_vanishing_alpha_rejected(self, rng):
+        t = GaugeTransform(ScalarField.constant(0.0), 1.0, VectorField3.zero())
+        with pytest.raises(DomainError, match="alpha vanishes"):
+            pushforward_bivector(t, gf_bivector(ball_params()), rand_state(rng))
+
     def test_identity(self, rng):
         P = gf_bivector(ball_params())
         x = rand_state(rng)
@@ -271,6 +276,19 @@ class TestZeroLevel:
     def test_off_level_rejected(self, rng):
         with pytest.raises(DomainError):
             zero_level_reduce(ball_params().g, pack([1, 0, 0], [1, 0, 0]))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_stack_equals_one_state_calls(self, rng, n):
+        # states act over the last axis: a stack gives the one-state results row by row
+        g = ball_params().g
+        X = np.array([self.zero_level_state(rng) for _ in range(n)])
+        np.testing.assert_array_equal(zero_level_reduce(g, X), [zero_level_reduce(g, x) for x in X])
+        np.testing.assert_array_equal(zero_level_jacobian(g, X), [zero_level_jacobian(g, x) for x in X])
+
+    def test_off_level_state_in_a_stack_rejected(self, rng):
+        X = np.array([self.zero_level_state(rng), pack([1, 0, 0], [1, 0, 0])])
+        with pytest.raises(DomainError, match="off the zero level"):
+            zero_level_reduce(ball_params().g, X)
 
     def test_bracket_congruence_hits_e3(self, rng):
         for make in (ball_params,

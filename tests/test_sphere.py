@@ -33,7 +33,7 @@ from nonholo import (
 )
 from nonholo.sphere import gradient_consistency
 
-from conftest import rand_state, rand_unit
+from conftest import direct_system, rand_state, rand_unit
 
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 VES = VeselovaParams(Ahat=(0.6, 0.75, 0.9))
@@ -281,10 +281,12 @@ class TestAssembleP:
         assert np.mean([v > 1e-3 for v in vals]) >= 0.9
 
     def test_direct_spec_rejected(self, rng):
-        sys = SphereSystem("direct", lambda M, g: 0.0, lambda M, g: np.zeros(3),
-                           lambda M, g: np.zeros(3), DirectS(K=VectorField3.zero()))
         with pytest.raises(ConfigError):
-            assemble_P(sys, rand_state(rng))
+            assemble_P(direct_system(), rand_state(rng))
+
+    def test_both_K_and_f_rejected(self):
+        with pytest.raises(ConfigError, match="exactly one of K or f"):
+            bivector_field(g=ScalarField.constant(1.0), K=ball_K(BALL), f=ScalarField.constant(0.0))
 
 
 class TestConformalResidual:
@@ -304,6 +306,10 @@ class TestConformalResidual:
                            lambda M, g: np.zeros(3),
                            ReducedS(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0)))
         assert conformal_residual(sys, rand_state(rng)) == 0.0
+
+    def test_direct_spec_rejected(self, rng):
+        with pytest.raises(ConfigError, match="reduced S-spec"):
+            conformal_residual(direct_system(), rand_state(rng))
 
 
 def test_analytic_gradients_match_fd(rng):

@@ -28,6 +28,10 @@ FOUR_PI = 4 * np.pi
 
 
 class TestQuadrature:
+    def test_non_finite_field_rejected(self):
+        with pytest.raises(DomainError, match="non-finite on the L=8 sphere grid"):
+            sphere_quadrature(lambda g: np.full(g.shape[:-1], np.nan), 8)
+
     def test_constant(self):
         assert sphere_quadrature(lambda g: 1.0) == pytest.approx(FOUR_PI, abs=1e-12)
 
@@ -199,6 +203,11 @@ class TestClosedFormCurl:
 
 
 class TestCurlSolver:
+    def test_plain_callable_is_a_scalar_field(self):
+        F = lambda g: g[..., 2] ** 2
+        plain, field = solve_curl_equation(F, L=8), solve_curl_equation(ScalarField(F), L=8)
+        assert (plain.c, plain.residual) == (field.c, field.residual)
+
     def test_constant_rhs(self):
         sol = solve_curl_equation(ScalarField(lambda g: 2.5), L=8)
         assert sol.c == pytest.approx(-2.5, abs=1e-12)
