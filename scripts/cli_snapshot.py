@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Snapshot the pinned command-line invocations for a before/after diff.
+
+Runs each invocation below in-process through ``nonholo.cli.main`` at
+seed 3, from inside OUTDIR, and writes there, per invocation NAME:
+NAME.out (stdout), NAME.err (stderr), NAME.exit (the exit code) and,
+for the runs that write one, NAME.csv.  Snapshot two checkouts into two
+directories and ``diff -r`` them to see exactly which outputs a change
+moved.  The invocations run against whichever ``nonholo`` is imported, so
+``PYTHONPATH=<checkout>/src`` snapshots an older checkout too.
+
+Usage: python scripts/cli_snapshot.py OUTDIR
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+from nonholo.cli import main
+
+INVOCATIONS = {
+    "simulate-ball": ["simulate", "--model", "ball", "--demo"],
+    "simulate-veselova-gyrostat": ["simulate", "--model", "veselova", "--gyrostat", "0,0,0.1", "--demo"],
+    "simulate-ball-linear": ["simulate", "--model", "ball", "--demo", "--U", "linear", "--U-vec", "0,0,1",
+                             "--horizon", "5", "--samples", "51"],
+    "planar-demo": ["planar-demo"],
+    "check-jacobi-ball": ["check", "jacobi", "--model", "ball"],
+    "check-jacobi-veselova-gyrostat": ["check", "jacobi", "--model", "veselova", "--gyrostat", "0,0,0.1"],
+    "check-jacobi-negative-control": ["check", "jacobi", "--negative-control"],
+    "check-conformal": ["check", "conformal"],
+    "check-measure": ["check", "measure"],
+    "check-gauge": ["check", "gauge"],
+    "check-duality": ["check", "duality"],
+    "check-duality-D2": ["check", "duality", "--D", "2"],
+    "check-planar": ["check", "planar"],
+    "reduce-ball-L32": ["reduce", "--model", "ball", "--L", "32"],
+    "reduce-veselova-gyrostat-L16": ["reduce", "--model", "veselova", "--gyrostat", "0,0,0.1", "--L", "16"],
+    "reduce-g1-f0-L8": ["reduce", "--g", "1", "--f", "0", "--L", "8"],
+}
+
+WRITES_CSV = ("simulate", "planar-demo")
+
+
+def snapshot(outdir: Path) -> dict[str, int]:
+    """Run every invocation inside ``outdir``; the exit code of each."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    codes = {}
+    cwd = os.getcwd()
+    os.chdir(outdir)
+    try:
+        for name, argv in INVOCATIONS.items():
+            if argv[0] in WRITES_CSV:
+                argv = [*argv, "--csv", f"{name}.csv"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                codes[name] = main([*argv, "--seed", "3"])
+            Path(f"{name}.out").write_text(out.getvalue())
+            Path(f"{name}.err").write_text(err.getvalue())
+            Path(f"{name}.exit").write_text(f"{codes[name]}\n")
+    finally:
+        os.chdir(cwd)
+    return codes
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        sys.stderr.write(__doc__.strip().splitlines()[-1] + "\n")
+        sys.exit(2)
+    for name, code in snapshot(Path(sys.argv[1])).items():
+        print(f"{name}: exit {code}")

@@ -156,11 +156,16 @@ def planar(probes) -> tuple[dict, bool]:
                                   planar_mod.to_conformal(system, probes)[2], 1e-8, probes)
     jac, jac_ok = _gate("planar bracket jacobiator",
                         core.jacobiator(planar_mod.conformal_bracket(system), probes[:50]), 1e-9, probes)
+    inadmissible = replace(system, N=ScalarField.constant(1.0))
     try:
-        planar_mod.to_conformal(replace(system, N=ScalarField.constant(1.0)), probes[0])
-        gate_ok = False
+        planar_mod.to_conformal(inadmissible, probes[0])
     except DomainError:
         gate_ok = True
+    else:
+        gate_ok = False
+        _report_worst("planar measure gate admits the density N = 1",
+                      np.max(np.abs(planar_mod.measure_residual(inadmissible, probes[0, :2]))),
+                      f"<= {core.MEASURE_GATE:g}", 0, probes[0])
     ok = residual_ok and jac_ok and gate_ok
     return {"suite": "planar", "conformal_residual_max": residual,
             "bracket_jacobiator_max": jac, "gate_rejects_inadmissible": gate_ok,

@@ -28,13 +28,14 @@ The Veselova sign convention is pinned jointly by the invariant-measure
 equation for rho = 1/g, the ball-Veselova duality identity, and
 conservation of (M + k)^2; see the tests.
 
-H, S and the H-gradients act over the last axis of M and gamma, so that
-the sphere layer evaluates a stack of states in one call.  Each model
-system also carries a closed-form ``flow`` built once from its parameters:
-S and the H-gradients above, and the cross products of the sphere flow,
-written out by components on Python floats for one state.  The generic
-``sphere.rhs`` stays the reference it is tested against.  Each also carries
-the conformal factor g of one gamma, from the same sums as its flow.
+Each model is one component kernel, built once from its parameters: u
+(or G) and ``parts``, which gives S, dH/dM and dH/dgamma.  The same sums
+run on the Python floats of one state, for the closed-form ``flow`` and
+the conformal factor g that the integrators call, and on component arrays
+over the last axis, for the stacked H-gradients, H, the g/f/Phi fields,
+the S-vector K and omega(M) of the sphere layer.  The generic
+``sphere.rhs``, built from the spec, stays the reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, ScalarField, VectorField3, lift
+from .core import DomainError, ScalarField, VectorField3, any_point, lift, pack, require_unit_gamma, vector
 from .sphere import ReducedS, SphereSystem
 
 Array = np.ndarray
@@ -80,22 +81,24 @@ def quadratic_potential(c_diag: Sequence[float]) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# closed-form flows
+# component kernels
 # ---------------------------------------------------------------------------
 
-def _closed_form_flow(k: Array, U: ScalarField | None, parts):
-    """x -> dx/dt of the sphere flow for one state of shape (6,).
+def _xyz(v) -> tuple:
+    """The components of vectors over the last axis, each of shape (...)."""
+    v = np.asarray(v, float)
+    return v[..., 0], v[..., 1], v[..., 2]
 
-    ``parts(M1, M2, M3, g1, g2, g3)`` gives S, dH/dM and dH/dgamma (the
-    latter without the potential) as Python floats; the flow adds
-    grad U and forms
+
+def _kernel_maps(parts, k: Array, U: ScalarField | None):
+    """The flow of one state of shape (6,) and the stacked H-gradients from
+    a kernel ``parts(M1, M2, M3, g1, g2, g3)`` = (S, dH/dM, dH/dgamma
+    without U).  The flow adds grad U and forms, by components on floats,
 
         dM/dt = (M + k - S gamma) x dH/dM + gamma x dH/dgamma,
         dgamma/dt = gamma x dH/dM
-
-    by components, with no per-call array arithmetic.
     """
-    k1, k2, k3 = np.asarray(k, float).tolist()
+    k1, k2, k3 = k.tolist()
 
     def flow(x):
         x = np.asarray(x, float)
@@ -114,7 +117,14 @@ def _closed_form_flow(k: Array, U: ScalarField | None, parts):
             g1 * h2 - g2 * h1,
         ])
 
-    return flow
+    def dH_dM(M, g):
+        return vector(*parts(*_xyz(M), *_xyz(g))[1])
+
+    def dH_dgamma(M, g):
+        out = vector(*parts(*_xyz(M), *_xyz(g))[2])
+        return out if U is None else out + U.gradient(g)
+
+    return flow, dH_dM, dH_dgamma
 
 
 # ---------------------------------------------------------------------------
@@ -143,54 +153,42 @@ class BallParams:
             )
 
 
-def _ball_s(A: Array, Dinv: float, M: Array, gamma: Array):
-    return np.vecdot(A * M, gamma) / (Dinv - np.vecdot(gamma, A * gamma))
-
-
-def ball_system(p: BallParams) -> SphereSystem:
-    A = p.A
+def _ball_kernel(p: BallParams):
+    """u and parts of the ball over components (floats or arrays)."""
+    a1, a2, a3 = p.A.tolist()
     Dinv = 1.0 / p.D
-    U = p.U
 
-    def u(g):
-        return Dinv - np.vecdot(g, A * g)
-
-    def H(M, g):
-        am = A * M
-        val = 0.5 * (np.vecdot(am, M) + np.vecdot(am, g) ** 2 / u(g))
-        return val + (U(g) if U is not None else 0.0)
-
-    def dH_dM(M, g):
-        S = lift(_ball_s(A, Dinv, M, g))
-        return A * M + S * (A * g)
-
-    def dH_dgamma(M, g):
-        S = lift(_ball_s(A, Dinv, M, g))
-        out = S * (A * M) + S * S * (A * g)
-        if U is not None:
-            out = out + U.gradient(g)
-        return out
-
-    a1, a2, a3 = A.tolist()
-
-    def u_closed(g1, g2, g3):
+    def u(g1, g2, g3):
         uv = Dinv - (g1 * (a1 * g1) + g2 * (a2 * g2) + g3 * (a3 * g3))
-        if uv <= 0.0:
-            # BallParams keeps uv > 0 on the unit sphere
-            raise DomainError(f"1/D - (gamma, A gamma) = {uv:.3e} is not positive: "
+        if any_point(uv <= 0.0):
+            # BallParams keeps u > 0 on the unit sphere
+            raise DomainError(f"1/D - (gamma, A gamma) = {np.min(uv):.3e} is not positive: "
                               f"gamma is off the unit sphere")
         return uv
 
     def parts(M1, M2, M3, g1, g2, g3):
         m1, m2, m3 = a1 * M1, a2 * M2, a3 * M3
         n1, n2, n3 = a1 * g1, a2 * g2, a3 * g3
-        S = (m1 * g1 + m2 * g2 + m3 * g3) / u_closed(g1, g2, g3)
+        S = (m1 * g1 + m2 * g2 + m3 * g3) / u(g1, g2, g3)
         SS = S * S
         return (S, (m1 + S * n1, m2 + S * n2, m3 + S * n3),
                 (S * m1 + SS * n1, S * m2 + SS * n2, S * m3 + SS * n3))
 
-    g_field = ScalarField(lambda g: np.sqrt(u(g)),
-                          grad=lambda g: -(A * g) / lift(np.sqrt(u(g))))
+    return u, parts
+
+
+def ball_system(p: BallParams) -> SphereSystem:
+    A, U = p.A, p.U
+    u, parts = _ball_kernel(p)
+
+    def H(M, g):
+        am = A * M
+        val = 0.5 * (np.vecdot(am, M) + np.vecdot(am, g) ** 2 / u(*_xyz(g)))
+        return val + (U(g) if U is not None else 0.0)
+
+    flow, dH_dM, dH_dgamma = _kernel_maps(parts, p.k, U)
+    g_field = ScalarField(lambda g: np.sqrt(u(*_xyz(g))),
+                          grad=lambda g: -(A * g) / lift(np.sqrt(u(*_xyz(g)))))
     extras = ()
     if U is None and not np.any(p.k):
         extras = (("Msq", lambda M, g: np.vecdot(M, M)),)
@@ -202,28 +200,26 @@ def ball_system(p: BallParams) -> SphereSystem:
         s_spec=ReducedS(g=g_field, f=ScalarField.constant(0.0)),
         k=p.k,
         extra_integrals=extras,
-        flow=_closed_form_flow(p.k, U, parts),
-        g=lambda gamma: math.sqrt(u_closed(*gamma.tolist())),
+        flow=flow,
+        g=lambda gamma: math.sqrt(u(*gamma.tolist())),
     )
 
 
 def ball_K(p: BallParams) -> VectorField3:
     """Closed form of the ball's S-vector: K = A gamma / (1/D - (gamma, A gamma))."""
-    A, Dinv = p.A, 1.0 / p.D
-    return VectorField3(lambda g: (A * g) / lift(Dinv - np.vecdot(g, A * g)))
+    A, (u, _) = p.A, _ball_kernel(p)
+    return VectorField3(lambda g: (A * g) / lift(u(*_xyz(g))))
 
 
 def ball_M_from_omega(p: BallParams, omega, gamma) -> Array:
-    omega = np.asarray(omega, float)
-    gamma = np.asarray(gamma, float)
+    omega, gamma = np.asarray(omega, float), np.asarray(gamma, float)
     return omega / p.A - p.D * lift(np.vecdot(omega, gamma)) * gamma
 
 
 def ball_omega_from_M(p: BallParams, M, gamma) -> Array:
-    M = np.asarray(M, float)
-    gamma = np.asarray(gamma, float)
-    S = lift(_ball_s(p.A, 1.0 / p.D, M, gamma))
-    return p.A * (M + S * gamma)
+    M, gamma = np.asarray(M, float), np.asarray(gamma, float)
+    S = _ball_kernel(p)[1](*_xyz(M), *_xyz(gamma))[0]
+    return p.A * (M + lift(S) * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -242,59 +238,47 @@ class VeselovaParams:
         object.__setattr__(self, "k", np.asarray(self.k, float))
 
 
-def _veselova_s(Ah: Array, k: Array, M: Array, gamma: Array):
-    G = np.vecdot(gamma, Ah * gamma)
-    w = np.vecdot(Ah * M - M - k, gamma)
-    return -w / G
+def _veselova_kernel(p: VeselovaParams):
+    """G and parts of the Veselova body over components (floats or arrays)."""
+    b1, b2, b3 = p.Ahat.tolist()
+    k1, k2, k3 = p.k.tolist()
 
-
-def veselova_system(p: VeselovaParams) -> SphereSystem:
-    Ah = p.Ahat
-    k = p.k
-    U = p.U
-
-    def G(g):
-        return np.vecdot(g, Ah * g)
-
-    def H(M, g):
-        w = np.vecdot(Ah * M - M - k, g)
-        val = 0.5 * (np.vecdot(Ah * M, M) - w * w / G(g))
-        return val + (U(g) if U is not None else 0.0)
-
-    def dH_dM(M, g):
-        S = lift(_veselova_s(Ah, k, M, g))
-        return Ah * M + S * (Ah * g - g)
-
-    def dH_dgamma(M, g):
-        S = lift(_veselova_s(Ah, k, M, g))
-        out = S * (Ah * M - M - k) + S * S * (Ah * g)
-        if U is not None:
-            out = out + U.gradient(g)
-        return out
-
-    b1, b2, b3 = Ah.tolist()
-    k1, k2, k3 = k.tolist()
-
-    def G_closed(g1, g2, g3):
+    def G(g1, g2, g3):
         return g1 * (b1 * g1) + g2 * (b2 * g2) + g3 * (b3 * g3)
 
     def parts(M1, M2, M3, g1, g2, g3):
         n1, n2, n3 = b1 * g1, b2 * g2, b3 * g3
         r1, r2, r3 = b1 * M1 - M1 - k1, b2 * M2 - M2 - k2, b3 * M3 - M3 - k3
-        S = -(r1 * g1 + r2 * g2 + r3 * g3) / G_closed(g1, g2, g3)
+        S = -(r1 * g1 + r2 * g2 + r3 * g3) / G(g1, g2, g3)
         SS = S * S
         return (S, (b1 * M1 + S * (n1 - g1), b2 * M2 + S * (n2 - g2), b3 * M3 + S * (n3 - g3)),
                 (S * r1 + SS * n1, S * r2 + SS * n2, S * r3 + SS * n3))
 
-    g_field = ScalarField(lambda g: np.sqrt(G(g)),
-                          grad=lambda g: (Ah * g) / lift(np.sqrt(G(g))))
-    f_field = ScalarField(lambda g: 1.0 / np.sqrt(G(g)),
-                          grad=lambda g: -(Ah * g) / lift(G(g) ** 1.5))
+    return G, parts
+
+
+def veselova_system(p: VeselovaParams) -> SphereSystem:
+    Ah, k, U = p.Ahat, p.k, p.U
+    G, parts = _veselova_kernel(p)
+
+    def Gv(g):
+        return G(*_xyz(g))
+
+    def H(M, g):
+        w = np.vecdot(Ah * M - M - k, g)
+        val = 0.5 * (np.vecdot(Ah * M, M) - w * w / Gv(g))
+        return val + (U(g) if U is not None else 0.0)
+
+    flow, dH_dM, dH_dgamma = _kernel_maps(parts, k, U)
+    g_field = ScalarField(lambda g: np.sqrt(Gv(g)),
+                          grad=lambda g: (Ah * g) / lift(np.sqrt(Gv(g))))
+    f_field = ScalarField(lambda g: 1.0 / np.sqrt(Gv(g)),
+                          grad=lambda g: -(Ah * g) / lift(Gv(g) ** 1.5))
     phi_field = None
     if np.any(k):
         phi_field = ScalarField(
-            lambda g: np.vecdot(g, k) / np.sqrt(G(g)),
-            grad=lambda g: k / lift(np.sqrt(G(g))) - lift(np.vecdot(g, k)) * (Ah * g) / lift(G(g) ** 1.5))
+            lambda g: np.vecdot(g, k) / np.sqrt(Gv(g)),
+            grad=lambda g: k / lift(np.sqrt(Gv(g))) - lift(np.vecdot(g, k)) * (Ah * g) / lift(Gv(g) ** 1.5))
     extras = ()
     if U is None:
         name = "MkSq" if np.any(k) else "Msq"
@@ -307,29 +291,27 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
         s_spec=ReducedS(g=g_field, f=f_field, phi=phi_field),
         k=k,
         extra_integrals=extras,
-        flow=_closed_form_flow(k, U, parts),
-        g=lambda gamma: math.sqrt(G_closed(*gamma.tolist())),
+        flow=flow,
+        g=lambda gamma: math.sqrt(G(*gamma.tolist())),
     )
 
 
 def veselova_K(p: VeselovaParams) -> VectorField3:
     """Closed form of the Veselova S-vector: K = -(Ahat - E) gamma / (gamma, Ahat gamma)."""
-    Ah = p.Ahat
-    return VectorField3(lambda g: -(Ah * g - g) / lift(np.vecdot(g, Ah * g)))
+    Ah, (G, _) = p.Ahat, _veselova_kernel(p)
+    return VectorField3(lambda g: -(Ah * g - g) / lift(G(*_xyz(g))))
 
 
 def veselova_M_from_omega(p: VeselovaParams, omega, gamma) -> Array:
-    omega = np.asarray(omega, float)
-    gamma = np.asarray(gamma, float)
+    omega, gamma = np.asarray(omega, float), np.asarray(gamma, float)
     lam = np.vecdot(omega / p.Ahat - omega + p.k, gamma)
     return omega / p.Ahat - lift(lam) * gamma
 
 
 def veselova_omega_from_M(p: VeselovaParams, M, gamma) -> Array:
-    M = np.asarray(M, float)
-    gamma = np.asarray(gamma, float)
-    S = lift(_veselova_s(p.Ahat, p.k, M, gamma))
-    return p.Ahat * (M + S * gamma)
+    M, gamma = np.asarray(M, float), np.asarray(gamma, float)
+    S = _veselova_kernel(p)[1](*_xyz(M), *_xyz(gamma))[0]
+    return p.Ahat * (M + lift(S) * gamma)
 
 
 def veselova_initial_state(p: VeselovaParams, gamma, omega_tangent) -> Array:
@@ -338,8 +320,6 @@ def veselova_initial_state(p: VeselovaParams, gamma, omega_tangent) -> Array:
     ``omega_tangent`` is projected onto the tangent plane at gamma and the
     normal component b * gamma is added before converting to M.
     """
-    from .core import pack, require_unit_gamma
-
     gamma = np.asarray(gamma, float)
     require_unit_gamma(gamma)
     w = np.asarray(omega_tangent, float)

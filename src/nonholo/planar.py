@@ -176,8 +176,7 @@ def _conformal_residual(sys: PlanarSystem, state) -> Array:
     return point_values(np.max(np.abs(lhs - nv * X), axis=-1), z)
 
 
-def to_conformal(sys: PlanarSystem, state,
-                 gate: float = MEASURE_GATE) -> tuple[Array, Array, Array]:
+def to_conformal(sys: PlanarSystem, state) -> tuple[Array, Array, Array]:
     """Rescaled momenta, the {p1, p2} bracket entry, and the representation
     residual at states of shape (..., 4).
 
@@ -189,7 +188,7 @@ def to_conformal(sys: PlanarSystem, state,
     q, P = z[..., :2], z[..., 2:]
     r = measure_residual(sys, q)
     worst = np.max(np.abs(r), axis=-1)
-    if np.any(worst > gate):
+    if np.any(worst > MEASURE_GATE):
         at = worst == np.max(worst)
         r1, r2 = _first(at, r)
         raise DomainError(f"measure conditions violated at q = {_first(at, q)}: "

@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
-from nonholo import DirectS, SphereSystem, VectorField3, pack
+from nonholo import (BallParams, DirectS, SphereSystem, VectorField3, VeselovaParams, ball_system,
+                     linear_potential, pack, quadratic_potential, veselova_system)
+
+# both models, with and without a gyrostat with no zero component, and
+# both potentials
+_K = np.array([0.05, -0.08, 0.1])
+SYSTEMS = {
+    "ball": ball_system(BallParams(A=(0.4, 0.5, 0.6), D=1.0)),
+    "ball+gyrostat+linear U": ball_system(BallParams(A=(0.4, 0.5, 0.6), D=1.0, k=_K,
+                                                    U=linear_potential((0.3, -0.2, 0.5)))),
+    "veselova": veselova_system(VeselovaParams(Ahat=(0.6, 0.75, 0.9))),
+    "veselova+gyrostat": veselova_system(VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=np.array([0.0, 0.0, 0.1]))),
+    "veselova+gyrostat+quadratic U": veselova_system(VeselovaParams(
+        Ahat=(0.6, 0.75, 0.9), k=_K, U=quadratic_potential((1.0, 2.0, 3.0)))),
+}
 
 
 def rand_unit(rng) -> np.ndarray:

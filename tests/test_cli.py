@@ -516,8 +516,15 @@ class TestStackedSuites:
     def test_planar_fails_when_the_gate_admits_the_inadmissible(self, workdir, capsys, monkeypatch):
         monkeypatch.setattr(planar_mod, "measure_residual", lambda sys, q: np.zeros(np.shape(q)))
         assert run(["check", "planar", "-n", "60"]) == 4
-        out = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
         assert out["gate_rejects_inadmissible"] is False and out["pass"] is False
+        rng = np.random.default_rng(0)
+        sphere.random_states(rng, 60)
+        probe = rng.standard_normal((60, 4))[0]
+        assert captured.err == ("planar measure gate admits the density N = 1: worst value "
+                                "0.000000e+00 <= 1e-08 at state 0: ("
+                                + ", ".join(f"{v:.17g}" for v in probe) + ")\n")
 
     def test_passing_gate_writes_nothing_to_stderr(self, workdir, capsys):
         assert run(["check", "conformal", "-n", "50"]) == 0

@@ -34,3 +34,12 @@ def test_reduction_demo(monkeypatch, capsys):
                         "n_states", "seed", "pass"}
     assert rep["L"] == 8 and rep["n_states"] == 50 and rep["g_tilde_dev"] <= 1e-8
     assert rep["pass"] is (rep["residual"] <= 1e-6 and rep["bracket_dev"] <= 1e-6)
+
+
+def test_cli_snapshot(monkeypatch, capsys, tmp_path):
+    out = run_script("cli_snapshot.py", [str(tmp_path)], monkeypatch, capsys)
+    lines = out.strip().splitlines()
+    assert len(lines) == 16 and all(line.endswith(": exit 0") for line in lines)
+    codes = [p.read_text() for p in sorted(tmp_path.glob("*.exit"))]
+    assert codes == ["0\n"] * 16
+    assert len(list(tmp_path.glob("*.csv"))) == 4 and len(list(tmp_path.glob("*.out"))) == 16

@@ -33,7 +33,7 @@ from nonholo import (
 )
 from nonholo.sphere import gradient_consistency
 
-from conftest import direct_system, rand_state, rand_unit
+from conftest import SYSTEMS, direct_system, rand_state, rand_unit
 
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 VES = VeselovaParams(Ahat=(0.6, 0.75, 0.9))
@@ -313,7 +313,6 @@ class TestConformalResidual:
 
 
 def test_analytic_gradients_match_fd(rng):
-    for make in (lambda: ball_system(BALL), lambda: veselova_system(VES_GYRO)):
-        sys = make()
+    for sys in SYSTEMS.values():
         for _ in range(10):
             assert gradient_consistency(sys, rand_state(rng)) <= 1e-6

@@ -49,6 +49,7 @@ from nonholo import (
     veselova_M_from_omega,
     veselova_system,
 )
+from nonholo import planar as planar_mod
 from nonholo.core import CHUNK, lift
 from nonholo.gauge import gauge_state_jacobian
 from nonholo.models import veselova_initial_state
@@ -57,7 +58,7 @@ from nonholo.planar import (PlanarLagrangian, conformal_bracket, demo_system, en
 from nonholo.planar import measure_residual as planar_measure_residual
 from nonholo.sphere import DirectS, SphereSystem
 
-from conftest import rand_state, rand_unit
+from conftest import SYSTEMS, rand_state, rand_unit
 
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 VES = VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=np.array([0.0, 0.0, 0.1]))
@@ -189,18 +190,6 @@ def test_pack_keeps_stack_shape(rng):
 # the sphere layer
 # ---------------------------------------------------------------------------
 
-_K = np.array([0.05, -0.08, 0.1])
-SYSTEMS = {
-    "ball": ball_system(BALL),
-    "ball+gyrostat+linear U": ball_system(BallParams(A=(0.4, 0.5, 0.6), D=1.0, k=_K,
-                                                    U=linear_potential((0.3, -0.2, 0.5)))),
-    "veselova": veselova_system(VeselovaParams(Ahat=(0.6, 0.75, 0.9))),
-    "veselova+gyrostat": veselova_system(VES),
-    "veselova+gyrostat+quadratic U": veselova_system(VeselovaParams(
-        Ahat=(0.6, 0.75, 0.9), k=_K, U=quadratic_potential((1.0, 2.0, 3.0)))),
-}
-
-
 def _direct(sysm):
     """The ball as a system with a direct S-spec: K in closed form and an
     offset, so that both branches of ``s_value`` are stacked."""
@@ -217,6 +206,19 @@ def test_hamiltonian_and_gradients_stack_matches_points(name, rng):
     assert sysm.dH_dM(M, G).shape == (7, 3) and sysm.dH_dgamma(M, G).shape == (7, 3)
     for fn in (sysm.hamiltonian, sysm.dH_dM, sysm.dH_dgamma):
         _same_rows(fn(M, G), lambda x: fn(*unpack(x)), X)
+
+
+def test_ball_stack_refuses_gamma_off_the_sphere():
+    # u = 1/D - (gamma, A gamma) = 1 - 0.6 * 4 < 0 in the second row
+    sysm = ball_system(BALL)
+    M, G = np.array([[0.3, -0.2, 0.5], [0.3, -0.2, 0.5]]), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
+    for fn in (sysm.dH_dM, sysm.dH_dgamma, sysm.hamiltonian):
+        with pytest.raises(DomainError, match="off the unit sphere"):
+            fn(M, G)
+    with pytest.raises(DomainError, match="off the unit sphere"):
+        sysm.s_spec.g(G)
+    with pytest.raises(DomainError, match="off the unit sphere"):
+        sysm.flow(pack(M[1], G[1]))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -294,10 +296,11 @@ PLANAR = {"demo": demo_system(), "lagrangian": from_lagrangian(_LAG, _N),
 
 
 @pytest.mark.parametrize("name", sorted(PLANAR))
-def test_planar_functions_stack_matches_points(name, rng):
+def test_planar_functions_stack_matches_points(name, rng, monkeypatch):
     sysm, Z = PLANAR[name], rng.standard_normal((7, 4))
-    # the Lagrangian systems admit no density: read their residuals ungated
-    gate = 1e-8 if name == "demo" else np.inf
+    if name != "demo":
+        # the Lagrangian systems admit no density: read their residuals ungated
+        monkeypatch.setattr(planar_mod, "MEASURE_GATE", np.inf)
     E = energy_fn(sysm)
     assert isinstance(E(Z[0]), float) and E(Z).shape == (7,)
     _same_rows(E(Z), E, Z)
@@ -305,11 +308,11 @@ def test_planar_functions_stack_matches_points(name, rng):
     _same_rows(planar_rhs(sysm, Z), lambda z: planar_rhs(sysm, z), Z)
     assert planar_measure_residual(sysm, Z[:, :2]).shape == (7, 2)
     _same_rows(planar_measure_residual(sysm, Z[:, :2]), lambda q: planar_measure_residual(sysm, q), Z[:, :2])
-    p, nb, residual = to_conformal(sysm, Z, gate)
+    p, nb, residual = to_conformal(sysm, Z)
     assert p.shape == (7, 2) and nb.shape == (7,) and residual.shape == (7,)
-    assert all(isinstance(v, float) for v in to_conformal(sysm, Z[0], gate)[1:])
+    assert all(isinstance(v, float) for v in to_conformal(sysm, Z[0])[1:])
     for i, stacked in enumerate((p, nb, residual)):
-        _same_rows(stacked, lambda z: to_conformal(sysm, z, gate)[i], Z)
+        _same_rows(stacked, lambda z: to_conformal(sysm, z)[i], Z)
 
 
 def test_lagrangian_bracket_with_field_coefficients_is_jacobi(rng):
