@@ -68,7 +68,6 @@ from .models import (
     veselova_system,
 )
 from .sphere import (
-    DirectS,
     IntegralValues,
     ReducedS,
     SphereSystem,

@@ -94,8 +94,7 @@ def measure(states) -> tuple[dict, bool]:
     for name, system, K in (("ball", ball_system(ball), ball_K(ball)),
                             ("veselova", veselova_system(ves), veselova_K(ves))):
         rho = system.s_spec.g.reciprocal()
-        vals[name] = np.max(np.abs(sphere.measure_residual(sphere.DirectS(K=K), states, rho=rho)),
-                            axis=-1)
+        vals[name] = np.max(np.abs(sphere.measure_residual(K, states, rho)), axis=-1)
     return _gate_by_model("measure", vals, 1e-10, states)
 
 

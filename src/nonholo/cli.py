@@ -179,6 +179,8 @@ def _initial_state(args, cfg, params):
     if gamma is None:
         raise ConfigError("no initial condition; pass --gamma (plus --M or --omega) or --demo")
     norm = np.linalg.norm(gamma)
+    if not 0.0 < norm < np.inf:
+        raise DomainError(f"--gamma (initial.gamma) must be a finite nonzero direction, got {gamma.tolist()}")
     if abs(norm - 1.0) > 1e-6:
         warnings.warn(f"renormalizing gamma: |gamma| = {norm:.8f}")
     gamma = gamma / norm
@@ -218,7 +220,14 @@ def cmd_simulate(args) -> int:
               "drifts": {k: float(v) for k, v in drifts.items()}, "nfev": traj.nfev,
               "csv": str(args.csv), "pass": ok}
     _emit(report, args.report)
-    return 0 if ok else 4
+    if ok:
+        return 0
+    worst = max(drifts, key=drifts.get)
+    vals = traj.integrals[worst]
+    t = traj.t[np.argmax(np.abs(vals - vals[0]))]
+    sys.stderr.write(f"drift gate: {worst} drifted {drifts[worst]:.3e} > {threshold:g} at t = {t:g}; "
+                     f"try a smaller --rtol\n")
+    return 4
 
 
 def cmd_check(args) -> int:

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DomainError, StiffnessError
-from .sphere import ReducedS, SphereSystem, integrals
+from .sphere import SphereSystem, integrals
 
 Array = np.ndarray
 
@@ -246,8 +246,6 @@ def integrate_reparametrized(sys: SphereSystem, state0,
     bounded below on the sphere, so the clock reaches the horizon at a
     finite tau.
     """
-    if not isinstance(sys.s_spec, ReducedS):
-        raise DomainError("time rescaling needs a reduced S-spec (rho = 1/g)")
     g_of, flow = sys.g, sys.flow
 
     def z_rhs(z):

@@ -244,7 +244,12 @@ def _veselova_kernel(p: VeselovaParams):
     k1, k2, k3 = p.k.tolist()
 
     def G(g1, g2, g3):
-        return g1 * (b1 * g1) + g2 * (b2 * g2) + g3 * (b3 * g3)
+        Gv = g1 * (b1 * g1) + g2 * (b2 * g2) + g3 * (b3 * g3)
+        if any_point(Gv <= 0.0):
+            # Ahat > 0 keeps G > 0 for every gamma but 0
+            raise DomainError(f"(gamma, Ahat gamma) = {np.min(Gv):.3e} is not positive: "
+                              f"gamma is off the unit sphere")
+        return Gv
 
     def parts(M1, M2, M3, g1, g2, g3):
         n1, n2, n3 = b1 * g1, b2 * g2, b3 * g3

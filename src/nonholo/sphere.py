@@ -7,18 +7,20 @@ A system is the flow
 
 driven by a Hamiltonian H(M, gamma) that is quadratic and non-degenerate in
 M, a function S linear in M, and a constant gyrostatic momentum k.  Every
-such flow conserves gamma^2, (M + k, gamma) and H.  When S comes in the
-reduced form
+such flow conserves gamma^2, (M + k, gamma) and H.  S has one form, stated
+by (g, f, Phi) with g > 0 near the sphere:
 
     S = (1/g) (-dg/dgamma + f*gamma, M) + Phi/g
 
-the flow equals (1/g) P grad H for the skew 6x6 field
+The flow equals (1/g) P grad H for the skew 6x6 field
 
     P = g [[hat(M+k), hat(gamma)], [hat(gamma), 0]]
         - g S [[hat(gamma), 0], [0, 0]]
 
 which satisfies the Jacobi identity, has Casimirs gamma^2 and (M+k, gamma),
-and admits the invariant measure density rho = 1/g.
+and admits the invariant measure density rho = 1/g.  ``measure_residual(K,
+x, rho)`` tests an explicit S-vector K (S = (K, M) + ...) against an
+explicit density rho.
 
 ``rhs`` evaluates the flow from the generic data (the H-gradients and the
 S-spec); it is the reference.  The integrators step through a system's
@@ -79,17 +81,6 @@ class ReducedS:
     phi: ScalarField | None = None
 
 
-@dataclass(frozen=True)
-class DirectS:
-    """S given directly as (K(gamma), M) + offset(gamma)."""
-
-    K: VectorField3
-    offset: ScalarField | None = None
-
-
-SFunctionSpec = ReducedS | DirectS
-
-
 def k_from_gf(g: ScalarField, f: ScalarField, gamma) -> Array:
     """The S-vector of a reduced spec: K = (f*gamma - dg/dgamma) / g, over
     the last axis of gamma.
@@ -117,14 +108,14 @@ class SphereSystem:
     conserved.  ``flow`` maps one state of shape (6,) to dx/dt; it defaults
     to the reference ``rhs`` and is what the integrators call.  ``g`` maps
     one gamma of shape (3,) to the conformal factor as a float; it defaults
-    to the reduced spec's g and is what the time-rescaled run calls.
+    to the S-spec's g and is what the time-rescaled run calls.
     """
 
     name: str
     hamiltonian: Callable[[Array, Array], Array]
     dH_dM: Callable[[Array, Array], Array]
     dH_dgamma: Callable[[Array, Array], Array]
-    s_spec: SFunctionSpec
+    s_spec: ReducedS
     k: Array = field(default_factory=lambda: np.zeros(3))
     extra_integrals: tuple[tuple[str, Callable[[Array, Array], Array]], ...] = ()
     flow: Callable[[Array], Array] | None = field(default=None, repr=False, compare=False)
@@ -133,7 +124,7 @@ class SphereSystem:
     def __post_init__(self):
         if self.flow is None:
             object.__setattr__(self, "flow", lambda x: rhs(self, x))
-        if self.g is None and isinstance(self.s_spec, ReducedS):
+        if self.g is None:
             object.__setattr__(self, "g", self.s_spec.g)
 
 
@@ -149,17 +140,12 @@ class IntegralValues:
 
 
 def s_value(sys: SphereSystem, x):
-    """S at states, for either spec form."""
+    """S = (K, M) + Phi/g at states, with K = k_from_gf(g, f)."""
     M, gamma = unpack(x)
     spec = sys.s_spec
-    if isinstance(spec, DirectS):
-        s = np.vecdot(spec.K(gamma), M)
-        if spec.offset is not None:
-            s = s + spec.offset(gamma)
-    else:
-        s = np.vecdot(k_from_gf(spec.g, spec.f, gamma), M)
-        if spec.phi is not None:
-            s = s + spec.phi(gamma) / spec.g(gamma)
+    s = np.vecdot(k_from_gf(spec.g, spec.f, gamma), M)
+    if spec.phi is not None:
+        s = s + spec.phi(gamma) / spec.g(gamma)
     return point_values(s, x)
 
 
@@ -185,26 +171,15 @@ def integrals(sys: SphereSystem, x) -> IntegralValues:
     )
 
 
-def measure_residual(sys_or_spec, x, rho: ScalarField | None = None) -> Array:
+def measure_residual(K: VectorField3, x, rho: ScalarField) -> Array:
     """The obstruction ((1/rho) drho/dgamma - K) x gamma, a 3-vector per
-    state.
+    state, for the S-vector K of S = (K, M) + ... and the density rho.
 
-    Zero iff rho(gamma) dM dgamma is an invariant measure of the flow.  For
-    a reduced spec the density defaults to rho = 1/g; a direct spec needs an
-    explicit density.
+    Zero iff rho(gamma) dM dgamma is an invariant measure of the flow.
     """
-    spec = sys_or_spec.s_spec if isinstance(sys_or_spec, SphereSystem) else sys_or_spec
     _, gamma = unpack(x)
-    if isinstance(spec, ReducedS):
-        if rho is None:
-            rho = spec.g.reciprocal()
-        K = k_from_gf(spec.g, spec.f, gamma)
-    else:
-        if rho is None:
-            raise ConfigError("a direct S-spec carries no density; pass rho explicitly")
-        K = spec.K(gamma)
     dlog_rho = rho.gradient(gamma) / lift(rho(gamma))
-    return np.cross(dlog_rho - K, gamma)
+    return np.cross(dlog_rho - K(gamma), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +233,17 @@ def bivector_field(g: ScalarField, K: VectorField3 | None = None,
 
 
 def assemble_P(sys: SphereSystem, x) -> Array:
-    """The bracket matrices of a reduced-spec system at states."""
+    """The bracket matrices of a system at states."""
     spec = sys.s_spec
-    if not isinstance(spec, ReducedS):
-        raise ConfigError("bracket assembly needs a reduced S-spec (g, f, Phi)")
     return bivector_field(spec.g, f=spec.f, phi=spec.phi, k=sys.k)(x)
 
 
 def conformal_residual(sys: SphereSystem, x):
     """Sup-norm of rhs(x) - (1/g) P(x) grad H(x) per state; zero for
     admissible systems."""
-    spec = sys.s_spec
-    if not isinstance(spec, ReducedS):
-        raise ConfigError("conformal residual needs a reduced S-spec")
     M, gamma = unpack(x)
     gradH = pack(sys.dH_dM(M, gamma), sys.dH_dgamma(M, gamma))
-    bracket = (assemble_P(sys, x) @ gradH[..., None])[..., 0] / lift(spec.g(gamma))
+    bracket = (assemble_P(sys, x) @ gradH[..., None])[..., 0] / lift(sys.s_spec.g(gamma))
     return point_values(np.max(np.abs(rhs(sys, x) - bracket), axis=-1), x)
 
 

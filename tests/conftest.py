@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nonholo import (BallParams, DirectS, SphereSystem, VectorField3, VeselovaParams, ball_system,
-                     linear_potential, pack, quadratic_potential, veselova_system)
+from nonholo import (BallParams, VeselovaParams, ball_system, linear_potential, pack, quadratic_potential,
+                     veselova_system)
 
 # both models, with and without a gyrostat with no zero component, and
 # both potentials
@@ -26,12 +26,6 @@ def rand_unit(rng) -> np.ndarray:
 def rand_state(rng) -> np.ndarray:
     """A random phase point with gamma on the unit sphere."""
     return pack(rng.standard_normal(3), rand_unit(rng))
-
-
-def direct_system() -> SphereSystem:
-    """A system whose S-function is given directly (K), with no (g, f)."""
-    return SphereSystem("direct", lambda M, g: 0.0, lambda M, g: np.zeros(3),
-                        lambda M, g: np.zeros(3), DirectS(K=VectorField3.zero()))
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ import nonholo.planar as planar_mod
 import nonholo.sphere as sphere
 from nonholo import (
     BallParams,
-    DirectS,
     DomainError,
     GFParams,
     GaugeTransform,
@@ -64,6 +63,7 @@ class TestSimulate:
         report = json.loads((workdir / "report.json").read_text())
         assert report["pass"] is True
         assert set(report["drifts"]) == {"H", "F1", "F2", "Msq"}
+        assert capsys.readouterr().err == ""
 
     def test_domain_violation_exits_3(self, workdir, capsys):
         code = run(["simulate", "--model", "ball", "--A", "0.4,0.5,0.6",
@@ -127,10 +127,19 @@ class TestSimulate:
         report = json.loads((workdir / "report.json").read_text())
         assert report["horizon"] == 1.0
 
-    def test_coarse_run_fails_threshold(self, workdir):
+    def test_coarse_run_fails_threshold(self, workdir, capsys):
         code = run(["simulate", "--model", "ball", "--demo", "--rtol", "1e-4",
                     "--atol", "1e-6", "--horizon", "50", "--samples", "51"])
         assert code == 4
+        assert capsys.readouterr().err == ("drift gate: F1 drifted 4.093e-05 > 1e-08 at t = 50; "
+                                           "try a smaller --rtol\n")
+
+    @pytest.mark.parametrize("gamma, shown", [("0,0,0", "[0.0, 0.0, 0.0]"), ("nan,0,0", "[nan, 0.0, 0.0]")])
+    def test_degenerate_gamma_is_named(self, workdir, capsys, gamma, shown):
+        # refused before the renormalisation, which would warn and divide by zero
+        assert run(["simulate", "--model", "veselova", "--M", "1,0,0", "--gamma", gamma]) == 3
+        assert capsys.readouterr().err == ("domain error: --gamma (initial.gamma) must be a finite "
+                                           f"nonzero direction, got {shown}\n")
 
     @pytest.mark.parametrize("flag, value, shown", [("--rtol", "0", "0.0"), ("--atol", "-1", "-1.0"),
                                                     ("--horizon", "0", "0.0")])
@@ -410,7 +419,7 @@ def _one_state_bodies(states, probes):
     for name, sysm, K in (("ball", ball_system(ball), ball_K(ball)),
                           ("veselova", veselova_system(ves), veselova_K(ves))):
         rho = sysm.s_spec.g.reciprocal()
-        by_model[name] = max(float(np.max(np.abs(measure_residual(DirectS(K=K), x, rho=rho))))
+        by_model[name] = max(float(np.max(np.abs(measure_residual(K, x, rho))))
                              for x in states)
     bodies[("measure",)] = {"suite": "measure", "max_by_model": by_model,
                             "max": max(by_model.values()), "threshold": 1e-10, "pass": True}

@@ -27,8 +27,6 @@ from nonholo import (
 )
 from nonholo.planar import demo_system, energy_fn, planar_rhs
 
-from conftest import direct_system
-
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 X0 = pack([0.3, -0.2, 0.5], np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
 # g grows along this orbit far beyond its initial value, so the tau at which
@@ -222,10 +220,6 @@ class TestReparametrized:
                                                     IntegratorConfig(horizon=1.0, samples=11))
         with pytest.raises(DomainError, match="outside the rescaled run"):
             map_to_physical_time(tau_traj, t_phys, [0.5, 1.5])
-
-    def test_direct_spec_rejected(self):
-        with pytest.raises(DomainError, match="reduced S-spec"):
-            integrate_reparametrized(direct_system(), X0, IntegratorConfig(horizon=1.0))
 
     def test_time_map_needs_a_rescaled_run(self):
         direct = integrate_sphere(ball_system(BALL), X0, IntegratorConfig(horizon=1.0, samples=11))

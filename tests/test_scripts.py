@@ -1,12 +1,16 @@
-"""Smoke runs of the example scripts, so that an API change cannot break
-them silently."""
+"""Smoke runs of the example scripts, and a check that every program name
+the benchmark reads exists, so that an API change cannot break them
+silently."""
 
+import importlib
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 def run_script(name, argv, monkeypatch, capsys):
@@ -43,3 +47,31 @@ def test_cli_snapshot(monkeypatch, capsys, tmp_path):
     codes = [p.read_text() for p in sorted(tmp_path.glob("*.exit"))]
     assert codes == ["0\n"] * 16
     assert len(list(tmp_path.glob("*.csv"))) == 4 and len(list(tmp_path.glob("*.out"))) == 16
+
+
+def _resolves(chain: str) -> bool:
+    """Whether a dotted name ``nonholo.a.b`` names a module or attribute,
+    importing submodules on the way as ``import nonholo.a`` would."""
+    obj = importlib.import_module("nonholo")
+    try:
+        for part in chain.split(".")[1:]:
+            if not hasattr(obj, part) and hasattr(obj, "__path__"):
+                importlib.import_module(f"{obj.__name__}.{part}")
+            obj = getattr(obj, part)
+    except (AttributeError, ImportError):
+        return False
+    return True
+
+
+def test_benchmark_names_exist():
+    # the benchmark reads these names from the program; a change that
+    # deletes one fails here rather than in a benchmark run (the tracer's
+    # (module, attribute) targets are checked by perfbench's own tests)
+    chains = set()
+    for path in sorted([*PERFBENCH.glob("*.py"), *PERFBENCH.glob("tests/*.py")]):
+        text = path.read_text()
+        chains.update(re.findall(r"\bnonholo(?:\.\w+)+", text))
+        for module, names in re.findall(r"^from (nonholo[\w.]*) import (\([^)]*\)|.*)$", text, re.M):
+            chains.update(f"{module}.{name.split()[0]}" for name in names.strip("()").split(",") if name.strip())
+    assert chains, "found no nonholo names in perfbench"
+    assert [chain for chain in sorted(chains) if not _resolves(chain)] == []

@@ -6,7 +6,6 @@ import pytest
 from nonholo import (
     BallParams,
     ConfigError,
-    DirectS,
     DomainError,
     ReducedS,
     ScalarField,
@@ -33,7 +32,7 @@ from nonholo import (
 )
 from nonholo.sphere import gradient_consistency
 
-from conftest import SYSTEMS, direct_system, rand_state, rand_unit
+from conftest import SYSTEMS, rand_state, rand_unit
 
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 VES = VeselovaParams(Ahat=(0.6, 0.75, 0.9))
@@ -52,7 +51,7 @@ def free_top():
 
 class TestSValue:
     def test_zero_spec(self, rng):
-        spec = DirectS(K=VectorField3.zero())
+        spec = ReducedS(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0))
         sys = SphereSystem("null", lambda M, g: 0.0, lambda M, g: np.zeros(3),
                            lambda M, g: np.zeros(3), spec)
         assert s_value(sys, rand_state(rng)) == 0.0
@@ -81,18 +80,6 @@ class TestSValue:
             x = rand_state(rng)
             _, g = unpack(x)
             assert s_value(sys, x) == pytest.approx(0.1 * g[2], abs=1e-14)
-
-    def test_direct_reduced_agreement(self, rng):
-        spec = veselova_system(VES_GYRO).s_spec
-        offset = ScalarField(lambda g: spec.phi(g) / spec.g(g))
-        direct = DirectS(K=VectorField3(lambda g: k_from_gf(spec.g, spec.f, g)),
-                         offset=offset)
-        sys_r = veselova_system(VES_GYRO)
-        sys_d = SphereSystem("direct", sys_r.hamiltonian, sys_r.dH_dM,
-                             sys_r.dH_dgamma, direct, k=VES_GYRO.k)
-        for _ in range(50):
-            x = rand_state(rng)
-            assert abs(s_value(sys_r, x) - s_value(sys_d, x)) <= 1e-10
 
 
 class TestRhs:
@@ -162,34 +149,28 @@ class TestMeasureResidual:
     def test_ball_closed_form_density(self, rng):
         # K = A gamma / u against rho = u^(-1/2): an analytic identity
         rho = ball_system(BALL).s_spec.g.reciprocal()
-        spec = DirectS(K=ball_K(BALL))
         for _ in range(100):
-            r = measure_residual(spec, rand_state(rng), rho=rho)
+            r = measure_residual(ball_K(BALL), rand_state(rng), rho)
             assert np.max(np.abs(r)) <= 1e-10
 
     def test_veselova_closed_form_density(self, rng):
         # here (1/rho) drho/dgamma - K is parallel to gamma, not zero
         rho = veselova_system(VES).s_spec.g.reciprocal()
-        spec = DirectS(K=veselova_K(VES))
         for _ in range(100):
-            r = measure_residual(spec, rand_state(rng), rho=rho)
+            r = measure_residual(veselova_K(VES), rand_state(rng), rho)
             assert np.max(np.abs(r)) <= 1e-10
 
     def test_uniform_density_mismatch(self):
-        spec = DirectS(K=VectorField3(lambda g: np.array([1.0, 0.0, 0.0])))
-        r = measure_residual(spec, pack([0, 0, 0], [0, 0, 1.0]),
-                             rho=ScalarField.constant(1.0))
+        K = VectorField3(lambda g: np.array([1.0, 0.0, 0.0]))
+        r = measure_residual(K, pack([0, 0, 0], [0, 0, 1.0]), ScalarField.constant(1.0))
         np.testing.assert_allclose(r, [0.0, 1.0, 0.0], atol=1e-15)
-
-    def test_direct_spec_needs_density(self, rng):
-        spec = DirectS(K=ball_K(BALL))
-        with pytest.raises(ConfigError):
-            measure_residual(spec, rand_state(rng))
 
     def test_reduced_spec_default_density(self, rng):
         for sys in (ball_system(BALL), veselova_system(VES_GYRO)):
+            spec = sys.s_spec
+            K = VectorField3(lambda g: k_from_gf(spec.g, spec.f, g))
             for _ in range(20):
-                r = measure_residual(sys, rand_state(rng))
+                r = measure_residual(K, rand_state(rng), spec.g.reciprocal())
                 assert np.max(np.abs(r)) <= 1e-12
 
 
@@ -280,10 +261,6 @@ class TestAssembleP:
         vals = [jacobiator(P, rand_state(rng)) for _ in range(100)]
         assert np.mean([v > 1e-3 for v in vals]) >= 0.9
 
-    def test_direct_spec_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            assemble_P(direct_system(), rand_state(rng))
-
     def test_both_K_and_f_rejected(self):
         with pytest.raises(ConfigError, match="exactly one of K or f"):
             bivector_field(g=ScalarField.constant(1.0), K=ball_K(BALL), f=ScalarField.constant(0.0))
@@ -306,10 +283,6 @@ class TestConformalResidual:
                            lambda M, g: np.zeros(3),
                            ReducedS(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0)))
         assert conformal_residual(sys, rand_state(rng)) == 0.0
-
-    def test_direct_spec_rejected(self, rng):
-        with pytest.raises(ConfigError, match="reduced S-spec"):
-            conformal_residual(direct_system(), rand_state(rng))
 
 
 def test_analytic_gradients_match_fd(rng):

@@ -35,6 +35,7 @@ from nonholo import (
     integrals,
     inverse,
     jacobiator,
+    k_from_gf,
     linear_potential,
     measure_residual,
     pack,
@@ -56,7 +57,6 @@ from nonholo.models import veselova_initial_state
 from nonholo.planar import (PlanarLagrangian, conformal_bracket, demo_system, energy_fn, from_lagrangian,
                             planar_rhs, to_conformal)
 from nonholo.planar import measure_residual as planar_measure_residual
-from nonholo.sphere import DirectS, SphereSystem
 
 from conftest import SYSTEMS, rand_state, rand_unit
 
@@ -190,13 +190,6 @@ def test_pack_keeps_stack_shape(rng):
 # the sphere layer
 # ---------------------------------------------------------------------------
 
-def _direct(sysm):
-    """The ball as a system with a direct S-spec: K in closed form and an
-    offset, so that both branches of ``s_value`` are stacked."""
-    return SphereSystem("direct", sysm.hamiltonian, sysm.dH_dM, sysm.dH_dgamma,
-                        DirectS(K=ball_K(BALL), offset=linear_potential((0.1, 0.2, -0.3))), k=sysm.k)
-
-
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_hamiltonian_and_gradients_stack_matches_points(name, rng):
     sysm, X = SYSTEMS[name], _states(rng)
@@ -208,15 +201,20 @@ def test_hamiltonian_and_gradients_stack_matches_points(name, rng):
         _same_rows(fn(M, G), lambda x: fn(*unpack(x)), X)
 
 
-def test_ball_stack_refuses_gamma_off_the_sphere():
-    # u = 1/D - (gamma, A gamma) = 1 - 0.6 * 4 < 0 in the second row
-    sysm = ball_system(BALL)
-    M, G = np.array([[0.3, -0.2, 0.5], [0.3, -0.2, 0.5]]), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
+@pytest.mark.parametrize("sysm, row", [(ball_system(BALL), (0.0, 0.0, 2.0)),
+                                       (veselova_system(VES), (0.0, 0.0, 0.0))],
+                         ids=["ball", "veselova+gyrostat"])
+def test_ball_stack_refuses_gamma_off_the_sphere(sysm, row):
+    # in the second row the ball's u = 1/D - (gamma, A gamma) = 1 - 0.6 * 4 < 0
+    # and Veselova's G = (gamma, Ahat gamma) = 0
+    M, G = np.array([[0.3, -0.2, 0.5], [0.3, -0.2, 0.5]]), np.array([[0.0, 0.0, 1.0], row])
     for fn in (sysm.dH_dM, sysm.dH_dgamma, sysm.hamiltonian):
         with pytest.raises(DomainError, match="off the unit sphere"):
             fn(M, G)
     with pytest.raises(DomainError, match="off the unit sphere"):
         sysm.s_spec.g(G)
+    with pytest.raises(DomainError, match="off the unit sphere"):
+        sysm.g(G[1])
     with pytest.raises(DomainError, match="off the unit sphere"):
         sysm.flow(pack(M[1], G[1]))
 
@@ -224,11 +222,10 @@ def test_ball_stack_refuses_gamma_off_the_sphere():
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_sphere_functions_stack_matches_points(name, rng):
     sysm, X = SYSTEMS[name], _states(rng)
-    for sys_ in (sysm, _direct(sysm)):
-        assert isinstance(s_value(sys_, X[0]), float) and s_value(sys_, X).shape == (7,)
-        _same_rows(s_value(sys_, X), lambda x: s_value(sys_, x), X)
-        assert rhs(sys_, X).shape == (7, 6)
-        _same_rows(rhs(sys_, X), lambda x: rhs(sys_, x), X)
+    assert isinstance(s_value(sysm, X[0]), float) and s_value(sysm, X).shape == (7,)
+    _same_rows(s_value(sysm, X), lambda x: s_value(sysm, x), X)
+    assert rhs(sysm, X).shape == (7, 6)
+    _same_rows(rhs(sysm, X), lambda x: rhs(sysm, x), X)
     assert assemble_P(sysm, X).shape == (7, 6, 6)
     _same_rows(assemble_P(sysm, X), lambda x: assemble_P(sysm, x), X)
     assert isinstance(conformal_residual(sysm, X[0]), float)
@@ -251,11 +248,12 @@ def test_integrals_stack_matches_points(name, rng):
 
 def test_measure_residual_stack_matches_points(rng):
     X = _states(rng)
-    for spec, rho in ((ball_system(BALL), None), (veselova_system(VES), None),
-                      (DirectS(K=ball_K(BALL)), _ball.g.reciprocal()),
-                      (DirectS(K=veselova_K(VES)), _ves.g.reciprocal())):
-        assert measure_residual(spec, X, rho=rho).shape == (7, 3)
-        _same_rows(measure_residual(spec, X, rho=rho), lambda x: measure_residual(spec, x, rho=rho), X)
+    for spec, K in ((_ball, ball_K(BALL)), (_ves, veselova_K(VES)),
+                    (_ball, VectorField3(lambda g: k_from_gf(_ball.g, _ball.f, g))),
+                    (_ves, VectorField3(lambda g: k_from_gf(_ves.g, _ves.f, g)))):
+        rho = spec.g.reciprocal()
+        assert measure_residual(K, X, rho).shape == (7, 3)
+        _same_rows(measure_residual(K, X, rho), lambda x: measure_residual(K, x, rho), X)
 
 
 @pytest.mark.parametrize("name", ["ball", "veselova+gyrostat", "negative control"])
