@@ -38,7 +38,15 @@ INVOCATIONS = {
     "reduce-ball-L32": ["reduce", "--model", "ball", "--L", "32"],
     "reduce-veselova-gyrostat-L16": ["reduce", "--model", "veselova", "--gyrostat", "0,0,0.1", "--L", "16"],
     "reduce-g1-f0-L8": ["reduce", "--g", "1", "--f", "0", "--L", "8"],
+    # failing gates: each exits 4 and writes its one stderr line
+    "simulate-ball-loose-rtol": ["simulate", "--model", "ball", "--demo", "--rtol", "1e-4", "--atol", "1e-6",
+                                 "--horizon", "10", "--samples", "11"],
+    "reduce-ball-near-boundary-L16": ["reduce", "--model", "ball", "--A", "0.4,0.5,0.99", "--D", "1",
+                                      "--L", "16"],
+    "planar-demo-loose-rtol": ["planar-demo", "--rtol", "1e-3", "--atol", "1e-5"],
 }
+# the invocations that exit 4 at a failing gate; every other one exits 0
+FAILING = ("simulate-ball-loose-rtol", "reduce-ball-near-boundary-L16", "planar-demo-loose-rtol")
 
 WRITES_CSV = ("simulate", "planar-demo")
 

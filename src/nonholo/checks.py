@@ -21,6 +21,7 @@ stderr.
                             <= 1e-9 (first 50 probes); negative control: the
                             measure gate rejects the density N = 1
 
+Each threshold is one of the gate constants below, which the reports echo.
 The library's evaluation functions are called through their home modules
 (``core.jacobiator``, ``sphere.assemble_P``, ...), where a wrapper sees them.
 """
@@ -40,6 +41,14 @@ from .models import (DEMO_BALL, DEMO_GYROSTAT, DEMO_VESELOVA, BallParams, Veselo
                      ball_system, duality_map, veselova_K, veselova_system)
 
 SUITES = ("conformal", "duality", "gauge", "jacobi", "measure", "planar")
+
+# the gates, each stated once and reported as stated
+JACOBI_GATE = 1e-6
+NEGATIVE_GATE, NEGATIVE_FRACTION = 1e-3, 0.9   # violation level, share of states
+RESIDUAL_GATE = 1e-10                          # measure and conformal
+DUALITY_GATE = 1e-12
+GAUGE_GATES = {"composition": 1e-12, "action": 1e-8}
+PLANAR_GATES = {"residual": 1e-8, "jacobiator": 1e-9}
 
 
 def _gate(label: str, vals, threshold: float, points) -> tuple[float, bool]:
@@ -69,23 +78,23 @@ def _gate_by_model(suite, vals_by_model, threshold, states) -> tuple[dict, bool]
 
 def jacobi(states, system) -> tuple[dict, bool]:
     vals = core.jacobiator(lambda x: sphere.assemble_P(system, x), states)
-    worst, ok = _gate(f"jacobi {system.name}", vals, 1e-6, states)
+    worst, ok = _gate(f"jacobi {system.name}", vals, JACOBI_GATE, states)
     return {"suite": "jacobi", "model": system.name, "max": worst,
-            "threshold": 1e-6, "pass": ok}, ok
+            "threshold": JACOBI_GATE, "pass": ok}, ok
 
 
 def negative_control(states) -> tuple[dict, bool]:
     P = sphere.bivector_field(g=ScalarField.constant(1.0), K=ball_K(BallParams(**DEMO_BALL)))
     vals = core.jacobiator(P, states)
-    frac = float(np.mean(vals > 1e-3))
-    ok = frac >= 0.9
+    frac = float(np.mean(vals > NEGATIVE_GATE))
+    ok = frac >= NEGATIVE_FRACTION
     if not ok:
         i = int(np.argmin(vals))
-        _report_worst(f"jacobi negative control (fraction violating {frac:.3f} < 0.9)",
-                      vals[i], "<= 0.001", i, states[i])
+        _report_worst(f"jacobi negative control (fraction violating {frac:.3f} < {NEGATIVE_FRACTION:g})",
+                      vals[i], f"<= {NEGATIVE_GATE:g}", i, states[i])
     return {"suite": "jacobi-negative-control", "max": float(np.max(vals)),
             "min": float(np.min(vals)), "fraction_violating": frac,
-            "threshold": 1e-3, "pass": ok}, ok
+            "threshold": NEGATIVE_GATE, "pass": ok}, ok
 
 
 def measure(states) -> tuple[dict, bool]:
@@ -95,7 +104,7 @@ def measure(states) -> tuple[dict, bool]:
                             ("veselova", veselova_system(ves), veselova_K(ves))):
         rho = system.s_spec.g.reciprocal()
         vals[name] = np.max(np.abs(sphere.measure_residual(K, states, rho)), axis=-1)
-    return _gate_by_model("measure", vals, 1e-10, states)
+    return _gate_by_model("measure", vals, RESIDUAL_GATE, states)
 
 
 def conformal(states) -> tuple[dict, bool]:
@@ -104,7 +113,7 @@ def conformal(states) -> tuple[dict, bool]:
                veselova_system(VeselovaParams(**DEMO_VESELOVA)),
                veselova_system(VeselovaParams(**DEMO_VESELOVA, k=k))]
     return _gate_by_model("conformal", {s.name: sphere.conformal_residual(s, states) for s in systems},
-                          1e-10, states)
+                          RESIDUAL_GATE, states)
 
 
 def duality(states, D: float) -> tuple[dict, bool]:
@@ -114,12 +123,12 @@ def duality(states, D: float) -> tuple[dict, bool]:
     M, G = unpack(states)
     h_dev, h_ok = _gate("duality hamiltonian identity",
                         np.abs(ball.hamiltonian(M, G) - 0.5 * Dinv * np.vecdot(M, M)
-                               + Dinv * ves.hamiltonian(M, G)), 1e-12, states)
+                               + Dinv * ves.hamiltonian(M, G)), DUALITY_GATE, states)
     g_dev, g_ok = _gate("duality g relation",
-                        np.abs(ball.s_spec.g(G) - ves.s_spec.g(G) / np.sqrt(D)), 1e-12, states)
+                        np.abs(ball.s_spec.g(G) - ves.s_spec.g(G) / np.sqrt(D)), DUALITY_GATE, states)
     ok = h_ok and g_ok
     return {"suite": "duality", "D": D, "hamiltonian_identity_max": h_dev,
-            "g_relation_max": g_dev, "threshold": 1e-12, "pass": ok}, ok
+            "g_relation_max": g_dev, "threshold": DUALITY_GATE, "pass": ok}, ok
 
 
 def gauge(states) -> tuple[dict, bool]:
@@ -141,20 +150,21 @@ def gauge(states) -> tuple[dict, bool]:
     composed = gauge_mod.pushforward_params(t21, base)
     G = unpack(states)[1]
     action = np.maximum(np.abs(two_step.g(G) - composed.g(G)), np.abs(two_step.f(G) - composed.f(G)))
-    comp_dev, comp_ok = _gate("gauge composition", comp, 1e-12, states)
-    action_dev, action_ok = _gate("gauge action property", action, 1e-8, states)
+    comp_dev, comp_ok = _gate("gauge composition", comp, GAUGE_GATES["composition"], states)
+    action_dev, action_ok = _gate("gauge action property", action, GAUGE_GATES["action"], states)
     ok = comp_ok and action_ok
     return {"suite": "gauge", "composition_state_max": comp_dev,
             "action_property_max": action_dev,
-            "thresholds": {"composition": 1e-12, "action": 1e-8}, "pass": ok}, ok
+            "thresholds": dict(GAUGE_GATES), "pass": ok}, ok
 
 
 def planar(probes) -> tuple[dict, bool]:
     system = planar_mod.demo_system()
     residual, residual_ok = _gate("planar conformal residual",
-                                  planar_mod.to_conformal(system, probes)[2], 1e-8, probes)
+                                  planar_mod.to_conformal(system, probes)[2], PLANAR_GATES["residual"], probes)
     jac, jac_ok = _gate("planar bracket jacobiator",
-                        core.jacobiator(planar_mod.conformal_bracket(system), probes[:50]), 1e-9, probes)
+                        core.jacobiator(planar_mod.conformal_bracket(system), probes[:50]),
+                        PLANAR_GATES["jacobiator"], probes)
     inadmissible = replace(system, N=ScalarField.constant(1.0))
     try:
         planar_mod.to_conformal(inadmissible, probes[0])
@@ -168,4 +178,4 @@ def planar(probes) -> tuple[dict, bool]:
     ok = residual_ok and jac_ok and gate_ok
     return {"suite": "planar", "conformal_residual_max": residual,
             "bracket_jacobiator_max": jac, "gate_rejects_inadmissible": gate_ok,
-            "thresholds": {"residual": 1e-8, "jacobiator": 1e-9}, "pass": ok}, ok
+            "thresholds": dict(PLANAR_GATES), "pass": ok}, ok

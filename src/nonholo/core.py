@@ -86,31 +86,45 @@ def skew_defect(P: Array) -> float:
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
+# One step rule (_steps) and one point layout (_stencil) serve every caller:
+# - the field fallbacks and the planar dH_dq (fd_gradient, fd_curl): FD_STEP
+#   with one Richardson level, exact to round-off on cubics;
+# - the curl residual (spherical.solve_curl_equation): 1e-4 with one
+#   Richardson level, 9.0e-12 at ball L = 32, where plain central at 1e-4
+#   reads 1.4e-8 (truncation) and Richardson at FD_STEP 6.0e-11 (round-off);
+# - the jacobiator: plain central at FD_STEP.  The benchmark fails a checks
+#   maximum more than 10x below its plain-central oracle, which a Richardson
+#   jacobiator (3.6e-11 against 8.8e-10 at the demo ball) would likely trip;
+# - the gauge gamma-block: plain central at gauge.JACOBIAN_STEP = 1e-6.
+#   Richardson at 1e-4 takes ball L = 32 bracket_dev from 1.03e-9 to 3.2e-11
+#   but `reduce --model ball --L 32` from about 80 ms to 126-149 ms.
 
-def _stencil(fn, x: Array, h: Array) -> Array:
-    """Central differences of fn along each coordinate of the last axis of x,
-    stacked on a new last axis.  h has shape (..., 1), one step per point."""
-    cols = [np.asarray(fn(x + h * e), float) - np.asarray(fn(x - h * e), float)
-            for e in np.eye(x.shape[-1])]
-    D = np.stack(cols, axis=-1)
+def _steps(x: Array, step: float | None = None) -> Array:
+    """Per-point steps (..., 1): step (FD_STEP) times the norm, at least 1."""
+    # sqrt of vecdot is bitwise the one-point norm on a stack; norm(axis=-1) is not
+    return (FD_STEP if step is None else step) * np.maximum(1.0, np.sqrt(np.vecdot(x, x)))[..., None]
+
+
+def _stencil(x: Array, h: Array) -> Array:
+    """x + h e_j, then x - h e_j, on a new axis before the last: (..., 2n, n)."""
+    E = h[..., None] * np.eye(x.shape[-1])
+    return x[..., None, :] + np.concatenate([E, -E], axis=-2)
+
+
+def _central(fn, x: Array, h: Array) -> Array:
+    """Central differences of fn on a new last axis.  fn sees one direction's
+    points at a time, of the shape of x: a field may read ``g[0]``."""
+    X, n = _stencil(x, h), x.shape[-1]
+    D = np.stack([np.asarray(fn(X[..., j, :]), float) - np.asarray(fn(X[..., n + j, :]), float)
+                  for j in range(n)], axis=-1)
     # scalar fields give (..., n), vector fields (..., m, n)
     return D / (2.0 * h.reshape(h.shape + (1,) * (D.ndim - x.ndim)))
 
 
-def _steps(x: Array, step: float | None = None) -> Array:
-    return (FD_STEP if step is None else step) \
-        * np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
-
-
 def fd_gradient(fn: Callable[[Array], Array], point) -> Array:
-    """Central-difference gradient of a scalar function over the last axis.
-
-    ``point`` is one point of shape (n,) or a stack of shape (..., n), and
-    ``fn`` maps a stack of points to the stack of its values, shape (...).
-    The step is FD_STEP times the point's norm (at least 1).  One level of
-    Richardson extrapolation brings the truncation error to O(step^4), which
-    keeps polynomial fields of degree <= 3 exact up to round-off.
-    """
+    """Gradient of a scalar function over the last axis, at FD_STEP with one
+    Richardson level.  ``point`` is one point of shape (n,) or a stack of
+    shape (..., n), and ``fn`` maps points to values of shape (...)."""
     d = fd_jacobian(fn, point, richardson=True)
     if not np.all(np.isfinite(d)):
         raise DomainError(f"non-finite field value near {np.asarray(point, float)}")
@@ -119,20 +133,12 @@ def fd_gradient(fn: Callable[[Array], Array], point) -> Array:
 
 def fd_jacobian(fn: Callable[[Array], Array], point, step: float | None = None,
                 richardson: bool = False) -> Array:
-    """Jacobian J[..., i, j] = d fn_i / d x_j by central differences.
-
-    ``point`` is one point of shape (n,) or a stack of shape (..., n), and
-    ``fn`` maps a stack of points to the stack of its values.  Each point's
-    step is scaled by its own norm, so stacked points give the per-point
-    Jacobians.
-    """
+    """Jacobian J[..., i, j] = d fn_i / d x_j by central differences, per
+    point of a stack of shape (..., n) (or of one point of shape (n,))."""
     x = np.asarray(point, float)
     h = _steps(x, step)
-    J1 = _stencil(fn, x, h)
-    if not richardson:
-        return J1
-    J2 = _stencil(fn, x, h / 2.0)
-    return (4.0 * J2 - J1) / 3.0
+    J = _central(fn, x, h)
+    return (4.0 * _central(fn, x, h / 2.0) - J) / 3.0 if richardson else J
 
 
 def fd_curl(fn: Callable[[Array], Array], point, step: float | None = None,
@@ -161,12 +167,11 @@ def jacobiator(P: Callable[[Array], Array], x):
     For each index triple (i, j, k) the cyclic sum
     ``sum_l P[l,i] d_l P[j,k] + P[l,j] d_l P[k,i] + P[l,k] d_l P[i,j]``
     vanishes identically iff the bracket defined by P satisfies the Jacobi
-    identity.  Derivatives are taken by plain central differences, with the
-    step scaled by the state's norm.  ``P`` maps states of shape (..., n) to
-    matrices of shape (..., n, n) (a constant matrix is broadcast) and is
-    evaluated once per block of ``CHUNK`` states, on their stacked
-    2n+1-point stencils.  ``x`` is one state of shape (n,), which gives a
-    float, or a stack of shape (..., n), which gives shape (...).
+    identity.  ``P`` maps states of shape (..., n) to matrices of shape
+    (..., n, n) (a constant matrix is broadcast) and is evaluated once per
+    block of ``CHUNK`` states, on each state and its stencil.  ``x`` is one
+    state of shape (n,), which gives a float, or a stack of shape (..., n),
+    which gives shape (...).
     """
     x = np.asarray(x, float)
     flat = x.reshape(-1, x.shape[-1])
@@ -178,13 +183,11 @@ def jacobiator(P: Callable[[Array], Array], x):
 def _jacobi_block(P, x: Array) -> Array:
     """The jacobiator of states of shape (b, n), shape (b,)."""
     b, n = x.shape
-    # sqrt of vecdot is bitwise the one-point norm; norm(axis=-1) is not
-    h = FD_STEP * np.maximum(1.0, np.sqrt(np.vecdot(x, x)))
-    E = h[:, None, None] * np.eye(n)
-    X = np.concatenate([x[:, None], x[:, None] + E, x[:, None] - E], axis=1)
+    h = _steps(x)
+    X = np.concatenate([x[:, None], _stencil(x, h)], axis=1)
     PX = np.broadcast_to(np.asarray(P(X), float), (b, 2 * n + 1, n, n))
     P0 = PX[:, 0]
-    dP = (PX[:, 1:n + 1] - PX[:, n + 1:]) / (2.0 * h[:, None, None, None])  # [b, l, i, j] = d_l P[i, j]
+    dP = (PX[:, 1:n + 1] - PX[:, n + 1:]) / (2.0 * h[..., None, None])  # [b, l, i, j] = d_l P[i, j]
     T = np.einsum("bli,bljk->bijk", P0, dP)
     J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
     return np.max(np.abs(J), axis=(1, 2, 3))

@@ -35,6 +35,7 @@ from .core import (
     ScalarField,
     VectorField3,
     any_point,
+    fd_jacobian,
     lift,
     pack,
     require_unit_gamma,
@@ -106,20 +107,15 @@ def _outer(u: Array, v: Array) -> Array:
 
 def gauge_state_jacobian(t: GaugeTransform, x) -> Array:
     """Jacobian of x -> (M~, gamma) at states of shape (..., 6), shape
-    (..., 6, 6).  The M-block is analytic; the gamma-block is
-    central-differenced on the raw fiber map.  alpha and h are evaluated
-    once on the stacked 7-point stencil gamma, gamma + step e_j,
-    gamma - step e_j, step = JACOBIAN_STEP."""
+    (..., 6, 6).  The M-block is analytic; the gamma-block is the central
+    difference (``core.fd_jacobian``) of the raw fiber map at step
+    JACOBIAN_STEP."""
     M, gamma = unpack(x)
-    E = JACOBIAN_STEP * np.eye(3)
-    stencil = gamma[..., None, :] + np.concatenate([np.zeros((1, 3)), E, -E])
-    a, h = t.alpha(stencil), t.h(stencil)
-    mapped = _fiber_map(a[..., 1:], t.c, h[..., 1:, :], M[..., None, :], stencil[..., 1:, :])
-    a0 = lift(a[..., 0], 2)
-    gh = np.cross(gamma, h[..., 0, :])
+    a0 = lift(t.alpha(gamma), 2)
+    gh = np.cross(gamma, t.h(gamma))
     J = np.zeros(gamma.shape[:-1] + (6, 6))
     J[..., :3, :3] = a0 * np.eye(3) + (t.c - a0) * _outer(gamma, gamma) + _outer(gh, gamma)
-    J[..., :3, 3:] = np.swapaxes((mapped[..., :3, :] - mapped[..., 3:, :]) / (2.0 * JACOBIAN_STEP), -1, -2)
+    J[..., :3, 3:] = fd_jacobian(lambda g: _fiber_map(t.alpha(g), t.c, t.h(g), M, g), gamma, JACOBIAN_STEP)
     J[..., 3:, 3:] = np.eye(3)
     return J
 

@@ -246,14 +246,3 @@ def conformal_residual(sys: SphereSystem, x):
     bracket = (assemble_P(sys, x) @ gradH[..., None])[..., 0] / lift(sys.s_spec.g(gamma))
     return point_values(np.max(np.abs(rhs(sys, x) - bracket), axis=-1), x)
 
-
-def gradient_consistency(sys: SphereSystem, x) -> float:
-    """Worst deviation of the analytic H-gradients from central differences."""
-    from .core import fd_gradient
-
-    M, gamma = unpack(x)
-    gm = fd_gradient(lambda m: sys.hamiltonian(m, gamma), M)
-    gg = fd_gradient(lambda g: sys.hamiltonian(M, g), gamma)
-    err_m = np.max(np.abs(gm - sys.dH_dM(M, gamma)))
-    err_g = np.max(np.abs(gg - sys.dH_dgamma(M, gamma)))
-    return float(max(err_m, err_g))

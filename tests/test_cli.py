@@ -592,6 +592,22 @@ class TestPlanarDemo:
         assert report["conformal_residual_max"] <= 1e-8
         header = (workdir / "planar_trajectory.csv").read_text().splitlines()[0]
         assert header == "t,q1,q2,P1,P2,E"
+        assert capsys.readouterr().err == ""
+
+    def test_loose_tolerance_names_the_drift_gate(self, workdir, capsys):
+        assert run(["planar-demo", "--rtol", "1e-3", "--atol", "1e-5", "--report", "planar.json"]) == 4
+        assert capsys.readouterr().err == ("drift gate: E drifted 1.097e+00 > 1e-08 at t = 89.2; "
+                                           "try a smaller --rtol\n")
+        assert json.loads((workdir / "planar.json").read_text())["pass"] is False
+
+    def test_failing_conformal_gate_is_named(self, workdir, capsys, monkeypatch):
+        import nonholo.planar as planar_mod
+        original = planar_mod.to_conformal
+        monkeypatch.setattr(planar_mod, "to_conformal",
+                            lambda *a: (*original(*a)[:2], original(*a)[2] + 2e-8))
+        assert run(["planar-demo", "--horizon", "1", "--samples", "11"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("conformal gate: residual 2.000e-08 > 1e-08") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [["--rtol", "0"], ["--atol", "-1"], ["--horizon", "0"],
                                        ["--samples", "1"]])

@@ -11,6 +11,7 @@ from nonholo import (
     e3_bivector,
     fd_curl,
     fd_gradient,
+    fd_jacobian,
     hat,
     jacobiator,
     skew_defect,
@@ -92,6 +93,26 @@ def test_stacked_fd_curl_matches_per_point(rng):
         np.testing.assert_array_equal(row, fd_curl(fn, p, richardson=True))
     np.testing.assert_array_equal(fd_curl(fn, pts.reshape(4, 5, 3), richardson=True),
                                   stacked.reshape(4, 5, 3))
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)])
+def test_differences_hand_fn_one_direction_at_a_time(rng, shape):
+    # a field may read a point's components as g[0], which on a stacked
+    # stencil would pick a row: fn only ever sees arrays of the point's shape
+    x = rng.standard_normal(shape)
+    seen = []
+
+    def fn(g):
+        assert g.shape == shape
+        seen.append(g.shape)
+        return np.stack([g[..., 0] * g[..., 1] ** 2, g[..., 2] ** 3], axis=-1)
+
+    J = fd_jacobian(fn, x)
+    assert len(seen) == 6 and J.shape == shape[:-1] + (2, 3)
+    grad = fd_gradient(lambda g: fn(g)[..., 0], x)
+    assert len(seen) == 6 + 12
+    exact = np.stack([x[..., 1] ** 2, 2 * x[..., 0] * x[..., 1], 0 * x[..., 2]], axis=-1)
+    np.testing.assert_allclose(grad, exact, rtol=1e-8, atol=1e-9)
 
 
 class TestJacobiator:

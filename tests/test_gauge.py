@@ -29,6 +29,7 @@ from nonholo import (
     zero_level_reduce,
     vector,
 )
+from nonholo.gauge import JACOBIAN_STEP, _fiber_map, gauge_state_jacobian
 
 from conftest import rand_state, rand_unit
 
@@ -243,6 +244,21 @@ class TestBivectorPushforward:
             left = pushforward_bivector(t1, P, x)
             right = Q(apply_gauge_state(t1, x))
             np.testing.assert_allclose(left, right, atol=1e-6)
+
+
+class TestStateJacobian:
+    @pytest.mark.parametrize("n", [None, 40])
+    def test_gamma_block_is_central_difference_of_fiber_map(self, rng, n):
+        # by hand: central differences of the raw fiber map at JACOBIAN_STEP
+        # (apply_gauge_state refuses the off-sphere stencil points)
+        gauge, _ = reduce_to_e3(ball_params(), L=16)
+        x = rand_state(rng) if n is None else np.array([rand_state(rng) for _ in range(n)])
+        M, gamma = unpack(x)
+        fm = lambda g: _fiber_map(gauge.alpha(g), gauge.c, gauge.h(g), M, g)
+        step = JACOBIAN_STEP * np.eye(3)
+        expected = np.stack([(fm(gamma + e) - fm(gamma - e)) / (2.0 * JACOBIAN_STEP) for e in step], axis=-1)
+        # the step is scaled by max(1, |gamma|), an ulp above 1 on some unit gammas
+        np.testing.assert_allclose(gauge_state_jacobian(gauge, x)[..., :3, 3:], expected, rtol=0, atol=1e-12)
 
 
 class TestZeroLevel:
