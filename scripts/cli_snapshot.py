@@ -44,9 +44,13 @@ INVOCATIONS = {
     "reduce-ball-near-boundary-L16": ["reduce", "--model", "ball", "--A", "0.4,0.5,0.99", "--D", "1",
                                       "--L", "16"],
     "planar-demo-loose-rtol": ["planar-demo", "--rtol", "1e-3", "--atol", "1e-5"],
+    # a refused flag: exits 2 and names it on one stderr line
+    "reduce-ball-L0": ["reduce", "--model", "ball", "--L", "0"],
 }
-# the invocations that exit 4 at a failing gate; every other one exits 0
-FAILING = ("simulate-ball-loose-rtol", "reduce-ball-near-boundary-L16", "planar-demo-loose-rtol")
+# the exit code of each invocation that does not exit 0: 4 at a failing
+# gate, 2 at a refused flag
+EXITS = {"simulate-ball-loose-rtol": 4, "reduce-ball-near-boundary-L16": 4, "planar-demo-loose-rtol": 4,
+         "reduce-ball-L0": 2}
 
 WRITES_CSV = ("simulate", "planar-demo")
 

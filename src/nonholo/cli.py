@@ -261,6 +261,8 @@ def cmd_check(args) -> int:
 
 def cmd_reduce(args) -> int:
     _require_n(args.n)
+    if args.L < 1:
+        raise ConfigError(f"--L must be at least 1, got {args.L}")
     cfg = _load_config(args)
     if args.g is not None or args.f is not None:
         _refuse(args, _MODEL_FLAGS, "beside --g/--f")

@@ -150,13 +150,11 @@ def fd_curl(fn: Callable[[Array], Array], point, step: float | None = None,
                      J[..., 1, 0] - J[..., 0, 1]], axis=-1)
 
 
-# Points or states per block where a stacked evaluation holds a large table
-# per point: the Legendre tables of spectral synthesis, (L+1)^2 values per
-# point, and the jacobiator's 2n+1 stencil matrices and n^3 derivatives per
-# state.  At 32, `reduce --model ball --L 32` keeps the peak memory of
-# one-point synthesis (128 points add about 3 MB), and the three `check
-# jacobi` suites at -n 1000 raise peak RSS by 1.1 MB, against 14 MB with
-# all 1000 states in one block, in the same wall time (2-vCPU Xeon VM).
+# States per jacobiator block, each holding its 2n+1 stencil matrices and
+# n^3 derivatives.  At 32 the three `check jacobi` suites at -n 1000 raise
+# peak RSS by 1.1 MB, against 14 MB with all 1000 states in one block, in
+# the same wall time (2-vCPU Xeon VM).  Spectral synthesis sizes its own
+# blocks by table entries (spherical.BLOCK_ENTRIES).
 CHUNK = 32
 
 

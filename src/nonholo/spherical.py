@@ -12,12 +12,20 @@ with Pbar the fully normalized associated Legendre functions, so that the
 surface integral of Y^2 is one.  Spectral fields accept arrays of points of
 shape (..., 3), read at their radial projections; one point of shape (3,)
 gives a float or a 3-vector.  Analysis sums each ring against e^{-i m phi},
-the conjugate of the e^{i m phi} form synthesis reads.  Synthesis builds the
-Legendre tables for a chunk of points at once and contracts the coefficients
-over (l, m) in one einsum, the batched evaluation of pseudospectral
-transforms (Schaeffer 2013, SHTns).  The tangential gradient runs the
-Legendre recursions on Pbar_lm / sin(theta) alone and never divides by
-sin(theta), so it is regular on the whole sphere, poles included.
+the conjugate of the e^{i m phi} form synthesis reads.
+
+Synthesis evaluates a field at scattered points, the bracket probes and the
+residual's finite-difference stencil, which lie on no ring of the grid, so
+ring transforms (Schaeffer 2013, SHTns) do not apply.  Points go in blocks of
+BLOCK_ENTRIES Legendre-table entries, (L+1)^2 per point.  Each block builds
+one table, Pbar_lm for the value or Pbar_lm / sin(theta) for the tangential
+gradient, contracts it over l with a stack of real coefficient rows in one
+einsum, and finishes with real Fourier sums over m.  The gradient's theta
+derivative is taken in coefficient space, through the identity
+d/dtheta Pbar_lm = l cos(theta) Q_lm - w_lm Q_(l-1)m, Q = Pbar / sin(theta),
+so no derivative table is built and nothing is divided by sin(theta): the
+gradient is regular on the whole sphere, poles included.  Each point's
+result is the same in any block, one-point calls included.
 
 The solver below finds, for smooth F, a constant c and a tangent vector
 field h with (gamma, curl h) = F + c on the sphere: c = -mean(F) makes F + c
@@ -36,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CHUNK, DomainError, ScalarField, VectorField3, fd_curl, lift
+from .core import DomainError, ScalarField, VectorField3, fd_curl, lift
 
 Array = np.ndarray
 
@@ -47,6 +55,9 @@ FOUR_PI = 4.0 * np.pi
 # parameters are verified
 RESIDUAL_TOL = 1e-6
 VERIFY_STRIDE = 4
+# Legendre table entries per synthesis block, (L+1)^2 per point: 2 MB of
+# float64, 240 points at L = 32 and 62 at L = 64
+BLOCK_ENTRIES = 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +95,8 @@ class SphereGrid:
 
 @lru_cache(maxsize=8)
 def make_grid(L: int) -> SphereGrid:
+    if L < 1:
+        raise DomainError(f"band limit L must be at least 1, got {L}")
     ntheta = 2 * (L + 1)
     nphi = 2 * L + 1
     x, w = np.polynomial.legendre.leggauss(ntheta)
@@ -137,19 +150,17 @@ def _recursion(L: int) -> tuple[Array, Array, list]:
     return sectoral, dweight, three_term
 
 
-def _legendre_tables(L: int, x: Array, s: Array, gradient: bool = False):
+def _legendre_tables(L: int, x: Array, s: Array, gradient: bool = False) -> Array:
     """Pbar_lm(cos theta) for all l, m <= L, shape (L+1, L+1, len(x)) indexed
     [l, m], from x = cos(theta) and s = sin(theta) >= 0.
 
-    With ``gradient`` it returns instead the pair (d/dtheta Pbar_lm,
-    Pbar_lm / sin(theta)), the second zero at m = 0, both regular at the
-    poles.  Only Pbar_lm / sin(theta) is built, through the same recursions
-    as Pbar_lm from the seed Pbar_11 / sin(theta); the derivative is formed
-    from it with no division by sin(theta).
+    With ``gradient`` it returns instead Pbar_lm / sin(theta), zero at m = 0
+    and regular at the poles: the same recursions run from the seed
+    Pbar_11 / sin(theta), so nothing is divided by sin(theta).
     """
     x = np.asarray(x, float)
     n = x.size
-    sectoral, dweight, three_term = _recursion(L)
+    sectoral, _, three_term = _recursion(L)
     # the sectoral seeds Pbar_mm are a running product of s * sqrt((2m+1)/(2m))
     # from Pbar_00; Pbar_mm / s drops one s and has no m = 0 column
     T = np.zeros((L + 1, L + 1, n))
@@ -163,15 +174,7 @@ def _legendre_tables(L: int, x: Array, s: Array, gradient: bool = False):
     T[i[1:], i[:-1]] = np.sqrt(2.0 * i[:-1] + 3.0)[:, None] * x * T[i[:-1], i[:-1]]
     for l, (a, b) in enumerate(three_term, start=2):
         T[l, : l - 1] = a * (x * T[l - 1, : l - 1] - b * T[l - 2, : l - 1])
-    if not gradient:
-        return T
-    # d/dtheta Pbar_lm = l x Q_lm - w_lm Q_(l-1)m for m >= 1, and
-    # d/dtheta Pbar_l0 = -sqrt(l(l+1)) Pbar_l1, with Q = T = Pbar / sin(theta)
-    dP = i[:, None, None] * x * T
-    dP[1:] -= dweight[1:, :, None] * T[:-1]
-    if L > 0:
-        dP[:, 0] = -np.sqrt(i * (i + 1.0))[:, None] * (s * T[:, 1])
-    return dP, T
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +221,30 @@ class SphereSpectralField:
         ct = np.clip(u[:, 2], -1.0, 1.0)
         st = np.hypot(u[:, 0], u[:, 1])
         phi = np.arctan2(u[:, 1], u[:, 0])
+        C = self._coefficient_stack(gradient)
         m = np.arange(self.L + 1)
-        # Re(c[l, m] e^{i m phi}) = c_cos cos(m phi) + c_sin sin(m phi), and
-        # d/dphi multiplies c by i m
-        c = (self.c_cos - 1j * self.c_sin) * np.where(m > 0, np.sqrt(2.0), 1.0)
         sums = np.empty((2 if gradient else 1, u.shape[0]))
-        # in blocks of CHUNK points, which bounds the Legendre tables' memory
-        for k in range(0, u.shape[0], CHUNK):
-            n = slice(k, k + CHUNK)
-            E = np.exp(1j * np.outer(m, phi[n]))
+        block = max(1, BLOCK_ENTRIES // (self.L + 1) ** 2)
+        for k in range(0, u.shape[0], block):
+            n = slice(k, k + block)
+            E = np.exp(1j * np.outer(phi[n], m))
+            cos, sin = E.real, E.imag
+            T = _legendre_tables(self.L, ct[n], st[n], gradient)
+            # S[point, row, m]; each point's result is bitwise the same in any
+            # block: einsum, unlike a BLAS matmul (gemv for one point, gemm
+            # for a stack), contracts one point as it does many, and every
+            # m-sum runs along a contiguous last axis
+            S = np.ascontiguousarray(np.einsum("mkl,lmn->mkn", C, T).transpose(2, 1, 0))
             if gradient:
-                dP, Q = _legendre_tables(self.L, ct[n], st[n], gradient=True)
-                sums[0, n] = np.einsum("lm,lmn,mn->n", c, dP, E).real
-                sums[1, n] = np.einsum("lm,lmn,mn->n", 1j * m * c, Q, E).real
+                # d_theta f = x sum(l a Q) - sum(shift(a w) Q) (and the same in
+                # b) plus s times the m = 0 row, whose only entry is at m = 1;
+                # (1/sin theta) d_phi f = sum(m (b cos - a sin) Q)
+                x = ct[n, None]
+                sums[0, n] = ((x * S[:, 0] - S[:, 2]) * cos + (x * S[:, 1] - S[:, 3]) * sin).sum(-1) \
+                    + st[n] * S[:, 6].sum(-1)
+                sums[1, n] = (S[:, 5] * cos - S[:, 4] * sin).sum(-1)
             else:
-                P = _legendre_tables(self.L, ct[n], st[n])
-                sums[0, n] = np.einsum("lm,lmn,mn->n", c, P, E).real
+                sums[0, n] = (S[:, 0] * cos + S[:, 1] * sin).sum(-1)
         if not gradient:
             return sums[0].reshape(p.shape[:-1])[()]
         # d_theta f e_theta + (1/sin theta) d_phi f e_phi; the second sum
@@ -243,6 +254,33 @@ class SphereSpectralField:
         e_phi = np.stack([-sp, cp, np.zeros_like(cp)], axis=-1)
         grad = sums[0][:, None] * e_theta + sums[1][:, None] * e_phi
         return grad.reshape(p.shape)
+
+    def _coefficient_stack(self, gradient: bool) -> Array:
+        """The real coefficient rows that synthesis contracts with the
+        Legendre table over l, shape (L+1, rows, L+1) indexed [m, row, l].
+
+        With a, b the coefficients of Pbar_lm cos(m phi) and Pbar_lm sin(m phi),
+        the value reads the rows [a, b] against the Pbar table.  The gradient
+        reads [l a, l b, shift(a w), shift(b w), m a, m b, D] against the
+        Q = Pbar / sin(theta) table: d/dtheta Pbar_lm = l x Q_lm - w_lm Q_(l-1)m
+        for m >= 1, with w the derivative weights, so shift(a w)[l] =
+        a[l+1] w[l+1]; d/dtheta Pbar_l0 = -sqrt(l(l+1)) s Q_l1, so the m = 0
+        column rides in row D at m = 1 as -sqrt(l(l+1)) a[l, 0].
+        """
+        m = np.arange(self.L + 1)
+        norm = np.where(m > 0, np.sqrt(2.0), 1.0)
+        a, b = self.c_cos * norm, self.c_sin * norm
+        if not gradient:
+            rows = [a, b]
+        else:
+            l = m[:, None]
+            w = _recursion(self.L)[1]
+            aw, bw = np.zeros_like(a), np.zeros_like(b)
+            aw[:-1], bw[:-1] = (a * w)[1:], (b * w)[1:]
+            D = np.zeros_like(a)
+            D[:, 1:2] = -np.sqrt(l * (l + 1.0)) * a[:, :1]
+            rows = [l * a, l * b, aw, bw, m * a, m * b, D]
+        return np.ascontiguousarray(np.stack(rows).transpose(2, 0, 1))
 
     def laplace_invert(self) -> "SphereSpectralField":
         """Solve Laplace-Beltrami(psi) = self with zero-mean data and result."""

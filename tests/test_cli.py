@@ -571,6 +571,13 @@ class TestReduce:
     def test_incomplete_constants_exit_2(self, workdir):
         assert run(["reduce", "--g", "1"]) == 2
 
+    @pytest.mark.parametrize("L", [0, -3])
+    def test_band_limit_below_one_is_refused(self, workdir, capsys, L):
+        # -3 used to exit 1 with a leggauss traceback, 0 to exit 4 with the
+        # hint "try --L 0"
+        assert run(["reduce", "--model", "ball", "--L", str(L), "-n", "5"]) == 2
+        assert capsys.readouterr().err == f"configuration error: --L must be at least 1, got {L}\n"
+
     def test_non_positive_constant_g_exits_3(self, workdir, capsys):
         assert run(["reduce", "--g", "0", "--f", "0", "--L", "8", "-n", "5"]) == 3
         assert capsys.readouterr().err == "domain error: g must be positive, got 0.0\n"

@@ -43,15 +43,15 @@ def test_reduction_demo(monkeypatch, capsys):
 def test_cli_snapshot(monkeypatch, capsys, tmp_path):
     out = run_script("cli_snapshot.py", [str(tmp_path)], monkeypatch, capsys)
     snapshot = runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))
-    names, failing = list(snapshot["INVOCATIONS"]), snapshot["FAILING"]
-    expected = {name: 4 if name in failing else 0 for name in names}
-    assert len(names) == 19 and len(failing) == 3
+    names, exits = list(snapshot["INVOCATIONS"]), snapshot["EXITS"]
+    expected = {name: exits.get(name, 0) for name in names}
+    assert len(names) == 20 and sorted(exits.values()) == [2, 4, 4, 4]
     assert out.strip().splitlines() == [f"{name}: exit {code}" for name, code in expected.items()]
     assert {name: int((tmp_path / f"{name}.exit").read_text()) for name in names} == expected
-    # a failing gate writes one stderr line, a passing run none
+    # a failing gate or a refused flag writes one stderr line, a passing run none
     assert {name: (tmp_path / f"{name}.err").read_text().count("\n") for name in names} == \
-        {name: int(name in failing) for name in names}
-    assert len(list(tmp_path.glob("*.csv"))) == 6 and len(list(tmp_path.glob("*.out"))) == 19
+        {name: int(name in exits) for name in names}
+    assert len(list(tmp_path.glob("*.csv"))) == 6 and len(list(tmp_path.glob("*.out"))) == 20
 
 
 def _resolves(chain: str) -> bool:

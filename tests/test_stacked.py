@@ -4,8 +4,9 @@ one-point results.
 A field callable that indexes ``g[0]`` instead of ``g[..., 0]`` reads a row
 of a stack, not a component; every row of a (7, 3) or (7, 6) stack is
 compared with the same point evaluated alone.  The jacobiator works in
-blocks of ``CHUNK`` states, so it is also compared on a stack longer than
-two blocks.
+blocks of ``CHUNK`` states and spectral synthesis in blocks of
+``BLOCK_ENTRIES`` table entries, so each is also compared on a stack longer
+than two blocks.
 """
 
 import re
@@ -57,6 +58,7 @@ from nonholo.models import veselova_initial_state
 from nonholo.planar import (PlanarLagrangian, conformal_bracket, demo_system, energy_fn, from_lagrangian,
                             planar_rhs, to_conformal)
 from nonholo.planar import measure_residual as planar_measure_residual
+from nonholo.spherical import BLOCK_ENTRIES, SphereSpectralField
 
 from conftest import SYSTEMS, rand_state, rand_unit
 
@@ -267,6 +269,23 @@ def test_jacobiator_blocks_match_points(name, rng):
     assert vals.shape == (70,)
     _same_rows(vals, lambda x: jacobiator(P, x), X)
     np.testing.assert_array_equal(jacobiator(P, X.reshape(2, 35, 6)), vals.reshape(2, 35))
+
+
+def test_synthesis_blocks_match_points(rng):
+    # each point's value and gradient are bitwise the same in any block,
+    # which the gauge's 1e-6 finite-difference step would amplify 1e6 times
+    L = 32
+    field = SphereSpectralField(L, *np.tril(rng.standard_normal((2, L + 1, L + 1))))
+    block = BLOCK_ENTRIES // (L + 1) ** 2
+    U = _gammas(rng, 2 * block + 37)
+    U[:4] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-12, 0.0, 1.0], [0.0, -3e-13, -1.0]
+    U[block - 1:block + 1] = [0.0, 0.0, -1.0], [5e-13, 5e-13, 1.0]
+    assert U.shape[0] > 2 * block and U.shape[0] % block
+    values, grads = field.value(U), field.surface_gradient(U)
+    assert isinstance(field.value(U[0]), float) and grads.shape == U.shape
+    for u, value, grad in zip(U, values, grads):
+        np.testing.assert_array_equal(field.value(u), value)
+        np.testing.assert_array_equal(field.surface_gradient(u), grad)
 
 
 def test_planar_bracket_stack_matches_points(rng):
