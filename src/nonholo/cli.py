@@ -24,6 +24,7 @@ from the --seed value, so repeated runs produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -35,7 +36,7 @@ import numpy as np
 from . import checks
 from . import gauge as gauge_mod
 from . import planar as planar_mod
-from .core import ConfigError, DomainError, ScalarField, ToleranceFailure, pack
+from .core import ConfigError, DomainError, ScalarField, ToleranceFailure, pack, write_in_place
 from .integrate import IntegratorConfig, drift_report, integrate, integrate_sphere, trajectory_csv
 from .models import (DEMO_BALL, DEMO_VESELOVA, BallParams, VeselovaParams, ball_M_from_omega,
                      ball_system, linear_potential, quadratic_potential, veselova_M_from_omega,
@@ -50,11 +51,20 @@ DEMO_GAMMA = tuple(np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
 PLANAR_DEMO_GATE = 1e-8  # largest energy drift and conformal residual planar-demo passes with
 
 
+@contextlib.contextmanager
+def _output(flag: str, path):
+    """Turn a failure to write an output file into a ConfigError naming its flag."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(report: dict, path: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with _output("--report", path):
+            write_in_place(path, text)
     sys.stdout.write(text)
 
 
@@ -212,7 +222,8 @@ def cmd_simulate(args) -> int:
     seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _integer)
 
     traj = integrate_sphere(sysm, x0, icfg)
-    trajectory_csv(traj, args.csv)
+    with _output("--csv", args.csv):
+        trajectory_csv(traj, args.csv)
     drifts = drift_report(traj)
     ok = all(v <= threshold for v in drifts.values())
     report = {"schema_version": SCHEMA_VERSION, "command": "simulate", "model": sysm.name,
@@ -293,7 +304,8 @@ def cmd_planar_demo(args) -> int:
     drift = drift_report(traj)["E"]
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     residual = float(np.max(planar_mod.to_conformal(sysm, rng.standard_normal((100, 4)))[2]))
-    trajectory_csv(traj, args.csv, columns=("q1", "q2", "P1", "P2"))
+    with _output("--csv", args.csv):
+        trajectory_csv(traj, args.csv, columns=("q1", "q2", "P1", "P2"))
     ok = drift <= PLANAR_DEMO_GATE and residual <= PLANAR_DEMO_GATE
     report = {"schema_version": SCHEMA_VERSION, "command": "planar-demo",
               "energy_drift": float(drift), "conformal_residual_max": residual,

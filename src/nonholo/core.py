@@ -1,4 +1,4 @@
-"""Shared numerical primitives.
+"""Shared numerical primitives, and the one writer of output files.
 
 Phase points on R^6 are packed as ``x = (M, gamma)`` with the momentum
 ``M = x[..., :3]`` and the direction (Poisson) vector ``gamma = x[..., 3:]``.
@@ -9,6 +9,8 @@ code on a stack of one.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass
 from typing import Callable
 
@@ -189,6 +191,34 @@ def _jacobi_block(P, x: Array) -> Array:
     T = np.einsum("bli,bljk->bijk", P0, dP)
     J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
     return np.max(np.abs(J), axis=(1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+def write_in_place(path, text: str) -> None:
+    """Write ``text`` to ``path``, overwriting it in place.
+
+    The same bytes, symlinks followed, hard links and the file mode kept, as
+    ``open(path, "w")``; but a regular file is cut at the end of the text
+    instead of truncated to zero first.  Truncating to zero a file whose
+    previous contents are still being written back blocks on some file
+    systems (tens of milliseconds on ext4), longer than a demo run's
+    integration.  A write stopped by an exception (an I/O error, Ctrl-C)
+    still cuts the file at the end of what reached it, so no old tail
+    follows the new rows; a process killed outright before the cut can
+    leave one.  Pipes, terminals and devices such as /dev/null are written
+    and never cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        try:
+            fh.write(text)
+            fh.flush()
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError, StiffnessError
+from .core import DomainError, StiffnessError, write_in_place
 from .sphere import SphereSystem, integrals
 
 Array = np.ndarray
@@ -303,6 +303,5 @@ def trajectory_csv(traj: Trajectory, path,
     order = first + [n for n in traj.integrals if n not in first]
     data = np.column_stack([traj.t, traj.states, *(traj.integrals[n] for n in order)])
     row = ",".join(["%.17g"] * data.shape[1])
-    with open(path, "w") as fh:
-        fh.write(",".join(["t", *columns, *order]) + "\n"
-                 + "\n".join([row] * len(data)) % tuple(data.ravel().tolist()) + "\n")
+    write_in_place(path, ",".join(["t", *columns, *order]) + "\n"
+                   + "\n".join([row] * len(data)) % tuple(data.ravel().tolist()) + "\n")

@@ -39,7 +39,7 @@ the reported residual checks this with a finite-difference curl.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -184,11 +184,15 @@ def _legendre_tables(L: int, x: Array, s: Array, gradient: bool = False) -> Arra
 @dataclass(frozen=True)
 class SphereSpectralField:
     """A band-limited scalar field stored as real spherical-harmonic
-    coefficients c_cos[l, m] (m <= l) and c_sin[l, m] (1 <= m <= l)."""
+    coefficients c_cos[l, m] (m <= l) and c_sin[l, m] (1 <= m <= l).  The
+    coefficients are fixed once the field is made: synthesis caches the
+    stacks it builds from them."""
 
     L: int
     c_cos: Array
     c_sin: Array
+    # the coefficient stacks synthesis reads, built on first use per gradient flag
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def analyze(cls, field, L: int) -> "SphereSpectralField":
@@ -257,7 +261,8 @@ class SphereSpectralField:
 
     def _coefficient_stack(self, gradient: bool) -> Array:
         """The real coefficient rows that synthesis contracts with the
-        Legendre table over l, shape (L+1, rows, L+1) indexed [m, row, l].
+        Legendre table over l, shape (L+1, rows, L+1) indexed [m, row, l],
+        built once per field and gradient flag.
 
         With a, b the coefficients of Pbar_lm cos(m phi) and Pbar_lm sin(m phi),
         the value reads the rows [a, b] against the Pbar table.  The gradient
@@ -267,6 +272,8 @@ class SphereSpectralField:
         a[l+1] w[l+1]; d/dtheta Pbar_l0 = -sqrt(l(l+1)) s Q_l1, so the m = 0
         column rides in row D at m = 1 as -sqrt(l(l+1)) a[l, 0].
         """
+        if gradient in self._stacks:
+            return self._stacks[gradient]
         m = np.arange(self.L + 1)
         norm = np.where(m > 0, np.sqrt(2.0), 1.0)
         a, b = self.c_cos * norm, self.c_sin * norm
@@ -280,7 +287,9 @@ class SphereSpectralField:
             D = np.zeros_like(a)
             D[:, 1:2] = -np.sqrt(l * (l + 1.0)) * a[:, :1]
             rows = [l * a, l * b, aw, bw, m * a, m * b, D]
-        return np.ascontiguousarray(np.stack(rows).transpose(2, 0, 1))
+        C = self._stacks[gradient] = np.ascontiguousarray(np.stack(rows).transpose(2, 0, 1))
+        C.flags.writeable = False
+        return C
 
     def laplace_invert(self) -> "SphereSpectralField":
         """Solve Laplace-Beltrami(psi) = self with zero-mean data and result."""
@@ -318,15 +327,26 @@ def _rotated_gradient(psi: SphereSpectralField, lap: SphereSpectralField) -> Vec
     of shape (..., 3), with its closed-form curl
     curl h(x) = (u Lap_S psi(u) - grad_S psi(u)) / |x|, where lap = Lap_S psi."""
 
-    def fn(x):
+    # grad_S psi at the latest unit points: a curl by the product rule
+    # (VectorField3.scaled, as gauge.pushforward_params takes it) reads h and
+    # its curl at the same points, and both need it
+    last = {}
+
+    def grad(x):
         u = np.asarray(x, float)
         u = u / np.linalg.norm(u, axis=-1, keepdims=True)
-        return np.cross(u, psi.surface_gradient(u))
+        if "u" not in last or not np.array_equal(last["u"], u):
+            last.update(u=u, grad=psi.surface_gradient(u))
+        return u, last["grad"]
+
+    def fn(x):
+        u, g = grad(x)
+        return np.cross(u, g)
 
     def curl(x):
         x = np.asarray(x, float)
         r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return (x / r * lift(lap.value(x)) - psi.surface_gradient(x)) / r
+        return (x / r * lift(lap.value(x)) - grad(x)[1]) / r
 
     return VectorField3(fn, curl=curl)
 

@@ -589,6 +589,55 @@ class TestReduce:
         assert first == capsys.readouterr().out
 
 
+class TestOutputFiles:
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--model", "ball", "--demo", "--horizon", "1", "--csv", "missing/x.csv"], "--csv"),
+        (["planar-demo", "--horizon", "1", "--csv", "."], "--csv"),
+        (["simulate", "--model", "ball", "--demo", "--horizon", "1", "--report", "missing/r.json"],
+         "--report"),
+        (["check", "gauge", "-n", "5", "--report", "."], "--report"),
+    ])
+    def test_unwritable_path_exits_2_naming_its_flag(self, workdir, capsys, argv, flag):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {flag}: cannot write ") and err.count("\n") == 1
+
+    def test_csv_to_dev_null_is_dropped(self, workdir, capsys):
+        assert run(["simulate", "--model", "ball", "--demo", "--horizon", "1",
+                    "--csv", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_report_into_a_pipe(self, workdir, capsys):
+        r, w = os.pipe()
+        try:
+            assert run(["planar-demo", "--horizon", "1", "--csv", os.devnull,
+                        "--report", f"/dev/fd/{w}"]) == 0
+            os.close(w)
+            w = None
+            with os.fdopen(r, "rb") as fh:
+                r = None
+                assert fh.read().decode() == capsys.readouterr().out
+        finally:
+            for fd in (r, w):
+                if fd is not None:
+                    os.close(fd)
+
+    def test_rewrite_equals_a_fresh_write(self, workdir, capsys, monkeypatch):
+        argv = ["simulate", "--model", "ball", "--demo", "--horizon", "5",
+                "--csv", "t.csv", "--report", "r.json"]
+        for name in ("reused", "fresh"):
+            (workdir / name).mkdir()
+        monkeypatch.chdir(workdir / "reused")
+        # a longer run first, so that each rewrite is shorter than the file it replaces
+        assert run([*argv, "--horizon", "50"]) == 0
+        for _ in range(2):
+            assert run(argv) == 0
+        monkeypatch.chdir(workdir / "fresh")
+        assert run(argv) == 0
+        for name in ("t.csv", "r.json"):
+            assert (workdir / "reused" / name).read_bytes() == (workdir / "fresh" / name).read_bytes()
+
+
 class TestPlanarDemo:
     def test_run(self, workdir, capsys):
         code = run(["planar-demo", "--horizon", "20", "--samples", "101",

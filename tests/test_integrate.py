@@ -1,5 +1,8 @@
 """Adaptive integration, time rescaling, and drift monitoring."""
 
+import io
+import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -25,6 +28,8 @@ from nonholo import (
     rhs,
     trajectory_csv,
 )
+from nonholo import core
+from nonholo.core import write_in_place
 from nonholo.planar import demo_system, energy_fn, planar_rhs
 
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
@@ -293,3 +298,90 @@ def test_planar_csv_reads_back_every_field_exactly(tmp_path):
         fields = [float(v) for v in row.split(",")]
         assert fields == [traj.t[i], *traj.states[i], traj.integrals["E"][i]]
 
+
+class TestWriteInPlace:
+    """The output writer overwrites in place, as ``open(path, "w")`` does,
+    without truncating the file to zero first."""
+
+    def test_never_truncates_to_zero(self, tmp_path, monkeypatch):
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args):
+            flags.append(flag)
+            return real_open(path, flag, *args)
+
+        monkeypatch.setattr(os, "open", spy)
+        write_in_place(tmp_path / "a.csv", "x\n")
+        write_in_place(tmp_path / "a.csv", "y\n")
+        assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
+
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_in_place(path, "0123456789\n" * 50)
+        write_in_place(path, "abc\n")
+        assert path.read_bytes() == b"abc\n"
+        write_in_place(path, "")
+        assert path.read_bytes() == b""
+
+    def test_symlink_is_followed_and_kept(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old contents, longer than the new\n")
+        link.symlink_to(target)
+        write_in_place(link, "new\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "new\n"
+
+    def test_hard_link_keeps_one_inode(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("old contents, longer than the new\n")
+        os.link(a, b)
+        write_in_place(b, "new\n")
+        assert os.stat(a).st_ino == os.stat(b).st_ino and os.stat(a).st_nlink == 2
+        assert a.read_text() == "new\n"
+
+    def test_file_mode_is_kept(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        write_in_place(path, "new, longer than the old\n")
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+    def test_dev_null_is_written_and_not_cut(self):
+        write_in_place(os.devnull, "x\n" * 1000)
+
+    def test_pipe_is_written_and_not_cut(self):
+        r, w = os.pipe()
+        try:
+            write_in_place(f"/dev/fd/{w}", "a,b\n1,2\n")
+            os.close(w)
+            w = None
+            assert os.read(r, 100) == b"a,b\n1,2\n"
+        finally:
+            os.close(r)
+            if w is not None:
+                os.close(w)
+
+    def test_interrupted_rewrite_leaves_no_stale_tail(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.csv"
+        path.write_text("old row\n" * 100)
+
+        class HalfWriter(io.TextIOWrapper):
+            def write(self, text):
+                super().write(text[:len(text) // 2])
+                self.flush()
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(core, "open",
+                            lambda fd, mode: HalfWriter(io.BufferedWriter(io.FileIO(fd, mode))),
+                            raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            write_in_place(path, "new row\n" * 10)
+        # the file holds what reached it of the new text, and nothing of the old
+        assert path.read_bytes() == b"new row\n" * 5
+
+    def test_new_file_gets_the_mode_open_w_gives(self, tmp_path):
+        write_in_place(tmp_path / "a.csv", "x\n")
+        with open(tmp_path / "b.csv", "w") as fh:
+            fh.write("x\n")
+        assert os.stat(tmp_path / "a.csv").st_mode == os.stat(tmp_path / "b.csv").st_mode

@@ -15,6 +15,8 @@ from nonholo import (
     fd_curl,
     fd_gradient,
     make_grid,
+    pushforward_params,
+    reduce_to_e3,
     reduction_report,
     solve_curl_equation,
     sphere_quadrature,
@@ -22,7 +24,7 @@ from nonholo import (
 import nonholo.core as core
 import nonholo.spherical as spherical
 from nonholo.models import DEMO_BALL
-from nonholo.spherical import RESIDUAL_TOL, _legendre_tables
+from nonholo.spherical import RESIDUAL_TOL, _legendre_tables, verify_points
 
 FOUR_PI = 4 * np.pi
 
@@ -137,6 +139,20 @@ class TestSpectralField:
             np.testing.assert_allclose(psi.c_cos[l], -f.c_cos[l] / (l * (l + 1)),
                                        atol=1e-14)
 
+    def test_coefficient_stack_is_built_once_per_flag(self, rng):
+        f = random_band_limited(rng, 8)
+        u = rng.standard_normal((5, 3))
+        first = f.value(u), f.surface_gradient(u)
+        value_rows, gradient_rows = f._coefficient_stack(False), f._coefficient_stack(True)
+        assert f._coefficient_stack(False) is value_rows and f._coefficient_stack(True) is gradient_rows
+        assert value_rows.shape == (9, 2, 9) and gradient_rows.shape == (9, 7, 9)
+        assert not value_rows.flags.writeable and not gradient_rows.flags.writeable
+        np.testing.assert_array_equal(f.value(u), first[0])
+        np.testing.assert_array_equal(f.surface_gradient(u), first[1])
+        # a derived field builds its own stacks
+        psi = f.drop_mean().laplace_invert()
+        assert psi._coefficient_stack(False) is not value_rows
+
 
 class TestLegendreTables:
     def test_gradient_table_is_pbar_over_sin(self):
@@ -235,6 +251,31 @@ class TestClosedFormCurl:
         spec = ball_system(BallParams(**DEMO_BALL)).s_spec
         reduction_report(GFParams(g=spec.g, f=spec.f), L=16, n_states=5)
         assert len(calls) == 1
+
+    def test_pushed_f_synthesizes_grad_psi_once(self, monkeypatch):
+        # f~ reads curl(h / g~) = curl h / g~ + grad(1/g~) x h, and h and
+        # curl h share one grad_S psi at the verification points
+        spec = ball_system(BallParams(**DEMO_BALL)).s_spec
+        p = GFParams(g=spec.g, f=spec.f)
+        gauge, _ = reduce_to_e3(p, L=16)
+        calls = []
+        original = SphereSpectralField.surface_gradient
+        monkeypatch.setattr(SphereSpectralField, "surface_gradient",
+                            lambda self, x: calls.append(x) or original(self, x))
+        pushforward_params(gauge, p).f(verify_points(16))
+        assert len(calls) == 1
+
+    def test_shared_gradient_follows_the_points(self, rng):
+        sol = solve_curl_equation(self.F, L=8)
+        x, y = rng.standard_normal((2, 7, 3))
+        expected = [solve_curl_equation(self.F, L=8).h(p) for p in (x, y)]
+        curls = [solve_curl_equation(self.F, L=8).h.curl_at(p) for p in (x, y)]
+        for _ in range(2):
+            np.testing.assert_array_equal(sol.h(x), expected[0])
+            np.testing.assert_array_equal(sol.h.curl_at(y), curls[1])
+            np.testing.assert_array_equal(sol.h(y), expected[1])
+            np.testing.assert_array_equal(sol.h(x[0]), expected[0][0])
+            np.testing.assert_array_equal(sol.h.curl_at(x), curls[0])
 
     def test_demo_ball_f_tilde_is_band_limit_truncation(self):
         # with a finite-difference curl in f~ this read 4.6e-11, its noise
