@@ -36,6 +36,7 @@ INVOCATIONS = {
     "check-duality-D2": ["check", "duality", "--D", "2"],
     "check-planar": ["check", "planar"],
     "reduce-ball-L32": ["reduce", "--model", "ball", "--L", "32"],
+    "reduce-ball-L64": ["reduce", "--model", "ball", "--L", "64"],
     "reduce-veselova-gyrostat-L16": ["reduce", "--model", "veselova", "--gyrostat", "0,0,0.1", "--L", "16"],
     "reduce-g1-f0-L8": ["reduce", "--g", "1", "--f", "0", "--L", "8"],
     # failing gates: each exits 4 and writes its one stderr line

@@ -91,9 +91,11 @@ def skew_defect(P: Array) -> float:
 # One step rule (_steps) and one point layout (_stencil) serve every caller:
 # - the field fallbacks and the planar dH_dq (fd_gradient, fd_curl): FD_STEP
 #   with one Richardson level, exact to round-off on cubics;
-# - the curl residual (spherical.solve_curl_equation): 1e-4 with one
-#   Richardson level, 9.0e-12 at ball L = 32, where plain central at 1e-4
-#   reads 1.4e-8 (truncation) and Richardson at FD_STEP 6.0e-11 (round-off);
+# - the Cartesian oracle of the reduction's curl residual in the tests
+#   (the residual itself, spherical._ring_curl, differences along theta and
+#   phi): 1e-4 with one Richardson level, 8.8e-12 at ball L = 32, where plain
+#   central at 1e-4 reads 1.4e-8 (truncation) and Richardson at FD_STEP
+#   6.0e-11 (round-off);
 # - the jacobiator: plain central at FD_STEP.  The benchmark fails a checks
 #   maximum more than 10x below its plain-central oracle, which a Richardson
 #   jacobiator (3.6e-11 against 8.8e-10 at the demo ball) would likely trip;

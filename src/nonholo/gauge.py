@@ -224,7 +224,9 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     mismatch between the pushed-forward bivector and the e(3) bivector at
     seeded random unit-gamma states.  Each probe set is one array call.
     ``pass`` holds iff the residual is at most spherical.RESIDUAL_TOL and
-    the bracket mismatch at most BRACKET_TOL.
+    the bracket mismatch at most BRACKET_TOL.  A residual over
+    RESIDUAL_TOL also reports, as ``worst_gamma``, the verification point
+    where it is largest; a passing residual adds no key.
     """
     gauge, sol = reduce_to_e3(p, L=L)
     pushed = pushforward_params(gauge, p)
@@ -234,11 +236,14 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     f_dev = np.max(np.abs(pushed.f(grid_pts)))
 
     X = random_states(np.random.default_rng(seed), n_states)
+    # the image first: the Jacobian's h(gamma) then reuses h's grad_S psi
+    # at the same points
+    image = apply_gauge_state(gauge, X)
     left = pushforward_bivector(gauge, gf_bivector(p), X)
-    right = e3_bivector(apply_gauge_state(gauge, X))
+    right = e3_bivector(image)
     bracket_dev = float(np.max(np.abs(left - right), initial=0.0))
 
-    return {
+    report = {
         "L": L,
         "c": float(sol.c),
         "residual": float(sol.residual),
@@ -249,3 +254,6 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
         "seed": seed,
         "pass": sol.residual <= RESIDUAL_TOL and bracket_dev <= BRACKET_TOL,
     }
+    if sol.residual > RESIDUAL_TOL:
+        report["worst_gamma"] = [float(v) for v in sol.worst_gamma]
+    return report

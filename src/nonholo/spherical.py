@@ -14,18 +14,21 @@ shape (..., 3), read at their radial projections; one point of shape (3,)
 gives a float or a 3-vector.  Analysis sums each ring against e^{-i m phi},
 the conjugate of the e^{i m phi} form synthesis reads.
 
-Synthesis evaluates a field at scattered points, the bracket probes and the
-residual's finite-difference stencil, which lie on no ring of the grid, so
-ring transforms (Schaeffer 2013, SHTns) do not apply.  Points go in blocks of
-BLOCK_ENTRIES Legendre-table entries, (L+1)^2 per point.  Each block builds
+Synthesis runs on rings: points that share a colatitude share one
+Legendre table and one contraction over l (the ring transforms of SHTns,
+Schaeffer 2013), and only the Fourier sums over m run per point.  The
+residual's stencil lies on shifted rings, each holding many points; the
+bracket probes are scattered, one point per ring.  Rings go in blocks of
+BLOCK_ENTRIES Legendre-table entries, (L+1)^2 per ring.  Each block builds
 one table, Pbar_lm for the value or Pbar_lm / sin(theta) for the tangential
 gradient, contracts it over l with a stack of real coefficient rows in one
-einsum, and finishes with real Fourier sums over m.  The gradient's theta
-derivative is taken in coefficient space, through the identity
-d/dtheta Pbar_lm = l cos(theta) Q_lm - w_lm Q_(l-1)m, Q = Pbar / sin(theta),
-so no derivative table is built and nothing is divided by sin(theta): the
-gradient is regular on the whole sphere, poles included.  Each point's
-result is the same in any block, one-point calls included.
+einsum, and finishes with real Fourier sums over m at each of its points.
+The gradient's theta derivative is taken in coefficient space, through the
+identity d/dtheta Pbar_lm = l cos(theta) Q_lm - w_lm Q_(l-1)m,
+Q = Pbar / sin(theta), so no derivative table is built and nothing is
+divided by sin(theta): the gradient is regular on the whole sphere, poles
+included.  Each point's result is the same in any block, one-point calls
+included, and the same whether its ring holds other points or not.
 
 The solver below finds, for smooth F, a constant c and a tangent vector
 field h with (gamma, curl h) = F + c on the sphere: c = -mean(F) makes F + c
@@ -34,7 +37,8 @@ and h = u x grad_S psi is the rotated surface gradient of the resulting
 potential psi, extended to R^3 as a degree-zero homogeneous field.  With
 psi~ that extension, h(x) = x x grad psi~ carries its closed-form curl
 x Lap psi~ - grad psi~, so on |x| = 1 (gamma, curl h) = Lap_S psi = F + c;
-the reported residual checks this with a finite-difference curl.
+the reported residual checks this with a finite-difference curl of h's
+values, taken along theta and phi on shifted rings.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DomainError, ScalarField, VectorField3, fd_curl, lift
+from .core import DomainError, ScalarField, VectorField3, lift
 
 Array = np.ndarray
 
@@ -55,8 +59,10 @@ FOUR_PI = 4.0 * np.pi
 # parameters are verified
 RESIDUAL_TOL = 1e-6
 VERIFY_STRIDE = 4
-# Legendre table entries per synthesis block, (L+1)^2 per point: 2 MB of
-# float64, 240 points at L = 32 and 62 at L = 64
+# the angular step of the residual's finite differences along theta and phi
+RESIDUAL_STEP = 1e-4
+# Legendre table entries per synthesis block, (L+1)^2 per ring: 2 MB of
+# float64, 240 rings at L = 32 and 62 at L = 64
 BLOCK_ENTRIES = 2 ** 18
 
 
@@ -177,6 +183,15 @@ def _legendre_tables(L: int, x: Array, s: Array, gradient: bool = False) -> Arra
     return T
 
 
+def _frame(ct: Array, st: Array, phi: Array) -> tuple[Array, Array]:
+    """The unit vectors e_theta and e_phi, shape (n, 3), at points with
+    cos(theta) ct, sin(theta) st and longitude phi."""
+    cp, sp = np.cos(phi), np.sin(phi)
+    e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    e_phi = np.stack([-sp, cp, np.zeros_like(cp)], axis=-1)
+    return e_theta, e_phi
+
+
 # ---------------------------------------------------------------------------
 # spectral fields
 # ---------------------------------------------------------------------------
@@ -225,39 +240,59 @@ class SphereSpectralField:
         ct = np.clip(u[:, 2], -1.0, 1.0)
         st = np.hypot(u[:, 0], u[:, 1])
         phi = np.arctan2(u[:, 1], u[:, 0])
-        C = self._coefficient_stack(gradient)
-        m = np.arange(self.L + 1)
-        sums = np.empty((2 if gradient else 1, u.shape[0]))
-        block = max(1, BLOCK_ENTRIES // (self.L + 1) ** 2)
-        for k in range(0, u.shape[0], block):
-            n = slice(k, k + block)
-            E = np.exp(1j * np.outer(phi[n], m))
-            cos, sin = E.real, E.imag
-            T = _legendre_tables(self.L, ct[n], st[n], gradient)
-            # S[point, row, m]; each point's result is bitwise the same in any
-            # block: einsum, unlike a BLAS matmul (gemv for one point, gemm
-            # for a stack), contracts one point as it does many, and every
-            # m-sum runs along a contiguous last axis
-            S = np.ascontiguousarray(np.einsum("mkl,lmn->mkn", C, T).transpose(2, 1, 0))
-            if gradient:
-                # d_theta f = x sum(l a Q) - sum(shift(a w) Q) (and the same in
-                # b) plus s times the m = 0 row, whose only entry is at m = 1;
-                # (1/sin theta) d_phi f = sum(m (b cos - a sin) Q)
-                x = ct[n, None]
-                sums[0, n] = ((x * S[:, 0] - S[:, 2]) * cos + (x * S[:, 1] - S[:, 3]) * sin).sum(-1) \
-                    + st[n] * S[:, 6].sum(-1)
-                sums[1, n] = (S[:, 5] * cos - S[:, 4] * sin).sum(-1)
-            else:
-                sums[0, n] = (S[:, 0] * cos + S[:, 1] * sin).sum(-1)
+        # scattered points: one ring each
+        sums = self._ring_sums(ct, st, phi, np.arange(phi.size), gradient)
         if not gradient:
             return sums[0].reshape(p.shape[:-1])[()]
-        # d_theta f e_theta + (1/sin theta) d_phi f e_phi; the second sum
-        # already carries the 1/sin theta
-        cp, sp = np.cos(phi), np.sin(phi)
-        e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
-        e_phi = np.stack([-sp, cp, np.zeros_like(cp)], axis=-1)
+        e_theta, e_phi = _frame(ct, st, phi)
         grad = sums[0][:, None] * e_theta + sums[1][:, None] * e_phi
         return grad.reshape(p.shape)
+
+    def _ring_sums(self, x: Array, s: Array, phi: Array, ring: Array, gradient: bool) -> Array:
+        """The synthesis kernel.  Ring j has cos(theta) x[j] and sin(theta)
+        s[j]; point k lies at longitude phi[k] on ring ring[k], which never
+        decreases.  Per point it returns the value, shape (1, n), or
+        d_theta f and (1/sin theta) d_phi f, shape (2, n).
+
+        Each ring's Legendre table and l-contraction are made once, in blocks
+        of BLOCK_ENTRIES table entries, (L+1)^2 per ring; the Fourier sums run
+        per point, in blocks of as many points as a table block has rings.
+        """
+        C = self._coefficient_stack(gradient)
+        m = np.arange(self.L + 1)
+        sums = np.empty((2 if gradient else 1, phi.size))
+        block = max(1, BLOCK_ENTRIES // (self.L + 1) ** 2)
+        for k in range(0, x.size, block):
+            r = slice(k, k + block)
+            # S[ring, row, m]; each ring's result is bitwise the same in any
+            # block: einsum, unlike a BLAS matmul (gemv for one ring, gemm
+            # for a stack), contracts one ring as it does many, and every
+            # m-sum runs along a contiguous last axis
+            T = _legendre_tables(self.L, x[r], s[r], gradient)
+            S = np.ascontiguousarray(np.einsum("mkl,lmn->mkn", C, T).transpose(2, 1, 0))
+            del T       # freed before the Fourier sums, which keeps peak memory down
+            if gradient:
+                # d_theta f = sum((x l a - shift(a w)) Q cos + (x l b -
+                # shift(b w)) Q sin) plus s times the m = 0 row, whose only
+                # entry is at m = 1; (1/sin theta) d_phi f =
+                # sum(m (b cos - a sin) Q)
+                xr = x[r, None]
+                R = np.stack([xr * S[:, 0] - S[:, 2], xr * S[:, 1] - S[:, 3], S[:, 5], S[:, 4]], axis=1)
+                zonal = s[r] * S[:, 6].sum(-1)
+            else:
+                R = S
+            lo, hi = np.searchsorted(ring, [k, k + block])
+            for j in range(lo, hi, block):
+                n = slice(j, min(j + block, hi))
+                i = ring[n] - k
+                E = np.exp(1j * np.outer(phi[n], m))
+                cos, sin = E.real, E.imag
+                Rn = R[i]
+                sums[0, n] = (Rn[:, 0] * cos + Rn[:, 1] * sin).sum(-1)
+                if gradient:
+                    sums[0, n] += zonal[i]
+                    sums[1, n] = (Rn[:, 2] * cos - Rn[:, 3] * sin).sum(-1)
+        return sums
 
     def _coefficient_stack(self, gradient: bool) -> Array:
         """The real coefficient rows that synthesis contracts with the
@@ -320,6 +355,13 @@ class CurlSolution:
     h: VectorField3
     residual: float
     psi: SphereSpectralField
+    worst_gamma: Array      # the verification point where the residual is largest
+
+
+def _rotate(u: Array, grad: Array) -> Array:
+    """h = u x grad_S psi: the one orientation of h, which both h's values
+    and the residual's stencil read."""
+    return np.cross(u, grad)
 
 
 def _rotated_gradient(psi: SphereSpectralField, lap: SphereSpectralField) -> VectorField3:
@@ -340,8 +382,7 @@ def _rotated_gradient(psi: SphereSpectralField, lap: SphereSpectralField) -> Vec
         return u, last["grad"]
 
     def fn(x):
-        u, g = grad(x)
-        return np.cross(u, g)
+        return _rotate(*grad(x))
 
     def curl(x):
         x = np.asarray(x, float)
@@ -351,14 +392,61 @@ def _rotated_gradient(psi: SphereSpectralField, lap: SphereSpectralField) -> Vec
     return VectorField3(fn, curl=curl)
 
 
+def _ring_curl(psi: SphereSpectralField, L: int) -> Array:
+    """(gamma, curl h) for h = u x grad_S psi at the verification points,
+    shape (n,) in verify_points order, by finite differences on shifted
+    rings.
+
+    On the sphere (gamma, curl h) = (d_theta(sin theta h_phi) - d_phi h_theta)
+    / sin theta.  The theta differences read the rings theta +- RESIDUAL_STEP
+    and theta +- RESIDUAL_STEP/2 at the verification longitudes, the phi
+    differences the longitudes phi +- RESIDUAL_STEP and phi +- RESIDUAL_STEP/2
+    on the verification ring; each takes one Richardson level.  h_theta and
+    h_phi are the components of h as _rotate forms it, so a wrong orientation
+    of h fails the check.  Verification rings are Gauss-Legendre nodes, never
+    a pole.
+    """
+    grid = make_grid(L)
+    x = grid.x[::VERIFY_STRIDE]
+    s = np.sqrt(1.0 - x**2)
+    phi = grid.phi[::VERIFY_STRIDE]
+    nv, nphi = x.size, phi.size
+    d = RESIDUAL_STEP * np.array([1.0, -1.0, 0.5, -0.5])
+    shifted = (np.arccos(x)[:, None] + d).ravel()
+    # rings: the 4 nv shifted rings, each at the verification longitudes,
+    # then the nv verification rings, each at the 4 nphi shifted longitudes
+    ring_x = np.concatenate([np.cos(shifted), x])
+    ring_s = np.concatenate([np.sin(shifted), s])
+    lon = np.concatenate([np.tile(phi, 4 * nv), np.tile((phi + d[:, None]).ravel(), nv)])
+    ring = np.repeat(np.arange(5 * nv), [nphi] * (4 * nv) + [4 * nphi] * nv)
+    g = psi._ring_sums(ring_x, ring_s, lon, ring, gradient=True)
+    ct, st = ring_x[ring], ring_s[ring]
+    e_theta, e_phi = _frame(ct, st, lon)
+    u = np.stack([st * np.cos(lon), st * np.sin(lon), ct], axis=-1)
+    h = _rotate(u, g[0][:, None] * e_theta + g[1][:, None] * e_phi)
+    # (nv, offset, longitude) each: sin(theta) h_phi on the shifted rings,
+    # h_theta at the shifted longitudes
+    split = 4 * nv * nphi
+    along_theta = (st * np.vecdot(h, e_phi))[:split].reshape(nv, 4, nphi)
+    along_phi = np.vecdot(h, e_theta)[split:].reshape(nv, 4, nphi)
+
+    def richardson(v):
+        wide = (v[:, 0] - v[:, 1]) / (2.0 * RESIDUAL_STEP)
+        narrow = (v[:, 2] - v[:, 3]) / RESIDUAL_STEP
+        return (4.0 * narrow - wide) / 3.0
+
+    return ((richardson(along_theta) - richardson(along_phi)) / s[:, None]).ravel()
+
+
 def solve_curl_equation(F, L: int = 32) -> CurlSolution:
     """Find c and a tangent field h with (gamma, curl h) = F(gamma) + c.
 
     The constant is forced by solvability: c = -mean(F) over the sphere,
     read off the degree-zero coefficient of F.  The reported residual is
     measured independently of the spectral route, with a finite-difference
-    curl of h on the verification grid; ``gauge.reduction_report`` holds it
-    against RESIDUAL_TOL.
+    curl of h on the verification grid (_ring_curl); ``gauge.reduction_report``
+    holds it against RESIDUAL_TOL.  ``worst_gamma`` is the verification point
+    where it is largest.
     """
     if not isinstance(F, ScalarField):
         F = ScalarField(F)
@@ -367,14 +455,14 @@ def solve_curl_equation(F, L: int = 32) -> CurlSolution:
     lap = coeff.drop_mean()
     psi = lap.laplace_invert()
     psi_scale = max(float(np.max(np.abs(psi.c_cos))), float(np.max(np.abs(psi.c_sin))))
-    if psi_scale <= 1e-14 * max(1.0, abs(c)):
-        # F + c is zero to round-off; the exact solution is h = 0 and the
-        # analysis noise would only be amplified by the verification curl
-        h = VectorField3.zero()
-    else:
-        h = _rotated_gradient(psi, lap)
-
     pts = verify_points(L)
-    lhs = np.einsum("ni,ni->n", pts, fd_curl(h, pts, step=1e-4, richardson=True))
-    residual = float(np.max(np.abs(lhs - F(pts) - c)))
-    return CurlSolution(c=c, h=h, residual=residual, psi=psi)
+    if psi_scale <= 1e-14 * max(1.0, abs(c)):
+        # F + c is zero to round-off; the exact solution is h = 0, whose curl
+        # is exactly zero, and the analysis noise would only be amplified by
+        # the verification curl
+        h, lhs = VectorField3.zero(), 0.0
+    else:
+        h, lhs = _rotated_gradient(psi, lap), _ring_curl(psi, L)
+    deviation = np.abs(lhs - F(pts) - c)
+    worst = int(np.argmax(deviation))
+    return CurlSolution(c=c, h=h, residual=float(deviation[worst]), psi=psi, worst_gamma=pts[worst])

@@ -558,6 +558,27 @@ class TestReduce:
         assert run(["reduce", "--model", "ball", "--L", "4", "-n", "5"]) == 4
         assert "--L 8" in capsys.readouterr().err
 
+    def test_near_boundary_passes_at_L64(self, workdir, capsys):
+        # A3 = 0.9 peaks F = -u^(-3/2) near the poles: L = 32 under-resolves
+        # it (residual 9.3e-5), L = 64 resolves it
+        argv = ["reduce", "--model", "ball", "--A", "0.4,0.5,0.9", "--D", "1"]
+        assert run([*argv, "--L", "64"]) == 0
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["residual"] <= 1e-9 and out["bracket_dev"] <= 1e-8 and captured.err == ""
+        assert run([*argv, "--L", "32"]) == 4
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["residual"] == pytest.approx(9.3e-5, rel=0.01) and "worst_gamma" not in out
+        # the stderr line names the verification point of the worst residual
+        spec = ball_system(BallParams(A=(0.4, 0.5, 0.9), D=1.0)).s_spec
+        _, sol = gauge_mod.reduce_to_e3(GFParams(g=spec.g, f=spec.f), L=32)
+        assert sol.worst_gamma[2] < -0.99
+        assert captured.err == (f"reduction failed: residual {out['residual']:.3e} at gamma ("
+                                + ", ".join(f"{v:.17g}" for v in sol.worst_gamma)
+                                + f"), bracket_dev {out['bracket_dev']:.3e}; try --L 64\n")
+
+
     @pytest.mark.parametrize("L", [4, 16])
     def test_pass_is_the_library_verdict(self, workdir, capsys, L):
         # the CLI reports the pass of reduction_report and exits on it
@@ -567,6 +588,9 @@ class TestReduce:
         rep = gauge_mod.reduction_report(GFParams(g=spec.g, f=spec.f), L=L, n_states=5, seed=0)
         assert out["pass"] is rep["pass"] and code == (0 if rep["pass"] else 4)
         assert rep["pass"] is (L == 16)
+        # the library names the worst point of a failing residual; the JSON
+        # report keeps its keys and the stderr line names the point
+        assert ("worst_gamma" in rep) is (L == 4) and "worst_gamma" not in out
 
     def test_incomplete_constants_exit_2(self, workdir):
         assert run(["reduce", "--g", "1"]) == 2

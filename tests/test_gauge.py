@@ -9,6 +9,7 @@ from nonholo import (
     GFParams,
     GaugeTransform,
     ScalarField,
+    SphereSpectralField,
     VectorField3,
     VeselovaParams,
     apply_gauge_state,
@@ -23,6 +24,7 @@ from nonholo import (
     pushforward_bivector,
     pushforward_params,
     reduce_to_e3,
+    reduction_report,
     unpack,
     veselova_system,
     zero_level_jacobian,
@@ -30,6 +32,7 @@ from nonholo import (
     vector,
 )
 from nonholo.gauge import JACOBIAN_STEP, _fiber_map, gauge_state_jacobian
+from nonholo.spherical import verify_points
 
 from conftest import rand_state, rand_unit
 
@@ -333,6 +336,18 @@ class TestZeroLevel:
 
 
 class TestReduction:
+    def test_bracket_probes_share_the_image_gradient(self, monkeypatch):
+        # the image M~ is taken before the Jacobian, whose h(gamma) then
+        # reuses h's grad_S psi: per probe state 1 point for both and 6 for
+        # the gamma-block's central stencil, after 1 point per verification
+        # point for f~ (the residual synthesizes on rings)
+        points = []
+        original = SphereSpectralField.surface_gradient
+        monkeypatch.setattr(SphereSpectralField, "surface_gradient",
+                            lambda self, x: points.append(np.size(x) // 3) or original(self, x))
+        reduction_report(ball_params(), L=16, n_states=20)
+        assert points == [len(verify_points(16))] + [20] * 7
+
     def test_curl_target_closed_form_for_ball(self, rng):
         # F = -(1/D) u^(-3/2) with u = 1/D - (gamma, A gamma)
         F = curl_target_F(ball_params())

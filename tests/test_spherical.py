@@ -11,7 +11,9 @@ from nonholo import (
     GFParams,
     ScalarField,
     SphereSpectralField,
+    VeselovaParams,
     ball_system,
+    curl_target_F,
     fd_curl,
     fd_gradient,
     make_grid,
@@ -20,10 +22,11 @@ from nonholo import (
     reduction_report,
     solve_curl_equation,
     sphere_quadrature,
+    veselova_system,
 )
 import nonholo.core as core
 import nonholo.spherical as spherical
-from nonholo.models import DEMO_BALL
+from nonholo.models import DEMO_BALL, DEMO_GYROSTAT, DEMO_VESELOVA
 from nonholo.spherical import RESIDUAL_TOL, _legendre_tables, verify_points
 
 FOUR_PI = 4 * np.pi
@@ -236,21 +239,16 @@ class TestClosedFormCurl:
         np.testing.assert_allclose(sol.h.curl_at(x), fd, atol=1e-10)
         np.testing.assert_allclose(sol.h.curl_at(x[0]), fd[0], atol=1e-10)
 
-    def test_report_makes_one_fd_curl(self, monkeypatch):
-        # the residual's check is the only finite-difference curl of a
+    def test_report_makes_one_fd_curl_check(self, monkeypatch):
+        # the residual's ring stencil is the only finite-difference curl of a
         # reduction; the pushed f~ reads the closed form
-        calls = []
-        original = core.fd_curl
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(core, "fd_curl", counted)
-        monkeypatch.setattr(spherical, "fd_curl", counted)
+        rings, cartesian = [], []
+        ring_curl, fd = spherical._ring_curl, core.fd_curl
+        monkeypatch.setattr(spherical, "_ring_curl", lambda *a: rings.append(a) or ring_curl(*a))
+        monkeypatch.setattr(core, "fd_curl", lambda *a, **k: cartesian.append(a) or fd(*a, **k))
         spec = ball_system(BallParams(**DEMO_BALL)).s_spec
         reduction_report(GFParams(g=spec.g, f=spec.f), L=16, n_states=5)
-        assert len(calls) == 1
+        assert len(rings) == 1 and cartesian == []
 
     def test_pushed_f_synthesizes_grad_psi_once(self, monkeypatch):
         # f~ reads curl(h / g~) = curl h / g~ + grad(1/g~) x h, and h and
@@ -282,6 +280,91 @@ class TestClosedFormCurl:
         spec = ball_system(BallParams(**DEMO_BALL)).s_spec
         rep = reduction_report(GFParams(g=spec.g, f=spec.f), L=32, n_states=5)
         assert rep["f_tilde_dev"] <= 1e-11
+
+
+def demo_ball():
+    spec = ball_system(BallParams(**DEMO_BALL)).s_spec
+    return GFParams(g=spec.g, f=spec.f)
+
+
+def near_boundary_ball():
+    spec = ball_system(BallParams(A=(0.4, 0.5, 0.9), D=1.0)).s_spec
+    return GFParams(g=spec.g, f=spec.f)
+
+
+def veselova_gyrostat():
+    spec = veselova_system(VeselovaParams(**DEMO_VESELOVA, k=DEMO_GYROSTAT)).s_spec
+    return GFParams(g=spec.g, f=spec.f)
+
+
+class TestRingResidual:
+    """The residual differentiates h along theta and phi on shifted rings;
+    the Cartesian Richardson curl at the same step is its oracle."""
+
+    # the largest pointwise gap between the two curls measured at each case
+    # was 5.9e-12, 5.7e-12, 6.5e-12 and 7.1e-12 (demo ball, L = 8 to 64),
+    # 1.5e-10 (A3 = 0.9, curls up to 26) and 2.7e-12 (veselova+gyrostat):
+    # both stencils' round-off at the step 1e-4
+    @pytest.mark.parametrize("params, L, tol", [
+        (demo_ball, 8, 2e-11), (demo_ball, 16, 2e-11), (demo_ball, 32, 2e-11), (demo_ball, 64, 2e-11),
+        (near_boundary_ball, 64, 5e-10), (veselova_gyrostat, 16, 1e-11),
+    ])
+    def test_agrees_with_cartesian_richardson(self, params, L, tol):
+        F = curl_target_F(params())
+        sol = solve_curl_equation(F, L=L)
+        pts = verify_points(L)
+        cartesian = np.vecdot(pts, fd_curl(sol.h, pts, step=1e-4, richardson=True))
+        np.testing.assert_allclose(spherical._ring_curl(sol.psi, L), cartesian, rtol=0.0, atol=tol)
+        assert sol.residual == pytest.approx(np.max(np.abs(cartesian - F(pts) - sol.c)), rel=0.0, abs=tol)
+
+    def test_flipped_orientation_fails(self, monkeypatch):
+        # h's values and the residual's stencil read the one orientation
+        # helper, so h = grad_S psi x u gives (gamma, curl h) = -(F + c)
+        F = curl_target_F(demo_ball())
+        assert solve_curl_equation(F, L=16).residual <= RESIDUAL_TOL
+        monkeypatch.setattr(spherical, "_rotate", lambda u, grad: np.cross(grad, u))
+        sol = solve_curl_equation(F, L=16)
+        assert sol.residual > RESIDUAL_TOL
+        pts = verify_points(16)
+        cartesian = np.vecdot(pts, fd_curl(sol.h, pts, step=1e-4, richardson=True))
+        assert np.max(np.abs(cartesian - F(pts) - sol.c)) > RESIDUAL_TOL
+
+    def test_one_table_per_ring(self, monkeypatch):
+        # at L = 32: 17 verification rings, each with 4 shifted rings
+        columns = []
+        tables = spherical._legendre_tables
+        monkeypatch.setattr(spherical, "_legendre_tables",
+                            lambda L, x, s, gradient=False: columns.append(x.size) or tables(L, x, s, gradient))
+        psi = solve_curl_equation(curl_target_F(demo_ball()), L=32).psi
+        columns.clear()
+        spherical._ring_curl(psi, 32)
+        assert sum(columns) == 5 * 17
+
+    def test_shared_rings_match_one_ring_per_point(self, rng):
+        f = random_band_limited(rng, 12)
+        theta = rng.uniform(0.0, np.pi, 4)
+        ring = np.sort(rng.integers(0, 4, 40))
+        phi = rng.uniform(-np.pi, np.pi, 40)
+        x, s = np.cos(theta), np.sin(theta)
+        for gradient in (False, True):
+            np.testing.assert_array_equal(f._ring_sums(x, s, phi, ring, gradient),
+                                          f._ring_sums(x[ring], s[ring], phi, np.arange(40), gradient))
+
+    def test_blocks_do_not_change_the_residual(self, monkeypatch):
+        psi = solve_curl_equation(curl_target_F(demo_ball()), L=16).psi
+        expected = spherical._ring_curl(psi, 16)
+        # one ring per table block and 4 points per Fourier block
+        monkeypatch.setattr(spherical, "BLOCK_ENTRIES", 17 ** 2 + 1)
+        np.testing.assert_array_equal(spherical._ring_curl(psi, 16), expected)
+
+    def test_worst_gamma_is_where_the_residual_is(self):
+        F = curl_target_F(near_boundary_ball())
+        sol = solve_curl_equation(F, L=16)
+        pts = verify_points(16)
+        (i,) = np.flatnonzero((pts == sol.worst_gamma).all(axis=-1))
+        assert abs(spherical._ring_curl(sol.psi, 16)[i] - F(pts[i]) - sol.c) == sol.residual
+        # F peaks at the pole of the largest A_i
+        assert sol.worst_gamma[2] < -0.99
 
 
 class TestCurlSolver:
