@@ -288,15 +288,18 @@ def cmd_reduce(args) -> int:
         params, label = gauge_mod.GFParams(g=sysm.s_spec.g, f=sysm.s_spec.f), sysm.name
     seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _integer)
     rep = gauge_mod.reduction_report(params, L=args.L, n_states=args.n, seed=seed)
-    # the worst point goes to the gate's stderr line, as for every gate; the
+    # the worst points go to the gate's stderr line, as for every gate; the
     # JSON report keeps one set of keys
-    worst = rep.pop("worst_gamma", None)
+    def at(key):
+        worst = rep.pop(key, None)
+        return "" if worst is None else " at gamma (" + ", ".join(f"{v:.17g}" for v in worst) + ")"
+
+    residual_at, bracket_at = at("worst_gamma"), at("worst_bracket_gamma")
     _emit({"schema_version": SCHEMA_VERSION, "command": "reduce", "source": label, **rep}, args.report)
     if rep["pass"]:
         return 0
-    at = "" if worst is None else " at gamma (" + ", ".join(f"{v:.17g}" for v in worst) + ")"
-    sys.stderr.write(f"reduction failed: residual {rep['residual']:.3e}{at}, bracket_dev "
-                     f"{rep['bracket_dev']:.3e}; try --L {2 * args.L}\n")
+    sys.stderr.write(f"reduction failed: residual {rep['residual']:.3e}{residual_at}, bracket_dev "
+                     f"{rep['bracket_dev']:.3e}{bracket_at}; try --L {2 * args.L}\n")
     return 4
 
 

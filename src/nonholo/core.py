@@ -89,19 +89,21 @@ def skew_defect(P: Array) -> float:
 # finite differences
 # ---------------------------------------------------------------------------
 # One step rule (_steps) and one point layout (_stencil) serve every caller:
-# - the field fallbacks and the planar dH_dq (fd_gradient, fd_curl): FD_STEP
-#   with one Richardson level, exact to round-off on cubics;
-# - the Cartesian oracle of the reduction's curl residual in the tests
-#   (the residual itself, spherical._ring_curl, differences along theta and
-#   phi): 1e-4 with one Richardson level, 8.8e-12 at ball L = 32, where plain
-#   central at 1e-4 reads 1.4e-8 (truncation) and Richardson at FD_STEP
-#   6.0e-11 (round-off);
+# - the field fallbacks: ScalarField.gradient and the planar dH_dq
+#   (fd_gradient) and VectorField3.jacobian_at (fd_jacobian) at FD_STEP with
+#   one Richardson level, exact to round-off on cubics; VectorField3.curl_at
+#   (fd_curl) plain central at FD_STEP;
+# - the test oracles of the reduction, 1e-4 with one Richardson level.  The
+#   Cartesian curl that the residual (spherical._ring_curl, differences
+#   along theta and phi) is held against reads 8.8e-12 at ball L = 32, where
+#   plain central at 1e-4 reads 1.4e-8 (truncation) and Richardson at
+#   FD_STEP 6.0e-11 (round-off).  The differences of gauge._fiber_map agree
+#   with the closed-form gamma-block of gauge.gauge_state_jacobian to 3e-11
+#   at L = 8 to 32; the plain central step 1e-6 that block replaced read
+#   ball L = 32 bracket_dev as 1.14e-9 (seed 3), its noise, against 1.1e-12;
 # - the jacobiator: plain central at FD_STEP.  The benchmark fails a checks
 #   maximum more than 10x below its plain-central oracle, which a Richardson
-#   jacobiator (3.6e-11 against 8.8e-10 at the demo ball) would likely trip;
-# - the gauge gamma-block: plain central at gauge.JACOBIAN_STEP = 1e-6.
-#   Richardson at 1e-4 takes ball L = 32 bracket_dev from 1.03e-9 to 3.2e-11
-#   but `reduce --model ball --L 32` from about 80 ms to 126-149 ms.
+#   jacobiator (3.6e-11 against 8.8e-10 at the demo ball) would likely trip.
 
 def _steps(x: Array, step: float | None = None) -> Array:
     """Per-point steps (..., 1): step (FD_STEP) times the norm, at least 1."""
@@ -316,15 +318,22 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField3:
-    """An R^3-valued function of gamma, with an optional analytic curl.
+    """An R^3-valued function of gamma, with an optional analytic curl and
+    an optional analytic Jacobian.
 
     ``fn`` and ``curl`` map points of shape (..., 3) to vectors of shape
     (..., 3), or to one constant 3-vector; one point of shape (3,) gives one
-    3-vector.
+    3-vector.  ``jacobian`` maps them to matrices J[..., i, j] = d fn_i /
+    d x_j of shape (..., 3, 3), or to one constant matrix.  Where no curl is
+    supplied, ``curl_at`` falls back to ``fd_curl`` (plain central at
+    FD_STEP); where no Jacobian is, ``jacobian_at`` falls back to
+    ``fd_jacobian`` at FD_STEP with one Richardson level, the rule of
+    ``ScalarField.gradient``.
     """
 
     fn: Callable[[Array], Array]
     curl: Callable[[Array], Array] | None = None
+    jacobian: Callable[[Array], Array] | None = None
 
     def __call__(self, point) -> Array:
         x = np.asarray(point, float)
@@ -336,9 +345,15 @@ class VectorField3:
             return _fit(self.curl(x), x.shape)
         return fd_curl(self, x)
 
+    def jacobian_at(self, point) -> Array:
+        x = np.asarray(point, float)
+        if self.jacobian is not None:
+            return _fit(self.jacobian(x), x.shape + (3,))
+        return fd_jacobian(self, x, richardson=True)
+
     @staticmethod
     def zero() -> "VectorField3":
-        return VectorField3(lambda x: 0.0, curl=lambda x: 0.0)
+        return VectorField3(lambda x: 0.0, curl=lambda x: 0.0, jacobian=lambda x: 0.0)
 
     def __add__(self, other: "VectorField3") -> "VectorField3":
         c = None

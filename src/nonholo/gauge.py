@@ -21,6 +21,12 @@ Choosing alpha = 1/g and solving (gamma, curl h) = F + c for the target
     F = -(alpha^2 f + alpha + (gamma, dalpha/dgamma))
 
 drives any (g, f) to (1, 0), i.e. to the standard e(3) structure.
+
+A bracket moves by the congruence J P J^T with the Jacobian J of the state
+map, which gauge_state_jacobian takes in closed form.  The reduction's h
+carries its analytic Jacobian (spherical._rotated_gradient), so the
+reported bracket_dev measures the reduction itself, to quadrature
+round-off where the band limit resolves F, and no finite difference.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .core import (
     ScalarField,
     VectorField3,
     any_point,
-    fd_jacobian,
+    hat,
     lift,
     pack,
     require_unit_gamma,
@@ -47,7 +53,6 @@ from .spherical import RESIDUAL_TOL, CurlSolution, solve_curl_equation, verify_p
 Array = np.ndarray
 
 BRACKET_TOL = 1e-6      # largest bracket_dev a reduction passes with
-JACOBIAN_STEP = 1e-6    # central step of gauge_state_jacobian's gamma-block
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,8 @@ def inverse(t: GaugeTransform) -> GaugeTransform:
 
 def _fiber_map(a, c: float, h: Array, M: Array, gamma: Array) -> Array:
     """The raw fiber map with alpha = a and h already evaluated at gamma,
-    over the last axis; defined for any gamma (used off-sphere by FD)."""
+    over the last axis; defined for any gamma, so that a finite-difference
+    oracle of its Jacobian may step off the sphere."""
     m_par = lift(np.vecdot(M, gamma)) * gamma
     m_perp = M - m_par
     return lift(a) * m_perp + c * m_par + np.cross(m_par, h)
@@ -107,15 +113,24 @@ def _outer(u: Array, v: Array) -> Array:
 
 def gauge_state_jacobian(t: GaugeTransform, x) -> Array:
     """Jacobian of x -> (M~, gamma) at states of shape (..., 6), shape
-    (..., 6, 6).  The M-block is analytic; the gamma-block is the central
-    difference (``core.fd_jacobian``) of the raw fiber map at step
-    JACOBIAN_STEP."""
+    (..., 6, 6), in closed form.
+
+    With a = alpha(gamma), m_par = (M, gamma) gamma and its gamma-derivative
+    dm_par = gamma M^T + (M, gamma) I, the gamma-block of the fiber map is
+    m_perp (x) grad a + (c - a) dm_par - hat(h) dm_par + hat(m_par) dh, with
+    grad a from ``alpha.gradient`` and dh from ``h.jacobian_at``: analytic
+    where the fields carry derivatives, at the field-fallback rule
+    otherwise."""
     M, gamma = unpack(x)
-    a0 = lift(t.alpha(gamma), 2)
-    gh = np.cross(gamma, t.h(gamma))
+    a = lift(t.alpha(gamma), 2)
+    h = t.h(gamma)
+    m_dot = np.vecdot(M, gamma)
+    m_par = lift(m_dot) * gamma
+    dm_par = _outer(gamma, M) + lift(m_dot, 2) * np.eye(3)
     J = np.zeros(gamma.shape[:-1] + (6, 6))
-    J[..., :3, :3] = a0 * np.eye(3) + (t.c - a0) * _outer(gamma, gamma) + _outer(gh, gamma)
-    J[..., :3, 3:] = fd_jacobian(lambda g: _fiber_map(t.alpha(g), t.c, t.h(g), M, g), gamma, JACOBIAN_STEP)
+    J[..., :3, :3] = a * np.eye(3) + (t.c - a) * _outer(gamma, gamma) + _outer(np.cross(gamma, h), gamma)
+    J[..., :3, 3:] = _outer(M - m_par, t.alpha.gradient(gamma)) + ((t.c - a) * np.eye(3) - hat(h)) @ dm_par \
+        + hat(m_par) @ t.h.jacobian_at(gamma)
     J[..., 3:, 3:] = np.eye(3)
     return J
 
@@ -226,7 +241,9 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     ``pass`` holds iff the residual is at most spherical.RESIDUAL_TOL and
     the bracket mismatch at most BRACKET_TOL.  A residual over
     RESIDUAL_TOL also reports, as ``worst_gamma``, the verification point
-    where it is largest; a passing residual adds no key.
+    where it is largest, and a bracket mismatch over BRACKET_TOL reports, as
+    ``worst_bracket_gamma``, the gamma of the probe state where it is
+    largest; a passing residual or bracket adds no key.
     """
     gauge, sol = reduce_to_e3(p, L=L)
     pushed = pushforward_params(gauge, p)
@@ -241,7 +258,8 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     image = apply_gauge_state(gauge, X)
     left = pushforward_bivector(gauge, gf_bivector(p), X)
     right = e3_bivector(image)
-    bracket_dev = float(np.max(np.abs(left - right), initial=0.0))
+    deviation = np.max(np.abs(left - right), axis=(-2, -1), initial=0.0)
+    bracket_dev = float(np.max(deviation, initial=0.0))
 
     report = {
         "L": L,
@@ -256,4 +274,6 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     }
     if sol.residual > RESIDUAL_TOL:
         report["worst_gamma"] = [float(v) for v in sol.worst_gamma]
+    if bracket_dev > BRACKET_TOL:
+        report["worst_bracket_gamma"] = [float(v) for v in X[np.argmax(deviation), 3:]]
     return report

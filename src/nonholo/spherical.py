@@ -11,18 +11,24 @@ grid's degree.  Spectral fields use the orthonormal real basis
 with Pbar the fully normalized associated Legendre functions, so that the
 surface integral of Y^2 is one.  Spectral fields accept arrays of points of
 shape (..., 3), read at their radial projections; one point of shape (3,)
-gives a float or a 3-vector.  Analysis sums each ring against e^{-i m phi},
-the conjugate of the e^{i m phi} form synthesis reads.
+gives a float or a 3-vector.  Coefficients may carry trailing component
+axes, as h's three Cartesian components do below: values then end in those
+axes, and gradients in those axes and the 3 of the gradient.  Analysis sums
+each ring against e^{-i m phi}, the conjugate of the e^{i m phi} form
+synthesis reads.
 
 Synthesis runs on rings: points that share a colatitude share one
 Legendre table and one contraction over l (the ring transforms of SHTns,
 Schaeffer 2013), and only the Fourier sums over m run per point.  The
-residual's stencil lies on shifted rings, each holding many points; the
-bracket probes are scattered, one point per ring.  Rings go in blocks of
-BLOCK_ENTRIES Legendre-table entries, (L+1)^2 per ring.  Each block builds
-one table, Pbar_lm for the value or Pbar_lm / sin(theta) for the tangential
-gradient, contracts it over l with a stack of real coefficient rows in one
-einsum, and finishes with real Fourier sums over m at each of its points.
+residual's stencil lies on shifted rings, each holding many points.  Points
+handed to ``value`` or ``surface_gradient`` share a ring where consecutive
+points have bitwise equal cos(theta) and sin(theta), as runs of points
+along the verification grid's rings do; the bracket probes are scattered,
+one point per ring.  Rings go in blocks of BLOCK_ENTRIES Legendre-table
+entries, (L+1)^2 per ring.  Each block builds one table, Pbar_lm for the
+value or Pbar_lm / sin(theta) for the tangential gradient, contracts it
+over l with a stack of real coefficient rows in one einsum, and finishes
+with real Fourier sums over m at each of its points.
 The gradient's theta derivative is taken in coefficient space, through the
 identity d/dtheta Pbar_lm = l cos(theta) Q_lm - w_lm Q_(l-1)m,
 Q = Pbar / sin(theta), so no derivative table is built and nothing is
@@ -38,7 +44,9 @@ potential psi, extended to R^3 as a degree-zero homogeneous field.  With
 psi~ that extension, h(x) = x x grad psi~ carries its closed-form curl
 x Lap psi~ - grad psi~, so on |x| = 1 (gamma, curl h) = Lap_S psi = F + c;
 the reported residual checks this with a finite-difference curl of h's
-values, taken along theta and phi on shifted rings.
+values, taken along theta and phi on shifted rings.  h also carries its
+closed-form Jacobian: the surface gradients of its Cartesian components,
+whose coefficients follow from psi's through the angular-momentum ladder.
 """
 
 from __future__ import annotations
@@ -240,52 +248,63 @@ class SphereSpectralField:
         ct = np.clip(u[:, 2], -1.0, 1.0)
         st = np.hypot(u[:, 0], u[:, 1])
         phi = np.arctan2(u[:, 1], u[:, 0])
-        # scattered points: one ring each
-        sums = self._ring_sums(ct, st, phi, np.arange(phi.size), gradient)
+        # consecutive points whose (cos theta, sin theta) are bitwise equal
+        # share one ring
+        bits = np.stack([ct, st], axis=-1).view(np.int64)
+        first = np.concatenate([[True], np.any(bits[1:] != bits[:-1], axis=-1)])
+        sums = self._ring_sums(ct[first], st[first], phi, np.cumsum(first) - 1, gradient)
+        comp = self.c_cos.shape[2:]
         if not gradient:
-            return sums[0].reshape(p.shape[:-1])[()]
-        e_theta, e_phi = _frame(ct, st, phi)
-        grad = sums[0][:, None] * e_theta + sums[1][:, None] * e_phi
-        return grad.reshape(p.shape)
+            return sums[0].reshape(p.shape[:-1] + comp)[()]
+        e_theta, e_phi = (e.reshape((-1,) + (1,) * len(comp) + (3,)) for e in _frame(ct, st, phi))
+        grad = sums[0][..., None] * e_theta + sums[1][..., None] * e_phi
+        return grad.reshape(p.shape[:-1] + comp + (3,))
 
     def _ring_sums(self, x: Array, s: Array, phi: Array, ring: Array, gradient: bool) -> Array:
         """The synthesis kernel.  Ring j has cos(theta) x[j] and sin(theta)
         s[j]; point k lies at longitude phi[k] on ring ring[k], which never
-        decreases.  Per point it returns the value, shape (1, n), or
-        d_theta f and (1/sin theta) d_phi f, shape (2, n).
+        decreases.  Per point it returns the value, shape (1, n, *comp), or
+        d_theta f and (1/sin theta) d_phi f, shape (2, n, *comp), with comp
+        the trailing component axes of the coefficients.
 
         Each ring's Legendre table and l-contraction are made once, in blocks
         of BLOCK_ENTRIES table entries, (L+1)^2 per ring; the Fourier sums run
         per point, in blocks of as many points as a table block has rings.
         """
+        comp = self.c_cos.shape[2:]
         C = self._coefficient_stack(gradient)
         m = np.arange(self.L + 1)
-        sums = np.empty((2 if gradient else 1, phi.size))
+        sums = np.empty((2 if gradient else 1, phi.size) + comp)
+        # the shape that sets per-ring and per-point factors against the
+        # component axes and m
+        along = (-1,) + (1,) * (len(comp) + 1)
         block = max(1, BLOCK_ENTRIES // (self.L + 1) ** 2)
         for k in range(0, x.size, block):
             r = slice(k, k + block)
-            # S[ring, row, m]; each ring's result is bitwise the same in any
-            # block: einsum, unlike a BLAS matmul (gemv for one ring, gemm
-            # for a stack), contracts one ring as it does many, and every
-            # m-sum runs along a contiguous last axis
+            # S[ring, row, *comp, m]; each ring's result is bitwise the same
+            # in any block: einsum, unlike a BLAS matmul (gemv for one ring,
+            # gemm for a stack), contracts one ring as it does many, and
+            # every m-sum runs along a contiguous last axis
             T = _legendre_tables(self.L, x[r], s[r], gradient)
-            S = np.ascontiguousarray(np.einsum("mkl,lmn->mkn", C, T).transpose(2, 1, 0))
-            del T       # freed before the Fourier sums, which keeps peak memory down
+            S = np.einsum("mkl,lmn->mkn", C, T)
+            del T       # freed before the copy and the Fourier sums, which keeps peak memory down
+            S = np.ascontiguousarray(S.transpose(2, 1, 0))
+            S = S.reshape(S.shape[:1] + (-1,) + comp + S.shape[-1:])
             if gradient:
                 # d_theta f = sum((x l a - shift(a w)) Q cos + (x l b -
                 # shift(b w)) Q sin) plus s times the m = 0 row, whose only
                 # entry is at m = 1; (1/sin theta) d_phi f =
                 # sum(m (b cos - a sin) Q)
-                xr = x[r, None]
+                xr = x[r].reshape(along)
                 R = np.stack([xr * S[:, 0] - S[:, 2], xr * S[:, 1] - S[:, 3], S[:, 5], S[:, 4]], axis=1)
-                zonal = s[r] * S[:, 6].sum(-1)
+                zonal = s[r].reshape(along[:-1]) * S[:, 6].sum(-1)
             else:
                 R = S
             lo, hi = np.searchsorted(ring, [k, k + block])
             for j in range(lo, hi, block):
                 n = slice(j, min(j + block, hi))
                 i = ring[n] - k
-                E = np.exp(1j * np.outer(phi[n], m))
+                E = np.exp(1j * np.outer(phi[n], m)).reshape(along[:-1] + (m.size,))
                 cos, sin = E.real, E.imag
                 Rn = R[i]
                 sums[0, n] = (Rn[:, 0] * cos + Rn[:, 1] * sin).sum(-1)
@@ -297,7 +316,8 @@ class SphereSpectralField:
     def _coefficient_stack(self, gradient: bool) -> Array:
         """The real coefficient rows that synthesis contracts with the
         Legendre table over l, shape (L+1, rows, L+1) indexed [m, row, l],
-        built once per field and gradient flag.
+        built once per field and gradient flag; with trailing component axes
+        each row holds every component in turn.
 
         With a, b the coefficients of Pbar_lm cos(m phi) and Pbar_lm sin(m phi),
         the value reads the rows [a, b] against the Pbar table.  The gradient
@@ -309,20 +329,22 @@ class SphereSpectralField:
         """
         if gradient in self._stacks:
             return self._stacks[gradient]
-        m = np.arange(self.L + 1)
+        n = self.c_cos.ndim - 2                  # trailing component axes
+        m = np.arange(self.L + 1).reshape((-1,) + (1,) * n)
         norm = np.where(m > 0, np.sqrt(2.0), 1.0)
         a, b = self.c_cos * norm, self.c_sin * norm
         if not gradient:
             rows = [a, b]
         else:
             l = m[:, None]
-            w = _recursion(self.L)[1]
+            w = _recursion(self.L)[1].reshape(a.shape[:2] + (1,) * n)
             aw, bw = np.zeros_like(a), np.zeros_like(b)
             aw[:-1], bw[:-1] = (a * w)[1:], (b * w)[1:]
             D = np.zeros_like(a)
             D[:, 1:2] = -np.sqrt(l * (l + 1.0)) * a[:, :1]
             rows = [l * a, l * b, aw, bw, m * a, m * b, D]
-        C = self._stacks[gradient] = np.ascontiguousarray(np.stack(rows).transpose(2, 0, 1))
+        C = np.stack(rows).transpose(2, 0, *range(3, 3 + n), 1)
+        C = self._stacks[gradient] = np.ascontiguousarray(C).reshape(self.L + 1, -1, self.L + 1)
         C.flags.writeable = False
         return C
 
@@ -364,15 +386,52 @@ def _rotate(u: Array, grad: Array) -> Array:
     return np.cross(u, grad)
 
 
+def _rotated_components(psi: SphereSpectralField) -> SphereSpectralField:
+    """The Cartesian components of h = u x grad_S psi as one field with a
+    trailing component axis, coefficients of shape (L+1, L+1, 3).
+
+    On the unit sphere u x grad_S psi = x x grad psi~ = i L psi~, with
+    L = -i x x grad the angular-momentum operator, which keeps each degree l;
+    so the components are read off psi's coefficients with no analysis and
+    no synthesis.  h_z = d_phi psi maps (c_cos, c_sin) to (m c_sin,
+    -m c_cos).  h_x + i h_y = i L_+ psi couples the orders m -+ 1 through
+    k_lm = sqrt((l-m)(l+m+1)), taken sqrt(2) times larger at m = 0 in this
+    orthonormal real basis, whose Pbar carry no Condon-Shortley phase:
+        h_x: c_cos[m] = -(k_(m-1) c_sin[m-1] + k_m c_sin[m+1]) / 2,
+             c_sin[m] = (k_(m-1) c_cos[m-1] + k_m c_cos[m+1]) / 2;
+        h_y: c_cos[m] = (k_m c_cos[m+1] - k_(m-1) c_cos[m-1]) / 2,
+             c_sin[m] = (k_m c_sin[m+1] - k_(m-1) c_sin[m-1]) / 2,
+    with every c_sin at m = 0 zero.
+    """
+    l, m = np.ogrid[: psi.L + 1, : psi.L + 1]
+    k = np.sqrt(np.maximum((l - m) * (l + m + 1.0), 0.0)) * np.where(m == 0, np.sqrt(2.0), 1.0)
+
+    def ladder(c, sign):
+        """(k_m c[m+1] + sign k_(m-1) c[m-1]) / 2 over the order axis."""
+        out = np.zeros_like(c)
+        out[:, :-1] = k[:, :-1] * c[:, 1:]
+        out[:, 1:] += sign * (k * c)[:, :-1]
+        return 0.5 * out
+
+    cc, cs = psi.c_cos, psi.c_sin
+    c_cos = np.stack([-ladder(cs, 1.0), ladder(cc, -1.0), m * cs], axis=-1)
+    c_sin = np.stack([ladder(cc, 1.0), ladder(cs, -1.0), -m * cc], axis=-1)
+    c_sin[:, 0] = 0.0
+    return SphereSpectralField(psi.L, c_cos, c_sin)
+
+
 def _rotated_gradient(psi: SphereSpectralField, lap: SphereSpectralField) -> VectorField3:
     """h(x) = (u x grad_S psi)(u), u = x/|x| (degree-zero extension), for x
     of shape (..., 3), with its closed-form curl
-    curl h(x) = (u Lap_S psi(u) - grad_S psi(u)) / |x|, where lap = Lap_S psi."""
+    curl h(x) = (u Lap_S psi(u) - grad_S psi(u)) / |x|, where lap = Lap_S psi,
+    and its closed-form Jacobian dh_i/dx_j = (grad_S h_i(u))_j / |x|, the
+    surface gradients of _rotated_components, shape (..., 3, 3)."""
 
     # grad_S psi at the latest unit points: a curl by the product rule
     # (VectorField3.scaled, as gauge.pushforward_params takes it) reads h and
     # its curl at the same points, and both need it
     last = {}
+    components = _rotated_components(psi)
 
     def grad(x):
         u = np.asarray(x, float)
@@ -389,7 +448,11 @@ def _rotated_gradient(psi: SphereSpectralField, lap: SphereSpectralField) -> Vec
         r = np.linalg.norm(x, axis=-1, keepdims=True)
         return (x / r * lift(lap.value(x)) - grad(x)[1]) / r
 
-    return VectorField3(fn, curl=curl)
+    def jacobian(x):
+        x = np.asarray(x, float)
+        return components.surface_gradient(x) / lift(np.linalg.norm(x, axis=-1), 2)
+
+    return VectorField3(fn, curl=curl, jacobian=jacobian)
 
 
 def _ring_curl(psi: SphereSpectralField, L: int) -> Array:

@@ -111,7 +111,7 @@ def test_criterion_06_reduction_pipeline():
     # the pushed parameters on the stride-4 grid, the bracket at 200 states
     criterion(6, "pushed g deviates from 1", rep["g_tilde_dev"], 1e-8)
     criterion(6, "pushed f deviates from 0", rep["f_tilde_dev"], 1e-5)
-    criterion(6, "transported bracket matches e(3)", rep["bracket_dev"], 1e-6)
+    criterion(6, "transported bracket matches e(3)", rep["bracket_dev"], 1e-10)
 
 
 def test_criterion_07_duality():

@@ -571,12 +571,32 @@ class TestReduce:
         out = json.loads(captured.out)
         assert out["residual"] == pytest.approx(9.3e-5, rel=0.01) and "worst_gamma" not in out
         # the stderr line names the verification point of the worst residual
+        # and the probe state of the worst bracket entry
         spec = ball_system(BallParams(A=(0.4, 0.5, 0.9), D=1.0)).s_spec
-        _, sol = gauge_mod.reduce_to_e3(GFParams(g=spec.g, f=spec.f), L=32)
+        params = GFParams(g=spec.g, f=spec.f)
+        _, sol = gauge_mod.reduce_to_e3(params, L=32)
         assert sol.worst_gamma[2] < -0.99
+        worst = gauge_mod.reduction_report(params, L=32)["worst_bracket_gamma"]
+        assert out["bracket_dev"] > gauge_mod.BRACKET_TOL and "worst_bracket_gamma" not in out
         assert captured.err == (f"reduction failed: residual {out['residual']:.3e} at gamma ("
                                 + ", ".join(f"{v:.17g}" for v in sol.worst_gamma)
-                                + f"), bracket_dev {out['bracket_dev']:.3e}; try --L 64\n")
+                                + f"), bracket_dev {out['bracket_dev']:.3e} at gamma ("
+                                + ", ".join(f"{v:.17g}" for v in worst) + "); try --L 64\n")
+
+    def test_failing_bracket_names_its_worst_probe(self, workdir, capsys):
+        # A3 = 0.99 at L = 16 fails both gates; the stderr line names the probe
+        # gamma of the worst bracket entry after the residual's point
+        argv = ["reduce", "--model", "ball", "--A", "0.4,0.5,0.99", "--D", "1", "--L", "16", "--seed", "3"]
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert "worst_gamma" not in out and "worst_bracket_gamma" not in out
+        spec = ball_system(BallParams(A=(0.4, 0.5, 0.99), D=1.0)).s_spec
+        rep = gauge_mod.reduction_report(GFParams(g=spec.g, f=spec.f), L=16, seed=3)
+        assert out["bracket_dev"] == rep["bracket_dev"] > gauge_mod.BRACKET_TOL
+        named = [", ".join(f"{v:.17g}" for v in rep[key]) for key in ("worst_gamma", "worst_bracket_gamma")]
+        assert captured.err == (f"reduction failed: residual {out['residual']:.3e} at gamma ({named[0]}), "
+                                f"bracket_dev {out['bracket_dev']:.3e} at gamma ({named[1]}); try --L 32\n")
 
 
     @pytest.mark.parametrize("L", [4, 16])

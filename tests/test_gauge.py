@@ -23,6 +23,7 @@ from nonholo import (
     pack,
     pushforward_bivector,
     pushforward_params,
+    random_states,
     reduce_to_e3,
     reduction_report,
     unpack,
@@ -31,7 +32,10 @@ from nonholo import (
     zero_level_reduce,
     vector,
 )
-from nonholo.gauge import JACOBIAN_STEP, _fiber_map, gauge_state_jacobian
+import nonholo.spherical as spherical
+from nonholo.core import FD_STEP, fd_jacobian
+from nonholo.gauge import BRACKET_TOL, _fiber_map, gauge_state_jacobian
+from nonholo.models import DEMO_GYROSTAT, DEMO_VESELOVA
 from nonholo.spherical import verify_points
 
 from conftest import rand_state, rand_unit
@@ -215,9 +219,10 @@ class TestBivectorPushforward:
                                    P(x), atol=1e-12)
 
     def test_constant_gauge_is_exact_congruence(self, rng):
-        # the fiber map of constant (alpha, c, h) is quadratic in gamma, so
-        # the central-difference Jacobian is exact and the congruence must
-        # match the hand-computed one to round-off
+        # with constant (alpha, c, h) the closed-form Jacobian reads a zero
+        # grad alpha and a zero dh (h has no jacobian; its differences
+        # vanish), so the congruence must match the hand-computed one to
+        # round-off
         from nonholo import hat
         a, c = 1.3, 0.7
         h = np.array([0.2, -0.1, 0.4])
@@ -249,19 +254,46 @@ class TestBivectorPushforward:
             np.testing.assert_allclose(left, right, atol=1e-6)
 
 
+def veselova_gyrostat_params() -> GFParams:
+    spec = veselova_system(VeselovaParams(**DEMO_VESELOVA, k=DEMO_GYROSTAT)).s_spec
+    return GFParams(g=spec.g, f=spec.f)
+
+
 class TestStateJacobian:
-    @pytest.mark.parametrize("n", [None, 40])
-    def test_gamma_block_is_central_difference_of_fiber_map(self, rng, n):
-        # by hand: central differences of the raw fiber map at JACOBIAN_STEP
-        # (apply_gauge_state refuses the off-sphere stencil points)
-        gauge, _ = reduce_to_e3(ball_params(), L=16)
-        x = rand_state(rng) if n is None else np.array([rand_state(rng) for _ in range(n)])
+    # the largest entrywise gap to the Richardson differences at step 1e-4
+    # measured at 200 states was 1.9e-11, 2.3e-11 and 2.8e-11 (ball, L = 8,
+    # 16, 32) and 1.6e-11, 1.9e-11 and 1.4e-11 (veselova+gyrostat): the
+    # differences' round-off, on entries up to 9.8
+    @pytest.mark.parametrize("params", [ball_params, veselova_gyrostat_params])
+    @pytest.mark.parametrize("L", [8, 16, 32])
+    def test_gamma_block_matches_richardson_differences_of_fiber_map(self, rng, params, L):
+        gauge, _ = reduce_to_e3(params(), L=L)
+        x = np.array([rand_state(rng) for _ in range(200)])
         M, gamma = unpack(x)
+        # the raw fiber map, since apply_gauge_state refuses the off-sphere stencil
         fm = lambda g: _fiber_map(gauge.alpha(g), gauge.c, gauge.h(g), M, g)
-        step = JACOBIAN_STEP * np.eye(3)
-        expected = np.stack([(fm(gamma + e) - fm(gamma - e)) / (2.0 * JACOBIAN_STEP) for e in step], axis=-1)
+        np.testing.assert_allclose(gauge_state_jacobian(gauge, x)[..., :3, 3:],
+                                   fd_jacobian(fm, gamma, step=1e-4, richardson=True), rtol=0, atol=5e-11)
+
+    @pytest.mark.parametrize("n", [None, 40])
+    def test_gamma_block_falls_back_to_richardson_differences_of_h(self, rng, n):
+        # an h without an analytic Jacobian is differentiated at the
+        # field-fallback rule; by hand: one Richardson level of central
+        # differences at FD_STEP
+        gauge, _ = reduce_to_e3(ball_params(), L=16)
+        bare = GaugeTransform(gauge.alpha, gauge.c, VectorField3(gauge.h.fn, curl=gauge.h.curl))
+        x = rand_state(rng) if n is None else np.array([rand_state(rng) for _ in range(n)])
+        _, gamma = unpack(x)
+
+        def central(step):
+            return np.stack([(gauge.h(gamma + e) - gauge.h(gamma - e)) / (2.0 * step)
+                             for e in step * np.eye(3)], axis=-1)
+
+        by_hand = (4.0 * central(FD_STEP / 2.0) - central(FD_STEP)) / 3.0
+        pinned = GaugeTransform(gauge.alpha, gauge.c, VectorField3(gauge.h.fn, jacobian=lambda g: by_hand))
         # the step is scaled by max(1, |gamma|), an ulp above 1 on some unit gammas
-        np.testing.assert_allclose(gauge_state_jacobian(gauge, x)[..., :3, 3:], expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gauge_state_jacobian(bare, x), gauge_state_jacobian(pinned, x),
+                                   rtol=0, atol=1e-12)
 
 
 class TestZeroLevel:
@@ -338,15 +370,58 @@ class TestZeroLevel:
 class TestReduction:
     def test_bracket_probes_share_the_image_gradient(self, monkeypatch):
         # the image M~ is taken before the Jacobian, whose h(gamma) then
-        # reuses h's grad_S psi: per probe state 1 point for both and 6 for
-        # the gamma-block's central stencil, after 1 point per verification
-        # point for f~ (the residual synthesizes on rings)
+        # reuses h's grad_S psi: per probe state 1 point for both and 1 for
+        # the gradients of h's three components, after 1 point per
+        # verification point for f~ (the residual synthesizes on rings)
         points = []
         original = SphereSpectralField.surface_gradient
         monkeypatch.setattr(SphereSpectralField, "surface_gradient",
                             lambda self, x: points.append(np.size(x) // 3) or original(self, x))
         reduction_report(ball_params(), L=16, n_states=20)
-        assert points == [len(verify_points(16))] + [20] * 7
+        assert points == [len(verify_points(16)), 20, 20]
+
+    def test_bracket_probes_build_two_table_columns_per_state(self, monkeypatch):
+        # one Legendre table column for h's values and one for its three
+        # component gradients; the 6-point central stencil of the gamma-block
+        # made 7
+        columns = []
+        tables = spherical._legendre_tables
+        monkeypatch.setattr(spherical, "_legendre_tables",
+                            lambda L, x, s, gradient=False: columns.append(x.size) or tables(L, x, s, gradient))
+        counts = []
+        for n in (100, 200):
+            columns.clear()
+            reduction_report(ball_params(), L=32, n_states=n)
+            counts.append(sum(columns))
+        assert counts[1] - counts[0] <= 2 * 100
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_ball_bracket_is_exact_to_round_off_at_L32(self, seed):
+        # with a 1e-6 central difference in the gamma-block this read 1.42e-9
+        # and 1.14e-9, the difference's noise
+        assert reduction_report(ball_params(), L=32, seed=seed)["bracket_dev"] <= 1e-10
+
+    def test_veselova_gyrostat_bracket_tracks_the_band_limit_at_L16(self):
+        # the residual is 1.2e-8 here, so bracket_dev is truncation and kept
+        # its value (3.333e-8 with the finite-difference gamma-block)
+        rep = reduction_report(veselova_gyrostat_params(), L=16, seed=3)
+        assert rep["bracket_dev"] == pytest.approx(3.3328e-8, rel=0.01)
+
+    def test_failing_bracket_names_its_worst_probe(self):
+        # ball A3 = 0.99 at L = 16 fails both gates; the report names the
+        # probe gamma where the pushed bracket deviates most
+        spec = ball_system(BallParams(A=(0.4, 0.5, 0.99), D=1.0)).s_spec
+        p = GFParams(g=spec.g, f=spec.f)
+        rep = reduction_report(p, L=16, seed=3)
+        assert rep["bracket_dev"] > BRACKET_TOL and rep["pass"] is False
+        gauge, _ = reduce_to_e3(p, L=16)
+        X = random_states(np.random.default_rng(3), 200)
+        dev = np.max(np.abs(pushforward_bivector(gauge, gf_bivector(p), X)
+                            - e3_bivector(apply_gauge_state(gauge, X))), axis=(1, 2))
+        assert rep["worst_bracket_gamma"] == list(X[np.argmax(dev), 3:])
+        assert np.max(dev) == rep["bracket_dev"]
+        # a passing bracket adds no key
+        assert "worst_bracket_gamma" not in reduction_report(ball_params(), L=16, n_states=20)
 
     def test_curl_target_closed_form_for_ball(self, rng):
         # F = -(1/D) u^(-3/2) with u = 1/D - (gamma, A gamma)

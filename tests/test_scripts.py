@@ -34,10 +34,12 @@ def test_reduction_demo(monkeypatch, capsys):
     out = run_script("reduction_demo.py", ["8"], monkeypatch, capsys)
     (line,) = out.strip().splitlines()
     rep = json.loads(line)
-    # the point of the worst residual is reported only when the residual fails
-    assert set(rep) - {"worst_gamma"} == {"L", "c", "residual", "g_tilde_dev", "f_tilde_dev",
-                                          "bracket_dev", "n_states", "seed", "pass"}
+    # the point of the worst residual, or bracket entry, is reported only
+    # when that gate fails
+    assert set(rep) - {"worst_gamma", "worst_bracket_gamma"} == {
+        "L", "c", "residual", "g_tilde_dev", "f_tilde_dev", "bracket_dev", "n_states", "seed", "pass"}
     assert ("worst_gamma" in rep) is (rep["residual"] > 1e-6)
+    assert ("worst_bracket_gamma" in rep) is (rep["bracket_dev"] > 1e-6)
     assert rep["L"] == 8 and rep["n_states"] == 50 and rep["g_tilde_dev"] <= 1e-8
     assert rep["pass"] is (rep["residual"] <= 1e-6 and rep["bracket_dev"] <= 1e-6)
 

@@ -350,6 +350,21 @@ class TestRingResidual:
             np.testing.assert_array_equal(f._ring_sums(x, s, phi, ring, gradient),
                                           f._ring_sums(x[ring], s[ring], phi, np.arange(40), gradient))
 
+    @pytest.mark.parametrize("L, tables", [(16, 35), (32, 137), (64, 411)])
+    def test_verification_points_share_rings(self, rng, monkeypatch, L, tables):
+        # consecutive points with bitwise equal (cos theta, sin theta) share a
+        # ring; each point's value and gradient stay those of a one-point call
+        f = random_band_limited(rng, L)
+        pts = verify_points(L)
+        np.testing.assert_array_equal(f.value(pts), [f.value(p) for p in pts])
+        np.testing.assert_array_equal(f.surface_gradient(pts), [f.surface_gradient(p) for p in pts])
+        columns = []
+        original = spherical._legendre_tables
+        monkeypatch.setattr(spherical, "_legendre_tables",
+                            lambda L, x, s, gradient=False: columns.append(x.size) or original(L, x, s, gradient))
+        f.value(pts)
+        assert sum(columns) == tables < len(pts)
+
     def test_blocks_do_not_change_the_residual(self, monkeypatch):
         psi = solve_curl_equation(curl_target_F(demo_ball()), L=16).psi
         expected = spherical._ring_curl(psi, 16)
@@ -365,6 +380,35 @@ class TestRingResidual:
         assert abs(spherical._ring_curl(sol.psi, 16)[i] - F(pts[i]) - sol.c) == sol.residual
         # F peaks at the pole of the largest A_i
         assert sol.worst_gamma[2] < -0.99
+
+
+def unit_points_with_poles(rng, n=200):
+    u = np.vstack([rng.standard_normal((n, 3)), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                                                 [1e-12, 0.0, 1.0], [0.0, -1e-9, -1.0]]])
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+
+class TestRotatedComponents:
+    """h's Cartesian components come from psi's coefficients by the
+    angular-momentum ladder; their surface gradients are h's Jacobian."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 8, 16, 33, 64])
+    def test_components_equal_rotated_gradient(self, rng, L):
+        psi = random_band_limited(rng, L)
+        u = unit_points_with_poles(rng)
+        h = spherical._rotate(u, psi.surface_gradient(u))
+        # measured 1.0e-14 of max |h| at L = 64
+        np.testing.assert_allclose(spherical._rotated_components(psi).value(u), h,
+                                   rtol=0, atol=1e-13 * np.max(np.abs(h)))
+
+    @pytest.mark.parametrize("L", [8, 32])
+    def test_jacobian_matches_cartesian_richardson(self, rng, L):
+        # the degree-zero extension off the sphere too: dh/dx = grad_S h / |x|;
+        # measured 2.8e-12 at both band limits, on entries up to 0.99
+        sol = solve_curl_equation(curl_target_F(demo_ball()), L=L)
+        x = unit_points_with_poles(rng, 50) * rng.uniform(0.5, 2.0, (54, 1))
+        fd = core.fd_jacobian(sol.h, x, step=1e-4, richardson=True)
+        np.testing.assert_allclose(sol.h.jacobian_at(x), fd, rtol=0, atol=1e-11)
 
 
 class TestCurlSolver:
