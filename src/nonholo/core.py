@@ -59,7 +59,7 @@ def unpack(x) -> tuple[Array, Array]:
 
 
 def require_unit_gamma(gamma: Array) -> None:
-    err = np.max(np.abs(np.vecdot(gamma, gamma) - 1.0))
+    err = np.max(np.abs(np.vecdot(gamma, gamma) - 1.0), initial=0.0)
     if err > UNIT_GAMMA:
         raise DomainError(f"gamma is off the unit sphere: |gamma^2 - 1| = {err:.3e}")
 

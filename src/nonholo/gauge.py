@@ -253,8 +253,8 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     f_dev = np.max(np.abs(pushed.f(grid_pts)))
 
     X = random_states(np.random.default_rng(seed), n_states)
-    # the image first: the Jacobian's h(gamma) then reuses h's grad_S psi
-    # at the same points
+    # the image first: the Jacobian's h(gamma) then reuses the image's one
+    # synthesis of h's field at the same points
     image = apply_gauge_state(gauge, X)
     left = pushforward_bivector(gauge, gf_bivector(p), X)
     right = e3_bivector(image)

@@ -33,9 +33,6 @@ from .sphere import SphereSystem, integrals
 
 Array = np.ndarray
 
-# how far, in ulps of the horizon, the clock at the end of a rescaled run
-# may miss the horizon and still count as round-off
-_CLOCK_ULPS = 64
 # the smallest conformal factor g a rescaled run accepts: rho = 1/g <= 1e10
 _G_FLOOR = 1e-10
 
@@ -261,11 +258,10 @@ def integrate_reparametrized(sys: SphereSystem, state0,
     run = _solve(z_rhs, np.append(np.asarray(state0, float), 0.0), cfg, np.inf, cfg.horizon)
     tau = np.linspace(0.0, run.t_end, cfg.samples)
     z = run.dense(tau)
-    # The clock at the end of the run meets the horizon up to the round-off
-    # of its root, which can leave it a few ulps short; record the horizon
-    # exactly, so that a query at the horizon stays inside the run.
-    if abs(z[-1, -1] - cfg.horizon) <= _CLOCK_ULPS * np.spacing(cfg.horizon):
-        z[-1, -1] = cfg.horizon
+    # run.t_end is the root where the clock equals the horizon; the dense
+    # output there can read a few ulps short of it, so record the horizon
+    # itself, and a query at the horizon stays inside the run
+    z[-1, -1] = cfg.horizon
     traj = Trajectory(t=tau, states=z[:, :-1], integrals={}, nfev=run.nfev,
                       accepted=run.accepted, rejected=run.rejected, _dense=run.dense)
     return traj, z[:, -1]

@@ -12,7 +12,7 @@ with Pbar the fully normalized associated Legendre functions, so that the
 surface integral of Y^2 is one.  Spectral fields accept arrays of points of
 shape (..., 3), read at their radial projections; one point of shape (3,)
 gives a float or a 3-vector.  Coefficients may carry trailing component
-axes, as h's three Cartesian components do below: values then end in those
+axes, as h's four components do below: values then end in those
 axes, and gradients in those axes and the 3 of the gradient.  Analysis sums
 each ring against e^{-i m phi}, the conjugate of the e^{i m phi} form
 synthesis reads.
@@ -40,13 +40,16 @@ The solver below finds, for smooth F, a constant c and a tangent vector
 field h with (gamma, curl h) = F + c on the sphere: c = -mean(F) makes F + c
 zero-mean, the Laplace-Beltrami operator is inverted in the basis above,
 and h = u x grad_S psi is the rotated surface gradient of the resulting
-potential psi, extended to R^3 as a degree-zero homogeneous field.  With
-psi~ that extension, h(x) = x x grad psi~ carries its closed-form curl
-x Lap psi~ - grad psi~, so on |x| = 1 (gamma, curl h) = Lap_S psi = F + c;
-the reported residual checks this with a finite-difference curl of h's
-values, taken along theta and phi on shifted rings.  h also carries its
-closed-form Jacobian: the surface gradients of its Cartesian components,
-whose coefficients follow from psi's through the angular-momentum ladder.
+potential psi, extended to R^3 as a degree-zero homogeneous field.  h is
+one spectral field with four trailing components: its Cartesian
+components, read off psi's coefficients through the angular-momentum
+ladder, and Lap_S psi = F + c.  Its values are the first three; its
+closed-form curl, x Lap psi~ - grad psi~ for psi~ the extension of psi, is
+(u Lap_S psi + u x h) / |x|, since grad_S psi = h x u on the sphere; its
+closed-form Jacobian is the surface gradients of the first three.  The
+reported residual checks (gamma, curl h) = F + c with a finite-difference
+curl of those same component values, taken along theta and phi on
+shifted rings.
 """
 
 from __future__ import annotations
@@ -251,7 +254,8 @@ class SphereSpectralField:
         # consecutive points whose (cos theta, sin theta) are bitwise equal
         # share one ring
         bits = np.stack([ct, st], axis=-1).view(np.int64)
-        first = np.concatenate([[True], np.any(bits[1:] != bits[:-1], axis=-1)])
+        first = np.ones(len(u), bool)
+        first[1:] = np.any(bits[1:] != bits[:-1], axis=-1)
         sums = self._ring_sums(ct[first], st[first], phi, np.cumsum(first) - 1, gradient)
         comp = self.c_cos.shape[2:]
         if not gradient:
@@ -380,12 +384,6 @@ class CurlSolution:
     worst_gamma: Array      # the verification point where the residual is largest
 
 
-def _rotate(u: Array, grad: Array) -> Array:
-    """h = u x grad_S psi: the one orientation of h, which both h's values
-    and the residual's stencil read."""
-    return np.cross(u, grad)
-
-
 def _rotated_components(psi: SphereSpectralField) -> SphereSpectralField:
     """The Cartesian components of h = u x grad_S psi as one field with a
     trailing component axis, coefficients of shape (L+1, L+1, 3).
@@ -420,33 +418,34 @@ def _rotated_components(psi: SphereSpectralField) -> SphereSpectralField:
     return SphereSpectralField(psi.L, c_cos, c_sin)
 
 
-def _rotated_gradient(psi: SphereSpectralField, lap: SphereSpectralField) -> VectorField3:
+def _rotated_gradient(components: SphereSpectralField, lap: SphereSpectralField) -> VectorField3:
     """h(x) = (u x grad_S psi)(u), u = x/|x| (degree-zero extension), for x
-    of shape (..., 3), with its closed-form curl
-    curl h(x) = (u Lap_S psi(u) - grad_S psi(u)) / |x|, where lap = Lap_S psi,
-    and its closed-form Jacobian dh_i/dx_j = (grad_S h_i(u))_j / |x|, the
-    surface gradients of _rotated_components, shape (..., 3, 3)."""
-
-    # grad_S psi at the latest unit points: a curl by the product rule
-    # (VectorField3.scaled, as gauge.pushforward_params takes it) reads h and
-    # its curl at the same points, and both need it
+    of shape (..., 3).  Its Cartesian components (_rotated_components) and
+    lap = Lap_S psi are stacked as one field with four components: h is the
+    first three, its closed-form curl is (u Lap_S psi(u) + u x h(u)) / |x|,
+    and its closed-form Jacobian dh_i/dx_j = (grad_S h_i(u))_j / |x|, shape
+    (..., 3, 3), is the components' surface gradients."""
+    field = SphereSpectralField(components.L, np.dstack([components.c_cos, lap.c_cos]),
+                                np.dstack([components.c_sin, lap.c_sin]))
+    # the field's values at the latest unit points: a curl by the product
+    # rule (VectorField3.scaled, as gauge.pushforward_params takes it) reads
+    # h and its curl at the same points, and both need them
     last = {}
-    components = _rotated_components(psi)
 
-    def grad(x):
-        u = np.asarray(x, float)
-        u = u / np.linalg.norm(u, axis=-1, keepdims=True)
-        if "u" not in last or not np.array_equal(last["u"], u):
-            last.update(u=u, grad=psi.surface_gradient(u))
-        return u, last["grad"]
-
-    def fn(x):
-        return _rotate(*grad(x))
-
-    def curl(x):
+    def values(x):
         x = np.asarray(x, float)
         r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return (x / r * lift(lap.value(x)) - grad(x)[1]) / r
+        u = x / r
+        if "u" not in last or not np.array_equal(last["u"], u):
+            last.update(u=u, values=field.value(u))
+        return r, u, last["values"]
+
+    def fn(x):
+        return values(x)[2][..., :3]
+
+    def curl(x):
+        r, u, v = values(x)
+        return (u * v[..., 3:] + np.cross(u, v[..., :3])) / r
 
     def jacobian(x):
         x = np.asarray(x, float)
@@ -455,19 +454,19 @@ def _rotated_gradient(psi: SphereSpectralField, lap: SphereSpectralField) -> Vec
     return VectorField3(fn, curl=curl, jacobian=jacobian)
 
 
-def _ring_curl(psi: SphereSpectralField, L: int) -> Array:
-    """(gamma, curl h) for h = u x grad_S psi at the verification points,
-    shape (n,) in verify_points order, by finite differences on shifted
-    rings.
+def _ring_curl(components: SphereSpectralField, L: int) -> Array:
+    """(gamma, curl h) for h with the Cartesian components ``components``
+    (_rotated_components) at the verification points, shape (n,) in
+    verify_points order, by finite differences on shifted rings.
 
     On the sphere (gamma, curl h) = (d_theta(sin theta h_phi) - d_phi h_theta)
     / sin theta.  The theta differences read the rings theta +- RESIDUAL_STEP
     and theta +- RESIDUAL_STEP/2 at the verification longitudes, the phi
     differences the longitudes phi +- RESIDUAL_STEP and phi +- RESIDUAL_STEP/2
     on the verification ring; each takes one Richardson level.  h_theta and
-    h_phi are the components of h as _rotate forms it, so a wrong orientation
-    of h fails the check.  Verification rings are Gauss-Legendre nodes, never
-    a pole.
+    h_phi are projections of the component values that h returns and whose
+    surface gradients are its Jacobian, so wrong components fail the check.
+    Verification rings are Gauss-Legendre nodes, never a pole.
     """
     grid = make_grid(L)
     x = grid.x[::VERIFY_STRIDE]
@@ -482,11 +481,9 @@ def _ring_curl(psi: SphereSpectralField, L: int) -> Array:
     ring_s = np.concatenate([np.sin(shifted), s])
     lon = np.concatenate([np.tile(phi, 4 * nv), np.tile((phi + d[:, None]).ravel(), nv)])
     ring = np.repeat(np.arange(5 * nv), [nphi] * (4 * nv) + [4 * nphi] * nv)
-    g = psi._ring_sums(ring_x, ring_s, lon, ring, gradient=True)
-    ct, st = ring_x[ring], ring_s[ring]
-    e_theta, e_phi = _frame(ct, st, lon)
-    u = np.stack([st * np.cos(lon), st * np.sin(lon), ct], axis=-1)
-    h = _rotate(u, g[0][:, None] * e_theta + g[1][:, None] * e_phi)
+    h = components._ring_sums(ring_x, ring_s, lon, ring, gradient=False)[0]
+    st = ring_s[ring]
+    e_theta, e_phi = _frame(ring_x[ring], st, lon)
     # (nv, offset, longitude) each: sin(theta) h_phi on the shifted rings,
     # h_theta at the shifted longitudes
     split = 4 * nv * nphi
@@ -525,7 +522,8 @@ def solve_curl_equation(F, L: int = 32) -> CurlSolution:
         # the verification curl
         h, lhs = VectorField3.zero(), 0.0
     else:
-        h, lhs = _rotated_gradient(psi, lap), _ring_curl(psi, L)
+        components = _rotated_components(psi)
+        h, lhs = _rotated_gradient(components, lap), _ring_curl(components, L)
     deviation = np.abs(lhs - F(pts) - c)
     worst = int(np.argmax(deviation))
     return CurlSolution(c=c, h=h, residual=float(deviation[worst]), psi=psi, worst_gamma=pts[worst])

@@ -369,16 +369,31 @@ class TestZeroLevel:
 
 class TestReduction:
     def test_bracket_probes_share_the_image_gradient(self, monkeypatch):
-        # the image M~ is taken before the Jacobian, whose h(gamma) then
-        # reuses h's grad_S psi: per probe state 1 point for both and 1 for
-        # the gradients of h's three components, after 1 point per
-        # verification point for f~ (the residual synthesizes on rings)
-        points = []
-        original = SphereSpectralField.surface_gradient
-        monkeypatch.setattr(SphereSpectralField, "surface_gradient",
-                            lambda self, x: points.append(np.size(x) // 3) or original(self, x))
+        # one synthesis of h's field at the verification points for f~, one
+        # at the probe states, shared by the image M~ and the Jacobian's
+        # h(gamma), and one of the gradients of h's three components (the
+        # residual synthesizes on rings); no other value or gradient
+        calls = []
+        for name in ("value", "surface_gradient"):
+            original = getattr(SphereSpectralField, name)
+            monkeypatch.setattr(SphereSpectralField, name, lambda self, x, name=name, original=original:
+                                calls.append((name, self.c_cos.shape[2:], np.size(x) // 3)) or original(self, x))
         reduction_report(ball_params(), L=16, n_states=20)
-        assert points == [len(verify_points(16)), 20, 20]
+        assert calls == [("value", (4,), len(verify_points(16))), ("value", (4,), 20),
+                         ("surface_gradient", (3,), 20)]
+
+    @pytest.mark.parametrize("params, L, budget", [
+        (ball_params, 32, 688), (veselova_gyrostat_params, 16, 516),
+    ])
+    def test_table_column_budget(self, monkeypatch, params, L, budget):
+        # Legendre-table columns of a whole report: 825 and 551 while h's
+        # values and curl read grad_S psi and a separate Lap_S psi synthesis
+        columns = []
+        tables = spherical._legendre_tables
+        monkeypatch.setattr(spherical, "_legendre_tables",
+                            lambda L, x, s, gradient=False: columns.append(x.size) or tables(L, x, s, gradient))
+        reduction_report(params(), L=L)
+        assert sum(columns) <= budget
 
     def test_bracket_probes_build_two_table_columns_per_state(self, monkeypatch):
         # one Legendre table column for h's values and one for its three
