@@ -50,11 +50,13 @@ INVOCATIONS = {
     "planar-demo-loose-rtol": ["planar-demo", "--rtol", "1e-3", "--atol", "1e-5"],
     # a refused flag: exits 2 and names it on one stderr line
     "reduce-ball-L0": ["reduce", "--model", "ball", "--L", "0"],
+    # a refused value: exits 3 and names it on one stderr line
+    "simulate-ball-nan-rtol": ["simulate", "--model", "ball", "--demo", "--rtol", "nan"],
 }
 # the exit code of each invocation that does not exit 0: 4 at a failing
-# gate, 2 at a refused flag
+# gate, 2 at a refused flag, 3 at a refused value
 EXITS = {"simulate-ball-loose-rtol": 4, "reduce-ball-near-boundary-L16": 4, "planar-demo-loose-rtol": 4,
-         "reduce-ball-L0": 2}
+         "reduce-ball-L0": 2, "simulate-ball-nan-rtol": 3}
 
 WRITES_CSV = ("simulate", "planar-demo")
 

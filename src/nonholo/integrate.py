@@ -74,9 +74,13 @@ class IntegratorConfig:
     max_step: float = np.inf
 
     def __post_init__(self):
+        # NaN fails "> 0"; only max_step may be infinite (no step limit)
         for name in ("rtol", "atol", "horizon", "max_step"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise DomainError(f"{name} must be positive, got {value}")
+            if value == np.inf and name != "max_step":
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.samples < 2:
             raise DomainError(f"samples must be at least 2, got {self.samples}")
 
@@ -153,10 +157,13 @@ def _solve(fn: Callable[[Array], Array], z0: Array, cfg: IntegratorConfig, t_end
            until: float | None = None) -> _Run:
     """The one adaptive solve: step dz/dt = fn(z) from t = 0 until ``t_end``,
     or until the last component of z reaches ``until``, keeping every step's
-    dense output.  Raises ``StiffnessError`` when the step size underflows."""
+    dense output.  Raises ``StiffnessError`` when the step size underflows
+    and ``DomainError`` when the flow is not finite at z0."""
     rtol, atol, max_step = max(cfg.rtol, 100 * _EPS), cfg.atol, cfg.max_step
     t, y = 0.0, z0
     f = np.asarray(fn(y), float)
+    if not np.all(np.isfinite(f)):
+        raise DomainError("the flow is not finite at the initial state")
     # the initial step (Hairer, Norsett and Wanner I, II.4)
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)

@@ -64,6 +64,13 @@ def _diag3(value, name: str) -> Array:
     return a
 
 
+def _gyrostat(value) -> Array:
+    k = np.asarray(value, float)
+    if not np.all(np.isfinite(k)):
+        raise DomainError(f"gyrostat k must be finite, got {k.tolist()}")
+    return k
+
+
 # ---------------------------------------------------------------------------
 # potential catalogue
 # ---------------------------------------------------------------------------
@@ -141,8 +148,8 @@ class BallParams:
     def __post_init__(self):
         A = _diag3(self.A, "A")
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "k", np.asarray(self.k, float))
-        if self.D <= 0.0:
+        object.__setattr__(self, "k", _gyrostat(self.k))
+        if not self.D > 0.0:        # NaN too; an infinite D fails 1/D - A > 0 below
             raise DomainError(f"D must be positive, got {self.D}")
         bad = 1.0 / self.D - A
         if np.any(bad <= 0.0):
@@ -235,7 +242,7 @@ class VeselovaParams:
 
     def __post_init__(self):
         object.__setattr__(self, "Ahat", _diag3(self.Ahat, "Ahat"))
-        object.__setattr__(self, "k", np.asarray(self.k, float))
+        object.__setattr__(self, "k", _gyrostat(self.k))
 
 
 def _veselova_kernel(p: VeselovaParams):
@@ -348,7 +355,7 @@ def duality_map(p: VeselovaParams, D: float) -> BallParams:
     """
     if np.any(p.k):
         raise DomainError("the duality is stated for the gyrostat-free model only")
-    if D <= 0.0:
+    if not D > 0.0:
         raise DomainError(f"D must be positive, got {D}")
     A = (1.0 - p.Ahat) / D
     if np.any(A <= 0.0):

@@ -25,16 +25,17 @@ handed to ``value`` or ``surface_gradient`` share a ring where consecutive
 points have bitwise equal cos(theta) and sin(theta), as runs of points
 along the verification grid's rings do; the bracket probes are scattered,
 one point per ring.  Rings go in blocks of BLOCK_ENTRIES Legendre-table
-entries, (L+1)^2 per ring.  Each block builds one table, Pbar_lm for the
-value or Pbar_lm / sin(theta) for the tangential gradient, contracts it
+entries, (L+1)^2 per ring.  Each block builds one Pbar table, contracts it
 over l with a stack of real coefficient rows in one einsum, and finishes
-with real Fourier sums over m at each of its points.
-The gradient's theta derivative is taken in coefficient space, through the
-identity d/dtheta Pbar_lm = l cos(theta) Q_lm - w_lm Q_(l-1)m,
-Q = Pbar / sin(theta), so no derivative table is built and nothing is
-divided by sin(theta): the gradient is regular on the whole sphere, poles
-included.  Each point's result is the same in any block, one-point calls
-included, and the same whether its ring holds other points or not.
+with real Fourier sums over m at each of its points.  Each point's result
+is the same in any block, one-point calls included, and the same whether
+its ring holds other points or not.
+
+That kernel synthesizes values only.  A surface gradient is a value too:
+on the unit sphere grad_S f = (u x grad_S f) x u, and u x grad_S f is the
+angular-momentum ladder image of f, whose coefficients follow from f's in
+closed form (_rotated_components).  So nothing is divided by sin(theta),
+and values and gradients are regular on the whole sphere, poles included.
 
 The solver below finds, for smooth F, a constant c and a tangent vector
 field h with (gamma, curl h) = F + c on the sphere: c = -mean(F) makes F + c
@@ -149,45 +150,32 @@ def sphere_quadrature(field, L: int = 32) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _recursion(L: int) -> tuple[Array, Array, list]:
+def _recursion(L: int) -> tuple[Array, list]:
     """Coefficients of the Legendre recursions up to degree L: the sectoral
-    factors sqrt((2m+1)/(2m)), the derivative weights
-    sqrt((l^2-m^2)(2l+1)/(2l-1)) and, per degree l >= 2, the three-term
-    pair (a, b) over orders m < l-1."""
+    factors sqrt((2m+1)/(2m)) and, per degree l >= 2, the three-term pair
+    (a, b) over orders m < l-1."""
     m = np.arange(1, L + 1)
     sectoral = np.sqrt((2.0 * m + 1.0) / (2.0 * m))
-    l, mm = np.meshgrid(np.arange(L + 1.0), np.arange(L + 1.0), indexing="ij")
-    dweight = np.sqrt(np.maximum(l * l - mm * mm, 0.0) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
     three_term = []
     for l in range(2, L + 1):
         m = np.arange(0, l - 1)
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
         b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
         three_term.append((a[:, None], b[:, None]))
-    return sectoral, dweight, three_term
+    return sectoral, three_term
 
 
-def _legendre_tables(L: int, x: Array, s: Array, gradient: bool = False) -> Array:
+def _legendre_tables(L: int, x: Array, s: Array) -> Array:
     """Pbar_lm(cos theta) for all l, m <= L, shape (L+1, L+1, len(x)) indexed
-    [l, m], from x = cos(theta) and s = sin(theta) >= 0.
-
-    With ``gradient`` it returns instead Pbar_lm / sin(theta), zero at m = 0
-    and regular at the poles: the same recursions run from the seed
-    Pbar_11 / sin(theta), so nothing is divided by sin(theta).
-    """
+    [l, m], from x = cos(theta) and s = sin(theta) >= 0."""
     x = np.asarray(x, float)
     n = x.size
-    sectoral, _, three_term = _recursion(L)
+    sectoral, three_term = _recursion(L)
     # the sectoral seeds Pbar_mm are a running product of s * sqrt((2m+1)/(2m))
-    # from Pbar_00; Pbar_mm / s drops one s and has no m = 0 column
+    # from Pbar_00
     T = np.zeros((L + 1, L + 1, n))
-    steps = s * sectoral[:, None]
-    p00 = np.full((1, n), 1.0 / np.sqrt(FOUR_PI))
     i = np.arange(L + 1)
-    if gradient:
-        T[i[1:], i[1:]] = np.cumprod(np.vstack([sectoral[:1, None] * p00, steps[1:]]), axis=0)
-    else:
-        T[i, i] = np.cumprod(np.vstack([p00, steps]), axis=0)
+    T[i, i] = np.cumprod(np.vstack([np.full((1, n), 1.0 / np.sqrt(FOUR_PI)), s * sectoral[:, None]]), axis=0)
     T[i[1:], i[:-1]] = np.sqrt(2.0 * i[:-1] + 3.0)[:, None] * x * T[i[:-1], i[:-1]]
     for l, (a, b) in enumerate(three_term, start=2):
         T[l, : l - 1] = a * (x * T[l - 1, : l - 1] - b * T[l - 2, : l - 1])
@@ -211,14 +199,15 @@ def _frame(ct: Array, st: Array, phi: Array) -> tuple[Array, Array]:
 class SphereSpectralField:
     """A band-limited scalar field stored as real spherical-harmonic
     coefficients c_cos[l, m] (m <= l) and c_sin[l, m] (1 <= m <= l).  The
-    coefficients are fixed once the field is made: synthesis caches the
-    stacks it builds from them."""
+    coefficients are fixed once the field is made: synthesis caches what it
+    builds from them."""
 
     L: int
     c_cos: Array
     c_sin: Array
-    # the coefficient stacks synthesis reads, built on first use per gradient flag
-    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # built on first use: the coefficient stack synthesis reads and the
+    # ladder field surface gradients read
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def analyze(cls, field, L: int) -> "SphereSpectralField":
@@ -235,14 +224,6 @@ class SphereSpectralField:
     def value(self, points):
         """Field values at the radial projections of points of shape
         (..., 3), shape (...); a float for one point."""
-        return self._synthesize(points, gradient=False)
-
-    def surface_gradient(self, points) -> Array:
-        """Tangential gradient at the radial projections of points of shape
-        (..., 3), shape (..., 3)."""
-        return self._synthesize(points, gradient=True)
-
-    def _synthesize(self, points, gradient: bool):
         p = np.asarray(points, float)
         r = np.linalg.norm(p, axis=-1, keepdims=True)
         if np.any(r == 0.0):
@@ -250,38 +231,40 @@ class SphereSpectralField:
         u = (p / r).reshape(-1, 3)
         ct = np.clip(u[:, 2], -1.0, 1.0)
         st = np.hypot(u[:, 0], u[:, 1])
-        phi = np.arctan2(u[:, 1], u[:, 0])
         # consecutive points whose (cos theta, sin theta) are bitwise equal
         # share one ring
         bits = np.stack([ct, st], axis=-1).view(np.int64)
         first = np.ones(len(u), bool)
         first[1:] = np.any(bits[1:] != bits[:-1], axis=-1)
-        sums = self._ring_sums(ct[first], st[first], phi, np.cumsum(first) - 1, gradient)
-        comp = self.c_cos.shape[2:]
-        if not gradient:
-            return sums[0].reshape(p.shape[:-1] + comp)[()]
-        e_theta, e_phi = (e.reshape((-1,) + (1,) * len(comp) + (3,)) for e in _frame(ct, st, phi))
-        grad = sums[0][..., None] * e_theta + sums[1][..., None] * e_phi
-        return grad.reshape(p.shape[:-1] + comp + (3,))
+        sums = self._ring_sums(ct[first], st[first], np.arctan2(u[:, 1], u[:, 0]), np.cumsum(first) - 1)
+        return sums.reshape(p.shape[:-1] + self.c_cos.shape[2:])[()]
 
-    def _ring_sums(self, x: Array, s: Array, phi: Array, ring: Array, gradient: bool) -> Array:
+    def surface_gradient(self, points) -> Array:
+        """Tangential gradient at the radial projections of points of shape
+        (..., 3), shape (..., 3): on the unit sphere grad_S f = (u x grad_S f)
+        x u, so it is the value of the ladder field (_rotated_components)
+        crossed with u."""
+        if "ladder" not in self._cache:
+            self._cache["ladder"] = _rotated_components(self)
+        h = self._cache["ladder"].value(points)      # rejects the origin
+        p = np.asarray(points, float)
+        u = p / np.linalg.norm(p, axis=-1, keepdims=True)
+        return np.cross(h, u.reshape(p.shape[:-1] + (1,) * (self.c_cos.ndim - 2) + (3,)))
+
+    def _ring_sums(self, x: Array, s: Array, phi: Array, ring: Array) -> Array:
         """The synthesis kernel.  Ring j has cos(theta) x[j] and sin(theta)
         s[j]; point k lies at longitude phi[k] on ring ring[k], which never
-        decreases.  Per point it returns the value, shape (1, n, *comp), or
-        d_theta f and (1/sin theta) d_phi f, shape (2, n, *comp), with comp
-        the trailing component axes of the coefficients.
+        decreases.  It returns the values, shape (n, *comp), with comp the
+        trailing component axes of the coefficients.
 
         Each ring's Legendre table and l-contraction are made once, in blocks
         of BLOCK_ENTRIES table entries, (L+1)^2 per ring; the Fourier sums run
         per point, in blocks of as many points as a table block has rings.
         """
         comp = self.c_cos.shape[2:]
-        C = self._coefficient_stack(gradient)
+        C = self._coefficient_stack()
         m = np.arange(self.L + 1)
-        sums = np.empty((2 if gradient else 1, phi.size) + comp)
-        # the shape that sets per-ring and per-point factors against the
-        # component axes and m
-        along = (-1,) + (1,) * (len(comp) + 1)
+        sums = np.empty(phi.shape + comp)
         block = max(1, BLOCK_ENTRIES // (self.L + 1) ** 2)
         for k in range(0, x.size, block):
             r = slice(k, k + block)
@@ -289,66 +272,32 @@ class SphereSpectralField:
             # in any block: einsum, unlike a BLAS matmul (gemv for one ring,
             # gemm for a stack), contracts one ring as it does many, and
             # every m-sum runs along a contiguous last axis
-            T = _legendre_tables(self.L, x[r], s[r], gradient)
+            T = _legendre_tables(self.L, x[r], s[r])
             S = np.einsum("mkl,lmn->mkn", C, T)
             del T       # freed before the copy and the Fourier sums, which keeps peak memory down
             S = np.ascontiguousarray(S.transpose(2, 1, 0))
-            S = S.reshape(S.shape[:1] + (-1,) + comp + S.shape[-1:])
-            if gradient:
-                # d_theta f = sum((x l a - shift(a w)) Q cos + (x l b -
-                # shift(b w)) Q sin) plus s times the m = 0 row, whose only
-                # entry is at m = 1; (1/sin theta) d_phi f =
-                # sum(m (b cos - a sin) Q)
-                xr = x[r].reshape(along)
-                R = np.stack([xr * S[:, 0] - S[:, 2], xr * S[:, 1] - S[:, 3], S[:, 5], S[:, 4]], axis=1)
-                zonal = s[r].reshape(along[:-1]) * S[:, 6].sum(-1)
-            else:
-                R = S
+            S = S.reshape(S.shape[:1] + (2,) + comp + S.shape[-1:])
             lo, hi = np.searchsorted(ring, [k, k + block])
             for j in range(lo, hi, block):
                 n = slice(j, min(j + block, hi))
-                i = ring[n] - k
-                E = np.exp(1j * np.outer(phi[n], m)).reshape(along[:-1] + (m.size,))
-                cos, sin = E.real, E.imag
-                Rn = R[i]
-                sums[0, n] = (Rn[:, 0] * cos + Rn[:, 1] * sin).sum(-1)
-                if gradient:
-                    sums[0, n] += zonal[i]
-                    sums[1, n] = (Rn[:, 2] * cos - Rn[:, 3] * sin).sum(-1)
+                E = np.exp(1j * np.outer(phi[n], m)).reshape((-1,) + (1,) * len(comp) + (m.size,))
+                Sn = S[ring[n] - k]
+                sums[n] = (Sn[:, 0] * E.real + Sn[:, 1] * E.imag).sum(-1)
         return sums
 
-    def _coefficient_stack(self, gradient: bool) -> Array:
+    def _coefficient_stack(self) -> Array:
         """The real coefficient rows that synthesis contracts with the
         Legendre table over l, shape (L+1, rows, L+1) indexed [m, row, l],
-        built once per field and gradient flag; with trailing component axes
-        each row holds every component in turn.
-
-        With a, b the coefficients of Pbar_lm cos(m phi) and Pbar_lm sin(m phi),
-        the value reads the rows [a, b] against the Pbar table.  The gradient
-        reads [l a, l b, shift(a w), shift(b w), m a, m b, D] against the
-        Q = Pbar / sin(theta) table: d/dtheta Pbar_lm = l x Q_lm - w_lm Q_(l-1)m
-        for m >= 1, with w the derivative weights, so shift(a w)[l] =
-        a[l+1] w[l+1]; d/dtheta Pbar_l0 = -sqrt(l(l+1)) s Q_l1, so the m = 0
-        column rides in row D at m = 1 as -sqrt(l(l+1)) a[l, 0].
-        """
-        if gradient in self._stacks:
-            return self._stacks[gradient]
+        built once per field: the coefficients a of Pbar_lm cos(m phi), then
+        b of Pbar_lm sin(m phi), each row holding every trailing component
+        in turn."""
+        if "stack" in self._cache:
+            return self._cache["stack"]
         n = self.c_cos.ndim - 2                  # trailing component axes
         m = np.arange(self.L + 1).reshape((-1,) + (1,) * n)
         norm = np.where(m > 0, np.sqrt(2.0), 1.0)
-        a, b = self.c_cos * norm, self.c_sin * norm
-        if not gradient:
-            rows = [a, b]
-        else:
-            l = m[:, None]
-            w = _recursion(self.L)[1].reshape(a.shape[:2] + (1,) * n)
-            aw, bw = np.zeros_like(a), np.zeros_like(b)
-            aw[:-1], bw[:-1] = (a * w)[1:], (b * w)[1:]
-            D = np.zeros_like(a)
-            D[:, 1:2] = -np.sqrt(l * (l + 1.0)) * a[:, :1]
-            rows = [l * a, l * b, aw, bw, m * a, m * b, D]
-        C = np.stack(rows).transpose(2, 0, *range(3, 3 + n), 1)
-        C = self._stacks[gradient] = np.ascontiguousarray(C).reshape(self.L + 1, -1, self.L + 1)
+        C = np.stack([self.c_cos * norm, self.c_sin * norm]).transpose(2, 0, *range(3, 3 + n), 1)
+        C = self._cache["stack"] = np.ascontiguousarray(C).reshape(self.L + 1, -1, self.L + 1)
         C.flags.writeable = False
         return C
 
@@ -386,7 +335,8 @@ class CurlSolution:
 
 def _rotated_components(psi: SphereSpectralField) -> SphereSpectralField:
     """The Cartesian components of h = u x grad_S psi as one field with a
-    trailing component axis, coefficients of shape (L+1, L+1, 3).
+    last component axis of 3, coefficients of shape (L+1, L+1, *comp, 3) for
+    psi's own trailing component axes comp.
 
     On the unit sphere u x grad_S psi = x x grad psi~ = i L psi~, with
     L = -i x x grad the angular-momentum operator, which keeps each degree l;
@@ -403,6 +353,9 @@ def _rotated_components(psi: SphereSpectralField) -> SphereSpectralField:
     """
     l, m = np.ogrid[: psi.L + 1, : psi.L + 1]
     k = np.sqrt(np.maximum((l - m) * (l + m + 1.0), 0.0)) * np.where(m == 0, np.sqrt(2.0), 1.0)
+    # k and m broadcast over psi's trailing component axes
+    comp = (1,) * (psi.c_cos.ndim - 2)
+    k, m = k.reshape(k.shape + comp), m.reshape(m.shape + comp)
 
     def ladder(c, sign):
         """(k_m c[m+1] + sign k_(m-1) c[m-1]) / 2 over the order axis."""
@@ -424,7 +377,8 @@ def _rotated_gradient(components: SphereSpectralField, lap: SphereSpectralField)
     lap = Lap_S psi are stacked as one field with four components: h is the
     first three, its closed-form curl is (u Lap_S psi(u) + u x h(u)) / |x|,
     and its closed-form Jacobian dh_i/dx_j = (grad_S h_i(u))_j / |x|, shape
-    (..., 3, 3), is the components' surface gradients."""
+    (..., 3, 3), is the components' surface gradients: one value synthesis
+    of their nine ladder components, crossed with u."""
     field = SphereSpectralField(components.L, np.dstack([components.c_cos, lap.c_cos]),
                                 np.dstack([components.c_sin, lap.c_sin]))
     # the field's values at the latest unit points: a curl by the product
@@ -481,7 +435,7 @@ def _ring_curl(components: SphereSpectralField, L: int) -> Array:
     ring_s = np.concatenate([np.sin(shifted), s])
     lon = np.concatenate([np.tile(phi, 4 * nv), np.tile((phi + d[:, None]).ravel(), nv)])
     ring = np.repeat(np.arange(5 * nv), [nphi] * (4 * nv) + [4 * nphi] * nv)
-    h = components._ring_sums(ring_x, ring_s, lon, ring, gradient=False)[0]
+    h = components._ring_sums(ring_x, ring_s, lon, ring)
     st = ring_s[ring]
     e_theta, e_phi = _frame(ring_x[ring], st, lon)
     # (nv, offset, longitude) each: sin(theta) h_phi on the shifted rings,

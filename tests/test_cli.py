@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,19 @@ from nonholo.planar import PlanarSystem, conformal_bracket, demo_system, to_conf
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+@pytest.fixture
+def deadline():
+    """Fail a run that has not ended within 10 s, as a hang would not."""
+    def expire(signum, frame):
+        raise TimeoutError("the run did not end within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def run(args):
@@ -141,9 +155,12 @@ class TestSimulate:
         assert capsys.readouterr().err == ("domain error: --gamma (initial.gamma) must be a finite "
                                            f"nonzero direction, got {shown}\n")
 
+    # a NaN passed the `<= 0` test: --rtol and --atol nan then stepped
+    # without end, and --horizon nan ended in a traceback
     @pytest.mark.parametrize("flag, value, shown", [("--rtol", "0", "0.0"), ("--atol", "-1", "-1.0"),
-                                                    ("--horizon", "0", "0.0")])
-    def test_non_positive_integrator_value_is_named(self, workdir, capsys, flag, value, shown):
+                                                    ("--horizon", "0", "0.0"), ("--rtol", "nan", "nan"),
+                                                    ("--atol", "nan", "nan"), ("--horizon", "nan", "nan")])
+    def test_non_positive_integrator_value_is_named(self, workdir, capsys, deadline, flag, value, shown):
         assert run(["simulate", "--model", "ball", "--demo", flag, value]) == 3
         assert capsys.readouterr().err == f"domain error: {flag[2:]} must be positive, got {shown}\n"
 
@@ -155,6 +172,33 @@ class TestSimulate:
 
 BALL_CFG = {"model": "ball", "initial": {"M": [0.3, -0.2, 0.5], "gamma": [0.0, 0.0, 1.0]},
             "integrator": {"horizon": 1.0, "samples": 11}}
+
+
+class TestNonFiniteInputs:
+    """A non-finite setting exits 3 naming its knob.  A NaN passed each
+    `<= 0` test and an infinite value was taken: simulate then stepped
+    without end, check and reduce failed on a NaN field without naming
+    --D.  The integrator's NaNs are cases of
+    test_non_positive_integrator_value_is_named and, for planar-demo,
+    test_bad_integrator_flag_exits_3."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--model", "ball", "--demo", "--horizon", "inf"], "horizon must be finite, got inf"),
+        (["simulate", "--model", "ball", "--demo", "--D", "nan"], "D must be positive, got nan"),
+        (["check", "jacobi", "--model", "ball", "--D", "nan"], "D must be positive, got nan"),
+        (["reduce", "--model", "ball", "--D", "nan"], "D must be positive, got nan"),
+        (["check", "duality", "--D", "nan"], "D must be positive, got nan"),
+        (["simulate", "--model", "ball", "--demo", "--gyrostat", "nan,0,0"],
+         "gyrostat k must be finite, got [nan, 0.0, 0.0]"),
+        (["simulate", "--model", "veselova", "--demo", "--gyrostat", "nan,0,0"],
+         "gyrostat k must be finite, got [nan, 0.0, 0.0]"),
+        # a finite setting whose flow is not finite: refused before the first step
+        (["simulate", "--model", "ball", "--demo", "--U", "linear", "--U-vec", "nan,0,0"],
+         "the flow is not finite at the initial state"),
+    ])
+    def test_refused_within_seconds(self, workdir, capsys, deadline, argv, message):
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
 class TestConfigVectors:
@@ -710,8 +754,9 @@ class TestPlanarDemo:
         assert err.startswith("conformal gate: residual 2.000e-08 > 1e-08") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [["--rtol", "0"], ["--atol", "-1"], ["--horizon", "0"],
-                                       ["--samples", "1"]])
-    def test_bad_integrator_flag_exits_3(self, workdir, capsys, flags):
+                                       ["--samples", "1"], ["--rtol", "nan"], ["--atol", "nan"],
+                                       ["--horizon", "nan"], ["--horizon", "inf"]])
+    def test_bad_integrator_flag_exits_3(self, workdir, capsys, deadline, flags):
         # the flags are read as simulate reads them, with no silent default
         assert run(["planar-demo", *flags]) == 3
         assert capsys.readouterr().err.startswith("domain error: ")

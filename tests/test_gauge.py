@@ -371,8 +371,9 @@ class TestReduction:
     def test_bracket_probes_share_the_image_gradient(self, monkeypatch):
         # one synthesis of h's field at the verification points for f~, one
         # at the probe states, shared by the image M~ and the Jacobian's
-        # h(gamma), and one of the gradients of h's three components (the
-        # residual synthesizes on rings); no other value or gradient
+        # h(gamma), and one of the gradients of h's three components, which
+        # is a value synthesis of their nine ladder components (the residual
+        # synthesizes on rings); no other value or gradient
         calls = []
         for name in ("value", "surface_gradient"):
             original = getattr(SphereSpectralField, name)
@@ -380,7 +381,7 @@ class TestReduction:
                                 calls.append((name, self.c_cos.shape[2:], np.size(x) // 3)) or original(self, x))
         reduction_report(ball_params(), L=16, n_states=20)
         assert calls == [("value", (4,), len(verify_points(16))), ("value", (4,), 20),
-                         ("surface_gradient", (3,), 20)]
+                         ("surface_gradient", (3,), 20), ("value", (3, 3), 20)]
 
     @pytest.mark.parametrize("params, L, budget", [
         (ball_params, 32, 688), (veselova_gyrostat_params, 16, 516),
@@ -391,7 +392,7 @@ class TestReduction:
         columns = []
         tables = spherical._legendre_tables
         monkeypatch.setattr(spherical, "_legendre_tables",
-                            lambda L, x, s, gradient=False: columns.append(x.size) or tables(L, x, s, gradient))
+                            lambda L, x, s: columns.append(x.size) or tables(L, x, s))
         reduction_report(params(), L=L)
         assert sum(columns) <= budget
 
@@ -402,7 +403,7 @@ class TestReduction:
         columns = []
         tables = spherical._legendre_tables
         monkeypatch.setattr(spherical, "_legendre_tables",
-                            lambda L, x, s, gradient=False: columns.append(x.size) or tables(L, x, s, gradient))
+                            lambda L, x, s: columns.append(x.size) or tables(L, x, s))
         counts = []
         for n in (100, 200):
             columns.clear()

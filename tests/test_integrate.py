@@ -149,6 +149,21 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="max_step must be positive"):
             IntegratorConfig(max_step=0.0)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("rtol", np.nan, "rtol must be positive, got nan"), ("atol", np.nan, "atol must be positive, got nan"),
+        ("horizon", np.nan, "horizon must be positive, got nan"), ("max_step", np.nan, "max_step must be positive"),
+        ("rtol", np.inf, "rtol must be finite, got inf"), ("horizon", np.inf, "horizon must be finite, got inf"),
+    ])
+    def test_non_finite_config_rejected(self, name, value, message):
+        # NaN passed the `<= 0` test and then stepped without end; an
+        # infinite max_step, the default, stays valid and means no limit
+        with pytest.raises(DomainError, match=message):
+            IntegratorConfig(**{name: value})
+
+    def test_non_finite_flow_at_start_rejected(self):
+        with pytest.raises(DomainError, match="flow is not finite at the initial state"):
+            integrate(lambda x: x * np.nan, np.array([1.0]), IntegratorConfig(horizon=1.0))
+
 
 class TestReparametrized:
     def test_unit_multiplier_reproduces_direct_run(self):

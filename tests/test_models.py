@@ -61,6 +61,16 @@ class TestBall:
         with pytest.raises(DomainError):
             BallParams(A=(0.4, 0.5, 0.6), D=-1.0)
 
+    def test_non_finite_parameters_rejected(self):
+        # a NaN D passed `D <= 0` and hung simulate, as did a NaN gyrostat
+        with pytest.raises(DomainError, match="D must be positive, got nan"):
+            BallParams(A=(0.4, 0.5, 0.6), D=np.nan)
+        for k in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0)):
+            with pytest.raises(DomainError, match="gyrostat k must be finite"):
+                BallParams(A=(0.4, 0.5, 0.6), D=1.0, k=k)
+            with pytest.raises(DomainError, match="gyrostat k must be finite"):
+                VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=k)
+
     def test_full_matrix_rejected(self):
         with pytest.raises(DomainError, match="diagonal"):
             BallParams(A=np.eye(3) * 0.5, D=1.0)

@@ -27,7 +27,7 @@ from nonholo import (
 import nonholo.core as core
 import nonholo.spherical as spherical
 from nonholo.models import DEMO_BALL, DEMO_GYROSTAT, DEMO_VESELOVA
-from nonholo.spherical import RESIDUAL_TOL, _legendre_tables, verify_points
+from nonholo.spherical import RESIDUAL_TOL, verify_points
 
 FOUR_PI = 4 * np.pi
 
@@ -66,6 +66,28 @@ def random_band_limited(rng, L):
         c_cos[l, : l + 1] = rng.standard_normal(l + 1)
         c_sin[l, 1: l + 1] = rng.standard_normal(l)
     return SphereSpectralField(L, c_cos, c_sin)
+
+
+def points_off_the_poles(rng, n=200):
+    """Unit points with |cos(theta)| <= 0.99, as (theta, phi, u)."""
+    theta, phi = np.arccos(rng.uniform(-0.99, 0.99, n)), rng.uniform(0.0, 2.0 * np.pi, n)
+    u = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+    return theta, phi, u
+
+
+def scipy_surface_gradient(f, theta, phi):
+    """f's surface gradient from scipy's harmonics, an oracle independent of
+    the ladder: d_theta f e_theta + (d_phi f / sin(theta)) e_phi, with the
+    Condon-Shortley phase taken out as in test_value_matches_scipy_harmonics;
+    sin(theta) divides, so away from the poles only."""
+    sph_harm_y_all = pytest.importorskip("scipy.special").sph_harm_y_all
+    dY = sph_harm_y_all(f.L, f.L, theta, phi, diff_n=1)[1]
+    l, m = np.tril_indices(f.L + 1)
+    dY = ((-1.0) ** m * np.where(m > 0, np.sqrt(2.0), 1.0))[:, None, None] * dY[l, m]
+    d_theta, d_phi = (f.c_cos[l, m, None, None] * dY.real + f.c_sin[l, m, None, None] * dY.imag).sum(axis=0).T
+    e_theta = np.stack([np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)], axis=-1)
+    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+    return d_theta[:, None] * e_theta + (d_phi / np.sin(theta))[:, None] * e_phi
 
 
 class TestSpectralField:
@@ -121,6 +143,15 @@ class TestSpectralField:
         # was 2.9e-13
         np.testing.assert_allclose(f.value(u), expected, rtol=0.0, atol=2e-12)
 
+    @pytest.mark.parametrize("L", [1, 2, 8, 33, 64])
+    def test_surface_gradient_matches_scipy_harmonics(self, rng, L):
+        # over 20 draws at each band limit, at most 1.6e-14 of scale
+        f = random_band_limited(rng, L)
+        theta, phi, u = points_off_the_poles(rng)
+        expected = scipy_surface_gradient(f, theta, phi)
+        np.testing.assert_allclose(f.surface_gradient(u), expected, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(expected)))
+
     def test_surface_gradient_matches_fd_at_L32(self, rng):
         L = 32
         f = random_band_limited(rng, L)
@@ -142,37 +173,32 @@ class TestSpectralField:
             np.testing.assert_allclose(psi.c_cos[l], -f.c_cos[l] / (l * (l + 1)),
                                        atol=1e-14)
 
-    def test_coefficient_stack_is_built_once_per_flag(self, rng):
+    def test_coefficient_stack_is_built_once_per_field(self, rng, monkeypatch):
+        # one stack of value rows per field; a surface gradient reads the
+        # ladder field, built once and holding its own stack
+        ladders = []
+        ladder = spherical._rotated_components
+        monkeypatch.setattr(spherical, "_rotated_components", lambda f: ladders.append(f) or ladder(f))
         f = random_band_limited(rng, 8)
         u = rng.standard_normal((5, 3))
         first = f.value(u), f.surface_gradient(u)
-        value_rows, gradient_rows = f._coefficient_stack(False), f._coefficient_stack(True)
-        assert f._coefficient_stack(False) is value_rows and f._coefficient_stack(True) is gradient_rows
-        assert value_rows.shape == (9, 2, 9) and gradient_rows.shape == (9, 7, 9)
-        assert not value_rows.flags.writeable and not gradient_rows.flags.writeable
+        rows = f._coefficient_stack()
+        assert f._coefficient_stack() is rows and rows.shape == (9, 2, 9) and not rows.flags.writeable
         np.testing.assert_array_equal(f.value(u), first[0])
         np.testing.assert_array_equal(f.surface_gradient(u), first[1])
-        # a derived field builds its own stacks
+        assert len(ladders) == 1 and ladders[0] is f
+        assert f._cache["ladder"]._coefficient_stack().shape == (9, 6, 9)
+        # a derived field builds its own stack
         psi = f.drop_mean().laplace_invert()
-        assert psi._coefficient_stack(False) is not value_rows
+        assert psi._coefficient_stack() is not rows
 
 
 class TestLegendreTables:
-    def test_gradient_table_is_pbar_over_sin(self):
-        # one recursion, on Pbar / sin(theta): its m = 0 column is zero and
-        # sin(theta) times it is the Pbar table
-        theta = np.linspace(0.1, 3.0, 7)
-        x, s = np.cos(theta), np.sin(theta)
-        P = _legendre_tables(10, x, s)
-        Q = _legendre_tables(10, x, s, gradient=True)
-        assert Q.shape == P.shape == (11, 11, 7)
-        assert not Q[:, 0].any()
-        np.testing.assert_allclose(s * Q[:, 1:], P[:, 1:], rtol=1e-13, atol=1e-15)
-
     @pytest.mark.parametrize("pole", [1.0, -1.0])
     def test_m0_derivative_vanishes_at_pole(self, rng, pole):
         # a zonal (m = 0) field has a zero theta-derivative at the poles; its
-        # m = 0 term is sin(theta) times a table entry, exactly zero there
+        # ladder image holds only m = 1 terms, whose Pbar_l1 entries carry a
+        # factor sin(theta), exactly zero there
         f = random_band_limited(rng, 10)
         zonal = SphereSpectralField(10, f.c_cos * (np.arange(11) == 0), np.zeros((11, 11)))
         assert not zonal.surface_gradient((0.0, 0.0, pole)).any()
@@ -182,7 +208,7 @@ class TestPoles:
     """Synthesis is regular on the whole sphere, poles included."""
 
     def test_value_at_pole_builds_no_gradient_table(self):
-        # the derivative table divided by sin(theta) = 0 here and warned
+        # a derivative table divided by sin(theta) = 0 here once and warned
         f = SphereSpectralField.analyze(ScalarField(lambda g: g[..., 2]), 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -344,7 +370,7 @@ class TestRingResidual:
         columns = []
         tables = spherical._legendre_tables
         monkeypatch.setattr(spherical, "_legendre_tables",
-                            lambda L, x, s, gradient=False: columns.append(x.size) or tables(L, x, s, gradient))
+                            lambda L, x, s: columns.append(x.size) or tables(L, x, s))
         psi = solve_curl_equation(curl_target_F(demo_ball()), L=32).psi
         columns.clear()
         ring_curl(psi, 32)
@@ -356,9 +382,8 @@ class TestRingResidual:
         ring = np.sort(rng.integers(0, 4, 40))
         phi = rng.uniform(-np.pi, np.pi, 40)
         x, s = np.cos(theta), np.sin(theta)
-        for gradient in (False, True):
-            np.testing.assert_array_equal(f._ring_sums(x, s, phi, ring, gradient),
-                                          f._ring_sums(x[ring], s[ring], phi, np.arange(40), gradient))
+        np.testing.assert_array_equal(f._ring_sums(x, s, phi, ring),
+                                      f._ring_sums(x[ring], s[ring], phi, np.arange(40)))
 
     @pytest.mark.parametrize("L, tables", [(16, 35), (32, 137), (64, 411)])
     def test_verification_points_share_rings(self, rng, monkeypatch, L, tables):
@@ -371,7 +396,7 @@ class TestRingResidual:
         columns = []
         original = spherical._legendre_tables
         monkeypatch.setattr(spherical, "_legendre_tables",
-                            lambda L, x, s, gradient=False: columns.append(x.size) or original(L, x, s, gradient))
+                            lambda L, x, s: columns.append(x.size) or original(L, x, s))
         f.value(pts)
         assert sum(columns) == tables < len(pts)
 
@@ -425,14 +450,16 @@ class TestRotatedComponents:
 
     @pytest.mark.parametrize("L", [1, 2, 3, 8, 16, 33, 64])
     def test_components_equal_rotated_gradient(self, rng, L):
-        # the psi-gradient form is the oracle of h's field, on the sphere and
-        # off it: h = u x grad_S psi and curl h = (u Lap_S psi - grad_S psi)
-        # / |x|, with Lap_S psi from psi's coefficients; measured at most
-        # 6.4e-15 (h) and 2.1e-14 (curl) of scale
+        # scipy's gradient of psi is the oracle of h's field, on the sphere
+        # and off it: h = u x grad_S psi and curl h = (u Lap_S psi - grad_S
+        # psi) / |x|, with Lap_S psi from psi's coefficients; over 20 draws
+        # at each band limit, at most 7.7e-15 (h) and 1.7e-14 (curl) of
+        # scale.  TestPoles keeps the poles, where the oracle divides by
+        # sin(theta) = 0
         sol = solve_curl_equation(ScalarField(random_band_limited(rng, L).value), L=L)
-        u = unit_points_with_poles(rng)
+        theta, phi, u = points_off_the_poles(rng)
         x = u * rng.uniform(0.5, 2.0, (len(u), 1))
-        grad = sol.psi.surface_gradient(u)
+        grad = scipy_surface_gradient(sol.psi, theta, phi)
         eig = -np.arange(L + 1.0)[:, None] * np.arange(1.0, L + 2.0)[:, None]
         lap = SphereSpectralField(L, eig * sol.psi.c_cos, eig * sol.psi.c_sin).value(u)
         h = np.cross(u, grad)
