@@ -15,6 +15,9 @@ they follow the suite name.  Any other flag exits 2, as does a flag that
 acts only under another choice: --A or --D on the Veselova model, --Ahat
 on the ball, a model flag beside --negative-control or --g/--f.  A config
 file may hold fields a command does not read; the command ignores them.
+A flag's value is read as its config field is: a malformed one, or one
+below its bound (-n and --L at least 1, --seed at least 0), exits 2 and a
+non-finite number exits 3, each with one line naming the flag or field.
 The check suites and the reduction decide their own pass; simulate and
 planar-demo gate their drifts.  Exit codes: 0 pass, 2 configuration error,
 3 domain violation, 4 numerical tolerance failure.  All randomness flows
@@ -27,6 +30,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -68,11 +72,6 @@ def _emit(report: dict, path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _require_n(n: int) -> None:
-    if n < 1:
-        raise ConfigError(f"-n must be at least 1, got {n}")
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -90,31 +89,34 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _vec3(value, field: str) -> np.ndarray:
-    """Three numbers from a flag's "a,b,c" text or a config list; anything
-    else is a configuration error that names the field."""
-    try:
-        parts = [float(v) for v in (value.split(",") if isinstance(value, str) else value)]
-    except (TypeError, ValueError):
-        parts = None
-    if parts is None or len(parts) != 3:
-        raise ConfigError(f"{field} needs three numbers, got {value!r}")
-    return np.array(parts)
-
-
-def _number(value, field: str, kind=float):
-    """One number from a flag or a config field; anything else (a list, a boolean,
-    text, a fraction where an integer belongs) is a configuration error naming it."""
+def _number(value, field: str, kind=float, least=-np.inf):
+    """One number from a flag's text or a config field.  A non-number (a list, a boolean, text, a
+    fraction where an integer belongs) or one below ``least`` is a configuration error naming the
+    field, a non-finite number a domain error."""
     fraction = kind is int and isinstance(value, float) and not value.is_integer()
-    if not isinstance(value, bool) and not fraction:
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{field} needs {'an integer' if kind is int else 'a number'}, got {value!r}")
+    try:
+        x = None if isinstance(value, bool) or fraction else kind(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer too large for a float
+        x = None
+    if x is None:
+        raise ConfigError(f"{field} needs {'an integer' if kind is int else 'a number'}, got {value!r}")
+    if x < least:
+        raise ConfigError(f"{field} must be at least {least}, got {x}")
+    if kind is float and not np.isfinite(x):
+        raise DomainError(f"{field} must be finite, got {x}")
+    return x
 
 
 _integer = functools.partial(_number, kind=int)
+_seed = functools.partial(_number, kind=int, least=0)
+
+
+def _vec3(value, field: str) -> np.ndarray:
+    """Three numbers from a flag's "a,b,c" text or a config list, the i-th read by _number as ``field[i]``."""
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, list) or len(parts) != 3:
+        raise ConfigError(f"{field} needs three numbers, got {value!r}")
+    return np.array([_number(v, f"{field}[{i}]") for i, v in enumerate(parts)])
 
 
 def _flag_or_config(flag_value, flag: str, cfg: dict, key: str, default=None, parse=_vec3):
@@ -139,14 +141,14 @@ def _potential(args, cfg):
     spec = cfg.get("potential") or {}
     if not isinstance(spec, dict):
         raise ConfigError(f"potential must be an object with a kind, got {spec!r}")
-    kind = args.U or spec.get("kind", "zero")
+    kind, field = (spec.get("kind", "zero"), "potential.kind") if args.U is None else (args.U, "--U")
     if kind == "zero":
         if args.U_vec is not None or (args.U is None and ("r" in spec or "C" in spec)):
             raise ConfigError("a potential vector needs its kind: pass --U linear | quadratic "
                               "(or potential.kind in the config)")
         return None
     if kind not in _POTENTIALS:
-        raise ConfigError(f"potential.kind must be zero, linear or quadratic, got {kind!r}")
+        raise ConfigError(f"{field} must be zero, linear or quadratic, got {kind!r}")
     key, make = _POTENTIALS[kind]
     vec = _flag_or_config(args.U_vec, "--U-vec", cfg, f"potential.{key}")
     if vec is None:
@@ -164,7 +166,7 @@ def _refuse(args, flags, where: str) -> None:
 
 def _model(args, cfg, U=None):
     """The model's parameters, with the potential U, and its system; flags over the config."""
-    model = args.model or cfg.get("model")
+    model = cfg.get("model") if args.model is None else args.model
     if model not in ("ball", "veselova"):
         raise ConfigError("pick a model: --model ball | veselova")
     _refuse(args, ("--Ahat",) if model == "ball" else ("--A", "--D"), f"on the {model} model")
@@ -219,7 +221,7 @@ def cmd_simulate(args) -> int:
     x0 = _initial_state(args, cfg, params)
     icfg = _integrator_config(args, cfg)
     threshold = _flag_or_config(args.threshold, "--threshold", cfg, "drift_threshold", 1e-8, _number)
-    seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _integer)
+    seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _seed)
 
     traj = integrate_sphere(sysm, x0, icfg)
     with _output("--csv", args.csv):
@@ -248,11 +250,11 @@ def _drift_failure(traj, drifts: dict, threshold: float) -> None:
 
 
 def cmd_check(args) -> int:
-    _require_n(args.n)
+    n = _integer(args.n, "-n", least=1)
     cfg = _load_config(args)
-    seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _integer)
+    seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _seed)
     rng = np.random.default_rng(seed)
-    states = random_states(rng, args.n)
+    states = random_states(rng, n)
     if args.suite == "jacobi" and args.negative_control:
         _refuse(args, _MODEL_FLAGS, "beside --negative-control")
         body, ok = checks.negative_control(states)
@@ -262,32 +264,31 @@ def cmd_check(args) -> int:
         body, ok = checks.duality(states, _flag_or_config(args.D, "--D", cfg, "D", 1.0, _number))
     elif args.suite == "planar":
         # the probes follow the states in the seeded stream
-        body, ok = checks.planar(rng.standard_normal((args.n, 4)))
+        body, ok = checks.planar(rng.standard_normal((n, 4)))
     else:
         body, ok = getattr(checks, args.suite)(states)
-    report = {"schema_version": SCHEMA_VERSION, "command": "check", "seed": seed, "n": args.n, **body}
+    report = {"schema_version": SCHEMA_VERSION, "command": "check", "seed": seed, "n": n, **body}
     _emit(report, args.report)
     return 0 if ok else 4
 
 
 def cmd_reduce(args) -> int:
-    _require_n(args.n)
-    if args.L < 1:
-        raise ConfigError(f"--L must be at least 1, got {args.L}")
+    n, L = _integer(args.n, "-n", least=1), _integer(args.L, "--L", least=1)
     cfg = _load_config(args)
     if args.g is not None or args.f is not None:
         _refuse(args, _MODEL_FLAGS, "beside --g/--f")
         if args.g is None or args.f is None:
             raise ConfigError("pass both --g and --f (constants) or use --model")
-        if args.g <= 0.0:
-            raise DomainError(f"g must be positive, got {args.g}")
-        params = gauge_mod.GFParams(g=ScalarField.constant(args.g), f=ScalarField.constant(args.f))
-        label = f"constant(g={args.g}, f={args.f})"
+        g, f = _number(args.g, "--g"), _number(args.f, "--f")
+        if g <= 0.0:
+            raise DomainError(f"--g must be positive, got {g}")
+        params = gauge_mod.GFParams(g=ScalarField.constant(g), f=ScalarField.constant(f))
+        label = f"constant(g={g}, f={f})"
     else:
         sysm = _model(args, cfg)[1]
         params, label = gauge_mod.GFParams(g=sysm.s_spec.g, f=sysm.s_spec.f), sysm.name
-    seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _integer)
-    rep = gauge_mod.reduction_report(params, L=args.L, n_states=args.n, seed=seed)
+    seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _seed)
+    rep = gauge_mod.reduction_report(params, L=L, n_states=n, seed=seed)
     # the worst points go to the gate's stderr line, as for every gate; the
     # JSON report keeps one set of keys
     def at(key):
@@ -299,17 +300,17 @@ def cmd_reduce(args) -> int:
     if rep["pass"]:
         return 0
     sys.stderr.write(f"reduction failed: residual {rep['residual']:.3e}{residual_at}, bracket_dev "
-                     f"{rep['bracket_dev']:.3e}{bracket_at}; try --L {2 * args.L}\n")
+                     f"{rep['bracket_dev']:.3e}{bracket_at}; try --L {2 * L}\n")
     return 4
 
 
 def cmd_planar_demo(args) -> int:
     sysm = planar_mod.demo_system()
-    icfg = _integrator_config(args, {})
+    icfg, seed = _integrator_config(args, {}), _flag_or_config(args.seed, "--seed", {}, "seed", 0, _seed)
     traj = integrate(sysm.flow, np.array([0.2, -0.3, 0.4, 0.1]), icfg)
     traj = replace(traj, integrals={"E": planar_mod.energy_fn(sysm)(traj.states)})
     drift = drift_report(traj)["E"]
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(seed)
     residual = float(np.max(planar_mod.to_conformal(sysm, rng.standard_normal((100, 4)))[2]))
     with _output("--csv", args.csv):
         trajectory_csv(traj, args.csv, columns=("q1", "q2", "P1", "P2"))
@@ -339,18 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     # the flag groups, each declared once and given to the parsers that read it
     run, coupling, potential, integrator = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     run.add_argument("--config", help="JSON config file; flags override its fields")
-    run.add_argument("--seed", type=int)
+    run.add_argument("--seed")
     run.add_argument("--report", help="write the JSON report here as well")
-    coupling.add_argument("--D", type=float, help="ball coupling constant")
+    coupling.add_argument("--D", help="ball coupling constant")
     model = argparse.ArgumentParser(add_help=False, parents=[coupling])
-    model.add_argument("--model", choices=["ball", "veselova"])
+    model.add_argument("--model", metavar="{ball,veselova}")
     model.add_argument("--A", help="ball inertia-type diagonal a1,a2,a3")
     model.add_argument("--Ahat", help="veselova diagonal a1,a2,a3")
     model.add_argument("--gyrostat", help="gyrostatic momentum k1,k2,k3")
-    potential.add_argument("--U", choices=["zero", "linear", "quadratic"])
+    potential.add_argument("--U", metavar="{zero,linear,quadratic}")
     potential.add_argument("--U-vec", dest="U_vec", help="potential coefficients r1,r2,r3")
-    for name, kind in (("rtol", float), ("atol", float), ("horizon", float), ("samples", int)):
-        integrator.add_argument(f"--{name}", type=kind)
+    for name in ("rtol", "atol", "horizon", "samples"):
+        integrator.add_argument(f"--{name}")
 
     parser = argparse.ArgumentParser(prog="nonholo", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", help="initial angular velocity w1,w2,w3")
     p.add_argument("--gamma", help="initial direction g1,g2,g3 (renormalized)")
     p.add_argument("--demo", action="store_true", help="fill demo parameters and state")
-    p.add_argument("--threshold", type=float, help="drift pass threshold (default 1e-8)")
+    p.add_argument("--threshold", help="drift pass threshold (default 1e-8)")
     p.add_argument("--csv", default="trajectory.csv")
     p.set_defaults(func=cmd_simulate)
 
@@ -371,24 +372,27 @@ def build_parser() -> argparse.ArgumentParser:
     groups = {"jacobi": [run, model], "duality": [run, coupling]}
     for suite in checks.SUITES:
         p = suites.add_parser(suite, parents=groups.get(suite, [run]))
-        p.add_argument("-n", type=int, default=1000, help="number of probe states")
+        p.add_argument("-n", default=1000, help="number of probe states")
         p.set_defaults(func=cmd_check)
     suites.choices["jacobi"].add_argument("--negative-control", action="store_true",
                                           help="assemble a measure-mismatched structure instead")
 
     p = sub.add_parser("reduce", parents=[run, model], help="reduce a bracket to the e(3) form")
-    p.add_argument("--g", type=float, help="constant g instead of a model")
-    p.add_argument("--f", type=float, help="constant f instead of a model")
-    p.add_argument("--L", type=int, default=32, help="spherical-harmonic band limit")
-    p.add_argument("-n", type=int, default=200, help="bracket probe states")
+    p.add_argument("--g", help="constant g instead of a model")
+    p.add_argument("--f", help="constant f instead of a model")
+    p.add_argument("--L", default=32, help="spherical-harmonic band limit")
+    p.add_argument("-n", default=200, help="bracket probe states")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("planar-demo", parents=[integrator], help="run the planar demo system")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.add_argument("--csv", default="planar_trajectory.csv")
     p.add_argument("--report")
     p.set_defaults(func=cmd_planar_demo)
 
+    # a token that starts like a negative number ("--M -0.3,0.2,0.5", "--D -inf") is a value, not a flag
+    for p in (*sub.choices.values(), *suites.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d|-inf", re.IGNORECASE)
     return parser
 
 

@@ -58,9 +58,10 @@ def _diag3(value, name: str) -> Array:
     a = np.asarray(value, float)
     if a.shape != (3,):
         raise DomainError(f"{name} must be the three diagonal entries, got shape {a.shape}")
-    if not np.all(a > 0.0):
-        i = int(np.argmin(a))
-        raise DomainError(f"{name}[{i}] ({_AXES[i]}-axis) must be positive, got {a[i]}")
+    for i, v in enumerate(a):
+        if not 0.0 < v < np.inf:
+            raise DomainError(f"{name}[{i}] ({_AXES[i]}-axis) must be "
+                              f"{'finite' if v > 0.0 else 'positive'}, got {v}")
     return a
 
 

@@ -149,20 +149,29 @@ class TestSimulate:
                                            "try a smaller --rtol\n")
 
     @pytest.mark.parametrize("gamma, shown", [("0,0,0", "[0.0, 0.0, 0.0]"), ("nan,0,0", "[nan, 0.0, 0.0]")])
-    def test_degenerate_gamma_is_named(self, workdir, capsys, gamma, shown):
-        # refused before the renormalisation, which would warn and divide by zero
-        assert run(["simulate", "--model", "veselova", "--M", "1,0,0", "--gamma", gamma]) == 3
+    def test_degenerate_gamma_is_named(self, workdir, capsys, monkeypatch, gamma, shown):
+        # refused before the renormalisation, which would warn and divide by
+        # zero; a NaN entry already as the flag is read
+        argv = ["simulate", "--model", "veselova", "--M", "1,0,0", "--gamma", gamma]
+        assert run(argv) == 3
+        assert capsys.readouterr().err.startswith("domain error: --gamma")
+        # behind the flag's finite rule, the initial state refuses a direction of
+        # zero or non-finite norm (one that overflows, say) and names both knobs
+        monkeypatch.setattr(cli_mod, "_number", _unchecked_number)
+        assert run(argv) == 3
         assert capsys.readouterr().err == ("domain error: --gamma (initial.gamma) must be a finite "
                                            f"nonzero direction, got {shown}\n")
 
     # a NaN passed the `<= 0` test: --rtol and --atol nan then stepped
-    # without end, and --horizon nan ended in a traceback
+    # without end, and --horizon nan ended in a traceback.  A NaN is now
+    # refused as the flag is read, a non-positive number by IntegratorConfig
     @pytest.mark.parametrize("flag, value, shown", [("--rtol", "0", "0.0"), ("--atol", "-1", "-1.0"),
                                                     ("--horizon", "0", "0.0"), ("--rtol", "nan", "nan"),
                                                     ("--atol", "nan", "nan"), ("--horizon", "nan", "nan")])
     def test_non_positive_integrator_value_is_named(self, workdir, capsys, deadline, flag, value, shown):
         assert run(["simulate", "--model", "ball", "--demo", flag, value]) == 3
-        assert capsys.readouterr().err == f"domain error: {flag[2:]} must be positive, got {shown}\n"
+        rule = f"{flag} must be finite" if value == "nan" else f"{flag[2:]} must be positive"
+        assert capsys.readouterr().err == f"domain error: {rule}, got {shown}\n"
 
     def test_direction_alone_names_the_momentum_knobs(self, workdir, capsys):
         assert run(["simulate", "--model", "ball", "--gamma", "0,0,1"]) == 2
@@ -170,15 +179,21 @@ class TestSimulate:
                                            "--omega (or initial.M or initial.omega)\n")
 
 
+def _unchecked_number(value, field, kind=float, least=-np.inf):
+    """``cli._number`` without its rules, to reach the checks behind them."""
+    return kind(value)
+
+
 BALL_CFG = {"model": "ball", "initial": {"M": [0.3, -0.2, 0.5], "gamma": [0.0, 0.0, 1.0]},
             "integrator": {"horizon": 1.0, "samples": 11}}
 
 
 class TestNonFiniteInputs:
-    """A non-finite setting exits 3 naming its knob.  A NaN passed each
-    `<= 0` test and an infinite value was taken: simulate then stepped
-    without end, check and reduce failed on a NaN field without naming
-    --D.  The integrator's NaNs are cases of
+    """A non-finite number, from a flag or a config field, exits 3 with one
+    line naming it.  A NaN passed each `<= 0` test and an infinite value
+    was taken: simulate then stepped without end or failed its drift gate
+    blaming --rtol, and check and reduce failed on a NaN field without
+    naming the knob.  The integrator's NaNs are cases of
     test_non_positive_integrator_value_is_named and, for planar-demo,
     test_bad_integrator_flag_exits_3."""
 
@@ -196,8 +211,56 @@ class TestNonFiniteInputs:
         (["simulate", "--model", "ball", "--demo", "--U", "linear", "--U-vec", "nan,0,0"],
          "the flow is not finite at the initial state"),
     ])
-    def test_refused_within_seconds(self, workdir, capsys, deadline, argv, message):
+    def test_refused_within_seconds(self, workdir, capsys, monkeypatch, deadline, argv, message):
+        # the value is refused as its flag, the last argument but one, is read
         assert run(argv) == 3
+        assert capsys.readouterr().err.startswith(f"domain error: {argv[-2]}")
+        # the library object behind the flag refuses it too, for library callers
+        monkeypatch.setattr(cli_mod, "_number", _unchecked_number)
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"domain error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--model", "ball", "--demo", "--horizon", "inf"], "--horizon must be finite, got inf"),
+        (["simulate", "--model", "ball", "--demo", "--D", "nan"], "--D must be finite, got nan"),
+        (["simulate", "--model", "ball", "--demo", "--gyrostat", "nan,0,0"],
+         "--gyrostat[0] must be finite, got nan"),
+        # the drift gate failed, blaming --rtol
+        (["simulate", "--model", "ball", "--demo", "--threshold", "nan"], "--threshold must be finite, got nan"),
+        # the reduction failed on a non-finite field or dilation without naming --g or --f
+        (["reduce", "--g", "nan", "--f", "0"], "--g must be finite, got nan"),
+        (["reduce", "--g", "inf", "--f", "0"], "--g must be finite, got inf"),
+        (["reduce", "--g", "1", "--f", "nan"], "--f must be finite, got nan"),
+        # the flow, or the initial state, was not finite
+        (["simulate", "--model", "veselova", "--demo", "--Ahat", "inf,0.75,0.9"],
+         "--Ahat[0] must be finite, got inf"),
+        (["simulate", "--model", "ball", "--demo", "--U", "linear", "--U-vec", "nan,0,0"],
+         "--U-vec[0] must be finite, got nan"),
+        (["simulate", "--model", "ball", "--gamma", "0,0,1", "--M", "nan,0,0"], "--M[0] must be finite, got nan"),
+        (["simulate", "--model", "ball", "--gamma", "0,0,1", "--omega", "inf,0,0"],
+         "--omega[0] must be finite, got inf"),
+        # the dual body's check blamed Ahat[2]
+        (["check", "duality", "--D", "inf"], "--D must be finite, got inf"),
+        # argparse read a separate "-inf" as an unknown flag
+        (["check", "duality", "--D", "-inf"], "--D must be finite, got -inf"),
+    ])
+    def test_flag_is_named(self, workdir, capsys, deadline, argv, message):
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"domain error: {message}\n"
+
+    @pytest.mark.parametrize("entries, message", [
+        # the drift gate failed, blaming --rtol
+        ({"drift_threshold": np.nan}, "drift_threshold must be finite, got nan"),
+        ({"D": np.inf}, "D must be finite, got inf"),
+        ({"integrator": {"horizon": 1.0, "rtol": np.nan}}, "integrator.rtol must be finite, got nan"),
+        ({"gyrostat": [0, np.nan, 0]}, "gyrostat[1] must be finite, got nan"),
+        ({"potential": {"kind": "linear", "r": [0, 0, np.inf]}}, "potential.r[2] must be finite, got inf"),
+        ({"initial": {"M": [np.nan, 0, 0], "gamma": [0, 0, 1]}}, "initial.M[0] must be finite, got nan"),
+    ])
+    def test_config_field_is_named(self, workdir, capsys, deadline, entries, message):
+        # JSON has no NaN or Infinity, but Python's json module writes and reads them
+        (workdir / "cfg.json").write_text(json.dumps({**BALL_CFG, **entries}))
+        assert run(["simulate", "--config", "cfg.json"]) == 3
         assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
@@ -284,6 +347,8 @@ class TestConfigScalars:
         ({"seed": 3.9}, "seed"),
         ({"drift_threshold": {"H": 1e-8}}, "drift_threshold"),
         ({"seed": "seven"}, "seed"),
+        # an integer too large for a float ended in an OverflowError traceback
+        ({"D": 10 ** 400}, "D"),
     ])
     def test_malformed_config_scalar_exits_2(self, workdir, capsys, entries, field):
         (workdir / "cfg.json").write_text(json.dumps({**BALL_CFG, **entries}))
@@ -423,6 +488,47 @@ def test_fewer_than_one_state_exits_2(workdir, capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "-n" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # argparse's usage error, with the value named only in its last line
+    (["check", "duality", "--D", "two"], "--D needs a number, got 'two'"),
+    (["check", "measure", "-n", "x"], "-n needs an integer, got 'x'"),
+    (["reduce", "--model", "ball", "--L", "1.5"], "--L needs an integer, got '1.5'"),
+    (["simulate", "--model", "ball", "--demo", "--samples", "1e3"], "--samples needs an integer, got '1e3'"),
+    (["simulate", "--model", "cubic", "--demo"], "pick a model: --model ball | veselova"),
+    (["simulate", "--model", "ball", "--demo", "--U", "cubic"],
+     "--U must be zero, linear or quadratic, got 'cubic'"),
+    # a ValueError traceback from the random generator, exit 1
+    (["check", "measure", "-n", "5", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["reduce", "--model", "ball", "--L", "8", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["planar-demo", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["check", "measure", "-n", "5", "--config", "seed.json"], "seed must be at least 0, got -1"),
+])
+def test_malformed_flag_value_names_it(workdir, capsys, argv, message):
+    (workdir / "seed.json").write_text(json.dumps({"seed": -1}))
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["simulate", "--model", "ball", "--demo"], "--M", "-0.3,0.2,0.5"),
+    (["simulate", "--model", "ball", "--demo"], "--omega", "-1,0,0.5"),
+    (["simulate", "--model", "ball", "--demo"], "--gamma", "-0.6,0,0.8"),
+    (["simulate", "--model", "veselova", "--demo"], "--gyrostat", "-0.1,0,0"),
+    (["simulate", "--model", "ball", "--demo", "--U", "linear"], "--U-vec", "-0.5,0,1"),
+    # no admissible diagonal is negative: both forms are refused alike
+    (["simulate", "--model", "ball", "--demo"], "--A", "-0.4,0.5,0.6"),
+    (["simulate", "--model", "veselova", "--demo"], "--Ahat", "-.6,0.75,0.9"),
+])
+def test_negative_vector_reads_alike_with_or_without_equals(workdir, capsys, argv, flag, value):
+    # the separate value was read as an unknown flag: "expected one argument"
+    argv = [*argv, "--horizon", "2", "--samples", "21", "--csv", os.devnull]
+    results = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        code = exit_code([*argv, *form])
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1] and results[0][0] in (0, 3)
 
 
 def _one_state_draws(seed, n):
@@ -668,7 +774,7 @@ class TestReduce:
 
     def test_non_positive_constant_g_exits_3(self, workdir, capsys):
         assert run(["reduce", "--g", "0", "--f", "0", "--L", "8", "-n", "5"]) == 3
-        assert capsys.readouterr().err == "domain error: g must be positive, got 0.0\n"
+        assert capsys.readouterr().err == "domain error: --g must be positive, got 0.0\n"
 
     def test_deterministic_report(self, workdir, capsys):
         run(["reduce", "--g", "1", "--f", "0", "--L", "6", "-n", "10"])
@@ -803,6 +909,11 @@ class TestFlags:
                  for name, p in _leaf_parsers(cli_mod.build_parser())}
         assert found == FLAG_CENSUS
         assert sum(map(len, found.values())) == 70
+        # argparse only splits the command line: the commands convert each
+        # value as they convert a config field, so that one rule reads both
+        converting = {(name, a.option_strings[0]) for name, p in _leaf_parsers(cli_mod.build_parser())
+                      for a in p._actions if a.option_strings and (a.type is not None or a.choices is not None)}
+        assert converting == set()
 
     @pytest.mark.parametrize("argv, flag", [
         (["check", "conformal", "--model", "veselova"], "--model"),

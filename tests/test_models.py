@@ -71,6 +71,15 @@ class TestBall:
             with pytest.raises(DomainError, match="gyrostat k must be finite"):
                 VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=k)
 
+    def test_infinite_diagonal_entry_rejected(self):
+        # inf > 0 passed the positivity test
+        with pytest.raises(DomainError, match=r"^Ahat\[0\] \(x-axis\) must be finite, got inf$"):
+            VeselovaParams(Ahat=(np.inf, 0.75, 0.9))
+        with pytest.raises(DomainError, match=r"^A\[2\] \(z-axis\) must be finite, got inf$"):
+            BallParams(A=(0.4, 0.5, np.inf), D=1.0)
+        with pytest.raises(DomainError, match=r"^A\[1\] \(y-axis\) must be positive, got nan$"):
+            BallParams(A=(0.4, np.nan, 0.6), D=1.0)
+
     def test_full_matrix_rejected(self):
         with pytest.raises(DomainError, match="diagonal"):
             BallParams(A=np.eye(3) * 0.5, D=1.0)
