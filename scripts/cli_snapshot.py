@@ -48,8 +48,9 @@ INVOCATIONS = {
     "reduce-ball-near-boundary-L16": ["reduce", "--model", "ball", "--A", "0.4,0.5,0.99", "--D", "1",
                                       "--L", "16"],
     "planar-demo-loose-rtol": ["planar-demo", "--rtol", "1e-3", "--atol", "1e-5"],
-    # a refused flag: exits 2 and names it on one stderr line
+    # refused flags: each exits 2 and names its flag on one stderr line
     "reduce-ball-L0": ["reduce", "--model", "ball", "--L", "0"],
+    "simulate-ball-negative-threshold": ["simulate", "--model", "ball", "--demo", "--threshold", "-1"],
     # refused values: each exits 3 and names its flag on one stderr line
     "simulate-ball-nan-rtol": ["simulate", "--model", "ball", "--demo", "--rtol", "nan"],
     "simulate-ball-nan-threshold": ["simulate", "--model", "ball", "--demo", "--threshold", "nan"],
@@ -58,7 +59,8 @@ INVOCATIONS = {
 # the exit code of each invocation that does not exit 0: 4 at a failing
 # gate, 2 at a refused flag, 3 at a refused value
 EXITS = {"simulate-ball-loose-rtol": 4, "reduce-ball-near-boundary-L16": 4, "planar-demo-loose-rtol": 4,
-         "reduce-ball-L0": 2, "simulate-ball-nan-rtol": 3, "simulate-ball-nan-threshold": 3, "reduce-g-nan-f0": 3}
+         "reduce-ball-L0": 2, "simulate-ball-negative-threshold": 2, "simulate-ball-nan-rtol": 3,
+         "simulate-ball-nan-threshold": 3, "reduce-g-nan-f0": 3}
 
 WRITES_CSV = ("simulate", "planar-demo")
 

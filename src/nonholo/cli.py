@@ -220,7 +220,8 @@ def cmd_simulate(args) -> int:
     params, sysm = _model(args, cfg, _potential(args, cfg))
     x0 = _initial_state(args, cfg, params)
     icfg = _integrator_config(args, cfg)
-    threshold = _flag_or_config(args.threshold, "--threshold", cfg, "drift_threshold", 1e-8, _number)
+    threshold = _flag_or_config(args.threshold, "--threshold", cfg, "drift_threshold", 1e-8,
+                                functools.partial(_number, least=0))
     seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _seed)
 
     traj = integrate_sphere(sysm, x0, icfg)

@@ -145,8 +145,18 @@ class TestSimulate:
         code = run(["simulate", "--model", "ball", "--demo", "--rtol", "1e-4",
                     "--atol", "1e-6", "--horizon", "50", "--samples", "51"])
         assert code == 4
-        assert capsys.readouterr().err == ("drift gate: F1 drifted 4.093e-05 > 1e-08 at t = 50; "
+        assert capsys.readouterr().err == ("drift gate: F1 drifted 3.547e-05 > 1e-08 at t = 35; "
                                            "try a smaller --rtol\n")
+
+    @pytest.mark.parametrize("argv, config, field", [
+        (["--threshold", "-1"], {}, "--threshold"),
+        (["--config", "cfg.json"], {"drift_threshold": -1}, "drift_threshold"),
+    ])
+    def test_negative_threshold_is_refused(self, workdir, capsys, argv, config, field):
+        # the gate could never pass, and the run exited 4 blaming --rtol
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        assert run(["simulate", "--model", "ball", "--demo", *argv]) == 2
+        assert capsys.readouterr().err == f"configuration error: {field} must be at least 0, got -1.0\n"
 
     @pytest.mark.parametrize("gamma, shown", [("0,0,0", "[0.0, 0.0, 0.0]"), ("nan,0,0", "[nan, 0.0, 0.0]")])
     def test_degenerate_gamma_is_named(self, workdir, capsys, monkeypatch, gamma, shown):
@@ -846,7 +856,7 @@ class TestPlanarDemo:
 
     def test_loose_tolerance_names_the_drift_gate(self, workdir, capsys):
         assert run(["planar-demo", "--rtol", "1e-3", "--atol", "1e-5", "--report", "planar.json"]) == 4
-        assert capsys.readouterr().err == ("drift gate: E drifted 1.097e+00 > 1e-08 at t = 89.2; "
+        assert capsys.readouterr().err == ("drift gate: E drifted 1.367e-01 > 1e-08 at t = 95; "
                                            "try a smaller --rtol\n")
         assert json.loads((workdir / "planar.json").read_text())["pass"] is False
 
