@@ -15,8 +15,8 @@ stderr.
     conformal(states)       |flow - (1/g) P grad H| <= 1e-10, demo ball and
                             Veselova with and without gyrostat
     duality(states, D)      dual Hamiltonian identity, g relation <= 1e-12
-    gauge(states)           composition law <= 1e-12, action on (g, f) with
-                            finite-difference derivatives <= 1e-8
+    gauge(states)           composition law <= 1e-12, action on (g, f) of
+                            fields with no analytic derivatives <= 1e-8
     planar(probes)          conformal residual <= 1e-8, bracket jacobiator
                             <= 1e-9 (first 50 probes); negative control: the
                             measure gate rejects the density N = 1
@@ -58,11 +58,11 @@ def _gate(label: str, vals, threshold: float, points) -> tuple[float, bool]:
     worst = float(vals[i])
     ok = worst <= threshold
     if not ok:
-        _report_worst(label, worst, f"> {threshold:g}", i, points[i])
+        report_worst(label, worst, f"> {threshold:g}", i, points[i])
     return worst, ok
 
 
-def _report_worst(label, value, relation, i, point) -> None:
+def report_worst(label, value, relation, i, point) -> None:
     state = ", ".join(f"{v:.17g}" for v in point)
     sys.stderr.write(f"{label}: worst value {value:.6e} {relation} at state {i}: ({state})\n")
 
@@ -90,8 +90,8 @@ def negative_control(states) -> tuple[dict, bool]:
     ok = frac >= NEGATIVE_FRACTION
     if not ok:
         i = int(np.argmin(vals))
-        _report_worst(f"jacobi negative control (fraction violating {frac:.3f} < {NEGATIVE_FRACTION:g})",
-                      vals[i], f"<= {NEGATIVE_GATE:g}", i, states[i])
+        report_worst(f"jacobi negative control (fraction violating {frac:.3f} < {NEGATIVE_FRACTION:g})",
+                     vals[i], f"<= {NEGATIVE_GATE:g}", i, states[i])
     return {"suite": "jacobi-negative-control", "max": float(np.max(vals)),
             "min": float(np.min(vals)), "fraction_violating": frac,
             "threshold": NEGATIVE_GATE, "pass": ok}, ok
@@ -132,7 +132,8 @@ def duality(states, D: float) -> tuple[dict, bool]:
 
 
 def gauge(states) -> tuple[dict, bool]:
-    # no analytic derivatives: the action runs on the finite-difference tier
+    # leaves with no analytic derivatives: only they are differenced, and the
+    # composed transform carries its derivatives by the product rule over them
     t1 = gauge_mod.GaugeTransform(
         ScalarField(lambda g: 1.2 + 0.3 * g[..., 0] + 0.1 * g[..., 1] ** 2), 1.7,
         gauge_mod.VectorField3(
@@ -172,9 +173,9 @@ def planar(probes) -> tuple[dict, bool]:
         gate_ok = True
     else:
         gate_ok = False
-        _report_worst("planar measure gate admits the density N = 1",
-                      np.max(np.abs(planar_mod.measure_residual(inadmissible, probes[0, :2]))),
-                      f"<= {core.MEASURE_GATE:g}", 0, probes[0])
+        report_worst("planar measure gate admits the density N = 1",
+                     np.max(np.abs(planar_mod.measure_residual(inadmissible, probes[0, :2]))),
+                     f"<= {core.MEASURE_GATE:g}", 0, probes[0])
     ok = residual_ok and jac_ok and gate_ok
     return {"suite": "planar", "conformal_residual_max": residual,
             "bracket_jacobiator_max": jac, "gate_rejects_inadmissible": gate_ok,

@@ -92,7 +92,8 @@ def skew_defect(P: Array) -> float:
 # - the field fallbacks: ScalarField.gradient and the planar dH_dq
 #   (fd_gradient) and VectorField3.jacobian_at (fd_jacobian) at FD_STEP with
 #   one Richardson level, exact to round-off on cubics; VectorField3.curl_at
-#   (fd_curl) plain central at FD_STEP;
+#   (fd_curl) plain central at FD_STEP; each runs only at a leaf, since a
+#   field built by the algebra carries its derivative by the product rule;
 # - the test oracles of the reduction, 1e-4 with one Richardson level.  The
 #   Cartesian curl that the residual (spherical._ring_curl, differences
 #   along theta and phi) is held against reads 8.8e-12 at ball L = 32, where
@@ -112,17 +113,22 @@ def _steps(x: Array, step: float | None = None) -> Array:
 
 
 def _stencil(x: Array, h: Array) -> Array:
-    """x + h e_j, then x - h e_j, on a new axis before the last: (..., 2n, n)."""
-    E = h[..., None] * np.eye(x.shape[-1])
-    return x[..., None, :] + np.concatenate([E, -E], axis=-2)
+    """x + h e_j at [0, j] and x - h e_j at [1, j], each of the shape of x:
+    shape (2, n) + x.shape."""
+    n = x.shape[-1]
+    S = np.empty((2, n) + x.shape)
+    S[...] = x
+    for j in range(n):
+        S[0, j, ..., j] += h[..., 0]
+        S[1, j, ..., j] -= h[..., 0]
+    return S
 
 
 def _central(fn, x: Array, h: Array) -> Array:
     """Central differences of fn on a new last axis.  fn sees one direction's
     points at a time, of the shape of x: a field may read ``g[0]``."""
-    X, n = _stencil(x, h), x.shape[-1]
-    D = np.stack([np.asarray(fn(X[..., j, :]), float) - np.asarray(fn(X[..., n + j, :]), float)
-                  for j in range(n)], axis=-1)
+    D = np.stack([np.asarray(fn(plus), float) - np.asarray(fn(minus), float)
+                  for plus, minus in zip(*_stencil(x, h))], axis=-1)
     # scalar fields give (..., n), vector fields (..., m, n)
     return D / (2.0 * h.reshape(h.shape + (1,) * (D.ndim - x.ndim)))
 
@@ -188,11 +194,10 @@ def _jacobi_block(P, x: Array) -> Array:
     """The jacobiator of states of shape (b, n), shape (b,)."""
     b, n = x.shape
     h = _steps(x)
-    X = np.concatenate([x[:, None], _stencil(x, h)], axis=1)
-    PX = np.broadcast_to(np.asarray(P(X), float), (b, 2 * n + 1, n, n))
-    P0 = PX[:, 0]
-    dP = (PX[:, 1:n + 1] - PX[:, n + 1:]) / (2.0 * h[..., None, None])  # [b, l, i, j] = d_l P[i, j]
-    T = np.einsum("bli,bljk->bijk", P0, dP)
+    X = np.concatenate([x[None], _stencil(x, h).reshape(2 * n, b, n)])
+    PX = np.broadcast_to(np.asarray(P(X), float), (2 * n + 1, b, n, n))
+    dP = (PX[1:n + 1] - PX[n + 1:]) / (2.0 * h[..., None])  # [l, b, i, j] = d_l P[i, j]
+    T = np.einsum("bli,lbjk->bijk", PX[0], dP)
     J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
     return np.max(np.abs(J), axis=(1, 2, 3))
 
@@ -274,10 +279,10 @@ class ScalarField:
     ``grad`` maps them to gradients of shape (..., n); both read the
     components of a point as ``x[..., i]``, and a result that does not depend
     on the point may be a constant.  Calling the field on one point of shape
-    (n,) gives a float.  Where no gradient is supplied,
-    differentiation falls back to ``fd_gradient``.  The dimension of the
-    point is not fixed; the same type serves fields of gamma on R^3 and
-    fields of q on R^2.
+    (n,) gives a float.  A field made without a gradient falls back to
+    ``fd_gradient`` of itself; products and reciprocals carry theirs by the
+    product and quotient rules.  The point's dimension is not fixed; the same
+    type serves fields of gamma on R^3 and fields of q on R^2.
     """
 
     fn: Callable[[Array], Array]
@@ -299,21 +304,15 @@ class ScalarField:
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
-            g = None
-            if self.grad is not None and other.grad is not None:
-                g = lambda x: lift(self(x)) * other.gradient(x) + lift(other(x)) * self.gradient(x)
-            return ScalarField(lambda x: self(x) * other(x), grad=g)
+            return ScalarField(lambda x: self(x) * other(x),
+                               grad=lambda x: lift(self(x)) * other.gradient(x) + lift(other(x)) * self.gradient(x))
         c = float(other)
-        g = None if self.grad is None else (lambda x: c * self.gradient(x))
-        return ScalarField(lambda x: c * self(x), grad=g)
+        return ScalarField(lambda x: c * self(x), grad=lambda x: c * self.gradient(x))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "ScalarField":
-        g = None
-        if self.grad is not None:
-            g = lambda x: -self.gradient(x) / lift(self(x) ** 2)
-        return ScalarField(lambda x: 1.0 / self(x), grad=g)
+        return ScalarField(lambda x: 1.0 / self(x), grad=lambda x: -self.gradient(x) / lift(self(x) ** 2))
 
 
 @dataclass(frozen=True)
@@ -324,11 +323,10 @@ class VectorField3:
     ``fn`` and ``curl`` map points of shape (..., 3) to vectors of shape
     (..., 3), or to one constant 3-vector; one point of shape (3,) gives one
     3-vector.  ``jacobian`` maps them to matrices J[..., i, j] = d fn_i /
-    d x_j of shape (..., 3, 3), or to one constant matrix.  Where no curl is
-    supplied, ``curl_at`` falls back to ``fd_curl`` (plain central at
-    FD_STEP); where no Jacobian is, ``jacobian_at`` falls back to
-    ``fd_jacobian`` at FD_STEP with one Richardson level, the rule of
-    ``ScalarField.gradient``.
+    d x_j of shape (..., 3, 3), or to one constant matrix.  A field made
+    without a curl (a Jacobian) falls back to ``fd_curl`` of itself, plain
+    central at FD_STEP (``fd_jacobian`` at FD_STEP with one Richardson level,
+    as ``ScalarField.gradient``); sums and scalings carry both by the product rule.
     """
 
     fn: Callable[[Array], Array]
@@ -356,16 +354,15 @@ class VectorField3:
         return VectorField3(lambda x: 0.0, curl=lambda x: 0.0, jacobian=lambda x: 0.0)
 
     def __add__(self, other: "VectorField3") -> "VectorField3":
-        c = None
-        if self.curl is not None and other.curl is not None:
-            c = lambda x: self.curl_at(x) + other.curl_at(x)
-        return VectorField3(lambda x: self(x) + other(x), curl=c)
+        return VectorField3(lambda x: self(x) + other(x), curl=lambda x: self.curl_at(x) + other.curl_at(x),
+                            jacobian=lambda x: self.jacobian_at(x) + other.jacobian_at(x))
 
     def scaled(self, s) -> "VectorField3":
-        """Pointwise product s(gamma) * h(gamma); curl by the product rule."""
+        """Pointwise product s(gamma) * h(gamma); curl s curl h + grad s x h
+        and Jacobian s J_h + h (x) grad s by the product rule."""
         if not isinstance(s, ScalarField):
             s = ScalarField.constant(float(s))
-        c = None
-        if self.curl is not None and s.grad is not None:
-            c = lambda x: lift(s(x)) * self.curl_at(x) + np.cross(s.gradient(x), self(x))
-        return VectorField3(lambda x: lift(s(x)) * self(x), curl=c)
+        return VectorField3(lambda x: lift(s(x)) * self(x),
+                            curl=lambda x: lift(s(x)) * self.curl_at(x) + np.cross(s.gradient(x), self(x)),
+                            jacobian=lambda x: (lift(s(x), 2) * self.jacobian_at(x)
+                                                + self(x)[..., :, None] * s.gradient(x)[..., None, :]))

@@ -118,9 +118,9 @@ def gauge_state_jacobian(t: GaugeTransform, x) -> Array:
     With a = alpha(gamma), m_par = (M, gamma) gamma and its gamma-derivative
     dm_par = gamma M^T + (M, gamma) I, the gamma-block of the fiber map is
     m_perp (x) grad a + (c - a) dm_par - hat(h) dm_par + hat(m_par) dh, with
-    grad a from ``alpha.gradient`` and dh from ``h.jacobian_at``: analytic
-    where the fields carry derivatives, at the field-fallback rule
-    otherwise."""
+    grad a from ``alpha.gradient`` and dh from ``h.jacobian_at``, which a
+    composed transform carries by the product rule: only a leaf made without
+    a derivative is differenced, at the field-fallback rule."""
     M, gamma = unpack(x)
     a = lift(t.alpha(gamma), 2)
     h = t.h(gamma)
@@ -154,22 +154,20 @@ def pushforward_bivector(t: GaugeTransform, P_field, x) -> Array:
 def pushforward_params(t: GaugeTransform, p: GFParams) -> GFParams:
     """Image parameters (g~, f~) of the action on the bracket family.
 
-    g~ keeps an analytic gradient when both factors have one; f~ is a plain
-    evaluation map (nothing downstream differentiates it analytically).
+    g~ = alpha g carries its gradient by the product rule; f~ is a plain
+    evaluation map, whose g~^2 curl(h/g~) is g~ curl h - grad g~ x h with
+    grad g~ = alpha grad g + g grad alpha, from one gradient of each factor.
     """
-    g_new = t.alpha * p.g
-
     def f_new(gamma):
-        a = t.alpha(gamma)
-        c = t.c
-        gt = g_new(gamma)
-        radial = gt - np.vecdot(gamma, g_new.gradient(gamma))
+        a, g, c = t.alpha(gamma), p.g(gamma), t.c
         grad_a = t.alpha.gradient(gamma)
-        curl_term = t.h.scaled(g_new.reciprocal()).curl_at(gamma)
+        gt = a * g
+        grad_gt = lift(a) * p.g.gradient(gamma) + lift(g) * grad_a
+        radial = gt - np.vecdot(gamma, grad_gt)
         return (a * a / c) * p.f(gamma) + (a / c - 1.0) * radial \
-            + np.vecdot(gamma, lift(gt) * grad_a + lift(gt * gt) * curl_term) / c
+            + np.vecdot(gamma, lift(gt) * (grad_a + t.h.curl_at(gamma)) - np.cross(grad_gt, t.h(gamma))) / c
 
-    return GFParams(g=g_new, f=ScalarField(f_new))
+    return GFParams(g=t.alpha * p.g, f=ScalarField(f_new))
 
 
 def gf_bivector(p: GFParams):

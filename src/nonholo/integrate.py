@@ -208,15 +208,17 @@ def _solve(fn: Callable[[Array], Array], z0: Array, cfg: IntegratorConfig, t_end
     """The one adaptive solve: step dz/dt = fn(z) from t = 0 until ``t_end``,
     or until the last component of z reaches ``until``, keeping every step's
     dense output.  Raises ``StiffnessError`` when the step size underflows
-    and ``DomainError`` when the flow is not finite at z0."""
+    and ``DomainError`` when the flow, or its scaled norm, is not finite at z0."""
     rtol, atol, max_step = max(cfg.rtol, 100 * _EPS), cfg.atol, cfg.max_step
     t, y = 0.0, z0
     f = np.asarray(fn(y), float)
-    if not np.all(np.isfinite(f)):
-        raise DomainError("the flow is not finite at the initial state")
-    # the initial step (Hairer, Norsett and Wanner I, II.4)
+    # the initial step (Hairer, Norsett and Wanner I, II.4); a finite d1
+    # rules out a NaN or infinite flow and one whose scaled norm overflows
     scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    with np.errstate(over="ignore"):
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+    if not math.isfinite(d1):
+        raise DomainError("the flow is not finite at the initial state")
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
     d2 = _rms((np.asarray(fn(y + h0 * f), float) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)

@@ -358,13 +358,16 @@ def duality_map(p: VeselovaParams, D: float) -> BallParams:
         raise DomainError("the duality is stated for the gyrostat-free model only")
     if not D > 0.0:
         raise DomainError(f"D must be positive, got {D}")
-    A = (1.0 - p.Ahat) / D
+    with np.errstate(over="ignore"):
+        A = (1.0 - p.Ahat) / D
     if np.any(A <= 0.0):
         i = int(np.argmax(p.Ahat))
         raise DomainError(
             f"Ahat[{i}] = {p.Ahat[i]} >= 1 makes the dual inertia direction "
             f"degenerate along the {_AXES[i]}-axis"
         )
+    if not np.all(np.isfinite(A)):
+        raise DomainError(f"D = {D} is too small: the dual inertia (1 - Ahat) / D overflows")
     U = None if p.U is None else (1.0 / D) * p.U
     return BallParams(A=A, D=D, U=U)
 

@@ -382,8 +382,8 @@ def _rotated_gradient(components: SphereSpectralField, lap: SphereSpectralField)
     field = SphereSpectralField(components.L, np.dstack([components.c_cos, lap.c_cos]),
                                 np.dstack([components.c_sin, lap.c_sin]))
     # the field's values at the latest unit points: a curl by the product
-    # rule (VectorField3.scaled, as gauge.pushforward_params takes it) reads
-    # h and its curl at the same points, and both need them
+    # rule (VectorField3.scaled, or gauge.pushforward_params's g~ curl h -
+    # grad g~ x h) reads h and its curl at the same points, and both need them
     last = {}
 
     def values(x):

@@ -230,6 +230,14 @@ class TestNonFiniteInputs:
         assert run(argv) == 3
         assert capsys.readouterr().err == f"domain error: {message}\n"
 
+    # a finite flow whose scaled norm overflows: the initial step came out
+    # zero and the stepper divided by it, a ZeroDivisionError traceback
+    @pytest.mark.parametrize("argv", [["--U", "linear", "--U-vec", "1e150,0,0"], ["--gyrostat", "1e160,0,0"]])
+    def test_overflowing_flow_is_refused(self, workdir, capsys, deadline, argv):
+        assert run(["simulate", "--model", "ball", "--demo", *argv, "--horizon", "1"]) == 3
+        assert capsys.readouterr().err == "domain error: the flow is not finite at the initial state\n"
+        assert not (workdir / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--model", "ball", "--demo", "--horizon", "inf"], "--horizon must be finite, got inf"),
         (["simulate", "--model", "ball", "--demo", "--D", "nan"], "--D must be finite, got nan"),
@@ -253,6 +261,10 @@ class TestNonFiniteInputs:
         (["check", "duality", "--D", "inf"], "--D must be finite, got inf"),
         # argparse read a separate "-inf" as an unknown flag
         (["check", "duality", "--D", "-inf"], "--D must be finite, got -inf"),
+        # a finite D whose dual inertia overflows: a numpy RuntimeWarning, then
+        # a message blaming A[0] (x-axis), which check duality does not read
+        (["check", "duality", "--D", "1e-320"],
+         "D = 1e-320 is too small: the dual inertia (1 - Ahat) / D overflows"),
     ])
     def test_flag_is_named(self, workdir, capsys, deadline, argv, message):
         assert run(argv) == 3
@@ -866,8 +878,21 @@ class TestPlanarDemo:
         monkeypatch.setattr(planar_mod, "to_conformal",
                             lambda *a: (*original(*a)[:2], original(*a)[2] + 2e-8))
         assert run(["planar-demo", "--horizon", "1", "--samples", "11"]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("conformal gate: residual 2.000e-08 > 1e-08") and err.count("\n") == 1
+        # the gate names its worst probe, (q1, q2, P1, P2) drawn at the default seed 0
+        probes = np.random.default_rng(0).standard_normal((100, 4))
+        residuals = original(demo_system(), probes)[2] + 2e-8
+        i = int(np.argmax(residuals))
+        state = ", ".join(f"{v:.17g}" for v in probes[i])
+        assert capsys.readouterr().err == (f"conformal gate: worst value {residuals[i]:.6e} > 1e-08 "
+                                           f"at state {i}: ({state})\n")
+
+    def test_drift_gate_line_wins_over_the_conformal_gate(self, workdir, capsys, monkeypatch):
+        original = planar_mod.to_conformal
+        monkeypatch.setattr(planar_mod, "to_conformal",
+                            lambda *a: (*original(*a)[:2], original(*a)[2] + 2e-8))
+        assert run(["planar-demo", "--rtol", "1e-3", "--atol", "1e-5"]) == 4
+        assert capsys.readouterr().err == ("drift gate: E drifted 1.367e-01 > 1e-08 at t = 95; "
+                                           "try a smaller --rtol\n")
 
     @pytest.mark.parametrize("flags", [["--rtol", "0"], ["--atol", "-1"], ["--horizon", "0"],
                                        ["--samples", "1"], ["--rtol", "nan"], ["--atol", "nan"],

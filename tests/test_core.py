@@ -18,6 +18,8 @@ from nonholo import (
     vector,
 )
 
+import nonholo.core as core
+
 from conftest import rand_state
 
 finite3 = st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=3)
@@ -167,6 +169,68 @@ class TestFields:
         c = ScalarField.constant(3.5)
         assert c(np.ones(3)) == 3.5
         np.testing.assert_array_equal(c.gradient(np.ones(3)), np.zeros(3))
+
+
+def _recording(monkeypatch, name):
+    """Replace core.<name> by a wrapper that records the field it is handed."""
+    received, fd = [], getattr(core, name)
+    monkeypatch.setattr(core, name, lambda fn, *a, **k: received.append(fn) or fd(fn, *a, **k))
+    return received
+
+
+def _k_jacobian(g):
+    J = np.zeros(g.shape + (3,))
+    J[..., 0, 2], J[..., 1, 0], J[..., 2, 1], J[..., 2, 2] = 2 * g[..., 2], 1.0, -g[..., 2], -g[..., 1]
+    return J
+
+
+class TestDerivativeRule:
+    """A field built by the algebra always carries its derivative, by the
+    product and quotient rules over its factors'; the finite-difference
+    fallbacks only ever see a leaf made without one."""
+
+    a = ScalarField(lambda g: 1.0 + g[..., 0] ** 2, grad=lambda g: vector(2 * g[..., 0], 0, 0))
+    b = ScalarField(lambda g: np.sin(g[..., 1]) + 2.0 * g[..., 2])
+    h = VectorField3(lambda g: vector(g[..., 1], -g[..., 2] ** 2, g[..., 0] * g[..., 1]))
+    k = VectorField3(lambda g: vector(g[..., 2] ** 2, g[..., 0], -g[..., 1] * g[..., 2]),
+                     curl=lambda g: vector(-g[..., 2], 2 * g[..., 2], 1.0),
+                     jacobian=_k_jacobian)
+
+    @pytest.mark.parametrize("build", [lambda a, b: a * b, lambda a, b: b * a, lambda a, b: 2.5 * b,
+                                       lambda a, b: b.reciprocal()],
+                             ids=["product", "product-reversed", "number", "reciprocal"])
+    def test_gradient_differences_only_the_leaf(self, monkeypatch, rng, build):
+        field = build(self.a, self.b)
+        received = _recording(monkeypatch, "fd_gradient")
+        x = rng.standard_normal((5, 3))
+        grad = field.gradient(x)
+        assert received == [self.b]
+        np.testing.assert_allclose(grad, fd_jacobian(field, x, step=1e-4, richardson=True), atol=1e-9)
+
+    @pytest.mark.parametrize("scale", ["a", "b"])
+    def test_curl_of_scaled_differences_only_the_leaf(self, monkeypatch, rng, scale):
+        s = getattr(self, scale)
+        received = _recording(monkeypatch, "fd_curl")
+        gradients = _recording(monkeypatch, "fd_gradient")
+        x = rng.standard_normal((5, 3))
+        curl = self.h.scaled(s).curl_at(x)
+        assert received == [self.h] and gradients == ([] if scale == "a" else [self.b])
+        np.testing.assert_allclose(curl, fd_curl(self.h.scaled(s), x, step=1e-4, richardson=True), atol=1e-9)
+
+    @pytest.mark.parametrize("build", [lambda h, k, s: h.scaled(s), lambda h, k, s: k.scaled(s),
+                                       lambda h, k, s: h.scaled(0.3), lambda h, k, s: h + k,
+                                       lambda h, k, s: k.scaled(s) + h.scaled(-1.5)],
+                             ids=["scaled-leaf", "scaled-analytic", "scaled-number", "sum", "compose-like"])
+    def test_jacobian_of_sums_and_scalings_is_carried(self, monkeypatch, rng, build):
+        field = build(self.h, self.k, self.a * self.b)
+        assert field.curl is not None and field.jacobian is not None
+        received = _recording(monkeypatch, "fd_jacobian")
+        x = rng.standard_normal((5, 3))
+        J = field.jacobian_at(x)
+        # only the leaf h, which has no Jacobian, and the scale's leaf b
+        assert all(fn is self.h or fn is self.b for fn in received)
+        np.testing.assert_allclose(J, fd_jacobian(field, x, step=1e-4, richardson=True), atol=1e-9)
+        np.testing.assert_allclose(field.jacobian_at(x[0]), J[0], atol=1e-15)
 
 
 def test_every_assembled_bivector_is_exactly_skew(rng):

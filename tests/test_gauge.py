@@ -32,6 +32,7 @@ from nonholo import (
     zero_level_reduce,
     vector,
 )
+import nonholo.checks as checks
 import nonholo.spherical as spherical
 from nonholo.core import FD_STEP, fd_jacobian
 from nonholo.gauge import BRACKET_TOL, _fiber_map, gauge_state_jacobian
@@ -194,6 +195,14 @@ class TestParameterAction:
             assert abs(two.g(g) - one.g(g)) <= 1e-10
             assert abs(two.f(g) - one.f(g)) <= 1e-10
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_check_suite_action_is_exact_to_round_off(self, seed):
+        # its transforms' leaves carry no derivatives; differenced only as
+        # leaves, the two sides agree to round-off (2.6e-11 and 2.3e-11 while
+        # the composites were differenced as a whole)
+        body, ok = checks.gauge(random_states(np.random.default_rng(seed), 1000))
+        assert ok and body["action_property_max"] <= 1e-13
+
     def test_action_property_fd(self, rng):
         t1, t2 = (strip_derivatives(t) for t in analytic_gauges())
         p = ball_params()
@@ -273,6 +282,23 @@ class TestStateJacobian:
         # the raw fiber map, since apply_gauge_state refuses the off-sphere stencil
         fm = lambda g: _fiber_map(gauge.alpha(g), gauge.c, gauge.h(g), M, g)
         np.testing.assert_allclose(gauge_state_jacobian(gauge, x)[..., :3, 3:],
+                                   fd_jacobian(fm, gamma, step=1e-4, richardson=True), rtol=0, atol=5e-11)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_composed_gamma_block_matches_richardson_differences_of_fiber_map(self, rng, first):
+        # a reduction composed with an analytic transform, either way round:
+        # the composite's alpha and h carry their derivatives by the product
+        # rule, so the closed-form block stays at the differences' round-off
+        gauge, _ = reduce_to_e3(ball_params(), L=16)
+        t1, t2 = analytic_gauges()
+        analytic = GaugeTransform(t2.alpha, t2.c, VectorField3(
+            t2.h.fn, curl=t2.h.curl, jacobian=lambda g: np.diag([0.1, 0.05, -0.2])))
+        t = compose(analytic, gauge) if first else compose(gauge, analytic)
+        assert t.h.jacobian is not None and compose(t2, t1).h.jacobian is not None
+        x = np.array([rand_state(rng) for _ in range(200)])
+        M, gamma = unpack(x)
+        fm = lambda g: _fiber_map(t.alpha(g), t.c, t.h(g), M, g)
+        np.testing.assert_allclose(gauge_state_jacobian(t, x)[..., :3, 3:],
                                    fd_jacobian(fm, gamma, step=1e-4, richardson=True), rtol=0, atol=5e-11)
 
     @pytest.mark.parametrize("n", [None, 40])

@@ -229,6 +229,14 @@ class TestDuality:
         with pytest.raises(DomainError):
             duality_map(VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=K_DEMO), D=1.0)
 
+    def test_overflowing_dual_inertia_names_D(self):
+        # (1 - Ahat) / D overflowed with a RuntimeWarning, and the ball's own
+        # check then blamed A[0], a knob `check duality` does not have; the
+        # suite's filterwarnings = error turns a warning into a failure here
+        with pytest.raises(DomainError, match=r"^D = 1e-320 is too small: the dual inertia \(1 - Ahat\) / D "
+                                              r"overflows$"):
+            duality_map(VES, D=1e-320)
+
     def test_resulting_params_satisfy_ball_domain(self):
         bp = duality_map(VES, D=0.1)
         np.testing.assert_allclose(bp.A, (1 - np.asarray(VES.Ahat)) / 0.1)
