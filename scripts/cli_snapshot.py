@@ -59,13 +59,15 @@ INVOCATIONS = {
     "simulate-ball-huge-U": ["simulate", "--model", "ball", "--demo", "--U", "linear", "--U-vec", "1e150,0,0",
                              "--horizon", "1"],
     "check-duality-tiny-D": ["check", "duality", "--D", "1e-320"],
+    # a finite dual inertia whose square in the dual ball's Hamiltonian overflows
+    "check-duality-small-D": ["check", "duality", "--D", "1e-300"],
 }
 # the exit code of each invocation that does not exit 0: 4 at a failing
 # gate, 2 at a refused flag, 3 at a refused value
 EXITS = {"simulate-ball-loose-rtol": 4, "reduce-ball-near-boundary-L16": 4, "planar-demo-loose-rtol": 4,
          "reduce-ball-L0": 2, "simulate-ball-negative-threshold": 2, "simulate-ball-nan-rtol": 3,
          "simulate-ball-nan-threshold": 3, "reduce-g-nan-f0": 3, "simulate-ball-huge-U": 3,
-         "check-duality-tiny-D": 3}
+         "check-duality-tiny-D": 3, "check-duality-small-D": 3}
 
 WRITES_CSV = ("simulate", "planar-demo")
 

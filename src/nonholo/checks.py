@@ -121,11 +121,18 @@ def duality(states, D: float) -> tuple[dict, bool]:
     ball, ves = ball_system(duality_map(vparams, D=D)), veselova_system(vparams)
     Dinv = 1.0 / D
     M, G = unpack(states)
-    h_dev, h_ok = _gate("duality hamiltonian identity",
-                        np.abs(ball.hamiltonian(M, G) - 0.5 * Dinv * np.vecdot(M, M)
-                               + Dinv * ves.hamiltonian(M, G)), DUALITY_GATE, states)
-    g_dev, g_ok = _gate("duality g relation",
-                        np.abs(ball.s_spec.g(G) - ves.s_spec.g(G) / np.sqrt(D)), DUALITY_GATE, states)
+    # the dual ball's Hamiltonian squares its inertia (1 - Ahat) / D times M,
+    # which overflows once D is below about 1e-154 (the bound moves with the
+    # states' |M|): refused at the first overflow, before any value is
+    # reported
+    with np.errstate(over="raise"):
+        try:
+            h_vals = np.abs(ball.hamiltonian(M, G) - 0.5 * Dinv * np.vecdot(M, M) + Dinv * ves.hamiltonian(M, G))
+            g_vals = np.abs(ball.s_spec.g(G) - ves.s_spec.g(G) / np.sqrt(D))
+        except FloatingPointError:
+            raise DomainError(f"D = {D} is too small: the dual ball's Hamiltonian overflows") from None
+    h_dev, h_ok = _gate("duality hamiltonian identity", h_vals, DUALITY_GATE, states)
+    g_dev, g_ok = _gate("duality g relation", g_vals, DUALITY_GATE, states)
     ok = h_ok and g_ok
     return {"suite": "duality", "D": D, "hamiltonian_identity_max": h_dev,
             "g_relation_max": g_dev, "threshold": DUALITY_GATE, "pass": ok}, ok

@@ -17,19 +17,24 @@ axes, and gradients in those axes and the 3 of the gradient.  Analysis sums
 each ring against e^{-i m phi}, the conjugate of the e^{i m phi} form
 synthesis reads.
 
-Synthesis runs on rings: points that share a colatitude share one
-Legendre table and one contraction over l (the ring transforms of SHTns,
-Schaeffer 2013), and only the Fourier sums over m run per point.  The
-residual's stencil lies on shifted rings, each holding many points.  Points
-handed to ``value`` or ``surface_gradient`` share a ring where consecutive
-points have bitwise equal cos(theta) and sin(theta), as runs of points
-along the verification grid's rings do; the bracket probes are scattered,
-one point per ring.  Rings go in blocks of BLOCK_ENTRIES Legendre-table
-entries, (L+1)^2 per ring.  Each block builds one Pbar table, contracts it
-over l with a stack of real coefficient rows in one einsum, and finishes
-with real Fourier sums over m at each of its points.  Each point's result
-is the same in any block, one-point calls included, and the same whether
-its ring holds other points or not.
+Synthesis runs on rings (the ring transforms of SHTns, Schaeffer 2013):
+points that share a colatitude share one Legendre table and one
+contraction over l, and only the Fourier sums over m run per point.  A
+ring's contraction runs over l >= m only, the Pbar_lm that are not zero.
+The Fourier basis [cos(m phi) | sin(m phi)] is built once per longitude,
+and each point's sum over m is one dot product of its ring's row with its
+longitude's basis.  The verification grid and the residual's shifted
+stencil go to the kernel as rings, each ring at a shared set of
+longitudes; points handed to ``value`` or ``surface_gradient`` each get a
+ring of their own, as the scattered bracket probes need.  Rings go in
+blocks of BLOCK_ENTRIES Legendre-table entries, (L+1)^2 per ring, and a
+block's Fourier sums run as one contraction over all its points.  Each
+point's result is bitwise the same in any block, on a grid and in a
+one-point call.  A whole ball report builds 351 table columns at L = 32
+(688 while ``value`` grouped points into rings and f~ was synthesized
+point by point), and runs in 3.8 ms at L = 32, 11 ms at L = 64 and 0.95 s
+for the ball A = (0.4, 0.5, 0.99) at L = 256, in process on a 2-vCPU VM
+(7.0 ms, 32 ms and 8.5 s before).
 
 That kernel synthesizes values only.  A surface gradient is a value too:
 on the unit sphere grad_S f = (u x grad_S f) x u, and u x grad_S f is the
@@ -60,7 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DomainError, ScalarField, VectorField3, lift
+from .core import DomainError, ScalarField, VectorField3
 
 Array = np.ndarray
 
@@ -74,7 +79,12 @@ VERIFY_STRIDE = 4
 # the angular step of the residual's finite differences along theta and phi
 RESIDUAL_STEP = 1e-4
 # Legendre table entries per synthesis block, (L+1)^2 per ring: 2 MB of
-# float64, 240 rings at L = 32 and 62 at L = 64
+# float64, 240 rings at L = 32, 62 at L = 64, 15 at L = 128 and 3 at
+# L = 256; one ring's table alone exceeds it from L = 512.  Beside its
+# table a block holds its coefficient sums, 2 (L+1) entries per ring and
+# field component (13 components for h), and the Fourier basis of its
+# points, 2 (L+1) per point; a grid's basis, 2 (L+1) per longitude, is
+# built once for all its blocks
 BLOCK_ENTRIES = 2 ** 18
 
 
@@ -167,7 +177,7 @@ def _recursion(L: int) -> tuple[Array, list]:
 
 def _legendre_tables(L: int, x: Array, s: Array) -> Array:
     """Pbar_lm(cos theta) for all l, m <= L, shape (L+1, L+1, len(x)) indexed
-    [l, m], from x = cos(theta) and s = sin(theta) >= 0."""
+    [l, m], zero where l < m, from x = cos(theta) and s = sin(theta) >= 0."""
     x = np.asarray(x, float)
     n = x.size
     sectoral, three_term = _recursion(L)
@@ -177,18 +187,15 @@ def _legendre_tables(L: int, x: Array, s: Array) -> Array:
     i = np.arange(L + 1)
     T[i, i] = np.cumprod(np.vstack([np.full((1, n), 1.0 / np.sqrt(FOUR_PI)), s * sectoral[:, None]]), axis=0)
     T[i[1:], i[:-1]] = np.sqrt(2.0 * i[:-1] + 3.0)[:, None] * x * T[i[:-1], i[:-1]]
+    work = np.empty((max(L - 1, 0), n))
     for l, (a, b) in enumerate(three_term, start=2):
-        T[l, : l - 1] = a * (x * T[l - 1, : l - 1] - b * T[l - 2, : l - 1])
+        # Pbar_lm = a (x Pbar_(l-1)m - b Pbar_(l-2)m) over m < l-1, in place
+        row, w = T[l, : l - 1], work[: l - 1]
+        np.multiply(x, T[l - 1, : l - 1], out=row)
+        np.multiply(b, T[l - 2, : l - 1], out=w)
+        row -= w
+        row *= a
     return T
-
-
-def _frame(ct: Array, st: Array, phi: Array) -> tuple[Array, Array]:
-    """The unit vectors e_theta and e_phi, shape (n, 3), at points with
-    cos(theta) ct, sin(theta) st and longitude phi."""
-    cp, sp = np.cos(phi), np.sin(phi)
-    e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    e_phi = np.stack([-sp, cp, np.zeros_like(cp)], axis=-1)
-    return e_theta, e_phi
 
 
 # ---------------------------------------------------------------------------
@@ -217,26 +224,31 @@ class SphereSpectralField:
         m = np.arange(L + 1)
         # per ring, sum over phi of f e^{-i m phi} = F_cos - i F_sin
         F = vals @ np.exp(-1j * np.outer(grid.phi, m)) * (2.0 * np.pi / grid.nphi)
-        P = _legendre_tables(L, grid.x, np.sqrt(1.0 - grid.x**2))
-        c = np.einsum("lmn,n,nm->lm", P, grid.w, F) * np.where(m > 0, np.sqrt(2.0), 1.0)
+        # the rings' Legendre tables in blocks of BLOCK_ENTRIES entries, as
+        # synthesis builds them: whole, they took 0.9 GB at L = 384
+        c = np.zeros((L + 1, L + 1), complex)
+        block = max(1, BLOCK_ENTRIES // (L + 1) ** 2)
+        for k in range(0, grid.ntheta, block):
+            r = slice(k, k + block)
+            P = _legendre_tables(L, grid.x[r], np.sqrt(1.0 - grid.x[r] ** 2))
+            c += np.einsum("lmn,n,nm->lm", P, grid.w[r], F[r])
+        c *= np.where(m > 0, np.sqrt(2.0), 1.0)
         return cls(L, c.real, -c.imag)
 
     def value(self, points):
         """Field values at the radial projections of points of shape
-        (..., 3), shape (...); a float for one point."""
+        (..., 3), shape (...); a float for one point.  The origin and a
+        point with a NaN or infinite coordinate have no radial projection
+        and raise DomainError."""
         p = np.asarray(points, float)
+        if not np.all(np.isfinite(p)):
+            raise DomainError("spectral field evaluated at a non-finite point")
         r = np.linalg.norm(p, axis=-1, keepdims=True)
         if np.any(r == 0.0):
             raise DomainError("spectral field evaluated at the origin")
         u = (p / r).reshape(-1, 3)
         ct = np.clip(u[:, 2], -1.0, 1.0)
-        st = np.hypot(u[:, 0], u[:, 1])
-        # consecutive points whose (cos theta, sin theta) are bitwise equal
-        # share one ring
-        bits = np.stack([ct, st], axis=-1).view(np.int64)
-        first = np.ones(len(u), bool)
-        first[1:] = np.any(bits[1:] != bits[:-1], axis=-1)
-        sums = self._ring_sums(ct[first], st[first], np.arctan2(u[:, 1], u[:, 0]), np.cumsum(first) - 1)
+        sums = self._ring_sums(ct, np.hypot(u[:, 0], u[:, 1]), np.arctan2(u[:, 1], u[:, 0]))
         return sums.reshape(p.shape[:-1] + self.c_cos.shape[2:])[()]
 
     def surface_gradient(self, points) -> Array:
@@ -246,57 +258,66 @@ class SphereSpectralField:
         crossed with u."""
         if "ladder" not in self._cache:
             self._cache["ladder"] = _rotated_components(self)
-        h = self._cache["ladder"].value(points)      # rejects the origin
+        h = self._cache["ladder"].value(points)      # rejects the origin and non-finite points
         p = np.asarray(points, float)
         u = p / np.linalg.norm(p, axis=-1, keepdims=True)
         return np.cross(h, u.reshape(p.shape[:-1] + (1,) * (self.c_cos.ndim - 2) + (3,)))
 
-    def _ring_sums(self, x: Array, s: Array, phi: Array, ring: Array) -> Array:
-        """The synthesis kernel.  Ring j has cos(theta) x[j] and sin(theta)
-        s[j]; point k lies at longitude phi[k] on ring ring[k], which never
-        decreases.  It returns the values, shape (n, *comp), with comp the
-        trailing component axes of the coefficients.
+    def _ring_sums(self, x: Array, s: Array, phi: Array, grid: bool = False) -> Array:
+        """The synthesis kernel, at rings with cos(theta) x and sin(theta) s.
+        Point k lies on ring k at longitude phi[k], shape (n, *comp); with
+        ``grid``, every ring holds a point at every longitude phi,
+        shape (len(x), len(phi), *comp).  comp are the trailing component
+        axes of the coefficients.
 
-        Each ring's Legendre table and l-contraction are made once, in blocks
-        of BLOCK_ENTRIES table entries, (L+1)^2 per ring; the Fourier sums run
-        per point, in blocks of as many points as a table block has rings.
+        Rings go in blocks of BLOCK_ENTRIES Legendre-table entries, (L+1)^2
+        per ring.  Each block builds one table and contracts each order m
+        with the coefficient rows over l >= m only; each point's sum over m
+        is then one contraction of its ring's [cos | sin] row with the basis
+        [cos(m phi) | sin(m phi)] of its longitude, built once per
+        longitude.  Both run as einsums, which sum each ring over l in the
+        order of l whether a block holds one ring or many, and each point
+        over m as a dot product of two contiguous rows of one length; a
+        BLAS matmul would run gemv for one ring and gemm for a stack.  So
+        each point's value is bitwise the same in any block, on a grid and
+        in a one-point call.
         """
-        comp = self.c_cos.shape[2:]
-        C = self._coefficient_stack()
-        m = np.arange(self.L + 1)
-        sums = np.empty(phi.shape + comp)
-        block = max(1, BLOCK_ENTRIES // (self.L + 1) ** 2)
+        L, C = self.L, self._coefficient_stack()
+        rows = C.shape[1]
+
+        def basis(phi):
+            m_phi = np.multiply.outer(phi, np.arange(L + 1))
+            return np.concatenate([np.cos(m_phi), np.sin(m_phi)], axis=-1)
+
+        on_grid = basis(phi) if grid else None
+        sums = np.empty((x.size, phi.size, rows // 2) if grid else (x.size, rows // 2))
+        block = max(1, BLOCK_ENTRIES // (L + 1) ** 2)
         for k in range(0, x.size, block):
             r = slice(k, k + block)
-            # S[ring, row, *comp, m]; each ring's result is bitwise the same
-            # in any block: einsum, unlike a BLAS matmul (gemv for one ring,
-            # gemm for a stack), contracts one ring as it does many, and
-            # every m-sum runs along a contiguous last axis
-            T = _legendre_tables(self.L, x[r], s[r])
-            S = np.einsum("mkl,lmn->mkn", C, T)
+            T = _legendre_tables(L, x[r], s[r])
+            S = np.empty((L + 1, rows, T.shape[-1]))
+            for j in range(L + 1):
+                np.einsum("kl,ln->kn", C[j, :, j:], T[j:, j], out=S[j])
             del T       # freed before the copy and the Fourier sums, which keeps peak memory down
-            S = np.ascontiguousarray(S.transpose(2, 1, 0))
-            S = S.reshape(S.shape[:1] + (2,) + comp + S.shape[-1:])
-            lo, hi = np.searchsorted(ring, [k, k + block])
-            for j in range(lo, hi, block):
-                n = slice(j, min(j + block, hi))
-                E = np.exp(1j * np.outer(phi[n], m)).reshape((-1,) + (1,) * len(comp) + (m.size,))
-                Sn = S[ring[n] - k]
-                sums[n] = (Sn[:, 0] * E.real + Sn[:, 1] * E.imag).sum(-1)
-        return sums
+            # S[ring, component, t]: a component's cos row, then its sin row
+            S = np.ascontiguousarray(S.transpose(2, 1, 0)).reshape(-1, rows // 2, 2 * (L + 1))
+            if grid:
+                np.einsum("nct,pt->npc", S, on_grid, out=sums[r])
+            else:
+                np.einsum("nct,nt->nc", S, basis(phi[r]), out=sums[r])
+        return sums.reshape(sums.shape[:-1] + self.c_cos.shape[2:])
 
     def _coefficient_stack(self) -> Array:
         """The real coefficient rows that synthesis contracts with the
         Legendre table over l, shape (L+1, rows, L+1) indexed [m, row, l],
-        built once per field: the coefficients a of Pbar_lm cos(m phi), then
-        b of Pbar_lm sin(m phi), each row holding every trailing component
-        in turn."""
+        built once per field: per trailing component in turn, the
+        coefficients a of Pbar_lm cos(m phi), then b of Pbar_lm sin(m phi)."""
         if "stack" in self._cache:
             return self._cache["stack"]
         n = self.c_cos.ndim - 2                  # trailing component axes
         m = np.arange(self.L + 1).reshape((-1,) + (1,) * n)
         norm = np.where(m > 0, np.sqrt(2.0), 1.0)
-        C = np.stack([self.c_cos * norm, self.c_sin * norm]).transpose(2, 0, *range(3, 3 + n), 1)
+        C = np.stack([self.c_cos * norm, self.c_sin * norm], axis=-1).transpose(1, *range(2, 3 + n), 0)
         C = self._cache["stack"] = np.ascontiguousarray(C).reshape(self.L + 1, -1, self.L + 1)
         C.flags.writeable = False
         return C
@@ -331,6 +352,10 @@ class CurlSolution:
     residual: float
     psi: SphereSpectralField
     worst_gamma: Array      # the verification point where the residual is largest
+    # h and its closed-form curl at the verification points, shape (n, 3)
+    # each, synthesized on the verification rings (_ring_curl)
+    verify_h: Array
+    verify_curl: Array
 
 
 def _rotated_components(psi: SphereSpectralField) -> SphereSpectralField:
@@ -371,56 +396,68 @@ def _rotated_components(psi: SphereSpectralField) -> SphereSpectralField:
     return SphereSpectralField(psi.L, c_cos, c_sin)
 
 
-def _rotated_gradient(components: SphereSpectralField, lap: SphereSpectralField) -> VectorField3:
+def _curl(values: Array, x: Array) -> Array:
+    """h's closed-form curl (u Lap_S psi(u) + u x h(u)) / |x| at points x of
+    shape (..., 3), from its field's values there (_rotated_gradient): h's
+    three components, then Lap_S psi."""
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    u = x / r
+    return (u * values[..., 3:4] + np.cross(u, values[..., :3])) / r
+
+
+def _rotated_gradient(field: SphereSpectralField) -> VectorField3:
     """h(x) = (u x grad_S psi)(u), u = x/|x| (degree-zero extension), for x
-    of shape (..., 3).  Its Cartesian components (_rotated_components) and
-    lap = Lap_S psi are stacked as one field with four components: h is the
-    first three, its closed-form curl is (u Lap_S psi(u) + u x h(u)) / |x|,
-    and its closed-form Jacobian dh_i/dx_j = (grad_S h_i(u))_j / |x|, shape
-    (..., 3, 3), is the components' surface gradients: one value synthesis
-    of their nine ladder components, crossed with u."""
-    field = SphereSpectralField(components.L, np.dstack([components.c_cos, lap.c_cos]),
-                                np.dstack([components.c_sin, lap.c_sin]))
-    # the field's values at the latest unit points: a curl by the product
-    # rule (VectorField3.scaled, or gauge.pushforward_params's g~ curl h -
-    # grad g~ x h) reads h and its curl at the same points, and both need them
+    of shape (..., 3), from the field of h's Cartesian components
+    (_rotated_components) and Lap_S psi, four components in all.  h is the
+    first three, its closed-form curl is _curl, and its closed-form Jacobian
+    dh_i/dx_j = (grad_S h_i(u))_j / |x|, shape (..., 3, 3), is the
+    components' surface gradients: the values of their nine ladder
+    components, crossed with u.  All 13 are synthesized as one field, so
+    that h, its curl and its Jacobian at the same points share one
+    Legendre table per point."""
+    L = field.L
+    ladder = _rotated_components(SphereSpectralField(L, field.c_cos[..., :3], field.c_sin[..., :3]))
+    full = SphereSpectralField(L, np.concatenate([field.c_cos, ladder.c_cos.reshape(L + 1, L + 1, 9)], axis=-1),
+                               np.concatenate([field.c_sin, ladder.c_sin.reshape(L + 1, L + 1, 9)], axis=-1))
+    # the values at the latest points: a curl by the product rule
+    # (VectorField3.scaled, or gauge.pushforward_params's g~ curl h - grad g~
+    # x h) reads h and its curl at the same points, and the state Jacobian
+    # reads h and its Jacobian at the states' gamma
     last = {}
 
     def values(x):
         x = np.asarray(x, float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        u = x / r
-        if "u" not in last or not np.array_equal(last["u"], u):
-            last.update(u=u, values=field.value(u))
-        return r, u, last["values"]
-
-    def fn(x):
-        return values(x)[2][..., :3]
-
-    def curl(x):
-        r, u, v = values(x)
-        return (u * v[..., 3:] + np.cross(u, v[..., :3])) / r
+        if "x" not in last or not np.array_equal(last["x"], x):
+            # a copy, which a caller moving its points in place cannot change
+            last.update(x=x.copy(), values=full.value(x))      # rejects the origin and non-finite points
+        return last["values"]
 
     def jacobian(x):
+        v = values(x)
         x = np.asarray(x, float)
-        return components.surface_gradient(x) / lift(np.linalg.norm(x, axis=-1), 2)
+        r = np.linalg.norm(x, axis=-1, keepdims=True)[..., None]
+        return np.cross(v[..., 4:].reshape(v.shape[:-1] + (3, 3)), x[..., None, :] / r) / r
 
-    return VectorField3(fn, curl=curl, jacobian=jacobian)
+    return VectorField3(lambda x: values(x)[..., :3], curl=lambda x: _curl(values(x), np.asarray(x, float)),
+                        jacobian=jacobian)
 
 
-def _ring_curl(components: SphereSpectralField, L: int) -> Array:
-    """(gamma, curl h) for h with the Cartesian components ``components``
+def _ring_curl(field: SphereSpectralField, L: int) -> tuple[Array, Array]:
+    """(gamma, curl h) for h with the Cartesian components ``field[..., :3]``
     (_rotated_components) at the verification points, shape (n,) in
-    verify_points order, by finite differences on shifted rings.
+    verify_points order, by finite differences on shifted rings; and
+    ``field``'s values at the verification points, shape (n, *comp).
 
     On the sphere (gamma, curl h) = (d_theta(sin theta h_phi) - d_phi h_theta)
     / sin theta.  The theta differences read the rings theta +- RESIDUAL_STEP
     and theta +- RESIDUAL_STEP/2 at the verification longitudes, the phi
     differences the longitudes phi +- RESIDUAL_STEP and phi +- RESIDUAL_STEP/2
-    on the verification ring; each takes one Richardson level.  h_theta and
+    on the verification rings; each takes one Richardson level.  h_theta and
     h_phi are projections of the component values that h returns and whose
     surface gradients are its Jacobian, so wrong components fail the check.
-    Verification rings are Gauss-Legendre nodes, never a pole.
+    The verification rings, which are Gauss-Legendre nodes and never a pole,
+    hold the verification longitudes too: the field's values there cost no
+    Legendre table of their own.
     """
     grid = make_grid(L)
     x = grid.x[::VERIFY_STRIDE]
@@ -428,28 +465,25 @@ def _ring_curl(components: SphereSpectralField, L: int) -> Array:
     phi = grid.phi[::VERIFY_STRIDE]
     nv, nphi = x.size, phi.size
     d = RESIDUAL_STEP * np.array([1.0, -1.0, 0.5, -0.5])
+    # (nv, offset, longitude) each: sin(theta) h_phi on the 4 nv shifted
+    # rings, h_theta at the 4 nphi shifted longitudes
     shifted = (np.arccos(x)[:, None] + d).ravel()
-    # rings: the 4 nv shifted rings, each at the verification longitudes,
-    # then the nv verification rings, each at the 4 nphi shifted longitudes
-    ring_x = np.concatenate([np.cos(shifted), x])
-    ring_s = np.concatenate([np.sin(shifted), s])
-    lon = np.concatenate([np.tile(phi, 4 * nv), np.tile((phi + d[:, None]).ravel(), nv)])
-    ring = np.repeat(np.arange(5 * nv), [nphi] * (4 * nv) + [4 * nphi] * nv)
-    h = components._ring_sums(ring_x, ring_s, lon, ring)
-    st = ring_s[ring]
-    e_theta, e_phi = _frame(ring_x[ring], st, lon)
-    # (nv, offset, longitude) each: sin(theta) h_phi on the shifted rings,
-    # h_theta at the shifted longitudes
-    split = 4 * nv * nphi
-    along_theta = (st * np.vecdot(h, e_phi))[:split].reshape(nv, 4, nphi)
-    along_phi = np.vecdot(h, e_theta)[split:].reshape(nv, 4, nphi)
+    h = field._ring_sums(np.cos(shifted), np.sin(shifted), phi, grid=True)[..., :3]
+    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros(nphi)], axis=-1)
+    along_theta = (np.sin(shifted)[:, None] * np.vecdot(h, e_phi)).reshape(nv, 4, nphi)
+    lon = np.concatenate([(phi + d[:, None]).ravel(), phi])
+    on_rings = field._ring_sums(x, s, lon, grid=True)
+    cp, sp = np.cos(lon[: 4 * nphi]), np.sin(lon[: 4 * nphi])
+    e_theta = np.stack(np.broadcast_arrays(x[:, None] * cp, x[:, None] * sp, -s[:, None]), axis=-1)
+    along_phi = np.vecdot(on_rings[:, : 4 * nphi, :3], e_theta).reshape(nv, 4, nphi)
 
     def richardson(v):
         wide = (v[:, 0] - v[:, 1]) / (2.0 * RESIDUAL_STEP)
         narrow = (v[:, 2] - v[:, 3]) / RESIDUAL_STEP
         return (4.0 * narrow - wide) / 3.0
 
-    return ((richardson(along_theta) - richardson(along_phi)) / s[:, None]).ravel()
+    curl = ((richardson(along_theta) - richardson(along_phi)) / s[:, None]).ravel()
+    return curl, on_rings[:, 4 * nphi:].reshape((nv * nphi,) + on_rings.shape[2:])
 
 
 def solve_curl_equation(F, L: int = 32) -> CurlSolution:
@@ -474,10 +508,13 @@ def solve_curl_equation(F, L: int = 32) -> CurlSolution:
         # F + c is zero to round-off; the exact solution is h = 0, whose curl
         # is exactly zero, and the analysis noise would only be amplified by
         # the verification curl
-        h, lhs = VectorField3.zero(), 0.0
+        h, lhs, values = VectorField3.zero(), 0.0, np.zeros((len(pts), 4))
     else:
         components = _rotated_components(psi)
-        h, lhs = _rotated_gradient(components, lap), _ring_curl(components, L)
+        field = SphereSpectralField(L, np.dstack([components.c_cos, lap.c_cos]),
+                                    np.dstack([components.c_sin, lap.c_sin]))
+        (lhs, values), h = _ring_curl(field, L), _rotated_gradient(field)
     deviation = np.abs(lhs - F(pts) - c)
     worst = int(np.argmax(deviation))
-    return CurlSolution(c=c, h=h, residual=float(deviation[worst]), psi=psi, worst_gamma=pts[worst])
+    return CurlSolution(c=c, h=h, residual=float(deviation[worst]), psi=psi, worst_gamma=pts[worst],
+                        verify_h=values[:, :3], verify_curl=_curl(values, pts))

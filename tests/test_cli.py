@@ -265,6 +265,10 @@ class TestNonFiniteInputs:
         # a message blaming A[0] (x-axis), which check duality does not read
         (["check", "duality", "--D", "1e-320"],
          "D = 1e-320 is too small: the dual inertia (1 - Ahat) / D overflows"),
+        # a finite dual inertia whose square overflowed in the dual ball's
+        # Hamiltonian: a numpy RuntimeWarning, then an infinite report that
+        # failed its gate naming no knob
+        (["check", "duality", "--D", "1e-300"], "D = 1e-300 is too small: the dual ball's Hamiltonian overflows"),
     ])
     def test_flag_is_named(self, workdir, capsys, deadline, argv, message):
         assert run(argv) == 3

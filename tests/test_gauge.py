@@ -37,7 +37,6 @@ import nonholo.spherical as spherical
 from nonholo.core import FD_STEP, fd_jacobian
 from nonholo.gauge import BRACKET_TOL, _fiber_map, gauge_state_jacobian
 from nonholo.models import DEMO_GYROSTAT, DEMO_VESELOVA
-from nonholo.spherical import verify_points
 
 from conftest import rand_state, rand_unit
 
@@ -395,37 +394,40 @@ class TestZeroLevel:
 
 class TestReduction:
     def test_bracket_probes_share_the_image_gradient(self, monkeypatch):
-        # one synthesis of h's field at the verification points for f~, one
-        # at the probe states, shared by the image M~ and the Jacobian's
-        # h(gamma), and one of the gradients of h's three components, which
-        # is a value synthesis of their nine ladder components (the residual
-        # synthesizes on rings); no other value or gradient
+        # one synthesis of h's field at the probe states, shared by the
+        # image M~ and the Jacobian's h(gamma) and dh: its 13 components are
+        # h, Lap_S psi and the nine ladder components of h's gradients.  f~
+        # reads h off the residual's verification rings; no other value or
+        # gradient
         calls = []
         for name in ("value", "surface_gradient"):
             original = getattr(SphereSpectralField, name)
             monkeypatch.setattr(SphereSpectralField, name, lambda self, x, name=name, original=original:
                                 calls.append((name, self.c_cos.shape[2:], np.size(x) // 3)) or original(self, x))
         reduction_report(ball_params(), L=16, n_states=20)
-        assert calls == [("value", (4,), len(verify_points(16))), ("value", (4,), 20),
-                         ("surface_gradient", (3,), 20), ("value", (3, 3), 20)]
+        assert calls == [("value", (13,), 20)]
 
     @pytest.mark.parametrize("params, L, budget", [
-        (ball_params, 32, 688), (veselova_gyrostat_params, 16, 516),
+        (ball_params, 32, 2 * 33 + 5 * 17 + 200), (veselova_gyrostat_params, 16, 2 * 17 + 5 * 9 + 200),
     ])
     def test_table_column_budget(self, monkeypatch, params, L, budget):
-        # Legendre-table columns of a whole report: 825 and 551 while h's
-        # values and curl read grad_S psi and a separate Lap_S psi synthesis
+        # Legendre-table columns of a whole report: the analysis grid's
+        # rings, the verification rings with their shifted rings, and one per
+        # probe state.  688 and 516 while f~ synthesized h point by point on
+        # the verification grid and the probes' Jacobian built tables of its
+        # own; 825 and 551 while h's values and curl read grad_S psi and a
+        # separate Lap_S psi synthesis
         columns = []
         tables = spherical._legendre_tables
         monkeypatch.setattr(spherical, "_legendre_tables",
                             lambda L, x, s: columns.append(x.size) or tables(L, x, s))
         reduction_report(params(), L=L)
-        assert sum(columns) <= budget
+        assert sum(columns) == budget
 
     def test_bracket_probes_build_two_table_columns_per_state(self, monkeypatch):
-        # one Legendre table column for h's values and one for its three
-        # component gradients; the 6-point central stencil of the gamma-block
-        # made 7
+        # at most two: one Legendre table column for h's values and its
+        # Jacobian together, where the Jacobian's own synthesis made a
+        # second; the 6-point central stencil of the gamma-block made 7
         columns = []
         tables = spherical._legendre_tables
         monkeypatch.setattr(spherical, "_legendre_tables",
@@ -435,7 +437,7 @@ class TestReduction:
             columns.clear()
             reduction_report(ball_params(), L=32, n_states=n)
             counts.append(sum(columns))
-        assert counts[1] - counts[0] <= 2 * 100
+        assert counts[1] - counts[0] == 100 <= 2 * 100
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_ball_bracket_is_exact_to_round_off_at_L32(self, seed):

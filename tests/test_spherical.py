@@ -27,6 +27,7 @@ from nonholo import (
 import nonholo.core as core
 import nonholo.spherical as spherical
 from nonholo.models import DEMO_BALL, DEMO_GYROSTAT, DEMO_VESELOVA
+from nonholo.gauge import verification_params
 from nonholo.spherical import RESIDUAL_TOL, verify_points
 
 FOUR_PI = 4 * np.pi
@@ -103,6 +104,23 @@ class TestSpectralField:
         assert f.c_cos[1, 0] == pytest.approx(np.sqrt(FOUR_PI / 3), abs=1e-12)
         others = np.abs(f.c_cos).sum() + np.abs(f.c_sin).sum() - abs(f.c_cos[1, 0])
         assert others <= 1e-12
+
+    def test_analysis_builds_its_tables_in_blocks(self, monkeypatch):
+        # the analysis grid's 130 rings at L = 64 go in blocks of
+        # BLOCK_ENTRIES table entries, 62 rings each (one table of all 130
+        # took 0.9 GB at L = 384); one ring per block and one block for all
+        # agree with them to round-off
+        L = 64
+        F = ScalarField(lambda g: np.exp(g[..., 0]) * g[..., 2] + g[..., 1] ** 3)
+        columns = count_table_columns(monkeypatch)
+        default = SphereSpectralField.analyze(F, L)
+        assert columns == [62, 62, 6]
+        for entries in ((L + 1) ** 2, 130 * (L + 1) ** 2):
+            monkeypatch.setattr(spherical, "BLOCK_ENTRIES", entries)
+            other = SphereSpectralField.analyze(F, L)
+            np.testing.assert_allclose(other.c_cos, default.c_cos, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(other.c_sin, default.c_sin, rtol=0.0, atol=1e-15)
+        assert columns[3:] == [1] * 130 + [130]
 
     def test_mean(self, rng):
         f = random_band_limited(rng, 6)
@@ -248,6 +266,19 @@ class TestPoles:
         with pytest.raises(DomainError, match="origin"):
             f.value(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # a NaN point gave NaN silently and an infinite one numpy's "invalid
+        # value encountered in divide" warning, which filterwarnings = error
+        # turns into a failure here
+        f = SphereSpectralField.analyze(ScalarField(lambda g: g[..., 0]), 4)
+        h = solve_curl_equation(ScalarField(lambda g: g[..., 2] + g[..., 0] * g[..., 1]), L=4).h
+        points = np.array([[0.0, 0.6, 0.8], [bad, 0.0, 1.0]])
+        for evaluate in (f.value, f.surface_gradient, h, h.curl_at, h.jacobian_at):
+            for x in (points, points[1]):
+                with pytest.raises(DomainError, match="^spectral field evaluated at a non-finite point$"):
+                    evaluate(x)
+
 
 class TestClosedFormCurl:
     """h carries curl h = (u Lap_S psi - grad_S psi) / |x|; a Richardson
@@ -278,8 +309,9 @@ class TestClosedFormCurl:
 
     def test_pushed_f_synthesizes_h_once(self, monkeypatch):
         # f~ reads curl(h / g~) = curl h / g~ + grad(1/g~) x h, and h and
-        # curl h share one synthesis of h's field at the verification points;
-        # no surface gradient is taken
+        # curl h share one synthesis of h's field at the points, whose
+        # thirteen components hold its Jacobian too; no surface gradient is
+        # taken
         spec = ball_system(BallParams(**DEMO_BALL)).s_spec
         p = GFParams(g=spec.g, f=spec.f)
         gauge, _ = reduce_to_e3(p, L=16)
@@ -289,7 +321,7 @@ class TestClosedFormCurl:
             monkeypatch.setattr(SphereSpectralField, name, lambda self, x, name=name, original=original:
                                 calls.append((name, self.c_cos.shape[2:], np.size(x) // 3)) or original(self, x))
         pushforward_params(gauge, p).f(verify_points(16))
-        assert calls == [("value", (4,), len(verify_points(16)))]
+        assert calls == [("value", (13,), len(verify_points(16)))]
 
     def test_shared_gradient_follows_the_points(self, rng):
         sol = solve_curl_equation(self.F, L=8)
@@ -302,6 +334,11 @@ class TestClosedFormCurl:
             np.testing.assert_array_equal(sol.h(y), expected[1])
             np.testing.assert_array_equal(sol.h(x[0]), expected[0][0])
             np.testing.assert_array_equal(sol.h.curl_at(x), curls[0])
+        # points moved in place after a call are new points
+        z = y.copy()
+        sol.h(z)
+        z += x
+        np.testing.assert_array_equal(sol.h(z), solve_curl_equation(self.F, L=8).h(x + y))
 
     def test_demo_ball_f_tilde_is_band_limit_truncation(self):
         # with a finite-difference curl in f~ this read 4.6e-11, its noise
@@ -312,7 +349,22 @@ class TestClosedFormCurl:
 
 def ring_curl(psi, L):
     """The residual's ring curl of the h that psi gives."""
-    return spherical._ring_curl(spherical._rotated_components(psi), L)
+    return spherical._ring_curl(spherical._rotated_components(psi), L)[0]
+
+
+def verification_rings(L):
+    """cos(theta), sin(theta) and the longitudes of the verification grid."""
+    grid = make_grid(L)
+    x = grid.x[::spherical.VERIFY_STRIDE]
+    return x, np.sqrt(1.0 - x**2), grid.phi[::spherical.VERIFY_STRIDE]
+
+
+def count_table_columns(monkeypatch):
+    """The Legendre-table columns built from now on, one entry per table."""
+    columns = []
+    tables = spherical._legendre_tables
+    monkeypatch.setattr(spherical, "_legendre_tables", lambda L, x, s: columns.append(x.size) or tables(L, x, s))
+    return columns
 
 
 def demo_ball():
@@ -366,39 +418,93 @@ class TestRingResidual:
         assert np.max(np.abs(cartesian - F(pts) - sol.c)) > RESIDUAL_TOL
 
     def test_one_table_per_ring(self, monkeypatch):
-        # at L = 32: 17 verification rings, each with 4 shifted rings
-        columns = []
-        tables = spherical._legendre_tables
-        monkeypatch.setattr(spherical, "_legendre_tables",
-                            lambda L, x, s: columns.append(x.size) or tables(L, x, s))
-        psi = solve_curl_equation(curl_target_F(demo_ball()), L=32).psi
+        # at L = 32: 17 verification rings, each with 4 shifted rings; h's
+        # field at the verification points, which f~ reads, comes from the
+        # verification rings' own tables
+        columns = count_table_columns(monkeypatch)
+        sol = solve_curl_equation(curl_target_F(demo_ball()), L=32)
+        assert sum(columns) == 2 * 33 + 5 * 17        # the analysis, then the rings
         columns.clear()
-        ring_curl(psi, 32)
-        assert sum(columns) == 5 * 17
+        curl, values = spherical._ring_curl(spherical._rotated_components(sol.psi), 32)
+        assert sum(columns) == 5 * 17 and values.shape == (len(verify_points(32)), 3)
+        np.testing.assert_array_equal(values, sol.verify_h)
 
     def test_shared_rings_match_one_ring_per_point(self, rng):
-        f = random_band_limited(rng, 12)
-        theta = rng.uniform(0.0, np.pi, 4)
-        ring = np.sort(rng.integers(0, 4, 40))
-        phi = rng.uniform(-np.pi, np.pi, 40)
+        # every ring at every longitude, bitwise as each (ring, longitude)
+        # pair on a ring of its own and in a one-point call
+        f = spherical._rotated_components(random_band_limited(rng, 12))
+        theta = np.concatenate([rng.uniform(0.0, np.pi, 4), [0.0, np.pi]])
+        phi = rng.uniform(-np.pi, np.pi, 7)
         x, s = np.cos(theta), np.sin(theta)
-        np.testing.assert_array_equal(f._ring_sums(x, s, phi, ring),
-                                      f._ring_sums(x[ring], s[ring], phi, np.arange(40)))
+        grid = f._ring_sums(x, s, phi, grid=True)
+        assert grid.shape == (6, 7, 3)
+        j, i = np.divmod(np.arange(42), 7)
+        np.testing.assert_array_equal(grid.reshape(42, 3), f._ring_sums(x[j], s[j], phi[i]))
+        for k in range(0, 42, 5):
+            one = f._ring_sums(x[j[k]:j[k] + 1], s[j[k]:j[k] + 1], phi[i[k]:i[k] + 1])
+            np.testing.assert_array_equal(grid[j[k], i[k]], one[0])
 
-    @pytest.mark.parametrize("L, tables", [(16, 35), (32, 137), (64, 411)])
-    def test_verification_points_share_rings(self, rng, monkeypatch, L, tables):
-        # consecutive points with bitwise equal (cos theta, sin theta) share a
-        # ring; each point's value and gradient stay those of a one-point call
+    @pytest.mark.parametrize("L, rings", [(16, 9), (32, 17), (64, 33)])
+    def test_verification_points_share_rings(self, rng, monkeypatch, L, rings):
+        # the verification rings go to the kernel as rings, one table each;
+        # value gives every point a table of its own, and each point's value
+        # and gradient stay those of a one-point call
         f = random_band_limited(rng, L)
         pts = verify_points(L)
         np.testing.assert_array_equal(f.value(pts), [f.value(p) for p in pts])
         np.testing.assert_array_equal(f.surface_gradient(pts), [f.surface_gradient(p) for p in pts])
-        columns = []
-        original = spherical._legendre_tables
-        monkeypatch.setattr(spherical, "_legendre_tables",
-                            lambda L, x, s: columns.append(x.size) or original(L, x, s))
+        x, s, phi = verification_rings(L)
+        columns = count_table_columns(monkeypatch)
+        on_rings = f._ring_sums(x, s, phi, grid=True)
+        assert sum(columns) == rings == x.size and on_rings.shape == (rings, phi.size)
+        columns.clear()
         f.value(pts)
-        assert sum(columns) == tables < len(pts)
+        assert sum(columns) == len(pts)
+        # the rings' points are the verification points to round-off
+        np.testing.assert_allclose(on_rings.ravel(), f.value(pts), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("L", [16, 32])
+    def test_pushed_parameters_on_the_rings_match_the_point_path(self, L):
+        # the report's g~ and f~ read h off the verification rings; the
+        # point path synthesizes h at the verification points.  Both are the
+        # same synthesis at (cos theta, sin theta, phi) round-off apart: g~
+        # reads no h, and f~ differed by at most 1.2e-15 here
+        for params, tol in ((demo_ball, 1e-14), (veselova_gyrostat, 1e-14), (near_boundary_ball, 2e-14)):
+            p = params()
+            gauge, sol = reduce_to_e3(p, L=L)
+            g_tilde, f_tilde = verification_params(gauge, p, sol)
+            pushed, pts = pushforward_params(gauge, p), verify_points(L)
+            np.testing.assert_array_equal(g_tilde, pushed.g(pts))
+            np.testing.assert_allclose(f_tilde, pushed.f(pts), rtol=0.0, atol=tol)
+            np.testing.assert_allclose(sol.verify_h, gauge.h(pts), rtol=0.0, atol=tol)
+            np.testing.assert_allclose(sol.verify_curl, gauge.h.curl_at(pts), rtol=0.0, atol=tol)
+
+    def test_small_blocks_change_no_bit(self, rng, monkeypatch):
+        # at L = 64, one ring per table block, so the point path's Fourier
+        # sums run one point at a time and the rings' one ring at a time:
+        # values, gradients and the ring residual stay bitwise those of the
+        # default blocks (62 rings each) and of one-point calls
+        L = 64
+        f = random_band_limited(rng, L)
+        u = np.concatenate([rng.standard_normal((150, 3)), verify_points(L)[::37], [[0.0, 0.0, 1.0]]])
+        field = spherical._rotated_components(f)
+        x, s, phi = verification_rings(L)
+
+        def synthesize():
+            return (f.value(u), f.surface_gradient(u), *spherical._ring_curl(field, L),
+                    field._ring_sums(x, s, phi, grid=True))
+
+        expected = synthesize()
+        assert len(u) > 2 * (spherical.BLOCK_ENTRIES // (L + 1) ** 2)
+        monkeypatch.setattr(spherical, "BLOCK_ENTRIES", (L + 1) ** 2)
+        for small, default in zip(synthesize(), expected):
+            np.testing.assert_array_equal(small, default)
+        for k in range(0, len(u), 9):
+            np.testing.assert_array_equal(f.value(u[k]), expected[0][k])
+            np.testing.assert_array_equal(f.surface_gradient(u[k]), expected[1][k])
+        for j in (0, 7, x.size - 1):
+            one = field._ring_sums(x[j:j + 1], s[j:j + 1], phi[::5], grid=True)
+            np.testing.assert_array_equal(one[0], expected[4][j, ::5])
 
     def test_blocks_do_not_change_the_residual(self, monkeypatch):
         psi = solve_curl_equation(curl_target_F(demo_ball()), L=16).psi
