@@ -10,12 +10,11 @@ Usage: python scripts/reduction_demo.py [L ...]
 import json
 import sys
 
-from nonholo import BallParams, GFParams, ball_system, reduction_report
+from nonholo import BallParams, ball_system, reduction_report
 
 limits = [int(v) for v in sys.argv[1:]] or [8, 16, 32]
 
-spec = ball_system(BallParams(A=(0.4, 0.5, 0.6), D=1.0)).s_spec
-params = GFParams(g=spec.g, f=spec.f)
+params = ball_system(BallParams(A=(0.4, 0.5, 0.6), D=1.0)).s_spec
 
 for L in limits:
     print(json.dumps(reduction_report(params, L=L, n_states=50, seed=0), sort_keys=True))

@@ -26,12 +26,10 @@ from .core import (
     vector,
 )
 from .gauge import (
-    GFParams,
     GaugeTransform,
     apply_gauge_state,
     compose,
     curl_target_F,
-    gf_bivector,
     identity_gauge,
     inverse,
     pushforward_bivector,
@@ -68,13 +66,14 @@ from .models import (
     veselova_system,
 )
 from .sphere import (
+    GFParams,
     IntegralValues,
-    ReducedS,
     SphereSystem,
     assemble_P,
     bivector_field,
     conformal_residual,
     e3_bivector,
+    gf_bivector,
     integrals,
     k_from_gf,
     measure_residual,

@@ -287,6 +287,8 @@ def cmd_reduce(args) -> int:
         label = f"constant(g={g}, f={f})"
     else:
         sysm = _model(args, cfg)[1]
+        # the one place that drops a gyrostat's Phi and k, which the reduction refuses;
+        # the benchmark's reduce-veselova-gyrostat-L16 checks this run against k = 0
         params, label = gauge_mod.GFParams(g=sysm.s_spec.g, f=sysm.s_spec.f), sysm.name
     seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _seed)
     rep = gauge_mod.reduction_report(params, L=L, n_states=n, seed=seed)

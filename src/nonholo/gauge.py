@@ -10,17 +10,21 @@ the product of the 2x2 block matrices [[alpha, h], [0, c]]: performing
 (alpha1, c1, h1) then (alpha2, c2, h2) equals
 (alpha1 alpha2, c1 c2, h1 alpha2 + h2 c1).
 
-The action on bracket parameters (g, f) is
+The action on bracket parameters (g, f, Phi) is
 
-    g~ = alpha g
-    f~ = (alpha^2/c) f + (alpha/c - 1) (g~ - (gamma, dg~/dgamma))
-         + (1/c) (gamma, g~ dalpha/dgamma + g~^2 curl(h/g~)).
+    g~   = alpha g
+    f~   = (alpha^2/c) f + (alpha/c - 1) (g~ - (gamma, dg~/dgamma))
+           + (1/c) (gamma, g~ dalpha/dgamma + g~^2 curl(h/g~))
+    Phi~ = alpha^2 Phi,
 
+and it refuses a gyrostat k, which the fiber map does not preserve.
 Choosing alpha = 1/g and solving (gamma, curl h) = F + c for the target
 
     F = -(alpha^2 f + alpha + (gamma, dalpha/dgamma))
 
-drives any (g, f) to (1, 0), i.e. to the standard e(3) structure.
+drives any (g, f) to (1, 0), i.e. to the standard e(3) structure.  The
+group removes neither Phi (alpha = c = 1 leaves Phi~ = Phi) nor k, so the
+reduction refuses both by name.
 
 A bracket moves by the congruence J P J^T with the Jacobian J of the state
 map, which gauge_state_jacobian takes in closed form.  The reduction's h
@@ -47,7 +51,7 @@ from .core import (
     require_unit_gamma,
     unpack,
 )
-from .sphere import bivector_field, e3_bivector, random_states
+from .sphere import GFParams, e3_bivector, gf_bivector, random_states
 from .spherical import RESIDUAL_TOL, CurlSolution, solve_curl_equation, verify_points
 
 Array = np.ndarray
@@ -64,12 +68,6 @@ class GaugeTransform:
     def __post_init__(self):
         if self.c == 0.0:
             raise DomainError("the normal dilation c must be nonzero")
-
-
-@dataclass(frozen=True)
-class GFParams:
-    g: ScalarField
-    f: ScalarField
 
 
 def identity_gauge() -> GaugeTransform:
@@ -152,13 +150,17 @@ def pushforward_bivector(t: GaugeTransform, P_field, x) -> Array:
 
 
 def pushforward_params(t: GaugeTransform, p: GFParams) -> GFParams:
-    """Image parameters (g~, f~) of the action on the bracket family.
+    """Image parameters (g~, f~, Phi~) of the action on the bracket family.
 
-    g~ = alpha g carries its gradient by the product rule; f~ is a plain
-    evaluation map (_pushed_f) of h and curl h at its points.
+    g~ = alpha g and Phi~ = alpha^2 Phi carry their gradients by the
+    product rule; f~ is a plain evaluation map (_pushed_f) of h and curl h
+    at its points.  A nonzero gyrostat k raises DomainError.
     """
+    if np.any(p.k):
+        raise DomainError("the gauge action does not preserve a nonzero gyrostat k")
     return GFParams(g=t.alpha * p.g,
-                    f=ScalarField(lambda gamma: _pushed_f(t, p, gamma, t.h(gamma), t.h.curl_at(gamma))))
+                    f=ScalarField(lambda gamma: _pushed_f(t, p, gamma, t.h(gamma), t.h.curl_at(gamma))),
+                    phi=None if p.phi is None else (t.alpha * t.alpha) * p.phi)
 
 
 def _pushed_f(t: GaugeTransform, p: GFParams, gamma: Array, h: Array, curl_h: Array) -> Array:
@@ -172,11 +174,6 @@ def _pushed_f(t: GaugeTransform, p: GFParams, gamma: Array, h: Array, curl_h: Ar
     radial = gt - np.vecdot(gamma, grad_gt)
     return (a * a / c) * p.f(gamma) + (a / c - 1.0) * radial \
         + np.vecdot(gamma, lift(gt) * (grad_a + curl_h) - np.cross(grad_gt, h)) / c
-
-
-def gf_bivector(p: GFParams):
-    """The bracket field x -> P(x) of a parameter pair (k = 0, Phi = 0)."""
-    return bivector_field(g=p.g, f=p.f)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +212,12 @@ def curl_target_F(p: GFParams) -> ScalarField:
 
     With alpha = 1/g fixed by g~ = 1, driving f~ to zero asks for
     (gamma, curl h) = F + c with F = -(alpha^2 f + alpha + (gamma, dalpha)).
+    A Phi or a nonzero gyrostat k raises DomainError naming it.
     """
+    if p.phi is not None:
+        raise DomainError("the reduction to e(3) cannot remove a Phi term")
+    if np.any(p.k):
+        raise DomainError("the reduction to e(3) cannot remove a nonzero gyrostat k")
     alpha = p.g.reciprocal()
 
     def F(gamma):

@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DomainError, ScalarField, VectorField3, any_point, lift, pack, require_unit_gamma, vector
-from .sphere import ReducedS, SphereSystem
+from .sphere import GFParams, SphereSystem
 
 Array = np.ndarray
 
@@ -205,8 +205,7 @@ def ball_system(p: BallParams) -> SphereSystem:
         hamiltonian=H,
         dH_dM=dH_dM,
         dH_dgamma=dH_dgamma,
-        s_spec=ReducedS(g=g_field, f=ScalarField.constant(0.0)),
-        k=p.k,
+        s_spec=GFParams(g=g_field, f=ScalarField.constant(0.0), k=p.k),
         extra_integrals=extras,
         flow=flow,
         g=lambda gamma: math.sqrt(u(*gamma.tolist())),
@@ -301,8 +300,7 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
         hamiltonian=H,
         dH_dM=dH_dM,
         dH_dgamma=dH_dgamma,
-        s_spec=ReducedS(g=g_field, f=f_field, phi=phi_field),
-        k=k,
+        s_spec=GFParams(g=g_field, f=f_field, phi=phi_field, k=k),
         extra_integrals=extras,
         flow=flow,
         g=lambda gamma: math.sqrt(G(*gamma.tolist())),

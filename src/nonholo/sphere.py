@@ -7,12 +7,13 @@ A system is the flow
 
 driven by a Hamiltonian H(M, gamma) that is quadratic and non-degenerate in
 M, a function S linear in M, and a constant gyrostatic momentum k.  Every
-such flow conserves gamma^2, (M + k, gamma) and H.  S has one form, stated
-by (g, f, Phi) with g > 0 near the sphere:
+such flow conserves gamma^2, (M + k, gamma) and H.  A system's ``s_spec``,
+of the one type GFParams(g, f, Phi, k) with g > 0 near the sphere, holds k
+and S in its one form
 
     S = (1/g) (-dg/dgamma + f*gamma, M) + Phi/g
 
-The flow equals (1/g) P grad H for the skew 6x6 field
+The flow equals (1/g) P grad H for the family's one bracket gf_bivector,
 
     P = g [[hat(M+k), hat(gamma)], [hat(gamma), 0]]
         - g S [[hat(gamma), 0], [0, 0]]
@@ -23,7 +24,7 @@ x, rho)`` tests an explicit S-vector K (S = (K, M) + ...) against an
 explicit density rho.
 
 ``rhs`` evaluates the flow from the generic data (the H-gradients and the
-S-spec); it is the reference.  The integrators step through a system's
+parameters); it is the reference.  The integrators step through a system's
 ``flow``, which is ``rhs`` unless the system supplies a closed-form kernel,
 as the ball and Veselova models do.
 
@@ -44,7 +45,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    ConfigError,
     DomainError,
     ScalarField,
     VectorField3,
@@ -69,25 +69,24 @@ def random_states(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# S-function specifications
+# the bracket family's parameters
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ReducedS:
-    """S given through (g, f, Phi); requires g > 0 near the sphere."""
+class GFParams:
+    """A member of the bracket family: the multiplier pair (g, f), the term
+    Phi and the gyrostatic momentum k; requires g > 0 near the sphere."""
 
     g: ScalarField
     f: ScalarField
     phi: ScalarField | None = None
+    k: Array = field(default_factory=lambda: np.zeros(3))
 
 
 def k_from_gf(g: ScalarField, f: ScalarField, gamma) -> Array:
-    """The S-vector of a reduced spec: K = (f*gamma - dg/dgamma) / g, over
-    the last axis of gamma.
-
-    This is exactly the one-parameter family of solutions of the
-    invariant-measure equation for density rho = 1/g.
-    """
+    """The S-vector of (g, f), K = (f*gamma - dg/dgamma) / g over the last
+    axis of gamma: exactly the one-parameter family of solutions of the
+    invariant-measure equation for density rho = 1/g."""
     gamma = np.asarray(gamma, float)
     gv = g(gamma)
     if any_point(gv <= 0.0):
@@ -108,15 +107,14 @@ class SphereSystem:
     conserved.  ``flow`` maps one state of shape (6,) to dx/dt; it defaults
     to the reference ``rhs`` and is what the integrators call.  ``g`` maps
     one gamma of shape (3,) to the conformal factor as a float; it defaults
-    to the S-spec's g and is what the time-rescaled run calls.
+    to its parameters' g and is what the time-rescaled run calls.
     """
 
     name: str
     hamiltonian: Callable[[Array, Array], Array]
     dH_dM: Callable[[Array, Array], Array]
     dH_dgamma: Callable[[Array, Array], Array]
-    s_spec: ReducedS
-    k: Array = field(default_factory=lambda: np.zeros(3))
+    s_spec: GFParams
     extra_integrals: tuple[tuple[str, Callable[[Array, Array], Array]], ...] = ()
     flow: Callable[[Array], Array] | None = field(default=None, repr=False, compare=False)
     g: Callable[[Array], float] | None = field(default=None, repr=False, compare=False)
@@ -139,14 +137,16 @@ class IntegralValues:
     extras: dict[str, float | Array]
 
 
+def _s_term(p: GFParams, M: Array, gamma: Array) -> Array:
+    """S = (K, M) + Phi/g over the last axis, with K = k_from_gf(g, f)."""
+    s = np.vecdot(k_from_gf(p.g, p.f, gamma), M)
+    return s if p.phi is None else s + p.phi(gamma) / p.g(gamma)
+
+
 def s_value(sys: SphereSystem, x):
     """S = (K, M) + Phi/g at states, with K = k_from_gf(g, f)."""
     M, gamma = unpack(x)
-    spec = sys.s_spec
-    s = np.vecdot(k_from_gf(spec.g, spec.f, gamma), M)
-    if spec.phi is not None:
-        s = s + spec.phi(gamma) / spec.g(gamma)
-    return point_values(s, x)
+    return point_values(_s_term(sys.s_spec, M, gamma), x)
 
 
 def rhs(sys: SphereSystem, x) -> Array:
@@ -156,7 +156,7 @@ def rhs(sys: SphereSystem, x) -> Array:
     hm = np.asarray(sys.dH_dM(M, gamma), float)
     hg = np.asarray(sys.dH_dgamma(M, gamma), float)
     S = lift(s_value(sys, x))
-    Mdot = np.cross(M + sys.k - S * gamma, hm) + np.cross(gamma, hg)
+    Mdot = np.cross(M + sys.s_spec.k - S * gamma, hm) + np.cross(gamma, hg)
     gdot = np.cross(gamma, hm)
     return pack(Mdot, gdot)
 
@@ -165,7 +165,7 @@ def integrals(sys: SphereSystem, x) -> IntegralValues:
     M, gamma = unpack(x)
     return IntegralValues(
         F1=point_values(np.vecdot(gamma, gamma), x),
-        F2=point_values(np.vecdot(M + sys.k, gamma), x),
+        F2=point_values(np.vecdot(M + sys.s_spec.k, gamma), x),
         F3=point_values(sys.hamiltonian(M, gamma), x),
         extras={name: point_values(fn(M, gamma), x) for name, fn in sys.extra_integrals},
     )
@@ -205,37 +205,30 @@ def e3_bivector(x) -> Array:
     return _pgf_matrix(M, gamma, 1.0, 0.0, np.zeros(3))
 
 
-def bivector_field(g: ScalarField, K: VectorField3 | None = None,
-                   f: ScalarField | None = None,
-                   phi: ScalarField | None = None,
-                   k: Array | None = None) -> Callable[[Array], Array]:
-    """Build x -> P(x) from either (g, f[, phi]) or (g, K[, phi as offset]),
-    for states x of shape (..., 6) and matrices of shape (..., 6, 6).
-
-    With K supplied the S-term is (K, M) regardless of any measure
-    compatibility, which is how deliberately broken (non-Jacobi) structures
-    are assembled for negative controls.
-    """
-    if (K is None) == (f is None):
-        raise ConfigError("pass exactly one of K or f")
-    kvec = np.zeros(3) if k is None else np.asarray(k, float)
-
+def bivector_field(g: ScalarField, K: VectorField3) -> Callable[[Array], Array]:
+    """Build x -> P(x), states (..., 6) to matrices (..., 6, 6), from g and
+    an explicit S-vector K, S = (K, M), whatever the measure: how negative
+    controls assemble deliberately broken (non-Jacobi) structures."""
     def P(x):
         M, gamma = unpack(x)
-        gv = g(gamma)
-        Kv = k_from_gf(g, f, gamma) if K is None else K(gamma)
-        S = np.vecdot(Kv, M)
-        if phi is not None:
-            S = S + phi(gamma) / gv
-        return _pgf_matrix(M, gamma, gv, S, kvec)
+        return _pgf_matrix(M, gamma, g(gamma), np.vecdot(K(gamma), M), np.zeros(3))
+
+    return P
+
+
+def gf_bivector(p: GFParams) -> Callable[[Array], Array]:
+    """The bracket field x -> P(x) of a member of the family, for states x
+    of shape (..., 6) and matrices of shape (..., 6, 6)."""
+    def P(x):
+        M, gamma = unpack(x)
+        return _pgf_matrix(M, gamma, p.g(gamma), _s_term(p, M, gamma), p.k)
 
     return P
 
 
 def assemble_P(sys: SphereSystem, x) -> Array:
     """The bracket matrices of a system at states."""
-    spec = sys.s_spec
-    return bivector_field(spec.g, f=spec.f, phi=spec.phi, k=sys.k)(x)
+    return gf_bivector(sys.s_spec)(x)
 
 
 def conformal_residual(sys: SphereSystem, x):

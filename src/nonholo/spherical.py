@@ -30,11 +30,9 @@ ring of their own, as the scattered bracket probes need.  Rings go in
 blocks of BLOCK_ENTRIES Legendre-table entries, (L+1)^2 per ring, and a
 block's Fourier sums run as one contraction over all its points.  Each
 point's result is bitwise the same in any block, on a grid and in a
-one-point call.  A whole ball report builds 351 table columns at L = 32
-(688 while ``value`` grouped points into rings and f~ was synthesized
-point by point), and runs in 3.8 ms at L = 32, 11 ms at L = 64 and 0.95 s
-for the ball A = (0.4, 0.5, 0.99) at L = 256, in process on a 2-vCPU VM
-(7.0 ms, 32 ms and 8.5 s before).
+one-point call.  A whole ball report builds 351 table columns at L = 32 and
+runs in 3.8 ms at L = 32, 11 ms at L = 64 and 0.95 s for the ball
+A = (0.4, 0.5, 0.99) at L = 256, in process on a 2-vCPU VM.
 
 That kernel synthesizes values only.  A surface gradient is a value too:
 on the unit sphere grad_S f = (u x grad_S f) x u, and u x grad_S f is the
@@ -240,16 +238,10 @@ class SphereSpectralField:
         (..., 3), shape (...); a float for one point.  The origin and a
         point with a NaN or infinite coordinate have no radial projection
         and raise DomainError."""
-        p = np.asarray(points, float)
-        if not np.all(np.isfinite(p)):
-            raise DomainError("spectral field evaluated at a non-finite point")
-        r = np.linalg.norm(p, axis=-1, keepdims=True)
-        if np.any(r == 0.0):
-            raise DomainError("spectral field evaluated at the origin")
-        u = (p / r).reshape(-1, 3)
-        ct = np.clip(u[:, 2], -1.0, 1.0)
-        sums = self._ring_sums(ct, np.hypot(u[:, 0], u[:, 1]), np.arctan2(u[:, 1], u[:, 0]))
-        return sums.reshape(p.shape[:-1] + self.c_cos.shape[2:])[()]
+        u = _radial(points)[0]
+        x, y, z = u.reshape(-1, 3).T
+        sums = self._ring_sums(np.clip(z, -1.0, 1.0), np.hypot(x, y), np.arctan2(y, x))
+        return sums.reshape(u.shape[:-1] + self.c_cos.shape[2:])[()]
 
     def surface_gradient(self, points) -> Array:
         """Tangential gradient at the radial projections of points of shape
@@ -259,9 +251,8 @@ class SphereSpectralField:
         if "ladder" not in self._cache:
             self._cache["ladder"] = _rotated_components(self)
         h = self._cache["ladder"].value(points)      # rejects the origin and non-finite points
-        p = np.asarray(points, float)
-        u = p / np.linalg.norm(p, axis=-1, keepdims=True)
-        return np.cross(h, u.reshape(p.shape[:-1] + (1,) * (self.c_cos.ndim - 2) + (3,)))
+        u = _radial(points)[0]
+        return np.cross(h, u.reshape(u.shape[:-1] + (1,) * (self.c_cos.ndim - 2) + (3,)))
 
     def _ring_sums(self, x: Array, s: Array, phi: Array, grid: bool = False) -> Array:
         """The synthesis kernel, at rings with cos(theta) x and sin(theta) s.
@@ -358,6 +349,21 @@ class CurlSolution:
     verify_curl: Array
 
 
+def _radial(points) -> tuple[Array, Array]:
+    """Radial projections u and norms r (..., 1) of points (..., 3), each
+    scaled first by the power of two of its largest coordinate, so that no
+    square overflows or underflows; refuses the origin and non-finite points."""
+    p = np.asarray(points, float)
+    if not np.all(np.isfinite(p)):
+        raise DomainError("spectral field evaluated at a non-finite point")
+    e = np.frexp(np.max(np.abs(p), axis=-1, keepdims=True))[1]
+    q = np.ldexp(p, -e)
+    r = np.linalg.norm(q, axis=-1, keepdims=True)
+    if np.any(r == 0.0):
+        raise DomainError("spectral field evaluated at the origin")
+    return q / r, np.ldexp(r, e)
+
+
 def _rotated_components(psi: SphereSpectralField) -> SphereSpectralField:
     """The Cartesian components of h = u x grad_S psi as one field with a
     last component axis of 3, coefficients of shape (L+1, L+1, *comp, 3) for
@@ -400,8 +406,7 @@ def _curl(values: Array, x: Array) -> Array:
     """h's closed-form curl (u Lap_S psi(u) + u x h(u)) / |x| at points x of
     shape (..., 3), from its field's values there (_rotated_gradient): h's
     three components, then Lap_S psi."""
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
-    u = x / r
+    u, r = _radial(x)
     return (u * values[..., 3:4] + np.cross(u, values[..., :3])) / r
 
 
@@ -434,11 +439,10 @@ def _rotated_gradient(field: SphereSpectralField) -> VectorField3:
 
     def jacobian(x):
         v = values(x)
-        x = np.asarray(x, float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)[..., None]
-        return np.cross(v[..., 4:].reshape(v.shape[:-1] + (3, 3)), x[..., None, :] / r) / r
+        u, r = _radial(x)
+        return np.cross(v[..., 4:].reshape(v.shape[:-1] + (3, 3)), u[..., None, :]) / r[..., None]
 
-    return VectorField3(lambda x: values(x)[..., :3], curl=lambda x: _curl(values(x), np.asarray(x, float)),
+    return VectorField3(lambda x: values(x)[..., :3], curl=lambda x: _curl(values(x), x),
                         jacobian=jacobian)
 
 

@@ -10,16 +10,15 @@ import numpy as np
 
 from nonholo import (
     BallParams,
-    GFParams,
     IntegratorConfig,
     ScalarField,
     SphereSpectralField,
     VeselovaParams,
     ball_system,
-    bivector_field,
     curl_target_F,
     drift_report,
     e3_bivector,
+    gf_bivector,
     integrate,
     integrate_reparametrized,
     integrate_sphere,
@@ -98,8 +97,7 @@ def test_criterion_05_gauge_group():
 
 
 def test_criterion_06_reduction_pipeline():
-    spec = ball_system(BALL).s_spec
-    params = GFParams(g=spec.g, f=spec.f)
+    params = ball_system(BALL).s_spec
     rep = reduction_report(params, L=32, n_states=200, seed=6)
     criterion(6, "curl-equation residual at L=32", rep["residual"], 1e-6)
 
@@ -126,7 +124,7 @@ def test_criterion_08_zero_level_reduction():
     worst = 0.0
     for sys in (ball_system(BALL), veselova_system(VES)):
         spec = sys.s_spec
-        P = bivector_field(g=spec.g, f=spec.f)
+        P = gf_bivector(spec)
         for _ in range(200):
             g = rand_unit(rng)
             M = rng.standard_normal(3)

@@ -788,6 +788,22 @@ class TestReduce:
         # report keeps its keys and the stderr line names the point
         assert ("worst_gamma" in rep) is (L == 4) and "worst_gamma" not in out
 
+    def test_gyrostat_reduces_the_k0_bracket(self, workdir, capsys):
+        # the reduction refuses Phi and k, so reduce passes the gyrostat
+        # model's (g, f) alone and reports the k = 0 bracket under the
+        # gyrostat's label: the benchmark's reduce workload checks this run
+        # against the k = 0 oracle; a reduction that carries the gyrostat
+        # changes this on purpose
+        reports = []
+        for extra in (["--gyrostat", "0,0,0.1"], []):
+            code = run(["reduce", "--model", "veselova", *extra, "--L", "16"])
+            captured = capsys.readouterr()
+            reports.append((code, captured.err, json.loads(captured.out)))
+        (code, err, gyro), (code0, err0, plain) = reports
+        assert (code, err) == (code0, err0) == (0, "")
+        assert (gyro.pop("source"), plain.pop("source")) == ("veselova+gyrostat", "veselova")
+        assert gyro == plain
+
     def test_incomplete_constants_exit_2(self, workdir):
         assert run(["reduce", "--g", "1"]) == 2
 

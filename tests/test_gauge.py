@@ -262,6 +262,58 @@ class TestBivectorPushforward:
             np.testing.assert_allclose(left, right, atol=1e-6)
 
 
+# Phi = sin(p.gamma), with its gradient
+_P = np.array([0.7, -0.4, 1.1])
+PHI = ScalarField(lambda g: np.sin(np.vecdot(g, _P)), grad=lambda g: np.cos(np.vecdot(g, _P))[..., None] * _P)
+
+
+def with_phi(spec: GFParams) -> GFParams:
+    return GFParams(g=spec.g, f=spec.f, phi=PHI)
+
+
+class TestPhiAndGyrostat:
+    """The action carries Phi as Phi~ = alpha^2 Phi and refuses a gyrostat
+    k; the reduction refuses both by name."""
+
+    @pytest.mark.parametrize("model", ["ball", "veselova"])
+    @pytest.mark.parametrize("which", ["t1", "t2", "t2 t1"])
+    def test_pushed_bracket_is_the_pushed_parameters_bracket(self, model, which):
+        # the largest entrywise gap measured at these 500 states was 7.4e-12
+        # (t1 and t2 t1) and 1.3e-15 (t2); Phi~ = Phi or alpha Phi miss by
+        # 0.19 to 0.97, and dropping Phi by 1.1 to 1.8
+        system = ball_system(BALL) if model == "ball" else veselova_system(VeselovaParams(**DEMO_VESELOVA))
+        t1, t2 = analytic_gauges()
+        t = {"t1": t1, "t2": t2, "t2 t1": compose(t2, t1)}[which]
+        p = with_phi(system.s_spec)
+        X = random_states(np.random.default_rng(11), 500)
+        image = apply_gauge_state(t, X)
+        left = pushforward_bivector(t, gf_bivector(p), X)
+        pushed = pushforward_params(t, p)
+        assert np.max(np.abs(left - gf_bivector(pushed)(image))) <= 1e-10
+        for wrong in (PHI, t.alpha * PHI):
+            other = GFParams(g=pushed.g, f=pushed.f, phi=wrong)
+            assert np.max(np.abs(left - gf_bivector(other)(image))) >= 0.1
+
+    def test_action_refuses_a_gyrostat(self):
+        t1, _ = analytic_gauges()
+        spec = veselova_system(VeselovaParams(**DEMO_VESELOVA, k=DEMO_GYROSTAT)).s_spec
+        with pytest.raises(DomainError, match="gauge action does not preserve a nonzero gyrostat k"):
+            pushforward_params(t1, spec)
+        with pytest.raises(DomainError, match="gyrostat k"):
+            pushforward_params(t1, GFParams(g=spec.g, f=spec.f, k=DEMO_GYROSTAT))
+        assert pushforward_params(t1, GFParams(g=spec.g, f=spec.f, phi=spec.phi)).phi is not None
+
+    @pytest.mark.parametrize("reduce", [curl_target_F, reduce_to_e3, reduction_report])
+    def test_reduction_refuses_phi_and_gyrostat(self, reduce):
+        spec = ball_system(BALL).s_spec
+        with pytest.raises(DomainError, match="cannot remove a Phi term"):
+            reduce(with_phi(spec))
+        with pytest.raises(DomainError, match="cannot remove a nonzero gyrostat k"):
+            reduce(ball_system(BallParams(A=BALL.A, D=BALL.D, k=DEMO_GYROSTAT)).s_spec)
+        with pytest.raises(DomainError, match="Phi"):
+            reduce(veselova_system(VeselovaParams(**DEMO_VESELOVA, k=DEMO_GYROSTAT)).s_spec)
+
+
 def veselova_gyrostat_params() -> GFParams:
     spec = veselova_system(VeselovaParams(**DEMO_VESELOVA, k=DEMO_GYROSTAT)).s_spec
     return GFParams(g=spec.g, f=spec.f)

@@ -13,7 +13,7 @@ from nonholo import (
     BallParams,
     IntegratorConfig,
     DomainError,
-    ReducedS,
+    GFParams,
     ScalarField,
     SphereSystem,
     StiffnessError,
@@ -50,7 +50,7 @@ def toy_system(g_const: float) -> SphereSystem:
         hamiltonian=lambda M, g: 0.5 * np.vecdot(M, M),
         dH_dM=lambda M, g: np.asarray(M, float),
         dH_dgamma=lambda M, g: np.zeros_like(g),
-        s_spec=ReducedS(g=ScalarField.constant(g_const), f=ScalarField.constant(0.0)),
+        s_spec=GFParams(g=ScalarField.constant(g_const), f=ScalarField.constant(0.0)),
     )
 
 
@@ -274,7 +274,7 @@ class TestReparametrized:
         bad = toy_system(1.0)
         sys = SphereSystem(name="bad", hamiltonian=bad.hamiltonian, dH_dM=bad.dH_dM,
                            dH_dgamma=bad.dH_dgamma,
-                           s_spec=ReducedS(g=ScalarField.constant(0.0),
+                           s_spec=GFParams(g=ScalarField.constant(0.0),
                                            f=ScalarField.constant(0.0)))
         with pytest.raises(DomainError):
             integrate_reparametrized(sys, X0, IntegratorConfig(horizon=1.0))

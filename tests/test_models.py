@@ -165,7 +165,7 @@ class TestVeselova:
         for _ in range(100):
             x = rand_state(rng)
             M, g = unpack(x)
-            grad_F3 = pack(2 * (M + sys.k), np.zeros(3))
+            grad_F3 = pack(2 * (M + sys.s_spec.k), np.zeros(3))
             assert abs(grad_F3 @ rhs(sys, x)) <= 1e-12
 
     def test_ball_momentum_is_infinitesimally_conserved(self, rng):

@@ -1,11 +1,12 @@
-"""Smoke runs of the example scripts, and a check that every program name
-the benchmark reads exists, so that an API change cannot break them
-silently."""
+"""Smoke runs of the example scripts, a check that every program name the
+benchmark reads exists, and a run of the benchmark's oracle tests, so that
+an API change cannot break them silently."""
 
 import importlib
 import json
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -85,3 +86,13 @@ def test_benchmark_names_exist():
             chains.update(f"{module}.{name.split()[0]}" for name in names.strip("()").split(",") if name.strip())
     assert chains, "found no nonholo names in perfbench"
     assert [chain for chain in sorted(chains) if not _resolves(chain)] == []
+
+
+def test_benchmark_oracle_tests_pass():
+    # the oracle tests call the program with keywords, e.g. GFParams(g=, f=)
+    # and bivector_field(g=, K=), which the name check above cannot see;
+    # their conftest puts this checkout's src first on the path
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "perfbench/tests/test_oracle.py"],
+                         cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -5,9 +5,8 @@ import pytest
 
 from nonholo import (
     BallParams,
-    ConfigError,
     DomainError,
-    ReducedS,
+    GFParams,
     ScalarField,
     SphereSystem,
     VectorField3,
@@ -19,6 +18,7 @@ from nonholo import (
     conformal_residual,
     e3_bivector,
     fd_gradient,
+    gf_bivector,
     hat,
     integrals,
     jacobiator,
@@ -45,13 +45,13 @@ def free_top():
         hamiltonian=lambda M, g: 0.5 * np.vecdot(M, M),
         dH_dM=lambda M, g: np.asarray(M, float),
         dH_dgamma=lambda M, g: np.zeros_like(g),
-        s_spec=ReducedS(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0)),
+        s_spec=GFParams(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0)),
     )
 
 
 class TestSValue:
     def test_zero_spec(self, rng):
-        spec = ReducedS(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0))
+        spec = GFParams(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0))
         sys = SphereSystem("null", lambda M, g: 0.0, lambda M, g: np.zeros(3),
                            lambda M, g: np.zeros(3), spec)
         assert s_value(sys, rand_state(rng)) == 0.0
@@ -112,7 +112,7 @@ class TestRhs:
             M, g = unpack(x)
             v = rhs(sys, x)
             grad_F1 = pack(np.zeros(3), 2 * g)
-            grad_F2 = pack(g, M + sys.k)
+            grad_F2 = pack(g, M + sys.s_spec.k)
             grad_H = pack(sys.dH_dM(M, g), sys.dH_dgamma(M, g))
             assert abs(grad_F1 @ v) <= 1e-10
             assert abs(grad_F2 @ v) <= 1e-10
@@ -219,14 +219,14 @@ class TestAssembleP:
             M, g = unpack(x)
             P = assemble_P(sys, x)
             np.testing.assert_allclose(P @ pack(np.zeros(3), 2 * g), 0.0, atol=1e-12)
-            np.testing.assert_allclose(P @ pack(g, M + sys.k), 0.0, atol=1e-12)
+            np.testing.assert_allclose(P @ pack(g, M + sys.s_spec.k), 0.0, atol=1e-12)
 
     def test_mm_block_scalar_factor(self, rng):
         sys = ball_system(BALL)
         x = rand_state(rng)
         M, g = unpack(x)
         gv = sys.s_spec.g(g)
-        block = assemble_P(sys, x)[:3, :3] - gv * hat(M + sys.k)
+        block = assemble_P(sys, x)[:3, :3] - gv * hat(M + sys.s_spec.k)
         np.testing.assert_allclose(block, -gv * s_value(sys, x) * hat(g), atol=1e-14)
 
     def test_jacobi_for_models(self, rng):
@@ -241,14 +241,14 @@ class TestAssembleP:
         # an arbitrary Phi added to an admissible structure stays Poisson
         spec = ball_system(BALL).s_spec
         phi = ScalarField(lambda g: 0.7 * g[..., 0] * g[..., 2])
-        P = bivector_field(g=spec.g, f=spec.f, phi=phi)
+        P = gf_bivector(GFParams(g=spec.g, f=spec.f, phi=phi))
         for _ in range(30):
             assert jacobiator(P, rand_state(rng)) <= 1e-6
 
     def test_phi_term_keeps_area_casimir(self, rng):
         spec = ball_system(BALL).s_spec
         phi = ScalarField(lambda g: 0.7 * g[..., 0] * g[..., 2])
-        P = bivector_field(g=spec.g, f=spec.f, phi=phi)
+        P = gf_bivector(GFParams(g=spec.g, f=spec.f, phi=phi))
         for _ in range(30):
             x = rand_state(rng)
             M, g = unpack(x)
@@ -261,9 +261,12 @@ class TestAssembleP:
         vals = [jacobiator(P, rand_state(rng)) for _ in range(100)]
         assert np.mean([v > 1e-3 for v in vals]) >= 0.9
 
-    def test_both_K_and_f_rejected(self):
-        with pytest.raises(ConfigError, match="exactly one of K or f"):
-            bivector_field(g=ScalarField.constant(1.0), K=ball_K(BALL), f=ScalarField.constant(0.0))
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_is_the_family_bracket(self, name, rng):
+        # a system's bracket is its parameters' one bracket, bitwise
+        sys = SYSTEMS[name]
+        X = np.stack([rand_state(rng) for _ in range(20)])
+        np.testing.assert_array_equal(assemble_P(sys, X), gf_bivector(sys.s_spec)(X))
 
 
 class TestConformalResidual:
@@ -281,7 +284,7 @@ class TestConformalResidual:
     def test_constant_hamiltonian(self, rng):
         sys = SphereSystem("const", lambda M, g: 1.0, lambda M, g: np.zeros(3),
                            lambda M, g: np.zeros(3),
-                           ReducedS(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0)))
+                           GFParams(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0)))
         assert conformal_residual(sys, rand_state(rng)) == 0.0
 
 

@@ -266,6 +266,22 @@ class TestPoles:
         with pytest.raises(DomainError, match="origin"):
             f.value(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("point,u,r", [((0.0, 6e199, 8e199), (0.0, 0.6, 0.8), 1e200),
+                                           ((1e-200, 0.0, 1e-200), (0.5 ** 0.5, 0.0, 0.5 ** 0.5), 2 ** 0.5 * 1e-200)])
+    def test_point_of_extreme_size(self, point, u, r):
+        # np.linalg.norm overflowed at the first point (a numpy overflow
+        # warning, then u read at 0) and read the second, nonzero, as the
+        # origin; the degree-zero fields read the radial projection, and the
+        # curl and Jacobian of h scale as 1/|x|
+        x, u = np.array(point), np.array(u)
+        f = SphereSpectralField.analyze(ScalarField(lambda g: g[..., 0] + g[..., 1] * g[..., 2]), 4)
+        h = solve_curl_equation(ScalarField(lambda g: g[..., 2] + g[..., 0] * g[..., 1]), L=4).h
+        assert f.value(x) == pytest.approx(f.value(u), abs=1e-15)
+        np.testing.assert_allclose(f.surface_gradient(x), f.surface_gradient(u), atol=1e-15)
+        np.testing.assert_allclose(h(x), h(u), atol=1e-15)
+        np.testing.assert_allclose(h.curl_at(x) * r, h.curl_at(u), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(h.jacobian_at(x) * r, h.jacobian_at(u), rtol=1e-14, atol=1e-15)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected(self, bad):
         # a NaN point gave NaN silently and an infinite one numpy's "invalid

@@ -18,7 +18,6 @@ import pytest
 from nonholo import (
     BallParams,
     DomainError,
-    GFParams,
     GaugeTransform,
     ScalarField,
     VectorField3,
@@ -136,13 +135,12 @@ def test_vector_field_stack_matches_points(name, rng):
 
 @pytest.fixture(scope="module")
 def spectral_gauge():
-    p = GFParams(g=_ball.g, f=_ball.f)
-    return reduce_to_e3(p, L=16)[0], p
+    return reduce_to_e3(_ball, L=16)[0], _ball
 
 
 BIVECTORS = {
-    "ball (g, f)": gf_bivector(GFParams(g=_ball.g, f=_ball.f)),
-    "veselova (g, f, phi, k)": bivector_field(g=_ves.g, f=_ves.f, phi=_ves.phi, k=VES.k),
+    "ball (g, f)": gf_bivector(_ball),
+    "veselova (g, f, phi, k)": gf_bivector(_ves),
     "ball (g, K)": bivector_field(g=ScalarField.constant(1.0), K=ball_K(BALL)),
     "e(3)": e3_bivector,
 }
@@ -157,7 +155,7 @@ def test_bivector_stack_matches_points(name, rng):
 
 @pytest.mark.parametrize("which", ["polynomial", "spectral"])
 def test_state_maps_stack_matches_points(which, rng, spectral_gauge):
-    t, p = (_t1, GFParams(g=_ball.g, f=_ball.f)) if which == "polynomial" else spectral_gauge
+    t, p = (_t1, _ball) if which == "polynomial" else spectral_gauge
     X = _states(rng)
     P = gf_bivector(p)
     assert apply_gauge_state(t, X).shape == (7, 6)
