@@ -36,8 +36,8 @@ from .gauge import (
     pushforward_params,
     reduce_to_e3,
     reduction_report,
-    zero_level_jacobian,
     zero_level_reduce,
+    zero_level_transform,
 )
 from .integrate import (
     IntegratorConfig,
@@ -57,7 +57,6 @@ from .models import (
     ball_omega_from_M,
     ball_system,
     duality_map,
-    extra_integral_drifts,
     linear_potential,
     quadratic_potential,
     veselova_K,

@@ -191,12 +191,18 @@ def _initial_state(args, cfg, params):
         M = np.array(DEMO_M) if M is None and omega is None else M
     if gamma is None:
         raise ConfigError("no initial condition; pass --gamma (plus --M or --omega) or --demo")
-    norm = np.linalg.norm(gamma)
+    # scaled by the power of two of its largest component, exactly, so that
+    # the norm of a finite nonzero gamma neither overflows nor underflows
+    e = np.frexp(np.max(np.abs(gamma)))[1]
+    scaled = np.ldexp(gamma, -e)
+    norm = np.linalg.norm(scaled)
     if not 0.0 < norm < np.inf:
         raise DomainError(f"--gamma (initial.gamma) must be a finite nonzero direction, got {gamma.tolist()}")
-    if abs(norm - 1.0) > 1e-6:
-        warnings.warn(f"renormalizing gamma: |gamma| = {norm:.8f}")
-    gamma = gamma / norm
+    with np.errstate(over="ignore"):
+        length = np.ldexp(norm, e)
+    if abs(length - 1.0) > 1e-6:
+        warnings.warn(f"renormalizing gamma: |gamma| = {length:.8g}")
+    gamma = scaled / norm
     if M is None and omega is None:
         raise ConfigError("initial condition needs --M or --omega (or initial.M or initial.omega)")
     if M is None:

@@ -26,6 +26,10 @@ drives any (g, f) to (1, 0), i.e. to the standard e(3) structure.  The
 group removes neither Phi (alpha = c = 1 leaves Phi~ = Phi) nor k, so the
 reduction refuses both by name.
 
+Chaplygin's reducing multiplier is the element (1/g, 1, 0),
+zero_level_transform: on the zero level (M, gamma) = 0 it is the rescaling
+M -> M / g, and its congruence lands on e(3) there with no curl equation.
+
 A bracket moves by the congruence J P J^T with the Jacobian J of the state
 map, which gauge_state_jacobian takes in closed form.  The reduction's h
 carries its analytic Jacobian (spherical._rotated_gradient), so the
@@ -142,8 +146,9 @@ def pushforward_bivector(t: GaugeTransform, P_field, x) -> Array:
     """
     x = np.asarray(x, float)
     _, gamma = unpack(x)
-    if np.any(np.abs(t.alpha(gamma)) < 1e-14):
-        raise DomainError("alpha vanishes; the fiber map is singular here")
+    a = t.alpha(gamma)
+    if np.any(a == 0.0) or not np.all(np.isfinite(a)):
+        raise DomainError("alpha vanishes or is not finite; the fiber map is singular here")
     J = gauge_state_jacobian(t, x)
     P = np.asarray(P_field(x), float)
     return J @ P @ np.swapaxes(J, -1, -2)
@@ -180,27 +185,24 @@ def _pushed_f(t: GaugeTransform, p: GFParams, gamma: Array, h: Array, curl_h: Ar
 # zero-level reduction
 # ---------------------------------------------------------------------------
 
+def zero_level_transform(g: ScalarField) -> GaugeTransform:
+    """Chaplygin's rescaling M -> M / g(gamma) as the group element
+    (1/g, 1, 0).  Its Jacobian differs from the rescaling's by a multiple
+    of e (x) d(M, gamma), which every bracket of the family annihilates,
+    (M, gamma) being a Casimir: on the zero level both congruences agree."""
+    return GaugeTransform(g.reciprocal(), 1.0, VectorField3.zero())
+
+
 def zero_level_reduce(g: ScalarField, x) -> Array:
     """On (M, gamma) = 0 the rescaling M -> M / g(gamma) already lands on the
-    e(3) bracket; this returns the rescaled states, over the last axis."""
+    e(3) bracket; this returns the rescaled states, over the last axis.  The
+    bracket P moves to pushforward_bivector(zero_level_transform(g), P, x)."""
     M, gamma = unpack(x)
     require_unit_gamma(gamma)
     level = np.abs(np.vecdot(M, gamma))
     if any_point(level > ZERO_LEVEL):
         raise DomainError(f"state is off the zero level: |(M, gamma)| = {np.max(level):.3e}")
-    return pack(M / lift(g(gamma)), gamma)
-
-
-def zero_level_jacobian(g: ScalarField, x) -> Array:
-    """Analytic Jacobian of x -> (M / g, gamma) at states of shape (..., 6),
-    shape (..., 6, 6), for the bracket congruence."""
-    M, gamma = unpack(x)
-    a = 1.0 / g(gamma)
-    J = np.zeros(gamma.shape[:-1] + (6, 6))
-    J[..., :3, :3] = lift(a, 2) * np.eye(3)
-    J[..., :3, 3:] = -lift(a * a, 2) * _outer(M, g.gradient(gamma))
-    J[..., 3:, 3:] = np.eye(3)
-    return J
+    return apply_gauge_state(zero_level_transform(g), x)
 
 
 # ---------------------------------------------------------------------------

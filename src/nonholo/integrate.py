@@ -1,14 +1,15 @@
 """Trajectory generation and invariant-drift monitoring.
 
-Each run is one adaptive Dormand-Prince 8(5,3) solve (``_solve``): the
-direct run steps to the horizon, the rescaled run steps open-ended in tau
-until its clock reaches t = horizon, and both sample the dense output at
-``samples`` uniform times in one batched evaluation.  The stepper is a port
-of scipy's DOP853 (Hairer, Norsett and Wanner I, II.10): twelve stages per
-step, the combined fifth- and third-order error estimate with exponent -1/8,
-and the seventh-order dense output from three extra stages per accepted
-step, with the same initial step, step-size controller and order of
-arithmetic, so that it reproduces ``solve_ivp(method="DOP853")`` bit for bit.
+Each run is one adaptive Dormand-Prince 8(5,3) solve (``_solve``), which
+returns the run's ``Trajectory``: the direct run steps to the horizon, the
+rescaled run steps open-ended in tau until its clock reaches t = horizon,
+and both sample the dense output at ``samples`` uniform times in one
+batched evaluation.  The stepper is a port of scipy's DOP853 (Hairer,
+Norsett and Wanner I, II.10): twelve stages per step, the combined fifth-
+and third-order error estimate with exponent -1/8, and the seventh-order
+dense output from three extra stages per accepted step, with the same
+initial step, step-size controller and order of arithmetic, so that it
+reproduces ``solve_ivp(method="DOP853")`` bit for bit.
 No projection or renormalization is applied to gamma; the drift of the known
 first integrals is the advertised measure of integration quality.
 
@@ -176,21 +177,12 @@ class Trajectory:
     nfev: int
     accepted: int = 0             # adaptive steps taken
     rejected: int = 0             # steps retried with a smaller size
-    # the solve's dense output, kept by the rescaled run for its time map
+    # the solve's dense output, kept by a rescaled run for its time map
     _dense: _DenseOutput | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0.0):
             raise DomainError("sample times must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class _Run:
-    dense: _DenseOutput
-    t_end: float        # where the run stopped
-    nfev: int
-    accepted: int
-    rejected: int
 
 
 def _norm(x: Array) -> float:
@@ -204,10 +196,12 @@ def _rms(x: Array) -> float:
 
 
 def _solve(fn: Callable[[Array], Array], z0: Array, cfg: IntegratorConfig, t_end: float,
-           until: float | None = None) -> _Run:
+           until: float | None = None) -> Trajectory:
     """The one adaptive solve: step dz/dt = fn(z) from t = 0 until ``t_end``,
-    or until the last component of z reaches ``until``, keeping every step's
-    dense output.  Raises ``StiffnessError`` when the step size underflows
+    or until the last component of z reaches ``until``, and sample the dense
+    output at ``cfg.samples`` uniform times from 0 to where the run stopped.
+    The trajectory keeps the dense output only for a run with ``until``, for
+    its time map.  Raises ``StiffnessError`` when the step size underflows
     and ``DomainError`` when the flow, or its scaled norm, is not finite at z0."""
     rtol, atol, max_step = max(cfg.rtol, 100 * _EPS), cfg.atol, cfg.max_step
     t, y = 0.0, z0
@@ -275,8 +269,11 @@ def _solve(fn: Callable[[Array], Array], z0: Array, cfg: IntegratorConfig, t_end
     dense = _DenseOutput(np.array(t_old), np.array(hs), np.array(y_old), np.stack(Fs))
     if until is not None:
         t = float(dense.clock_inverse(np.array([until]))[0])
+    samples = np.linspace(0.0, t, cfg.samples)
     accepted = len(Fs)
-    return _Run(dense, t, 2 + 12 * (accepted + rejected) + 3 * accepted, accepted, rejected)
+    return Trajectory(t=samples, states=dense(samples), integrals={},
+                      nfev=2 + 12 * (accepted + rejected) + 3 * accepted, accepted=accepted,
+                      rejected=rejected, _dense=None if until is None else dense)
 
 
 def integrate(fn: Callable[[Array], Array], state0, cfg: IntegratorConfig) -> Trajectory:
@@ -289,10 +286,7 @@ def integrate(fn: Callable[[Array], Array], state0, cfg: IntegratorConfig) -> Tr
     x0 = np.asarray(state0, float)
     if not np.all(np.isfinite(x0)):
         raise DomainError("initial state is not finite")
-    run = _solve(fn, x0, cfg, cfg.horizon)
-    t = np.linspace(0.0, cfg.horizon, cfg.samples)
-    return Trajectory(t=t, states=run.dense(t), integrals={}, nfev=run.nfev,
-                      accepted=run.accepted, rejected=run.rejected)
+    return _solve(fn, x0, cfg, cfg.horizon)
 
 
 def integrate_sphere(sys: SphereSystem, state0, cfg: IntegratorConfig) -> Trajectory:
@@ -326,16 +320,13 @@ def integrate_reparametrized(sys: SphereSystem, state0,
         dz[-1] = r
         return dz
 
-    run = _solve(z_rhs, np.append(np.asarray(state0, float), 0.0), cfg, np.inf, cfg.horizon)
-    tau = np.linspace(0.0, run.t_end, cfg.samples)
-    z = run.dense(tau)
-    # run.t_end is the root where the clock equals the horizon; the dense
-    # output there can read a few ulps short of it, so record the horizon
-    # itself, and a query at the horizon stays inside the run
+    traj = _solve(z_rhs, np.append(np.asarray(state0, float), 0.0), cfg, np.inf, cfg.horizon)
+    z = traj.states
+    # the run stops at the root where the clock equals the horizon; the
+    # dense output there can read a few ulps short of it, so record the
+    # horizon itself, and a query at the horizon stays inside the run
     z[-1, -1] = cfg.horizon
-    traj = Trajectory(t=tau, states=z[:, :-1], integrals={}, nfev=run.nfev,
-                      accepted=run.accepted, rejected=run.rejected, _dense=run.dense)
-    return traj, z[:, -1]
+    return replace(traj, states=z[:, :-1]), z[:, -1]
 
 
 def map_to_physical_time(traj_tau: Trajectory, t_phys: Array, t_query: Array) -> Array:
@@ -349,14 +340,10 @@ def map_to_physical_time(traj_tau: Trajectory, t_phys: Array, t_query: Array) ->
     return traj_tau._dense(traj_tau._dense.clock_inverse(t_query))[:, :-1]
 
 
-def drift_report(traj: Trajectory, names: Sequence[str] | None = None) -> dict[str, float]:
+def drift_report(traj: Trajectory) -> dict[str, float]:
     """Per-integral sup of |F(t) - F(0)| / max(1, |F(0)|) over the samples."""
-    names = list(traj.integrals.keys()) if names is None else list(names)
-    out = {}
-    for name in names:
-        vals = traj.integrals[name]
-        out[name] = float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
-    return out
+    return {name: float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
+            for name, vals in traj.integrals.items()}
 
 
 def trajectory_csv(traj: Trajectory, path,

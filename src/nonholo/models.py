@@ -370,13 +370,6 @@ def duality_map(p: VeselovaParams, D: float) -> BallParams:
     return BallParams(A=A, D=D, U=U)
 
 
-def extra_integral_drifts(sys: SphereSystem, traj) -> dict[str, float]:
-    """Relative drift of the model-specific integrals along a trajectory."""
-    from .integrate import drift_report
-
-    return drift_report(traj, [name for name, _ in sys.extra_integrals])
-
-
 DEMO_BALL = dict(A=(0.4, 0.5, 0.6), D=1.0)
 DEMO_VESELOVA = dict(Ahat=(0.6, 0.75, 0.9))
 DEMO_GYROSTAT = (0.0, 0.0, 0.1)

@@ -166,11 +166,26 @@ class TestSimulate:
         assert run(argv) == 3
         assert capsys.readouterr().err.startswith("domain error: --gamma")
         # behind the flag's finite rule, the initial state refuses a direction of
-        # zero or non-finite norm (one that overflows, say) and names both knobs
+        # zero or non-finite norm and names both knobs
         monkeypatch.setattr(cli_mod, "_number", _unchecked_number)
         assert run(argv) == 3
         assert capsys.readouterr().err == ("domain error: --gamma (initial.gamma) must be a finite "
                                            f"nonzero direction, got {shown}\n")
+
+    @pytest.mark.parametrize("gamma, length", [("1e300,1e300,0", "1.4142136e+300"),
+                                               ("1e-200,1e-200,0", "1.4142136e-200")])
+    def test_extreme_finite_gamma_is_a_direction(self, workdir, capsys, gamma, length):
+        # the norm overflowed (numpy's RuntimeWarning, then exit 3) or
+        # underflowed to zero (exit 3); scaled by a power of two first, both
+        # read as the direction (1, 1, 0) / sqrt(2), with only the
+        # renormalisation's own warning
+        with pytest.warns(UserWarning) as record:
+            code = run(["simulate", "--model", "ball", "--gamma", gamma, "--M", "0,0,1", "--horizon", "1",
+                        "--samples", "11"])
+        assert code == 0
+        assert [str(w.message) for w in record] == [f"renormalizing gamma: |gamma| = {length}"]
+        report = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(report["initial_state"][3:], [0.5 ** 0.5, 0.5 ** 0.5, 0.0], rtol=1e-15)
 
     # a NaN passed the `<= 0` test: --rtol and --atol nan then stepped
     # without end, and --horizon nan ended in a traceback.  A NaN is now
@@ -722,6 +737,14 @@ class TestReduce:
         out = json.loads(capsys.readouterr().out)
         assert out["c"] == pytest.approx(1.0, abs=1e-10)
         assert out["bracket_dev"] <= 1e-6
+
+    @pytest.mark.parametrize("g", ["1e15", "1e100"])
+    def test_tiny_alpha_reduces(self, workdir, capsys, g):
+        # alpha = 1/g is invertible; an absolute |alpha| < 1e-14 threshold
+        # refused it with exit 3 ("alpha vanishes")
+        assert run(["reduce", "--g", g, "--f", "0", "--L", "8"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["bracket_dev"] <= 1e-15
 
     def test_ball_moderate_band_limit(self, workdir, capsys):
         assert run(["reduce", "--model", "ball", "--L", "16", "-n", "30"]) == 0

@@ -28,8 +28,8 @@ from nonholo import (
     reduction_report,
     unpack,
     veselova_system,
-    zero_level_jacobian,
     zero_level_reduce,
+    zero_level_transform,
     vector,
 )
 import nonholo.checks as checks
@@ -218,6 +218,23 @@ class TestBivectorPushforward:
     def test_vanishing_alpha_rejected(self, rng):
         t = GaugeTransform(ScalarField.constant(0.0), 1.0, VectorField3.zero())
         with pytest.raises(DomainError, match="alpha vanishes"):
+            pushforward_bivector(t, gf_bivector(ball_params()), rand_state(rng))
+
+    @pytest.mark.parametrize("a", [1e-15, 1e-100])
+    def test_small_alpha_is_invertible(self, rng, a):
+        # an absolute threshold |alpha| < 1e-14 refused these, and with them
+        # reduce --g 1e15; the dilation (a, a, 0) has Jacobian diag(a, a, a,
+        # 1, 1, 1), so it scales the M-block by a^2 and the mixed blocks by a
+        t = GaugeTransform(ScalarField.constant(a), a, VectorField3.zero())
+        x = rand_state(rng)
+        scale = np.where(np.arange(6) < 3, a, 1.0)
+        np.testing.assert_allclose(pushforward_bivector(t, e3_bivector, x),
+                                   e3_bivector(x) * np.outer(scale, scale), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, rng, a):
+        t = GaugeTransform(ScalarField.constant(a), 1.0, VectorField3.zero())
+        with pytest.raises(DomainError, match="not finite"):
             pushforward_bivector(t, gf_bivector(ball_params()), rand_state(rng))
 
     def test_identity(self, rng):
@@ -411,25 +428,36 @@ class TestZeroLevel:
         g = ball_params().g
         X = np.array([self.zero_level_state(rng) for _ in range(n)])
         np.testing.assert_array_equal(zero_level_reduce(g, X), [zero_level_reduce(g, x) for x in X])
-        np.testing.assert_array_equal(zero_level_jacobian(g, X), [zero_level_jacobian(g, x) for x in X])
 
     def test_off_level_state_in_a_stack_rejected(self, rng):
         X = np.array([self.zero_level_state(rng), pack([1, 0, 0], [1, 0, 0])])
         with pytest.raises(DomainError, match="off the zero level"):
             zero_level_reduce(ball_params().g, X)
 
+    def veselova_params(self) -> GFParams:
+        spec = veselova_system(VeselovaParams(Ahat=(0.6, 0.75, 0.9))).s_spec
+        return GFParams(g=spec.g, f=spec.f)
+
     def test_bracket_congruence_hits_e3(self, rng):
-        for make in (ball_params,
-                      lambda: GFParams(g=veselova_system(VeselovaParams(Ahat=(0.6, 0.75, 0.9))).s_spec.g,
-                                       f=veselova_system(VeselovaParams(Ahat=(0.6, 0.75, 0.9))).s_spec.f)):
-            p = make()
+        for p in (ball_params(), self.veselova_params()):
             P = gf_bivector(p)
             for _ in range(50):
                 x = self.zero_level_state(rng)
-                J = zero_level_jacobian(p.g, x)
-                left = J @ P(x) @ J.T
+                left = pushforward_bivector(zero_level_transform(p.g), P, x)
                 right = e3_bivector(zero_level_reduce(p.g, x))
                 np.testing.assert_allclose(left, right, atol=1e-12)
+
+    @pytest.mark.parametrize("c", [1.0, 0.3, -2.0])
+    def test_any_normal_dilation_hits_e3(self, rng, c):
+        # on (M, gamma) = 0 the Jacobians of (1/g, c, 0) differ only by
+        # (c - 1/g) e (x) d(M, gamma), which the bracket annihilates: the
+        # area (M, gamma) is a Casimir
+        for p in (ball_params(), self.veselova_params()):
+            X = np.array([self.zero_level_state(rng) for _ in range(50)])
+            t = GaugeTransform(p.g.reciprocal(), c, VectorField3.zero())
+            left = pushforward_bivector(t, gf_bivector(p), X)
+            right = e3_bivector(zero_level_reduce(p.g, X))
+            np.testing.assert_allclose(left, right, atol=1e-12)
 
     def test_consistent_with_full_reduction(self, rng):
         # the full reducing transform restricted to the zero level acts as
@@ -440,8 +468,7 @@ class TestZeroLevel:
         for _ in range(10):
             x = self.zero_level_state(rng)
             full = pushforward_bivector(gauge, P, x)
-            J = zero_level_jacobian(p.g, x)
-            np.testing.assert_allclose(full, J @ P(x) @ J.T, atol=1e-10)
+            np.testing.assert_allclose(full, pushforward_bivector(zero_level_transform(p.g), P, x), atol=1e-10)
 
 
 class TestReduction:

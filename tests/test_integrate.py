@@ -80,14 +80,6 @@ class TestIntegrate:
         assert set(rep) == {"H", "F1", "F2", "Msq"}
         assert max(rep.values()) <= 1e-8
 
-    def test_extra_integral_drifts_helper(self):
-        from nonholo import extra_integral_drifts
-        sys = ball_system(BALL)
-        traj = integrate_sphere(sys, X0, IntegratorConfig(horizon=20.0, samples=51))
-        rep = extra_integral_drifts(sys, traj)
-        assert set(rep) == {"Msq"}
-        assert rep["Msq"] <= 1e-8
-
     def test_effective_order_at_least_four(self):
         # fixed steps via max_step at loose tolerances: the propagated
         # solution is eighth order, so halving h gains a factor near 256;

@@ -3,6 +3,7 @@ benchmark reads exists, and a run of the benchmark's oracle tests, so that
 an API change cannot break them silently."""
 
 import importlib
+import importlib.util
 import json
 import re
 import runpy
@@ -77,7 +78,7 @@ def _resolves(chain: str) -> bool:
 def test_benchmark_names_exist():
     # the benchmark reads these names from the program; a change that
     # deletes one fails here rather than in a benchmark run (the tracer's
-    # (module, attribute) targets are checked by perfbench's own tests)
+    # (module, attribute) targets are checked below)
     chains = set()
     for path in sorted([*PERFBENCH.glob("*.py"), *PERFBENCH.glob("tests/*.py")]):
         text = path.read_text()
@@ -86,6 +87,31 @@ def test_benchmark_names_exist():
             chains.update(f"{module}.{name.split()[0]}" for name in names.strip("()").split(",") if name.strip())
     assert chains, "found no nonholo names in perfbench"
     assert [chain for chain in sorted(chains) if not _resolves(chain)] == []
+
+
+# the tracer targets that name no program attribute any more, until the
+# benchmark re-points them at the program as it now is
+STALE_TRACER_TARGETS = {
+    ("nonholo.integrate", "solve_ivp"), ("nonholo.integrate", "rhs"),
+    ("nonholo.cli", "assemble_P"), ("nonholo.cli", "conformal_residual"),
+    ("nonholo.cli", "measure_residual"), ("nonholo.cli", "jacobiator"),
+    ("nonholo.spherical", "fd_curl"), ("nonholo.spherical", "_calibrated_sign"),
+}
+
+
+def test_tracer_targets_exist():
+    # the per-layer view wraps each (owner, attribute) target; one that no
+    # longer resolves would read 0 calls instead of failing
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = set()
+    for owner, attribute, *_ in tracer.TARGETS:
+        module, _, cls = owner.partition(":")
+        obj = importlib.import_module(module)
+        if not hasattr(getattr(obj, cls) if cls else obj, attribute):
+            missing.add((owner, attribute))
+    assert sorted(missing - STALE_TRACER_TARGETS) == []
 
 
 def test_benchmark_oracle_tests_pass():
