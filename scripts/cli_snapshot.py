@@ -4,7 +4,9 @@
 Runs each invocation below in-process through ``nonholo.cli.main`` at
 seed 3, from inside OUTDIR, and writes there, per invocation NAME:
 NAME.out (stdout), NAME.err (stderr), NAME.exit (the exit code) and,
-for the runs that write one, NAME.csv.  Snapshot two checkouts into two
+for the runs that write one, NAME.csv.  A warning goes to NAME.err as its
+category and message only, without the source path and line that differ
+between checkouts.  Snapshot two checkouts into two
 directories and ``diff -r`` them to see exactly which outputs a change
 moved.  The invocations run against whichever ``nonholo`` is imported, so
 ``PYTHONPATH=<checkout>/src`` snapshots an older checkout too.
@@ -16,6 +18,7 @@ import contextlib
 import io
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from nonholo.cli import main
@@ -42,12 +45,18 @@ INVOCATIONS = {
     # report differs from the gyrostat run's only in ``source``
     "reduce-veselova-L16": ["reduce", "--model", "veselova", "--L", "16"],
     "reduce-g1-f0-L8": ["reduce", "--g", "1", "--f", "0", "--L", "8"],
+    # a finite direction whose length overflows: exits 0, and the
+    # renormalisation warning prints that length
+    "simulate-ball-huge-gamma": ["simulate", "--model", "ball", "--gamma", "1.7e308,1.7e308,0", "--M", "0,0,1",
+                                 "--horizon", "1"],
     # failing gates: each exits 4 and writes its one stderr line
     "simulate-ball-loose-rtol": ["simulate", "--model", "ball", "--demo", "--rtol", "1e-4", "--atol", "1e-6",
                                  "--horizon", "10", "--samples", "11"],
     "reduce-ball-near-boundary-L16": ["reduce", "--model", "ball", "--A", "0.4,0.5,0.99", "--D", "1",
                                       "--L", "16"],
     "planar-demo-loose-rtol": ["planar-demo", "--rtol", "1e-3", "--atol", "1e-5"],
+    # a constant F whose round-off fails the absolute gates at any band limit
+    "reduce-g1e-10-f0-L8": ["reduce", "--g", "1e-10", "--f", "0", "--L", "8"],
     # refused flags: each exits 2 and names its flag on one stderr line
     "reduce-ball-L0": ["reduce", "--model", "ball", "--L", "0"],
     "simulate-ball-negative-threshold": ["simulate", "--model", "ball", "--demo", "--threshold", "-1"],
@@ -65,6 +74,7 @@ INVOCATIONS = {
 # the exit code of each invocation that does not exit 0: 4 at a failing
 # gate, 2 at a refused flag, 3 at a refused value
 EXITS = {"simulate-ball-loose-rtol": 4, "reduce-ball-near-boundary-L16": 4, "planar-demo-loose-rtol": 4,
+         "reduce-g1e-10-f0-L8": 4,
          "reduce-ball-L0": 2, "simulate-ball-negative-threshold": 2, "simulate-ball-nan-rtol": 3,
          "simulate-ball-nan-threshold": 3, "reduce-g-nan-f0": 3, "simulate-ball-huge-U": 3,
          "check-duality-tiny-D": 3, "check-duality-small-D": 3}
@@ -83,7 +93,9 @@ def snapshot(outdir: Path) -> dict[str, int]:
             if argv[0] in WRITES_CSV:
                 argv = [*argv, "--csv", f"{name}.csv"]
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("always")
+                warnings.showwarning = lambda message, category, *_: err.write(f"{category.__name__}: {message}\n")
                 codes[name] = main([*argv, "--seed", "3"])
             Path(f"{name}.out").write_text(out.getvalue())
             Path(f"{name}.err").write_text(err.getvalue())

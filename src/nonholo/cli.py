@@ -34,6 +34,7 @@ import re
 import sys
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -201,7 +202,9 @@ def _initial_state(args, cfg, params):
     with np.errstate(over="ignore"):
         length = np.ldexp(norm, e)
     if abs(length - 1.0) > 1e-6:
-        warnings.warn(f"renormalizing gamma: |gamma| = {length:.8g}")
+        # a length past the largest float is printed from its exact decimal value
+        text = f"{length:.8g}" if length < np.inf else format(Decimal(norm) * 2 ** Decimal(int(e)), ".8g")
+        warnings.warn(f"renormalizing gamma: |gamma| = {text}")
     gamma = scaled / norm
     if M is None and omega is None:
         raise ConfigError("initial condition needs --M or --omega (or initial.M or initial.omega)")
@@ -308,8 +311,11 @@ def cmd_reduce(args) -> int:
     _emit({"schema_version": SCHEMA_VERSION, "command": "reduce", "source": label, **rep}, args.report)
     if rep["pass"]:
         return 0
+    # constant (g, f): both deviations are round-off of |F|, at any band limit
+    hint = ("F = -(f/g^2 + 1/g) is constant and the gates are absolute, so no band limit helps; "
+            "choose --g/--f with a smaller |F|") if args.g is not None else f"try --L {2 * L}"
     sys.stderr.write(f"reduction failed: residual {rep['residual']:.3e}{residual_at}, bracket_dev "
-                     f"{rep['bracket_dev']:.3e}{bracket_at}; try --L {2 * L}\n")
+                     f"{rep['bracket_dev']:.3e}{bracket_at}; {hint}\n")
     return 4
 
 

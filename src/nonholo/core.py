@@ -89,11 +89,10 @@ def skew_defect(P: Array) -> float:
 # finite differences
 # ---------------------------------------------------------------------------
 # One step rule (_steps) and one point layout (_stencil) serve every caller:
-# - the field fallbacks: ScalarField.gradient and the planar dH_dq
-#   (fd_gradient) and VectorField3.jacobian_at (fd_jacobian) at FD_STEP with
-#   one Richardson level, exact to round-off on cubics; VectorField3.curl_at
-#   (fd_curl) plain central at FD_STEP; each runs only at a leaf, since a
-#   field built by the algebra carries its derivative by the product rule;
+# - the field fallbacks: fd_jacobian (fd_gradient for a scalar function) at
+#   FD_STEP with one Richardson level, exact to round-off on cubics.  It runs
+#   only at a leaf, since a field built by the algebra carries its derivative
+#   by the product rule, and a curl is always read off a Jacobian (_curl_of);
 # - the test oracles of the reduction, 1e-4 with one Richardson level.  The
 #   Cartesian curl that the residual (spherical._ring_curl, differences
 #   along theta and phi) is held against reads 8.8e-12 at ball L = 32, where
@@ -102,9 +101,9 @@ def skew_defect(P: Array) -> float:
 #   with the closed-form gamma-block of gauge.gauge_state_jacobian to 3e-11
 #   at L = 8 to 32; the plain central step 1e-6 that block replaced read
 #   ball L = 32 bracket_dev as 1.14e-9 (seed 3), its noise, against 1.1e-12;
-# - the jacobiator: plain central at FD_STEP.  The benchmark fails a checks
-#   maximum more than 10x below its plain-central oracle, which a Richardson
-#   jacobiator (3.6e-11 against 8.8e-10 at the demo ball) would likely trip.
+# - the jacobiator: plain central at FD_STEP, as is the benchmark's oracle,
+#   which fails a checks maximum more than 10x below its own; a Richardson
+#   jacobiator (3.6e-11 against 8.8e-10 at the demo ball) would likely trip it.
 
 def _steps(x: Array, step: float | None = None) -> Array:
     """Per-point steps (..., 1): step (FD_STEP) times the norm, at least 1."""
@@ -133,33 +132,33 @@ def _central(fn, x: Array, h: Array) -> Array:
     return D / (2.0 * h.reshape(h.shape + (1,) * (D.ndim - x.ndim)))
 
 
-def fd_gradient(fn: Callable[[Array], Array], point) -> Array:
-    """Gradient of a scalar function over the last axis, at FD_STEP with one
-    Richardson level.  ``point`` is one point of shape (n,) or a stack of
-    shape (..., n), and ``fn`` maps points to values of shape (...)."""
-    d = fd_jacobian(fn, point, richardson=True)
-    if not np.all(np.isfinite(d)):
-        raise DomainError(f"non-finite field value near {np.asarray(point, float)}")
-    return d
-
-
-def fd_jacobian(fn: Callable[[Array], Array], point, step: float | None = None,
-                richardson: bool = False) -> Array:
-    """Jacobian J[..., i, j] = d fn_i / d x_j by central differences, per
-    point of a stack of shape (..., n) (or of one point of shape (n,))."""
+def fd_jacobian(fn: Callable[[Array], Array], point, step: float | None = None) -> Array:
+    """Jacobian J[..., i, j] = d fn_i / d x_j (a scalar fn's gradient) per
+    point of a stack of shape (..., n), or of one point of shape (n,), by
+    central differences at ``step`` (FD_STEP) with one Richardson level; a
+    non-finite result raises DomainError."""
     x = np.asarray(point, float)
     h = _steps(x, step)
     J = _central(fn, x, h)
-    return (4.0 * _central(fn, x, h / 2.0) - J) / 3.0 if richardson else J
+    J = (4.0 * _central(fn, x, h / 2.0) - J) / 3.0
+    if not np.all(np.isfinite(J)):
+        raise DomainError(f"non-finite field value near {x}")
+    return J
 
 
-def fd_curl(fn: Callable[[Array], Array], point, step: float | None = None,
-            richardson: bool = False) -> Array:
+fd_gradient = fd_jacobian      # a scalar function's Jacobian is its gradient
+
+
+def _curl_of(J: Array) -> Array:
     """curl F = (dF3/dx2 - dF2/dx3, dF1/dx3 - dF3/dx1, dF2/dx1 - dF1/dx2),
-    over the last axis of ``point`` as in ``fd_jacobian``."""
-    J = fd_jacobian(fn, point, step, richardson)
+    the antisymmetric part of F's Jacobian J (..., 3, 3), shape (..., 3)."""
     return np.stack([J[..., 2, 1] - J[..., 1, 2], J[..., 0, 2] - J[..., 2, 0],
                      J[..., 1, 0] - J[..., 0, 1]], axis=-1)
+
+
+def fd_curl(fn: Callable[[Array], Array], point, step: float | None = None) -> Array:
+    """The curl of ``fd_jacobian(fn, point, step)``."""
+    return _curl_of(fd_jacobian(fn, point, step))
 
 
 # States per jacobiator block, each holding its 2n+1 stencil matrices and
@@ -317,20 +316,18 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField3:
-    """An R^3-valued function of gamma, with an optional analytic curl and
-    an optional analytic Jacobian.
+    """An R^3-valued function of gamma, with an optional analytic Jacobian.
 
-    ``fn`` and ``curl`` map points of shape (..., 3) to vectors of shape
-    (..., 3), or to one constant 3-vector; one point of shape (3,) gives one
-    3-vector.  ``jacobian`` maps them to matrices J[..., i, j] = d fn_i /
-    d x_j of shape (..., 3, 3), or to one constant matrix.  A field made
-    without a curl (a Jacobian) falls back to ``fd_curl`` of itself, plain
-    central at FD_STEP (``fd_jacobian`` at FD_STEP with one Richardson level,
-    as ``ScalarField.gradient``); sums and scalings carry both by the product rule.
+    ``fn`` maps points of shape (..., 3) to vectors of shape (..., 3), or to
+    one constant 3-vector; one point of shape (3,) gives one 3-vector.
+    ``jacobian`` maps them to matrices J[..., i, j] = d fn_i / d x_j of shape
+    (..., 3, 3), or to one constant matrix.  A field made without a Jacobian
+    falls back to ``fd_jacobian`` of itself, as ``ScalarField.gradient``
+    does; sums and scalings carry it by the product rule.  The curl is the
+    antisymmetric part of the Jacobian.
     """
 
     fn: Callable[[Array], Array]
-    curl: Callable[[Array], Array] | None = None
     jacobian: Callable[[Array], Array] | None = None
 
     def __call__(self, point) -> Array:
@@ -338,31 +335,27 @@ class VectorField3:
         return _fit(self.fn(x), x.shape)
 
     def curl_at(self, point) -> Array:
-        x = np.asarray(point, float)
-        if self.curl is not None:
-            return _fit(self.curl(x), x.shape)
-        return fd_curl(self, x)
+        return _curl_of(self.jacobian_at(point))
 
     def jacobian_at(self, point) -> Array:
         x = np.asarray(point, float)
         if self.jacobian is not None:
             return _fit(self.jacobian(x), x.shape + (3,))
-        return fd_jacobian(self, x, richardson=True)
+        return fd_jacobian(self, x)
 
     @staticmethod
     def zero() -> "VectorField3":
-        return VectorField3(lambda x: 0.0, curl=lambda x: 0.0, jacobian=lambda x: 0.0)
+        return VectorField3(lambda x: 0.0, jacobian=lambda x: 0.0)
 
     def __add__(self, other: "VectorField3") -> "VectorField3":
-        return VectorField3(lambda x: self(x) + other(x), curl=lambda x: self.curl_at(x) + other.curl_at(x),
+        return VectorField3(lambda x: self(x) + other(x),
                             jacobian=lambda x: self.jacobian_at(x) + other.jacobian_at(x))
 
     def scaled(self, s) -> "VectorField3":
-        """Pointwise product s(gamma) * h(gamma); curl s curl h + grad s x h
-        and Jacobian s J_h + h (x) grad s by the product rule."""
+        """Pointwise product s(gamma) * h(gamma); Jacobian s J_h + h (x)
+        grad s by the product rule."""
         if not isinstance(s, ScalarField):
             s = ScalarField.constant(float(s))
         return VectorField3(lambda x: lift(s(x)) * self(x),
-                            curl=lambda x: lift(s(x)) * self.curl_at(x) + np.cross(s.gradient(x), self(x)),
                             jacobian=lambda x: (lift(s(x), 2) * self.jacobian_at(x)
                                                 + self(x)[..., :, None] * s.gradient(x)[..., None, :]))

@@ -31,10 +31,11 @@ zero_level_transform: on the zero level (M, gamma) = 0 it is the rescaling
 M -> M / g, and its congruence lands on e(3) there with no curl equation.
 
 A bracket moves by the congruence J P J^T with the Jacobian J of the state
-map, which gauge_state_jacobian takes in closed form.  The reduction's h
-carries its analytic Jacobian (spherical._rotated_gradient), so the
-reported bracket_dev measures the reduction itself, to quadrature
-round-off where the band limit resolves F, and no finite difference.
+map, which gauge_state_jacobian takes in closed form from dh, whose
+antisymmetric part is the curl h in f~.  The reduction's h carries its
+analytic Jacobian (spherical._rotated_gradient), so the reported
+bracket_dev measures the reduction itself, to quadrature round-off where
+the band limit resolves F, and no finite difference.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def pushforward_params(t: GaugeTransform, p: GFParams) -> GFParams:
 
     g~ = alpha g and Phi~ = alpha^2 Phi carry their gradients by the
     product rule; f~ is a plain evaluation map (_pushed_f) of h and curl h
-    at its points.  A nonzero gyrostat k raises DomainError.
+    (read off dh) at its points.  A nonzero gyrostat k raises DomainError.
     """
     if np.any(p.k):
         raise DomainError("the gauge action does not preserve a nonzero gyrostat k")

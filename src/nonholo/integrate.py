@@ -351,10 +351,9 @@ def trajectory_csv(traj: Trajectory, path,
     """Write a trajectory as CSV, full double precision (%.17g).
 
     Columns: t, the state components under ``columns``, then the tracked
-    integrals: H, F1 and F2 first where present, then the rest in order.
+    integrals in their order (H, F1, F2 and the extras for a sphere system).
     """
-    first = [n for n in ("H", "F1", "F2") if n in traj.integrals]
-    order = first + [n for n in traj.integrals if n not in first]
+    order = list(traj.integrals)
     data = np.column_stack([traj.t, traj.states, *(traj.integrals[n] for n in order)])
     row = ",".join(["%.17g"] * data.shape[1])
     write_in_place(path, ",".join(["t", *columns, *order]) + "\n"

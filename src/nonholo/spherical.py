@@ -44,16 +44,16 @@ The solver below finds, for smooth F, a constant c and a tangent vector
 field h with (gamma, curl h) = F + c on the sphere: c = -mean(F) makes F + c
 zero-mean, the Laplace-Beltrami operator is inverted in the basis above,
 and h = u x grad_S psi is the rotated surface gradient of the resulting
-potential psi, extended to R^3 as a degree-zero homogeneous field.  h is
-one spectral field with four trailing components: its Cartesian
-components, read off psi's coefficients through the angular-momentum
-ladder, and Lap_S psi = F + c.  Its values are the first three; its
-closed-form curl, x Lap psi~ - grad psi~ for psi~ the extension of psi, is
-(u Lap_S psi + u x h) / |x|, since grad_S psi = h x u on the sphere; its
-closed-form Jacobian is the surface gradients of the first three.  The
-reported residual checks (gamma, curl h) = F + c with a finite-difference
-curl of those same component values, taken along theta and phi on
-shifted rings.
+potential psi, extended to R^3 as a degree-zero homogeneous field.  The
+solver's field has four trailing components: h's Cartesian components,
+read off psi's coefficients through the angular-momentum ladder, and
+Lap_S psi = F + c.  h carries the closed-form Jacobian of the first three,
+their surface gradients, and its curl is read off that Jacobian.  On the
+verification rings the curl is read in closed form instead, x Lap psi~ -
+grad psi~ for psi~ the extension of psi, which is (u Lap_S psi + u x h) /
+|x|, since grad_S psi = h x u on the sphere.  The reported residual checks
+(gamma, curl h) = F + c with a finite-difference curl of those same
+component values, taken along theta and phi on shifted rings.
 """
 
 from __future__ import annotations
@@ -404,30 +404,27 @@ def _rotated_components(psi: SphereSpectralField) -> SphereSpectralField:
 
 def _curl(values: Array, x: Array) -> Array:
     """h's closed-form curl (u Lap_S psi(u) + u x h(u)) / |x| at points x of
-    shape (..., 3), from its field's values there (_rotated_gradient): h's
-    three components, then Lap_S psi."""
+    shape (..., 3), from the solver's field's values there
+    (solve_curl_equation): h's three components, then Lap_S psi."""
     u, r = _radial(x)
     return (u * values[..., 3:4] + np.cross(u, values[..., :3])) / r
 
 
-def _rotated_gradient(field: SphereSpectralField) -> VectorField3:
+def _rotated_gradient(components: SphereSpectralField) -> VectorField3:
     """h(x) = (u x grad_S psi)(u), u = x/|x| (degree-zero extension), for x
     of shape (..., 3), from the field of h's Cartesian components
-    (_rotated_components) and Lap_S psi, four components in all.  h is the
-    first three, its closed-form curl is _curl, and its closed-form Jacobian
-    dh_i/dx_j = (grad_S h_i(u))_j / |x|, shape (..., 3, 3), is the
-    components' surface gradients: the values of their nine ladder
-    components, crossed with u.  All 13 are synthesized as one field, so
-    that h, its curl and its Jacobian at the same points share one
-    Legendre table per point."""
-    L = field.L
-    ladder = _rotated_components(SphereSpectralField(L, field.c_cos[..., :3], field.c_sin[..., :3]))
-    full = SphereSpectralField(L, np.concatenate([field.c_cos, ladder.c_cos.reshape(L + 1, L + 1, 9)], axis=-1),
-                               np.concatenate([field.c_sin, ladder.c_sin.reshape(L + 1, L + 1, 9)], axis=-1))
-    # the values at the latest points: a curl by the product rule
-    # (VectorField3.scaled, or gauge.pushforward_params's g~ curl h - grad g~
-    # x h) reads h and its curl at the same points, and the state Jacobian
-    # reads h and its Jacobian at the states' gamma
+    (_rotated_components).  h carries its closed-form Jacobian dh_i/dx_j =
+    (grad_S h_i(u))_j / |x|, shape (..., 3, 3): the components' surface
+    gradients, the values of their nine ladder components, crossed with u.
+    All 12 are synthesized as one field, so that h and its Jacobian (and so
+    its curl) at the same points share one Legendre table per point."""
+    L, ladder = components.L, _rotated_components(components)
+    full = SphereSpectralField(L, np.concatenate([components.c_cos, ladder.c_cos.reshape(L + 1, L + 1, 9)], -1),
+                               np.concatenate([components.c_sin, ladder.c_sin.reshape(L + 1, L + 1, 9)], -1))
+    # the values at the latest points: a Jacobian by the product rule
+    # (VectorField3.scaled, or the curl in gauge.pushforward_params) reads h
+    # and its Jacobian at the same points, and so does the state Jacobian
+    # at the states' gamma
     last = {}
 
     def values(x):
@@ -440,10 +437,9 @@ def _rotated_gradient(field: SphereSpectralField) -> VectorField3:
     def jacobian(x):
         v = values(x)
         u, r = _radial(x)
-        return np.cross(v[..., 4:].reshape(v.shape[:-1] + (3, 3)), u[..., None, :]) / r[..., None]
+        return np.cross(v[..., 3:].reshape(v.shape[:-1] + (3, 3)), u[..., None, :]) / r[..., None]
 
-    return VectorField3(lambda x: values(x)[..., :3], curl=lambda x: _curl(values(x), x),
-                        jacobian=jacobian)
+    return VectorField3(lambda x: values(x)[..., :3], jacobian=jacobian)
 
 
 def _ring_curl(field: SphereSpectralField, L: int) -> tuple[Array, Array]:
@@ -481,12 +477,12 @@ def _ring_curl(field: SphereSpectralField, L: int) -> tuple[Array, Array]:
     e_theta = np.stack(np.broadcast_arrays(x[:, None] * cp, x[:, None] * sp, -s[:, None]), axis=-1)
     along_phi = np.vecdot(on_rings[:, : 4 * nphi, :3], e_theta).reshape(nv, 4, nphi)
 
-    def richardson(v):
+    def extrapolated(v):
         wide = (v[:, 0] - v[:, 1]) / (2.0 * RESIDUAL_STEP)
         narrow = (v[:, 2] - v[:, 3]) / RESIDUAL_STEP
         return (4.0 * narrow - wide) / 3.0
 
-    curl = ((richardson(along_theta) - richardson(along_phi)) / s[:, None]).ravel()
+    curl = ((extrapolated(along_theta) - extrapolated(along_phi)) / s[:, None]).ravel()
     return curl, on_rings[:, 4 * nphi:].reshape((nv * nphi,) + on_rings.shape[2:])
 
 
@@ -517,7 +513,7 @@ def solve_curl_equation(F, L: int = 32) -> CurlSolution:
         components = _rotated_components(psi)
         field = SphereSpectralField(L, np.dstack([components.c_cos, lap.c_cos]),
                                     np.dstack([components.c_sin, lap.c_sin]))
-        (lhs, values), h = _ring_curl(field, L), _rotated_gradient(field)
+        (lhs, values), h = _ring_curl(field, L), _rotated_gradient(components)
     deviation = np.abs(lhs - F(pts) - c)
     worst = int(np.argmax(deviation))
     return CurlSolution(c=c, h=h, residual=float(deviation[worst]), psi=psi, worst_gamma=pts[worst],

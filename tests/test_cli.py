@@ -121,7 +121,7 @@ class TestSimulate:
         assert code == 0
 
     def test_gamma_renormalized_with_warning(self, workdir):
-        with pytest.warns(UserWarning, match="renormalizing"):
+        with pytest.warns(UserWarning, match=r"^renormalizing gamma: \|gamma\| = 1\.001$"):
             code = run(["simulate", "--model", "ball", "--M", "0.3,-0.2,0.5",
                         "--gamma", "0,0,1.001", "--horizon", "1", "--samples", "11"])
         assert code == 0
@@ -173,12 +173,14 @@ class TestSimulate:
                                            f"nonzero direction, got {shown}\n")
 
     @pytest.mark.parametrize("gamma, length", [("1e300,1e300,0", "1.4142136e+300"),
-                                               ("1e-200,1e-200,0", "1.4142136e-200")])
+                                               ("1e-200,1e-200,0", "1.4142136e-200"),
+                                               ("1.7e308,1.7e308,0", "2.4041631e+308")])
     def test_extreme_finite_gamma_is_a_direction(self, workdir, capsys, gamma, length):
         # the norm overflowed (numpy's RuntimeWarning, then exit 3) or
-        # underflowed to zero (exit 3); scaled by a power of two first, both
+        # underflowed to zero (exit 3); scaled by a power of two first, all
         # read as the direction (1, 1, 0) / sqrt(2), with only the
-        # renormalisation's own warning
+        # renormalisation's own warning, which prints the true length even
+        # past the largest float (it read |gamma| = inf)
         with pytest.warns(UserWarning) as record:
             code = run(["simulate", "--model", "ball", "--gamma", gamma, "--M", "0,0,1", "--horizon", "1",
                         "--samples", "11"])
@@ -745,6 +747,17 @@ class TestReduce:
         assert run(["reduce", "--g", g, "--f", "0", "--L", "8"]) == 0
         captured = capsys.readouterr()
         assert captured.err == "" and json.loads(captured.out)["bracket_dev"] <= 1e-15
+
+    @pytest.mark.parametrize("g", ["1e-10", "1e-100"])
+    def test_constant_f_failure_names_g_and_f(self, workdir, capsys, g):
+        # F = -1/g is constant, so the residual and bracket_dev are
+        # round-off of |F| at any band limit; the hint said "try --L 16"
+        assert run(["reduce", "--g", g, "--f", "0", "--L", "8"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("reduction failed: residual ") and err.count("\n") == 1
+        assert err.endswith("; F = -(f/g^2 + 1/g) is constant and the gates are absolute, so no band limit "
+                            "helps; choose --g/--f with a smaller |F|\n")
+        assert "--L" not in err
 
     def test_ball_moderate_band_limit(self, workdir, capsys):
         assert run(["reduce", "--model", "ball", "--L", "16", "-n", "30"]) == 0

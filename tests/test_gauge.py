@@ -43,14 +43,20 @@ from conftest import rand_state, rand_unit
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 
 
+def _h1_jacobian(g):
+    J = np.zeros(g.shape + (3,))
+    J[..., 0, 1], J[..., 1, 2], J[..., 2, 0], J[..., 2, 1] = 0.2, -0.2 * g[..., 2], 0.3 * g[..., 1], 0.3 * g[..., 0]
+    return J
+
+
 def analytic_gauges():
     a1 = ScalarField(lambda g: 1.2 + 0.3 * g[..., 0] + 0.1 * g[..., 1] ** 2,
                      grad=lambda g: vector(0.3, 0.2 * g[..., 1], 0.0))
     h1 = VectorField3(lambda g: vector(0.2 * g[..., 1], -0.1 * g[..., 2] ** 2, 0.3 * g[..., 0] * g[..., 1]),
-                      curl=lambda g: vector(0.3 * g[..., 0] + 0.2 * g[..., 2], -0.3 * g[..., 1], -0.2))
+                      jacobian=_h1_jacobian)
     a2 = ScalarField(lambda g: 0.9 + 0.2 * g[..., 2], grad=lambda g: np.array([0.0, 0.0, 0.2]))
     h2 = VectorField3(lambda g: vector(0.1 * g[..., 0], 0.05 * g[..., 1], -0.2 * g[..., 2]),
-                      curl=lambda g: np.zeros(3))
+                      jacobian=lambda g: np.diag([0.1, 0.05, -0.2]))
     return GaugeTransform(a1, 1.7, h1), GaugeTransform(a2, 0.8, h2)
 
 
@@ -127,7 +133,7 @@ class TestGroupLaw:
         t1, t2 = analytic_gauges()
         t3 = GaugeTransform(ScalarField.constant(1.4), 2.0,
                             VectorField3(lambda g: np.array([0.0, 0.1, 0.0]),
-                                         curl=lambda g: np.zeros(3)))
+                                         jacobian=lambda g: np.zeros((3, 3))))
         left = compose(t3, compose(t2, t1))
         right = compose(compose(t3, t2), t1)
         for _ in range(20):
@@ -245,14 +251,13 @@ class TestBivectorPushforward:
 
     def test_constant_gauge_is_exact_congruence(self, rng):
         # with constant (alpha, c, h) the closed-form Jacobian reads a zero
-        # grad alpha and a zero dh (h has no jacobian; its differences
-        # vanish), so the congruence must match the hand-computed one to
-        # round-off
+        # grad alpha and a zero dh, so the congruence must match the
+        # hand-computed one to round-off
         from nonholo import hat
         a, c = 1.3, 0.7
         h = np.array([0.2, -0.1, 0.4])
         t = GaugeTransform(ScalarField.constant(a), c,
-                           VectorField3(lambda g: h, curl=lambda g: np.zeros(3)))
+                           VectorField3(lambda g: h, jacobian=lambda g: np.zeros((3, 3))))
         P = gf_bivector(ball_params())
         for _ in range(10):
             x = rand_state(rng)
@@ -350,7 +355,7 @@ class TestStateJacobian:
         # the raw fiber map, since apply_gauge_state refuses the off-sphere stencil
         fm = lambda g: _fiber_map(gauge.alpha(g), gauge.c, gauge.h(g), M, g)
         np.testing.assert_allclose(gauge_state_jacobian(gauge, x)[..., :3, 3:],
-                                   fd_jacobian(fm, gamma, step=1e-4, richardson=True), rtol=0, atol=5e-11)
+                                   fd_jacobian(fm, gamma, step=1e-4), rtol=0, atol=5e-11)
 
     @pytest.mark.parametrize("first", [True, False])
     def test_composed_gamma_block_matches_richardson_differences_of_fiber_map(self, rng, first):
@@ -359,15 +364,13 @@ class TestStateJacobian:
         # rule, so the closed-form block stays at the differences' round-off
         gauge, _ = reduce_to_e3(ball_params(), L=16)
         t1, t2 = analytic_gauges()
-        analytic = GaugeTransform(t2.alpha, t2.c, VectorField3(
-            t2.h.fn, curl=t2.h.curl, jacobian=lambda g: np.diag([0.1, 0.05, -0.2])))
-        t = compose(analytic, gauge) if first else compose(gauge, analytic)
+        t = compose(t2, gauge) if first else compose(gauge, t2)
         assert t.h.jacobian is not None and compose(t2, t1).h.jacobian is not None
         x = np.array([rand_state(rng) for _ in range(200)])
         M, gamma = unpack(x)
         fm = lambda g: _fiber_map(t.alpha(g), t.c, t.h(g), M, g)
         np.testing.assert_allclose(gauge_state_jacobian(t, x)[..., :3, 3:],
-                                   fd_jacobian(fm, gamma, step=1e-4, richardson=True), rtol=0, atol=5e-11)
+                                   fd_jacobian(fm, gamma, step=1e-4), rtol=0, atol=5e-11)
 
     @pytest.mark.parametrize("n", [None, 40])
     def test_gamma_block_falls_back_to_richardson_differences_of_h(self, rng, n):
@@ -375,7 +378,7 @@ class TestStateJacobian:
         # field-fallback rule; by hand: one Richardson level of central
         # differences at FD_STEP
         gauge, _ = reduce_to_e3(ball_params(), L=16)
-        bare = GaugeTransform(gauge.alpha, gauge.c, VectorField3(gauge.h.fn, curl=gauge.h.curl))
+        bare = GaugeTransform(gauge.alpha, gauge.c, VectorField3(gauge.h.fn))
         x = rand_state(rng) if n is None else np.array([rand_state(rng) for _ in range(n)])
         _, gamma = unpack(x)
 
@@ -474,17 +477,16 @@ class TestZeroLevel:
 class TestReduction:
     def test_bracket_probes_share_the_image_gradient(self, monkeypatch):
         # one synthesis of h's field at the probe states, shared by the
-        # image M~ and the Jacobian's h(gamma) and dh: its 13 components are
-        # h, Lap_S psi and the nine ladder components of h's gradients.  f~
-        # reads h off the residual's verification rings; no other value or
-        # gradient
+        # image M~ and the Jacobian's h(gamma) and dh: its 12 components are
+        # h and the nine ladder components of h's gradients.  f~ reads h off
+        # the residual's verification rings; no other value or gradient
         calls = []
         for name in ("value", "surface_gradient"):
             original = getattr(SphereSpectralField, name)
             monkeypatch.setattr(SphereSpectralField, name, lambda self, x, name=name, original=original:
                                 calls.append((name, self.c_cos.shape[2:], np.size(x) // 3)) or original(self, x))
         reduction_report(ball_params(), L=16, n_states=20)
-        assert calls == [("value", (13,), 20)]
+        assert calls == [("value", (12,), 20)]
 
     @pytest.mark.parametrize("params, L, budget", [
         (ball_params, 32, 2 * 33 + 5 * 17 + 200), (veselova_gyrostat_params, 16, 2 * 17 + 5 * 9 + 200),

@@ -51,14 +51,16 @@ def test_cli_snapshot(monkeypatch, capsys, tmp_path):
     snapshot = runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))
     names, exits = list(snapshot["INVOCATIONS"]), snapshot["EXITS"]
     expected = {name: exits.get(name, 0) for name in names}
-    assert len(names) == 29 and sorted(exits.values()) == [2, 2, 3, 3, 3, 3, 3, 3, 4, 4, 4]
+    assert len(names) == 31 and sorted(exits.values()) == [2, 2, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4]
     assert out.strip().splitlines() == [f"{name}: exit {code}" for name, code in expected.items()]
     assert {name: int((tmp_path / f"{name}.exit").read_text()) for name in names} == expected
     # a failing gate or a refused flag or value writes one stderr line, a
-    # passing run none
+    # passing run none but a warning's one line
+    warns = {"simulate-ball-huge-gamma": "UserWarning: renormalizing gamma: |gamma| = 2.4041631e+308\n"}
     assert {name: (tmp_path / f"{name}.err").read_text().count("\n") for name in names} == \
-        {name: int(name in exits) for name in names}
-    assert len(list(tmp_path.glob("*.csv"))) == 6 and len(list(tmp_path.glob("*.out"))) == 29
+        {name: int(name in exits or name in warns) for name in names}
+    assert all((tmp_path / f"{name}.err").read_text() == line for name, line in warns.items())
+    assert len(list(tmp_path.glob("*.csv"))) == 7 and len(list(tmp_path.glob("*.out"))) == 31
 
 
 def _resolves(chain: str) -> bool:

@@ -256,7 +256,7 @@ class TestPoles:
         sol = solve_curl_equation(F, L=8)
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-6, 0.0, 1.0], [0.0, 1e-9, -1.0]])
         pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
-        lhs = np.vecdot(pts, fd_curl(sol.h, pts, step=1e-4, richardson=True))
+        lhs = np.vecdot(pts, fd_curl(sol.h, pts, step=1e-4))
         np.testing.assert_allclose(lhs, F(pts) + sol.c, atol=1e-8)
 
     def test_origin_still_rejected(self):
@@ -297,8 +297,9 @@ class TestPoles:
 
 
 class TestClosedFormCurl:
-    """h carries curl h = (u Lap_S psi - grad_S psi) / |x|; a Richardson
-    finite-difference curl of h's values is the independent oracle."""
+    """h's curl, read off its closed-form Jacobian, is (u Lap_S psi -
+    grad_S psi) / |x|; a Richardson finite-difference curl of h's values is
+    the independent oracle."""
 
     F = ScalarField(lambda g: g[..., 2] + g[..., 0] * g[..., 1] + 0.5 * g[..., 0] ** 3)
 
@@ -308,25 +309,26 @@ class TestClosedFormCurl:
         u = rng.standard_normal((20, 3))
         u /= np.linalg.norm(u, axis=-1, keepdims=True)
         x = np.concatenate([u, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]]) * radius
-        fd = fd_curl(sol.h.fn, x, step=1e-4, richardson=True)
+        fd = fd_curl(sol.h.fn, x, step=1e-4)
         np.testing.assert_allclose(sol.h.curl_at(x), fd, atol=1e-10)
         np.testing.assert_allclose(sol.h.curl_at(x[0]), fd[0], atol=1e-10)
 
     def test_report_makes_one_fd_curl_check(self, monkeypatch):
         # the residual's ring stencil is the only finite-difference curl of a
-        # reduction; the pushed f~ reads the closed form
+        # reduction; the pushed f~ and the bracket read h's closed-form
+        # Jacobian
         rings, cartesian = [], []
-        ring_curl, fd = spherical._ring_curl, core.fd_curl
+        ring_curl, fd = spherical._ring_curl, core.fd_jacobian
         monkeypatch.setattr(spherical, "_ring_curl", lambda *a: rings.append(a) or ring_curl(*a))
-        monkeypatch.setattr(core, "fd_curl", lambda *a, **k: cartesian.append(a) or fd(*a, **k))
+        monkeypatch.setattr(core, "fd_jacobian", lambda *a, **k: cartesian.append(a) or fd(*a, **k))
         spec = ball_system(BallParams(**DEMO_BALL)).s_spec
         reduction_report(GFParams(g=spec.g, f=spec.f), L=16, n_states=5)
         assert len(rings) == 1 and cartesian == []
 
     def test_pushed_f_synthesizes_h_once(self, monkeypatch):
         # f~ reads curl(h / g~) = curl h / g~ + grad(1/g~) x h, and h and
-        # curl h share one synthesis of h's field at the points, whose
-        # thirteen components hold its Jacobian too; no surface gradient is
+        # the Jacobian that curl h is read off share one synthesis of h's
+        # field at the points, its twelve components; no surface gradient is
         # taken
         spec = ball_system(BallParams(**DEMO_BALL)).s_spec
         p = GFParams(g=spec.g, f=spec.f)
@@ -337,7 +339,7 @@ class TestClosedFormCurl:
             monkeypatch.setattr(SphereSpectralField, name, lambda self, x, name=name, original=original:
                                 calls.append((name, self.c_cos.shape[2:], np.size(x) // 3)) or original(self, x))
         pushforward_params(gauge, p).f(verify_points(16))
-        assert calls == [("value", (13,), len(verify_points(16)))]
+        assert calls == [("value", (12,), len(verify_points(16)))]
 
     def test_shared_gradient_follows_the_points(self, rng):
         sol = solve_curl_equation(self.F, L=8)
@@ -414,7 +416,7 @@ class TestRingResidual:
         F = curl_target_F(params())
         sol = solve_curl_equation(F, L=L)
         pts = verify_points(L)
-        cartesian = np.vecdot(pts, fd_curl(sol.h, pts, step=1e-4, richardson=True))
+        cartesian = np.vecdot(pts, fd_curl(sol.h, pts, step=1e-4))
         np.testing.assert_allclose(ring_curl(sol.psi, L), cartesian, rtol=0.0, atol=tol)
         assert sol.residual == pytest.approx(np.max(np.abs(cartesian - F(pts) - sol.c)), rel=0.0, abs=tol)
 
@@ -430,7 +432,7 @@ class TestRingResidual:
         sol = solve_curl_equation(F, L=16)
         assert sol.residual > RESIDUAL_TOL
         pts = verify_points(16)
-        cartesian = np.vecdot(pts, fd_curl(sol.h, pts, step=1e-4, richardson=True))
+        cartesian = np.vecdot(pts, fd_curl(sol.h, pts, step=1e-4))
         assert np.max(np.abs(cartesian - F(pts) - sol.c)) > RESIDUAL_TOL
 
     def test_one_table_per_ring(self, monkeypatch):
@@ -539,6 +541,54 @@ class TestRingResidual:
         assert sol.worst_gamma[2] < -0.99
 
 
+def axisymmetric_ball(a3, a=0.5, D=1.0):
+    """The exact reduction of the ball A = (a, a, a3): the constant c, the
+    curl target F and h on the unit sphere, as functions of unit points.
+
+    With t = gamma_3, u = 1/D - (gamma, A gamma) = p - q t^2 for p = 1/D - a
+    and q = a3 - a, and F = -(1/D) u^(-3/2) depends on t only.  Then
+    c = -mean F = 1 / (D p sqrt(p - q)), and Lap_S psi = F + c integrates
+    to (1 - t^2) psi'(t) = G(t) = c (1 + t) - (1/D) [s / (p sqrt(p - q s^2))]
+    from s = -1 to t, which vanishes at both poles.  h = u x grad_S psi =
+    psi'(t) (u x e3), with G(t) / (1 - t^2) written without the poles'
+    cancellation."""
+    p, q = 1.0 / D - a, a3 - a
+    r = np.sqrt(p - q)
+    c = 1.0 / (D * p * r)
+
+    def F(u):
+        return -(p - q * u[..., 2] ** 2) ** -1.5 / D
+
+    def h(u):
+        t = u[..., 2]
+        w = np.sqrt(p - q * t * t)
+        return (q * t / (D * p * r * w * (w + r)))[..., None] * np.cross(u, [0.0, 0.0, 1.0])
+
+    return c, F, h
+
+
+class TestAxisymmetricBall:
+    """The spectral solver against the exact solution: c, h, and the curl
+    that h reads off its Jacobian, at 200 random unit points."""
+
+    # measured 4.9e-15 / 2.0e-13 / 5.9e-13 (a3 = 0.6, L = 32), 2.0e-14 /
+    # 8.0e-14 / 7.5e-12 (a3 = 0.9, L = 64) and 2.7e-11 / 1.8e-10 / 2.4e-9
+    # (a3 = 0.99, L = 192, about 1 s), against |h| up to 0.18, 3.2 and 40,
+    # the same with the closed-form curl (u Lap_S psi + u x h); the error
+    # grows toward the poles, where F peaks (curl 3.1e-7 at a3 = 0.99)
+    @pytest.mark.parametrize("a3, L, c_tol, h_tol, curl_tol", [
+        (0.6, 32, 5e-14, 1e-12, 5e-11), (0.9, 64, 2e-13, 5e-12, 1e-10), (0.99, 192, 2e-10, 1e-9, 2e-8)])
+    def test_matches_the_closed_form(self, rng, a3, L, c_tol, h_tol, curl_tol):
+        c, F, h = axisymmetric_ball(a3)
+        spec = ball_system(BallParams(A=(0.5, 0.5, a3), D=1.0)).s_spec
+        sol = solve_curl_equation(curl_target_F(GFParams(g=spec.g, f=spec.f)), L=L)
+        u = rng.standard_normal((200, 3))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        assert abs(sol.c - c) <= c_tol
+        np.testing.assert_allclose(sol.h(u), h(u), rtol=0, atol=h_tol)
+        np.testing.assert_allclose(np.vecdot(u, sol.h.curl_at(u)), F(u) + c, rtol=0, atol=curl_tol)
+
+
 def unit_points_with_poles(rng, n=200):
     u = np.vstack([rng.standard_normal((n, 3)), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
                                                  [1e-12, 0.0, 1.0], [0.0, -1e-9, -1.0]]])
@@ -595,7 +645,7 @@ class TestRotatedComponents:
         # measured 2.8e-12 at both band limits, on entries up to 0.99
         sol = solve_curl_equation(curl_target_F(demo_ball()), L=L)
         x = unit_points_with_poles(rng, 50) * rng.uniform(0.5, 2.0, (54, 1))
-        fd = core.fd_jacobian(sol.h, x, step=1e-4, richardson=True)
+        fd = core.fd_jacobian(sol.h, x, step=1e-4)
         np.testing.assert_allclose(sol.h.jacobian_at(x), fd, rtol=0, atol=1e-11)
 
 
@@ -647,7 +697,7 @@ class TestCurlSolver:
         for _ in range(5):
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
-            lhs = u @ fd_curl(sol.h.fn, u, step=1e-4, richardson=True)
+            lhs = u @ fd_curl(sol.h.fn, u, step=1e-4)
             assert lhs == pytest.approx(f.value(u) + sol.c, abs=1e-8)
 
     def test_h_is_tangential(self, rng):

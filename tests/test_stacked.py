@@ -68,8 +68,16 @@ _ball = ball_system(BALL).s_spec
 _ves = veselova_system(VES).s_spec
 _alpha = ScalarField(lambda g: 1.2 + 0.3 * g[..., 0] + 0.1 * g[..., 1] ** 2,
                      grad=lambda g: vector(0.3, 0.2 * g[..., 1], 0.0))
+
+
+def _h_jacobian(g):
+    J = np.zeros(g.shape + (3,))
+    J[..., 0, 1], J[..., 1, 2], J[..., 2, 0], J[..., 2, 1] = 0.2, -0.2 * g[..., 2], 0.3 * g[..., 1], 0.3 * g[..., 0]
+    return J
+
+
 _h = VectorField3(lambda g: vector(0.2 * g[..., 1], -0.1 * g[..., 2] ** 2, 0.3 * g[..., 0] * g[..., 1]),
-                  curl=lambda g: vector(0.3 * g[..., 0] + 0.2 * g[..., 2], -0.3 * g[..., 1], -0.2))
+                  jacobian=_h_jacobian)
 _t1 = GaugeTransform(_alpha, 1.7, _h)
 _t2 = GaugeTransform(ScalarField(lambda g: 0.9 + 0.2 * g[..., 2], grad=lambda g: np.array([0.0, 0.0, 0.2])),
                      0.8, VectorField3(lambda g: vector(0.1 * g[..., 0], 0.05 * g[..., 1], -0.2 * g[..., 2])))
