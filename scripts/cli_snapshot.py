@@ -4,9 +4,7 @@
 Runs each invocation below in-process through ``nonholo.cli.main`` at
 seed 3, from inside OUTDIR, and writes there, per invocation NAME:
 NAME.out (stdout), NAME.err (stderr), NAME.exit (the exit code) and,
-for the runs that write one, NAME.csv.  A warning goes to NAME.err as its
-category and message only, without the source path and line that differ
-between checkouts.  Snapshot two checkouts into two
+for the runs that write one, NAME.csv.  Snapshot two checkouts into two
 directories and ``diff -r`` them to see exactly which outputs a change
 moved.  The invocations run against whichever ``nonholo`` is imported, so
 ``PYTHONPATH=<checkout>/src`` snapshots an older checkout too.
@@ -18,7 +16,6 @@ import contextlib
 import io
 import os
 import sys
-import warnings
 from pathlib import Path
 
 from nonholo.cli import main
@@ -70,6 +67,15 @@ INVOCATIONS = {
     "check-duality-tiny-D": ["check", "duality", "--D", "1e-320"],
     # a finite dual inertia whose square in the dual ball's Hamiltonian overflows
     "check-duality-small-D": ["check", "duality", "--D", "1e-300"],
+    # a ball D whose 1/D overflows
+    "check-jacobi-ball-tiny-D": ["check", "jacobi", "--model", "ball", "--D", "1e-320"],
+    # constant pairs outside the reduction's scale rule: g, then f, too large
+    # or too small, then F = -(f/g^2 + 1/g) too large or zero
+    "reduce-g1e300-f0-L8": ["reduce", "--g", "1e300", "--f", "0", "--L", "8"],
+    "reduce-g1e-300-f0-L8": ["reduce", "--g", "1e-300", "--f", "0", "--L", "8"],
+    "reduce-g1-f1e300-L8": ["reduce", "--g", "1", "--f", "1e300", "--L", "8"],
+    "reduce-g1e-60-f1-L8": ["reduce", "--g", "1e-60", "--f", "1", "--L", "8"],
+    "reduce-g1-f-1-L8": ["reduce", "--g", "1", "--f", "-1", "--L", "8"],
 }
 # the exit code of each invocation that does not exit 0: 4 at a failing
 # gate, 2 at a refused flag, 3 at a refused value
@@ -77,7 +83,9 @@ EXITS = {"simulate-ball-loose-rtol": 4, "reduce-ball-near-boundary-L16": 4, "pla
          "reduce-g1e-10-f0-L8": 4,
          "reduce-ball-L0": 2, "simulate-ball-negative-threshold": 2, "simulate-ball-nan-rtol": 3,
          "simulate-ball-nan-threshold": 3, "reduce-g-nan-f0": 3, "simulate-ball-huge-U": 3,
-         "check-duality-tiny-D": 3, "check-duality-small-D": 3}
+         "check-duality-tiny-D": 3, "check-duality-small-D": 3, "check-jacobi-ball-tiny-D": 3,
+         "reduce-g1e300-f0-L8": 3, "reduce-g1e-300-f0-L8": 3, "reduce-g1-f1e300-L8": 3, "reduce-g1e-60-f1-L8": 3,
+         "reduce-g1-f-1-L8": 3}
 
 WRITES_CSV = ("simulate", "planar-demo")
 
@@ -93,9 +101,7 @@ def snapshot(outdir: Path) -> dict[str, int]:
             if argv[0] in WRITES_CSV:
                 argv = [*argv, "--csv", f"{name}.csv"]
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-                warnings.simplefilter("always")
-                warnings.showwarning = lambda message, category, *_: err.write(f"{category.__name__}: {message}\n")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 codes[name] = main([*argv, "--seed", "3"])
             Path(f"{name}.out").write_text(out.getvalue())
             Path(f"{name}.err").write_text(err.getvalue())

@@ -32,7 +32,6 @@ import functools
 import json
 import re
 import sys
-import warnings
 from dataclasses import replace
 from decimal import Decimal
 
@@ -54,6 +53,10 @@ DEMO_M = (0.3, -0.2, 0.5)
 # unit vector along (1, -2, 4)
 DEMO_GAMMA = tuple(np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
 PLANAR_DEMO_GATE = 1e-8  # largest energy drift and conformal residual planar-demo passes with
+# the largest of g, 1/g, |f| and |F| a constant reduction reads: its bracket
+# congruence J P J^T multiplies three of them, and the cube root of the
+# largest float is 5.6e102
+CONSTANT_SCALE = 1e102
 
 
 @contextlib.contextmanager
@@ -204,7 +207,7 @@ def _initial_state(args, cfg, params):
     if abs(length - 1.0) > 1e-6:
         # a length past the largest float is printed from its exact decimal value
         text = f"{length:.8g}" if length < np.inf else format(Decimal(norm) * 2 ** Decimal(int(e)), ".8g")
-        warnings.warn(f"renormalizing gamma: |gamma| = {text}")
+        sys.stderr.write(f"warning: renormalizing gamma: |gamma| = {text}\n")
     gamma = scaled / norm
     if M is None and omega is None:
         raise ConfigError("initial condition needs --M or --omega (or initial.M or initial.omega)")
@@ -290,8 +293,7 @@ def cmd_reduce(args) -> int:
         if args.g is None or args.f is None:
             raise ConfigError("pass both --g and --f (constants) or use --model")
         g, f = _number(args.g, "--g"), _number(args.f, "--f")
-        if g <= 0.0:
-            raise DomainError(f"--g must be positive, got {g}")
+        _constant_pair(g, f)
         params = gauge_mod.GFParams(g=ScalarField.constant(g), f=ScalarField.constant(f))
         label = f"constant(g={g}, f={f})"
     else:
@@ -317,6 +319,23 @@ def cmd_reduce(args) -> int:
     sys.stderr.write(f"reduction failed: residual {rep['residual']:.3e}{residual_at}, bracket_dev "
                      f"{rep['bracket_dev']:.3e}{bracket_at}; {hint}\n")
     return 4
+
+
+def _constant_pair(g: float, f: float) -> None:
+    """Refuse a constant (g, f) unless g > 0, each of g, 1/g, |f| and |F| is
+    at most CONSTANT_SCALE and F = -(f/g^2 + 1/g), the reducing dilation
+    c = -F, is nonzero; each refusal names its flags."""
+    if g <= 0.0:
+        raise DomainError(f"--g must be positive, got {g}")
+    if not 1.0 / CONSTANT_SCALE <= g <= CONSTANT_SCALE:
+        raise DomainError(f"--g must lie in [{1.0 / CONSTANT_SCALE:g}, {CONSTANT_SCALE:g}], got {g}")
+    if abs(f) > CONSTANT_SCALE:
+        raise DomainError(f"--f must be at most {CONSTANT_SCALE:g} in size, got {f}")
+    a = 1.0 / g
+    F = -(a * a * f + a)
+    if not 0.0 < abs(F) <= CONSTANT_SCALE:
+        raise DomainError(f"--g {g} and --f {f} give |F| = {abs(F):g} for F = -(f/g^2 + 1/g), which must be "
+                          f"nonzero and at most {CONSTANT_SCALE:g}")
 
 
 def cmd_planar_demo(args) -> int:

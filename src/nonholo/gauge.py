@@ -30,9 +30,11 @@ Chaplygin's reducing multiplier is the element (1/g, 1, 0),
 zero_level_transform: on the zero level (M, gamma) = 0 it is the rescaling
 M -> M / g, and its congruence lands on e(3) there with no curl equation.
 
-A bracket moves by the congruence J P J^T with the Jacobian J of the state
+h enters f~ only through itself and its normal curl (gamma, curl h), which
+is Lap_S psi on the sphere for the reduction's h = u x grad_S psi.  A
+bracket moves by the congruence J P J^T with the Jacobian J of the state
 map, which gauge_state_jacobian takes in closed form from dh, whose
-antisymmetric part is the curl h in f~.  The reduction's h carries its
+antisymmetric part is curl h.  The reduction's h carries its
 analytic Jacobian (spherical._rotated_gradient), so the reported
 bracket_dev measures the reduction itself, to quadrature round-off where
 the band limit resolves F, and no finite difference.
@@ -57,7 +59,7 @@ from .core import (
     unpack,
 )
 from .sphere import GFParams, e3_bivector, gf_bivector, random_states
-from .spherical import RESIDUAL_TOL, CurlSolution, solve_curl_equation, verify_points
+from .spherical import RESIDUAL_TOL, CurlSolution, solve_curl_equation
 
 Array = np.ndarray
 
@@ -159,27 +161,30 @@ def pushforward_params(t: GaugeTransform, p: GFParams) -> GFParams:
     """Image parameters (g~, f~, Phi~) of the action on the bracket family.
 
     g~ = alpha g and Phi~ = alpha^2 Phi carry their gradients by the
-    product rule; f~ is a plain evaluation map (_pushed_f) of h and curl h
-    (read off dh) at its points.  A nonzero gyrostat k raises DomainError.
+    product rule; f~ is a plain evaluation map (_pushed_f) of h and its
+    normal curl (gamma, curl h) (read off dh) at its points.  A nonzero
+    gyrostat k raises DomainError.
     """
     if np.any(p.k):
         raise DomainError("the gauge action does not preserve a nonzero gyrostat k")
     return GFParams(g=t.alpha * p.g,
-                    f=ScalarField(lambda gamma: _pushed_f(t, p, gamma, t.h(gamma), t.h.curl_at(gamma))),
+                    f=ScalarField(lambda gamma: _pushed_f(t, p, gamma, t.h(gamma),
+                                                          np.vecdot(gamma, t.h.curl_at(gamma)))),
                     phi=None if p.phi is None else (t.alpha * t.alpha) * p.phi)
 
 
-def _pushed_f(t: GaugeTransform, p: GFParams, gamma: Array, h: Array, curl_h: Array) -> Array:
-    """f~ at points gamma where h and curl h take the values given: its
-    g~^2 curl(h/g~) is g~ curl h - grad g~ x h with grad g~ = alpha grad g +
-    g grad alpha, from one gradient of each factor."""
+def _pushed_f(t: GaugeTransform, p: GFParams, gamma: Array, h: Array, normal_curl: Array) -> Array:
+    """f~ at points gamma where h and (gamma, curl h) take the values given:
+    its (gamma, g~^2 curl(h/g~)) is g~ (gamma, curl h) - (gamma, grad g~ x h)
+    with grad g~ = alpha grad g + g grad alpha, from one gradient of each
+    factor."""
     a, g, c = t.alpha(gamma), p.g(gamma), t.c
     grad_a = t.alpha.gradient(gamma)
     gt = a * g
     grad_gt = lift(a) * p.g.gradient(gamma) + lift(g) * grad_a
     radial = gt - np.vecdot(gamma, grad_gt)
     return (a * a / c) * p.f(gamma) + (a / c - 1.0) * radial \
-        + np.vecdot(gamma, lift(gt) * (grad_a + curl_h) - np.cross(grad_gt, h)) / c
+        + (gt * (np.vecdot(gamma, grad_a) + normal_curl) - np.vecdot(gamma, np.cross(grad_gt, h))) / c
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +244,10 @@ def reduce_to_e3(p: GFParams, L: int = 32) -> tuple[GaugeTransform, CurlSolution
 
 def verification_params(gauge: GaugeTransform, p: GFParams, sol: CurlSolution) -> tuple[Array, Array]:
     """The pushed parameters (g~, f~) of a reduction at the verification
-    points, shape (n,) each: pushforward_params's maps, with h and curl h
-    read off the solution's synthesis on the verification rings instead of
-    a synthesis per point."""
-    pts = verify_points(sol.psi.L)
-    return (gauge.alpha * p.g)(pts), _pushed_f(gauge, p, pts, sol.verify_h, sol.verify_curl)
+    points, shape (n,) each: pushforward_params's maps, with h and its
+    normal curl read off the solution's synthesis on the verification rings
+    instead of a synthesis per point."""
+    return (gauge.alpha * p.g)(sol.points), _pushed_f(gauge, p, sol.points, sol.verify_h, sol.verify_normal_curl)
 
 
 def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,

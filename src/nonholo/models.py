@@ -152,7 +152,11 @@ class BallParams:
         object.__setattr__(self, "k", _gyrostat(self.k))
         if not self.D > 0.0:        # NaN too; an infinite D fails 1/D - A > 0 below
             raise DomainError(f"D must be positive, got {self.D}")
-        bad = 1.0 / self.D - A
+        with np.errstate(over="ignore"):
+            Dinv = 1.0 / self.D
+        if not np.isfinite(Dinv):
+            raise DomainError(f"D = {self.D} is too small: 1/D overflows")
+        bad = Dinv - A
         if np.any(bad <= 0.0):
             i = int(np.argmin(bad))
             raise DomainError(

@@ -203,17 +203,16 @@ def energy_fn(sys: PlanarSystem) -> Callable[[Array], Array]:
 
 
 def _demo_flow(z) -> Array:
-    """The default demo's velocity at one state on Python floats: the float
+    """The demo's velocity at one state on Python floats: the float
     operations of ``planar_rhs`` in the same order, so they agree bitwise."""
     q1, q2, P1, P2 = np.asarray(z, float).tolist()
     S = 0.0 * P1 + 1.0 * P2 + 0.5 * math.cos(q2)
     return np.array([P1, P2, math.sin(q1) + P2 * S, -math.cos(q2) - P1 * S])
 
 
-def demo_system(B: Callable[[Array], Array] | None = None) -> PlanarSystem:
+def demo_system() -> PlanarSystem:
     """Admissible demo: N = exp(q1), A2 = 1, A1 = 0, unit kinetic matrix,
-    bounded potential, and an arbitrary (default cosine, with its
-    closed-form flow) B."""
+    bounded potential and B = cos(q2) / 2, with its closed-form flow."""
     V = ScalarField(lambda q: np.cos(q[..., 0]) + np.sin(q[..., 1]),
                     grad=lambda q: vector(-np.sin(q[..., 0]), np.cos(q[..., 1])))
     return PlanarSystem(
@@ -222,8 +221,8 @@ def demo_system(B: Callable[[Array], Array] | None = None) -> PlanarSystem:
         dH_dP=lambda q, P: np.asarray(P, float),
         A1=lambda q: 0.0,
         A2=lambda q: 1.0,
-        B=B if B is not None else (lambda q: 0.5 * np.cos(q[..., 1])),
+        B=lambda q: 0.5 * np.cos(q[..., 1]),
         N=ScalarField(lambda q: np.exp(q[..., 0]),
                       grad=lambda q: vector(np.exp(q[..., 0]), 0.0)),
-        flow=_demo_flow if B is None else None,
+        flow=_demo_flow,
     )

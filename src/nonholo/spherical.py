@@ -49,11 +49,11 @@ solver's field has four trailing components: h's Cartesian components,
 read off psi's coefficients through the angular-momentum ladder, and
 Lap_S psi = F + c.  h carries the closed-form Jacobian of the first three,
 their surface gradients, and its curl is read off that Jacobian.  On the
-verification rings the curl is read in closed form instead, x Lap psi~ -
-grad psi~ for psi~ the extension of psi, which is (u Lap_S psi + u x h) /
-|x|, since grad_S psi = h x u on the sphere.  The reported residual checks
-(gamma, curl h) = F + c with a finite-difference curl of those same
-component values, taken along theta and phi on shifted rings.
+verification rings the solution hands over h and its normal curl, since
+(gamma, curl h) = Lap_S psi on the sphere, the fourth component.  The
+reported residual checks (gamma, curl h) = F + c with a finite-difference
+curl of those same component values, taken along theta and phi on shifted
+rings.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ RESIDUAL_STEP = 1e-4
 # float64, 240 rings at L = 32, 62 at L = 64, 15 at L = 128 and 3 at
 # L = 256; one ring's table alone exceeds it from L = 512.  Beside its
 # table a block holds its coefficient sums, 2 (L+1) entries per ring and
-# field component (13 components for h), and the Fourier basis of its
+# field component (12 components for h), and the Fourier basis of its
 # points, 2 (L+1) per point; a grid's basis, 2 (L+1) per longitude, is
 # built once for all its blocks
 BLOCK_ENTRIES = 2 ** 18
@@ -343,10 +343,12 @@ class CurlSolution:
     residual: float
     psi: SphereSpectralField
     worst_gamma: Array      # the verification point where the residual is largest
-    # h and its closed-form curl at the verification points, shape (n, 3)
-    # each, synthesized on the verification rings (_ring_curl)
+    # the verification points, shape (n, 3), and h, shape (n, 3), and its
+    # normal curl (gamma, curl h) = Lap_S psi, shape (n,), there,
+    # synthesized on the verification rings (_ring_curl)
+    points: Array
     verify_h: Array
-    verify_curl: Array
+    verify_normal_curl: Array
 
 
 def _radial(points) -> tuple[Array, Array]:
@@ -400,14 +402,6 @@ def _rotated_components(psi: SphereSpectralField) -> SphereSpectralField:
     c_sin = np.stack([ladder(cc, 1.0), ladder(cs, -1.0), -m * cc], axis=-1)
     c_sin[:, 0] = 0.0
     return SphereSpectralField(psi.L, c_cos, c_sin)
-
-
-def _curl(values: Array, x: Array) -> Array:
-    """h's closed-form curl (u Lap_S psi(u) + u x h(u)) / |x| at points x of
-    shape (..., 3), from the solver's field's values there
-    (solve_curl_equation): h's three components, then Lap_S psi."""
-    u, r = _radial(x)
-    return (u * values[..., 3:4] + np.cross(u, values[..., :3])) / r
 
 
 def _rotated_gradient(components: SphereSpectralField) -> VectorField3:
@@ -517,4 +511,4 @@ def solve_curl_equation(F, L: int = 32) -> CurlSolution:
     deviation = np.abs(lhs - F(pts) - c)
     worst = int(np.argmax(deviation))
     return CurlSolution(c=c, h=h, residual=float(deviation[worst]), psi=psi, worst_gamma=pts[worst],
-                        verify_h=values[:, :3], verify_curl=_curl(values, pts))
+                        points=pts, verify_h=values[:, :3], verify_normal_curl=values[:, 3])

@@ -120,11 +120,13 @@ class TestSimulate:
                     "--report", "report.json"])
         assert code == 0
 
-    def test_gamma_renormalized_with_warning(self, workdir):
-        with pytest.warns(UserWarning, match=r"^renormalizing gamma: \|gamma\| = 1\.001$"):
-            code = run(["simulate", "--model", "ball", "--M", "0.3,-0.2,0.5",
-                        "--gamma", "0,0,1.001", "--horizon", "1", "--samples", "11"])
+    def test_gamma_renormalized_with_warning(self, workdir, capsys):
+        # one plain stderr line, not Python's two-line warning with its
+        # source path and code line
+        code = run(["simulate", "--model", "ball", "--M", "0.3,-0.2,0.5",
+                    "--gamma", "0,0,1.001", "--horizon", "1", "--samples", "11"])
         assert code == 0
+        assert capsys.readouterr().err == "warning: renormalizing gamma: |gamma| = 1.001\n"
 
     def test_config_file_with_flag_override(self, workdir):
         cfg = {
@@ -181,12 +183,12 @@ class TestSimulate:
         # read as the direction (1, 1, 0) / sqrt(2), with only the
         # renormalisation's own warning, which prints the true length even
         # past the largest float (it read |gamma| = inf)
-        with pytest.warns(UserWarning) as record:
-            code = run(["simulate", "--model", "ball", "--gamma", gamma, "--M", "0,0,1", "--horizon", "1",
-                        "--samples", "11"])
+        code = run(["simulate", "--model", "ball", "--gamma", gamma, "--M", "0,0,1", "--horizon", "1",
+                    "--samples", "11"])
         assert code == 0
-        assert [str(w.message) for w in record] == [f"renormalizing gamma: |gamma| = {length}"]
-        report = json.loads(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        assert err == f"warning: renormalizing gamma: |gamma| = {length}\n"
+        report = json.loads(out)
         np.testing.assert_allclose(report["initial_state"][3:], [0.5 ** 0.5, 0.5 ** 0.5, 0.0], rtol=1e-15)
 
     # a NaN passed the `<= 0` test: --rtol and --atol nan then stepped
@@ -286,6 +288,23 @@ class TestNonFiniteInputs:
         # Hamiltonian: a numpy RuntimeWarning, then an infinite report that
         # failed its gate naming no knob
         (["check", "duality", "--D", "1e-300"], "D = 1e-300 is too small: the dual ball's Hamiltonian overflows"),
+        # a ball D whose 1/D overflows: check jacobi warned and wrote a NaN
+        # worst value, reduce blamed the internal dilation c, simulate ran
+        (["check", "jacobi", "--model", "ball", "--D", "1e-320", "-n", "20"], "D = 1e-320 is too small: 1/D overflows"),
+        (["reduce", "--model", "ball", "--D", "1e-320", "--L", "8"], "D = 1e-320 is too small: 1/D overflows"),
+        (["simulate", "--model", "ball", "--D", "1e-320", "--demo", "--horizon", "1"],
+         "D = 1e-320 is too small: 1/D overflows"),
+        # constant pairs outside the reduction's scale rule: numpy overflow
+        # warnings, then exit 0, a NaN bracket_dev, or a refusal naming the
+        # grid or the internal dilation c
+        (["reduce", "--g", "1e300", "--f", "0", "--L", "8"], "--g must lie in [1e-102, 1e+102], got 1e+300"),
+        (["reduce", "--g", "1e-300", "--f", "0", "--L", "8"], "--g must lie in [1e-102, 1e+102], got 1e-300"),
+        (["reduce", "--g", "1e-160", "--f", "0", "--L", "8"], "--g must lie in [1e-102, 1e+102], got 1e-160"),
+        (["reduce", "--g", "1", "--f", "1e300", "--L", "8"], "--f must be at most 1e+102 in size, got 1e+300"),
+        (["reduce", "--g", "1e-60", "--f", "1", "--L", "8"],
+         "--g 1e-60 and --f 1.0 give |F| = 1e+120 for F = -(f/g^2 + 1/g), which must be nonzero and at most 1e+102"),
+        (["reduce", "--g", "1", "--f", "-1", "--L", "8"],
+         "--g 1.0 and --f -1.0 give |F| = 0 for F = -(f/g^2 + 1/g), which must be nonzero and at most 1e+102"),
     ])
     def test_flag_is_named(self, workdir, capsys, deadline, argv, message):
         assert run(argv) == 3
@@ -747,6 +766,14 @@ class TestReduce:
         assert run(["reduce", "--g", g, "--f", "0", "--L", "8"]) == 0
         captured = capsys.readouterr()
         assert captured.err == "" and json.loads(captured.out)["bracket_dev"] <= 1e-15
+
+    @pytest.mark.parametrize("g, f", [("1", "1e102"), ("1", "-1e102"), ("1e102", "1e102"), ("1e-102", "-1e-102")])
+    def test_constant_pair_at_the_scale_bound_stays_finite(self, workdir, capsys, g, f):
+        # the rule's largest g, 1/g, |f| or |F|: the congruence's products
+        # stay finite, so no numpy warning and a strict-JSON report
+        assert run(["reduce", "--g", g, "--f", f, "--L", "8", "-n", "20"]) in (0, 4)
+        rep = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+        assert rep["residual"] < np.inf and rep["bracket_dev"] < np.inf
 
     @pytest.mark.parametrize("g", ["1e-10", "1e-100"])
     def test_constant_f_failure_names_g_and_f(self, workdir, capsys, g):

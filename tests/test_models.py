@@ -71,6 +71,14 @@ class TestBall:
             with pytest.raises(DomainError, match="gyrostat k must be finite"):
                 VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=k)
 
+    @pytest.mark.parametrize("D", [1e-320, np.float64(1e-320)])
+    def test_tiny_D_rejected(self, D):
+        # 1/D overflowed: numpy RuntimeWarnings, then a NaN jacobiator, a
+        # refusal naming the reduction's internal dilation c, or a run
+        # that went on
+        with pytest.raises(DomainError, match=r"^D = 1e-320 is too small: 1/D overflows$"):
+            BallParams(A=(0.4, 0.5, 0.6), D=D)
+
     def test_infinite_diagonal_entry_rejected(self):
         # inf > 0 passed the positivity test
         with pytest.raises(DomainError, match=r"^Ahat\[0\] \(x-axis\) must be finite, got inf$"):

@@ -51,16 +51,26 @@ def test_cli_snapshot(monkeypatch, capsys, tmp_path):
     snapshot = runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))
     names, exits = list(snapshot["INVOCATIONS"]), snapshot["EXITS"]
     expected = {name: exits.get(name, 0) for name in names}
-    assert len(names) == 31 and sorted(exits.values()) == [2, 2, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4]
+    assert len(names) == 37 and sorted(exits.values()) == [2, 2, *[3] * 12, 4, 4, 4, 4]
     assert out.strip().splitlines() == [f"{name}: exit {code}" for name, code in expected.items()]
     assert {name: int((tmp_path / f"{name}.exit").read_text()) for name in names} == expected
     # a failing gate or a refused flag or value writes one stderr line, a
-    # passing run none but a warning's one line
-    warns = {"simulate-ball-huge-gamma": "UserWarning: renormalizing gamma: |gamma| = 2.4041631e+308\n"}
-    assert {name: (tmp_path / f"{name}.err").read_text().count("\n") for name in names} == \
+    # passing run none but a warning's one line, and none is Python's
+    # warning form
+    warns = {"simulate-ball-huge-gamma": "warning: renormalizing gamma: |gamma| = 2.4041631e+308\n"}
+    errs = {name: (tmp_path / f"{name}.err").read_text() for name in names}
+    assert {name: err.count("\n") for name, err in errs.items()} == \
         {name: int(name in exits or name in warns) for name in names}
-    assert all((tmp_path / f"{name}.err").read_text() == line for name, line in warns.items())
-    assert len(list(tmp_path.glob("*.csv"))) == 7 and len(list(tmp_path.glob("*.out"))) == 31
+    assert all(errs[name] == line for name, line in warns.items())
+    assert [name for name, err in errs.items() if re.search(r"\w+Warning\b", err)] == []
+    assert len(list(tmp_path.glob("*.csv"))) == 7 and len(list(tmp_path.glob("*.out"))) == 37
+    # every report is strict JSON: NaN and Infinity are not JSON
+    def refuse(constant):
+        raise ValueError(f"{constant} in a report")
+
+    for name in names:
+        if text := (tmp_path / f"{name}.out").read_text():
+            json.loads(text, parse_constant=refuse)
 
 
 def _resolves(chain: str) -> bool:

@@ -492,10 +492,11 @@ class TestRingResidual:
             gauge, sol = reduce_to_e3(p, L=L)
             g_tilde, f_tilde = verification_params(gauge, p, sol)
             pushed, pts = pushforward_params(gauge, p), verify_points(L)
+            np.testing.assert_array_equal(sol.points, pts)
             np.testing.assert_array_equal(g_tilde, pushed.g(pts))
             np.testing.assert_allclose(f_tilde, pushed.f(pts), rtol=0.0, atol=tol)
             np.testing.assert_allclose(sol.verify_h, gauge.h(pts), rtol=0.0, atol=tol)
-            np.testing.assert_allclose(sol.verify_curl, gauge.h.curl_at(pts), rtol=0.0, atol=tol)
+            np.testing.assert_allclose(sol.verify_normal_curl, np.vecdot(pts, gauge.h.curl_at(pts)), rtol=0.0, atol=tol)
 
     def test_small_blocks_change_no_bit(self, rng, monkeypatch):
         # at L = 64, one ring per table block, so the point path's Fourier
