@@ -76,6 +76,10 @@ INVOCATIONS = {
     "reduce-g1-f1e300-L8": ["reduce", "--g", "1", "--f", "1e300", "--L", "8"],
     "reduce-g1e-60-f1-L8": ["reduce", "--g", "1e-60", "--f", "1", "--L", "8"],
     "reduce-g1-f-1-L8": ["reduce", "--g", "1", "--f", "-1", "--L", "8"],
+    # constant pairs whose F cancels to fewer than half the digits of its terms
+    "reduce-g1e102-f-1e102-L8": ["reduce", "--g", "1e102", "--f", "-1e102", "--L", "8"],
+    "reduce-g1e-50-f-1e-50-L8": ["reduce", "--g", "1e-50", "--f", "-1e-50", "--L", "8"],
+    "reduce-g7-f-7.000000001-L8": ["reduce", "--g", "7", "--f", "-7.000000001", "--L", "8"],
 }
 # the exit code of each invocation that does not exit 0: 4 at a failing
 # gate, 2 at a refused flag, 3 at a refused value
@@ -85,7 +89,8 @@ EXITS = {"simulate-ball-loose-rtol": 4, "reduce-ball-near-boundary-L16": 4, "pla
          "simulate-ball-nan-threshold": 3, "reduce-g-nan-f0": 3, "simulate-ball-huge-U": 3,
          "check-duality-tiny-D": 3, "check-duality-small-D": 3, "check-jacobi-ball-tiny-D": 3,
          "reduce-g1e300-f0-L8": 3, "reduce-g1e-300-f0-L8": 3, "reduce-g1-f1e300-L8": 3, "reduce-g1e-60-f1-L8": 3,
-         "reduce-g1-f-1-L8": 3}
+         "reduce-g1-f-1-L8": 3, "reduce-g1e102-f-1e102-L8": 3, "reduce-g1e-50-f-1e-50-L8": 3,
+         "reduce-g7-f-7.000000001-L8": 3}
 
 WRITES_CSV = ("simulate", "planar-demo")
 

@@ -303,28 +303,26 @@ def cmd_reduce(args) -> int:
         params, label = gauge_mod.GFParams(g=sysm.s_spec.g, f=sysm.s_spec.f), sysm.name
     seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _seed)
     rep = gauge_mod.reduction_report(params, L=L, n_states=n, seed=seed)
-    # the worst points go to the gate's stderr line, as for every gate; the
-    # JSON report keeps one set of keys
-    def at(key):
-        worst = rep.pop(key, None)
-        return "" if worst is None else " at gamma (" + ", ".join(f"{v:.17g}" for v in worst) + ")"
-
-    residual_at, bracket_at = at("worst_gamma"), at("worst_bracket_gamma")
+    # the worst points go to the gate's stderr line, as for every gate
+    residual_at, bracket_at = (", ".join(f"{v:.17g}" for v in rep.pop(key))
+                               for key in ("worst_gamma", "worst_bracket_gamma"))
     _emit({"schema_version": SCHEMA_VERSION, "command": "reduce", "source": label, **rep}, args.report)
     if rep["pass"]:
         return 0
     # constant (g, f): both deviations are round-off of |F|, at any band limit
     hint = ("F = -(f/g^2 + 1/g) is constant and the gates are absolute, so no band limit helps; "
             "choose --g/--f with a smaller |F|") if args.g is not None else f"try --L {2 * L}"
-    sys.stderr.write(f"reduction failed: residual {rep['residual']:.3e}{residual_at}, bracket_dev "
-                     f"{rep['bracket_dev']:.3e}{bracket_at}; {hint}\n")
+    sys.stderr.write(f"reduction failed: residual {rep['residual']:.3e} at gamma ({residual_at}), bracket_dev "
+                     f"{rep['bracket_dev']:.3e} at gamma ({bracket_at}); {hint}\n")
     return 4
 
 
 def _constant_pair(g: float, f: float) -> None:
     """Refuse a constant (g, f) unless g > 0, each of g, 1/g, |f| and |F| is
     at most CONSTANT_SCALE and F = -(f/g^2 + 1/g), the reducing dilation
-    c = -F, is nonzero; each refusal names its flags."""
+    c = -F, keeps at least half the digits of its two terms: a cancelling
+    pair (F = 0 included) would reduce their round-off.  Each refusal names
+    its flags."""
     if g <= 0.0:
         raise DomainError(f"--g must be positive, got {g}")
     if not 1.0 / CONSTANT_SCALE <= g <= CONSTANT_SCALE:
@@ -332,10 +330,13 @@ def _constant_pair(g: float, f: float) -> None:
     if abs(f) > CONSTANT_SCALE:
         raise DomainError(f"--f must be at most {CONSTANT_SCALE:g} in size, got {f}")
     a = 1.0 / g
-    F = -(a * a * f + a)
-    if not 0.0 < abs(F) <= CONSTANT_SCALE:
+    f_term = a * a * f
+    F = -(f_term + a)
+    least = np.sqrt(np.finfo(float).eps) * (abs(f_term) + a)
+    if not least <= abs(F) <= CONSTANT_SCALE:
         raise DomainError(f"--g {g} and --f {f} give |F| = {abs(F):g} for F = -(f/g^2 + 1/g), which must be "
-                          f"nonzero and at most {CONSTANT_SCALE:g}")
+                          f"at most {CONSTANT_SCALE:g} and, to keep half its digits, at least "
+                          f"sqrt(eps) (|f|/g^2 + 1/g) = {least:g}")
 
 
 def cmd_planar_demo(args) -> int:

@@ -242,14 +242,6 @@ def reduce_to_e3(p: GFParams, L: int = 32) -> tuple[GaugeTransform, CurlSolution
     return gauge, sol
 
 
-def verification_params(gauge: GaugeTransform, p: GFParams, sol: CurlSolution) -> tuple[Array, Array]:
-    """The pushed parameters (g~, f~) of a reduction at the verification
-    points, shape (n,) each: pushforward_params's maps, with h and its
-    normal curl read off the solution's synthesis on the verification rings
-    instead of a synthesis per point."""
-    return (gauge.alpha * p.g)(sol.points), _pushed_f(gauge, p, sol.points, sol.verify_h, sol.verify_normal_curl)
-
-
 def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
                      seed: int = 0) -> dict:
     """End-to-end diagnostics of the reduction, as plain floats.
@@ -257,18 +249,18 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     Reports the curl-equation residual, the sup deviation of the pushed
     parameters from (1, 0) on the verification grid, and the worst entrywise
     mismatch between the pushed-forward bivector and the e(3) bivector at
-    seeded random unit-gamma states.  Each probe set is one array call.
-    ``pass`` holds iff the residual is at most spherical.RESIDUAL_TOL and
-    the bracket mismatch at most BRACKET_TOL.  A residual over
-    RESIDUAL_TOL also reports, as ``worst_gamma``, the verification point
-    where it is largest, and a bracket mismatch over BRACKET_TOL reports, as
-    ``worst_bracket_gamma``, the gamma of the probe state where it is
-    largest; a passing residual or bracket adds no key.
+    seeded random unit-gamma states.  g~ and f~ are pushforward_params's
+    maps, with h and its normal curl read off the solution's synthesis on
+    the verification rings instead of a synthesis per point; each probe set
+    is one array call.  ``pass`` holds iff the residual is at most
+    spherical.RESIDUAL_TOL and the bracket mismatch at most BRACKET_TOL.
+    ``worst_gamma`` is the verification point where the residual peaks and
+    ``worst_bracket_gamma`` the gamma of the probe state where the bracket
+    mismatch does, [] with no probe states.
     """
     gauge, sol = reduce_to_e3(p, L=L)
-    g_tilde, f_tilde = verification_params(gauge, p, sol)
-    g_dev = np.max(np.abs(g_tilde - 1.0))
-    f_dev = np.max(np.abs(f_tilde))
+    g_dev = np.max(np.abs((gauge.alpha * p.g)(sol.points) - 1.0))
+    f_dev = np.max(np.abs(_pushed_f(gauge, p, sol.points, sol.verify_h, sol.verify_normal_curl)))
 
     X = random_states(np.random.default_rng(seed), n_states)
     # the image first: the Jacobian's h(gamma) and dh then reuse the image's
@@ -277,9 +269,10 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     left = pushforward_bivector(gauge, gf_bivector(p), X)
     right = e3_bivector(image)
     deviation = np.max(np.abs(left - right), axis=(-2, -1), initial=0.0)
+    worst = X[np.argmax(deviation), 3:] if n_states else []
     bracket_dev = float(np.max(deviation, initial=0.0))
 
-    report = {
+    return {
         "L": L,
         "c": float(sol.c),
         "residual": float(sol.residual),
@@ -289,9 +282,6 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
         "n_states": n_states,
         "seed": seed,
         "pass": sol.residual <= RESIDUAL_TOL and bracket_dev <= BRACKET_TOL,
+        "worst_gamma": [float(v) for v in sol.worst_gamma],
+        "worst_bracket_gamma": [float(v) for v in worst],
     }
-    if sol.residual > RESIDUAL_TOL:
-        report["worst_gamma"] = [float(v) for v in sol.worst_gamma]
-    if bracket_dev > BRACKET_TOL:
-        report["worst_bracket_gamma"] = [float(v) for v in X[np.argmax(deviation), 3:]]
-    return report

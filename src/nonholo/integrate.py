@@ -17,10 +17,12 @@ Both runs step through the system's ``flow`` (a closed-form kernel for the
 model systems, the reference ``sphere.rhs`` otherwise).  The time-rescaled
 run integrates, in the new time tau,
 
-    dx/dtau = rho(gamma) * flow(x),     dt/dtau = rho(gamma),
+    dx/dtau = g(gamma) * flow(x) = P grad H,     dt/dtau = g(gamma),
 
-with the multiplier rho = 1/g, so that t = integral of rho dtau recovers the
-physical clock and the mapped trajectory coincides with direct integration.
+that is dtau = rho dt with the density rho = 1/g: the ``conformal`` suite
+checks flow = (1/g) P grad H and the ``jacobi`` suite that P is Poisson, so
+the flow is Hamiltonian in tau.  t = integral of g dtau recovers the
+physical clock, and the mapped trajectory coincides with direct integration.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .sphere import SphereSystem, integrals
 
 Array = np.ndarray
 
-# the smallest conformal factor g a rescaled run accepts: rho = 1/g <= 1e10
+# the smallest conformal factor g a rescaled run accepts: its physical clock
+# advances at dt/dtau = g, so a vanishing g stalls it
 _G_FLOOR = 1e-10
 
 # Dormand-Prince 8(5,3) as scipy's DOP853 writes it (Hairer, Norsett and
@@ -304,7 +307,7 @@ def integrate_reparametrized(sys: SphereSystem, state0,
     uniform taus over the run) and the physical times t(tau) of the samples.
 
     The time map is obtained by co-integrating t as a seventh state
-    component, so it inherits the solver's error control.  rho > 0 is
+    component, so it inherits the solver's error control.  g > 0 is
     bounded below on the sphere, so the clock reaches the horizon at a
     finite tau.
     """
@@ -313,11 +316,11 @@ def integrate_reparametrized(sys: SphereSystem, state0,
     def z_rhs(z):
         g = g_of(z[3:-1])
         if g <= _G_FLOOR:
-            raise DomainError(f"conformal factor hit g = {g:.3e} <= {_G_FLOOR:.1e}")
-        r = 1.0 / g
+            raise DomainError(f"conformal factor hit g = {g:.3e} <= {_G_FLOOR:.1e}, "
+                              f"which stalls the physical clock dt/dtau = g")
         dz = np.empty_like(z)
-        np.multiply(flow(z[:-1]), r, out=dz[:-1])
-        dz[-1] = r
+        np.multiply(flow(z[:-1]), g, out=dz[:-1])
+        dz[-1] = g
         return dz
 
     traj = _solve(z_rhs, np.append(np.asarray(state0, float), 0.0), cfg, np.inf, cfg.horizon)

@@ -302,9 +302,24 @@ class TestNonFiniteInputs:
         (["reduce", "--g", "1e-160", "--f", "0", "--L", "8"], "--g must lie in [1e-102, 1e+102], got 1e-160"),
         (["reduce", "--g", "1", "--f", "1e300", "--L", "8"], "--f must be at most 1e+102 in size, got 1e+300"),
         (["reduce", "--g", "1e-60", "--f", "1", "--L", "8"],
-         "--g 1e-60 and --f 1.0 give |F| = 1e+120 for F = -(f/g^2 + 1/g), which must be nonzero and at most 1e+102"),
+         "--g 1e-60 and --f 1.0 give |F| = 1e+120 for F = -(f/g^2 + 1/g), which must be at most 1e+102 and, "
+         "to keep half its digits, at least sqrt(eps) (|f|/g^2 + 1/g) = 1.49012e+112"),
         (["reduce", "--g", "1", "--f", "-1", "--L", "8"],
-         "--g 1.0 and --f -1.0 give |F| = 0 for F = -(f/g^2 + 1/g), which must be nonzero and at most 1e+102"),
+         "--g 1.0 and --f -1.0 give |F| = 0 for F = -(f/g^2 + 1/g), which must be at most 1e+102 and, "
+         "to keep half its digits, at least sqrt(eps) (|f|/g^2 + 1/g) = 2.98023e-08"),
+        # constant pairs whose F cancels: the reduction reduced the round-off
+        # of its two terms, passing with f_tilde_dev 1.0 (c = 1.98e-118),
+        # failing on an |F| of 2.1e34 that is exactly 0, or passing with
+        # f_tilde_dev 9.5e-7
+        (["reduce", "--g", "1e102", "--f", "-1e102", "--L", "8"],
+         "--g 1e+102 and --f -1e+102 give |F| = 1.98277e-118 for F = -(f/g^2 + 1/g), which must be at most "
+         "1e+102 and, to keep half its digits, at least sqrt(eps) (|f|/g^2 + 1/g) = 2.98023e-110"),
+        (["reduce", "--g", "1e-50", "--f", "-1e-50", "--L", "8"],
+         "--g 1e-50 and --f -1e-50 give |F| = 2.07692e+34 for F = -(f/g^2 + 1/g), which must be at most "
+         "1e+102 and, to keep half its digits, at least sqrt(eps) (|f|/g^2 + 1/g) = 2.98023e+42"),
+        (["reduce", "--g", "7", "--f", "-7.000000001", "--L", "8"],
+         "--g 7.0 and --f -7.000000001 give |F| = 2.04082e-11 for F = -(f/g^2 + 1/g), which must be at most "
+         "1e+102 and, to keep half its digits, at least sqrt(eps) (|f|/g^2 + 1/g) = 4.25747e-09"),
     ])
     def test_flag_is_named(self, workdir, capsys, deadline, argv, message):
         assert run(argv) == 3
@@ -767,13 +782,22 @@ class TestReduce:
         captured = capsys.readouterr()
         assert captured.err == "" and json.loads(captured.out)["bracket_dev"] <= 1e-15
 
-    @pytest.mark.parametrize("g, f", [("1", "1e102"), ("1", "-1e102"), ("1e102", "1e102"), ("1e-102", "-1e-102")])
+    @pytest.mark.parametrize("g, f", [("1", "1e102"), ("1", "-1e102"), ("1e102", "1e102"), ("1e-102", "-5e-103")])
     def test_constant_pair_at_the_scale_bound_stays_finite(self, workdir, capsys, g, f):
         # the rule's largest g, 1/g, |f| or |F|: the congruence's products
-        # stay finite, so no numpy warning and a strict-JSON report
+        # stay finite, so no numpy warning and a strict-JSON report.  The
+        # last pair keeps 1/g at the bound with |F| = 5e101, where
+        # (1e-102, -1e-102) cancelled
         assert run(["reduce", "--g", g, "--f", f, "--L", "8", "-n", "20"]) in (0, 4)
         rep = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
         assert rep["residual"] < np.inf and rep["bracket_dev"] < np.inf
+
+    def test_half_cancelling_pair_reduces(self, workdir, capsys):
+        # F = -1.1e-8 keeps about half the digits of its terms +-1/3: the
+        # pair reduces exactly
+        assert run(["reduce", "--g", "3", "--f", "-2.9999999", "--L", "8", "-n", "20"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["f_tilde_dev"] == 0.0
 
     @pytest.mark.parametrize("g", ["1e-10", "1e-100"])
     def test_constant_f_failure_names_g_and_f(self, workdir, capsys, g):
@@ -847,9 +871,10 @@ class TestReduce:
         rep = gauge_mod.reduction_report(GFParams(g=spec.g, f=spec.f), L=L, n_states=5, seed=0)
         assert out["pass"] is rep["pass"] and code == (0 if rep["pass"] else 4)
         assert rep["pass"] is (L == 16)
-        # the library names the worst point of a failing residual; the JSON
-        # report keeps its keys and the stderr line names the point
-        assert ("worst_gamma" in rep) is (L == 4) and "worst_gamma" not in out
+        # the library names both worst points, passing or not; the JSON
+        # report leaves them to the stderr line of a failing run
+        assert {"worst_gamma", "worst_bracket_gamma"} <= set(rep)
+        assert "worst_gamma" not in out and "worst_bracket_gamma" not in out
 
     def test_gyrostat_reduces_the_k0_bracket(self, workdir, capsys):
         # the reduction refuses Phi and k, so reduce passes the gyrostat

@@ -12,12 +12,14 @@ import pytest
 from nonholo import (
     BallParams,
     IntegratorConfig,
+    VeselovaParams,
     DomainError,
     GFParams,
     ScalarField,
     SphereSystem,
     StiffnessError,
     Trajectory,
+    assemble_P,
     ball_system,
     drift_report,
     integrate,
@@ -27,17 +29,20 @@ from nonholo import (
     pack,
     rhs,
     trajectory_csv,
+    unpack,
+    veselova_system,
 )
 from nonholo import core
 from nonholo.cli import DEMO_GAMMA, DEMO_M
 from nonholo.core import write_in_place
-from nonholo.models import DEMO_BALL
+from nonholo.models import DEMO_BALL, DEMO_GYROSTAT, DEMO_VESELOVA
 from nonholo.planar import demo_system, energy_fn, planar_rhs
+from nonholo.sphere import random_states
 
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 X0 = pack([0.3, -0.2, 0.5], np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
 # g grows along this orbit far beyond its initial value, so the tau at which
-# a long run's clock reaches the horizon is far from horizon * g(x0)
+# a long run's clock reaches the horizon is far from horizon / g(x0)
 FAST_BALL = BallParams(A=(0.2, 0.4, 0.6), D=1.66)
 FAST_X0 = pack([3.0, 0.0, 0.0], [0.0, 0.0, 1.0])
 # 1/D - A_3 = 0.01: g = sqrt(1/D - (gamma, A gamma)) nearly vanishes near +-e3
@@ -175,10 +180,41 @@ class TestReparametrized:
         assert np.max(np.abs(mapped - direct.states)) <= 1e-9
 
     def test_constant_multiplier_time_map(self):
-        # g = 2 means dt/dtau = 1/2, so t = tau / 2 exactly
+        # g = 2 means dt/dtau = 2, so t = 2 tau exactly
         cfg = IntegratorConfig(horizon=5.0, samples=101)
         tau_traj, t_phys = integrate_reparametrized(toy_system(2.0), X0, cfg)
-        np.testing.assert_allclose(t_phys, tau_traj.t / 2.0, atol=1e-12)
+        np.testing.assert_allclose(t_phys, 2.0 * tau_traj.t, atol=1e-12)
+
+    @pytest.mark.parametrize("system", [
+        ball_system(BallParams(**DEMO_BALL)),
+        veselova_system(VeselovaParams(**DEMO_VESELOVA, k=DEMO_GYROSTAT)),
+    ], ids=["ball", "veselova+gyrostat"])
+    def test_rescaled_field_is_hamiltonian(self, monkeypatch, system):
+        # flow = (1/g) P grad H with P Poisson, so the clock dt/dtau = g
+        # steps dx/dtau = P grad H; the clock dt/dtau = 1/g stepped
+        # g^-2 P grad H, off by up to 4.3 (ball) and 0.68 (Veselova +
+        # gyrostat) at these states
+        module = sys.modules["nonholo.integrate"]
+        fields = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(fn, *args, **kwargs):
+            fields.append(fn)
+            raise Captured
+
+        monkeypatch.setattr(module, "_solve", capture)
+        with pytest.raises(Captured):
+            integrate_reparametrized(system, X0, IntegratorConfig(horizon=1.0))
+        (field,) = fields
+        X = random_states(np.random.default_rng(0), 50)
+        M, gamma = unpack(X)
+        grad_H = pack(system.dH_dM(M, gamma), system.dH_dgamma(M, gamma))
+        hamiltonian = (assemble_P(system, X) @ grad_H[..., None])[..., 0]
+        dz = np.array([field(np.append(x, 0.0)) for x in X])
+        np.testing.assert_allclose(dz[:, :-1], hamiltonian, rtol=0.0, atol=1e-14 * np.max(np.abs(hamiltonian)))
+        np.testing.assert_allclose(dz[:, -1], system.s_spec.g(gamma), rtol=1e-14)
 
     def test_ball_round_trip(self):
         cfg = IntegratorConfig(horizon=10.0, samples=401)

@@ -36,12 +36,10 @@ def test_reduction_demo(monkeypatch, capsys):
     out = run_script("reduction_demo.py", ["8"], monkeypatch, capsys)
     (line,) = out.strip().splitlines()
     rep = json.loads(line)
-    # the point of the worst residual, or bracket entry, is reported only
-    # when that gate fails
-    assert set(rep) - {"worst_gamma", "worst_bracket_gamma"} == {
-        "L", "c", "residual", "g_tilde_dev", "f_tilde_dev", "bracket_dev", "n_states", "seed", "pass"}
-    assert ("worst_gamma" in rep) is (rep["residual"] > 1e-6)
-    assert ("worst_bracket_gamma" in rep) is (rep["bracket_dev"] > 1e-6)
+    # the points of the worst residual and bracket entry are always reported
+    assert set(rep) == {"L", "c", "residual", "g_tilde_dev", "f_tilde_dev", "bracket_dev", "n_states", "seed",
+                        "pass", "worst_gamma", "worst_bracket_gamma"}
+    assert len(rep["worst_gamma"]) == len(rep["worst_bracket_gamma"]) == 3
     assert rep["L"] == 8 and rep["n_states"] == 50 and rep["g_tilde_dev"] <= 1e-8
     assert rep["pass"] is (rep["residual"] <= 1e-6 and rep["bracket_dev"] <= 1e-6)
 
@@ -51,7 +49,7 @@ def test_cli_snapshot(monkeypatch, capsys, tmp_path):
     snapshot = runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))
     names, exits = list(snapshot["INVOCATIONS"]), snapshot["EXITS"]
     expected = {name: exits.get(name, 0) for name in names}
-    assert len(names) == 37 and sorted(exits.values()) == [2, 2, *[3] * 12, 4, 4, 4, 4]
+    assert len(names) == 40 and sorted(exits.values()) == [2, 2, *[3] * 15, 4, 4, 4, 4]
     assert out.strip().splitlines() == [f"{name}: exit {code}" for name, code in expected.items()]
     assert {name: int((tmp_path / f"{name}.exit").read_text()) for name in names} == expected
     # a failing gate or a refused flag or value writes one stderr line, a
@@ -63,7 +61,7 @@ def test_cli_snapshot(monkeypatch, capsys, tmp_path):
         {name: int(name in exits or name in warns) for name in names}
     assert all(errs[name] == line for name, line in warns.items())
     assert [name for name, err in errs.items() if re.search(r"\w+Warning\b", err)] == []
-    assert len(list(tmp_path.glob("*.csv"))) == 7 and len(list(tmp_path.glob("*.out"))) == 37
+    assert len(list(tmp_path.glob("*.csv"))) == 7 and len(list(tmp_path.glob("*.out"))) == 40
     # every report is strict JSON: NaN and Infinity are not JSON
     def refuse(constant):
         raise ValueError(f"{constant} in a report")

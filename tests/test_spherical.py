@@ -26,8 +26,8 @@ from nonholo import (
 )
 import nonholo.core as core
 import nonholo.spherical as spherical
+from nonholo.gauge import _pushed_f
 from nonholo.models import DEMO_BALL, DEMO_GYROSTAT, DEMO_VESELOVA
-from nonholo.gauge import verification_params
 from nonholo.spherical import RESIDUAL_TOL, verify_points
 
 FOUR_PI = 4 * np.pi
@@ -483,17 +483,16 @@ class TestRingResidual:
 
     @pytest.mark.parametrize("L", [16, 32])
     def test_pushed_parameters_on_the_rings_match_the_point_path(self, L):
-        # the report's g~ and f~ read h off the verification rings; the
-        # point path synthesizes h at the verification points.  Both are the
-        # same synthesis at (cos theta, sin theta, phi) round-off apart: g~
-        # reads no h, and f~ differed by at most 1.2e-15 here
+        # the report's f~ reads h off the verification rings; the point
+        # path synthesizes h at the verification points.  Both are the same
+        # synthesis at (cos theta, sin theta, phi) round-off apart: f~
+        # differed by at most 1.2e-15 here
         for params, tol in ((demo_ball, 1e-14), (veselova_gyrostat, 1e-14), (near_boundary_ball, 2e-14)):
             p = params()
             gauge, sol = reduce_to_e3(p, L=L)
-            g_tilde, f_tilde = verification_params(gauge, p, sol)
+            f_tilde = _pushed_f(gauge, p, sol.points, sol.verify_h, sol.verify_normal_curl)
             pushed, pts = pushforward_params(gauge, p), verify_points(L)
             np.testing.assert_array_equal(sol.points, pts)
-            np.testing.assert_array_equal(g_tilde, pushed.g(pts))
             np.testing.assert_allclose(f_tilde, pushed.f(pts), rtol=0.0, atol=tol)
             np.testing.assert_allclose(sol.verify_h, gauge.h(pts), rtol=0.0, atol=tol)
             np.testing.assert_allclose(sol.verify_normal_curl, np.vecdot(pts, gauge.h.curl_at(pts)), rtol=0.0, atol=tol)
@@ -614,7 +613,7 @@ class TestEmptyStack:
         assert sol.h(empty).shape == sol.h.curl_at(empty).shape == (0, 3)
         assert sol.h.jacobian_at(empty).shape == (0, 3, 3)
         rep = reduction_report(demo_ball(), L=16, n_states=0)
-        assert rep["bracket_dev"] == 0.0 and rep["pass"] is True
+        assert rep["bracket_dev"] == 0.0 and rep["pass"] is True and rep["worst_bracket_gamma"] == []
 
 
 class TestRotatedComponents:
