@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, ScalarField, VectorField3, any_point, lift, pack, require_unit_gamma, vector
+from .core import DomainError, ScalarField, VectorField3, any_point, lift, vector
 from .sphere import GFParams, SphereSystem
 
 Array = np.ndarray
@@ -242,7 +242,6 @@ class VeselovaParams:
     Ahat: Sequence[float]                 # diagonal of Ahat = I^{-1}
     U: ScalarField | None = None
     k: Array = field(default_factory=lambda: np.zeros(3))
-    b: float = 0.0                        # constraint value (omega, gamma) = b
 
     def __post_init__(self):
         object.__setattr__(self, "Ahat", _diag3(self.Ahat, "Ahat"))
@@ -327,19 +326,6 @@ def veselova_omega_from_M(p: VeselovaParams, M, gamma) -> Array:
     M, gamma = np.asarray(M, float), np.asarray(gamma, float)
     S = _veselova_kernel(p)[1](*_xyz(M), *_xyz(gamma))[0]
     return p.Ahat * (M + lift(S) * gamma)
-
-
-def veselova_initial_state(p: VeselovaParams, gamma, omega_tangent) -> Array:
-    """A state realizing the constraint (omega, gamma) = b.
-
-    ``omega_tangent`` is projected onto the tangent plane at gamma and the
-    normal component b * gamma is added before converting to M.
-    """
-    gamma = np.asarray(gamma, float)
-    require_unit_gamma(gamma)
-    w = np.asarray(omega_tangent, float)
-    omega = w - lift(np.vecdot(w, gamma)) * gamma + p.b * gamma
-    return pack(veselova_M_from_omega(p, omega, gamma), gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -85,12 +85,11 @@ def legendre(lag: PlanarLagrangian, q, qdot) -> tuple[Array, Array]:
     return P, point_values(0.5 * np.vecdot(qdot, P) + lag.V(q), q)
 
 
-def from_lagrangian(lag: PlanarLagrangian, N: ScalarField,
-                    usual_chaplygin: bool = False) -> PlanarSystem:
+def from_lagrangian(lag: PlanarLagrangian, N: ScalarField) -> PlanarSystem:
     """Momentum-form system of a quadratic-kinetic Lagrangian.
 
     The velocity coefficients (a1, a2) turn into momentum coefficients via
-    qdot = G^{-1} P; ``usual_chaplygin`` zeroes the velocity-free term B.
+    qdot = G^{-1} P; the velocity-free term B is b, zero for usual Chaplygin.
     H-partials in q fall back to finite differences of the assembled H, so
     an analytic G keeps them at FD accuracy only.
     """
@@ -111,7 +110,7 @@ def from_lagrangian(lag: PlanarLagrangian, N: ScalarField,
         H=H, dH_dq=dH_dq, dH_dP=dH_dP,
         A1=lambda q: mom_coeffs(q)[..., 0],
         A2=lambda q: mom_coeffs(q)[..., 1],
-        B=(lambda q: 0.0) if usual_chaplygin else lag.b,
+        B=lag.b,
         N=N,
     )
 

@@ -86,16 +86,21 @@ class TestIntegrate:
         assert max(rep.values()) <= 1e-8
 
     def test_effective_order_at_least_four(self):
-        # fixed steps via max_step at loose tolerances: the propagated
-        # solution is eighth order, so halving h gains a factor near 256;
-        # at h = 0.08 both errors are already at round-off, so the test
-        # halves 0.5 (a ratio of 198 here; a fifth-order stepper reads 33)
-        sys = ball_system(BALL)
+        # fixed steps h over [0, 2], each one solve over a horizon of h at
+        # tolerances loose enough that its first step spans the horizon:
+        # the propagated solution is eighth order, so halving h gains a
+        # factor near 256; at h = 0.08 both errors are already at
+        # round-off, so the test halves 0.5 (a ratio of 256 here; a
+        # fifth-order stepper would read about 32)
+        flow = ball_system(BALL).flow
 
         def endpoint(h):
-            cfg = IntegratorConfig(rtol=1e-3, atol=1e-3, horizon=2.0, samples=2,
-                                   max_step=h)
-            return integrate_sphere(sys, X0, cfg).states[-1]
+            x = X0
+            for _ in range(round(2.0 / h)):
+                traj = integrate(flow, x, IntegratorConfig(rtol=1.0, atol=1.0, horizon=h, samples=2))
+                assert (traj.accepted, traj.rejected) == (1, 0)
+                x = traj.states[-1]
+            return x
 
         ref = endpoint(0.002)
         e1 = np.max(np.abs(endpoint(0.5) - ref))
@@ -151,17 +156,14 @@ class TestIntegrate:
         for samples in (0, 1):
             with pytest.raises(DomainError, match="samples must be at least 2"):
                 IntegratorConfig(samples=samples)
-        with pytest.raises(DomainError, match="max_step must be positive"):
-            IntegratorConfig(max_step=0.0)
 
     @pytest.mark.parametrize("name, value, message", [
         ("rtol", np.nan, "rtol must be positive, got nan"), ("atol", np.nan, "atol must be positive, got nan"),
-        ("horizon", np.nan, "horizon must be positive, got nan"), ("max_step", np.nan, "max_step must be positive"),
+        ("horizon", np.nan, "horizon must be positive, got nan"),
         ("rtol", np.inf, "rtol must be finite, got inf"), ("horizon", np.inf, "horizon must be finite, got inf"),
     ])
     def test_non_finite_config_rejected(self, name, value, message):
-        # NaN passed the `<= 0` test and then stepped without end; an
-        # infinite max_step, the default, stays valid and means no limit
+        # NaN passed the `<= 0` test and then stepped without end
         with pytest.raises(DomainError, match=message):
             IntegratorConfig(**{name: value})
 
@@ -223,13 +225,6 @@ class TestReparametrized:
         tau_traj, t_phys = integrate_reparametrized(sys, X0, cfg)
         mapped = map_to_physical_time(tau_traj, t_phys, direct.t)
         assert np.max(np.abs(mapped - direct.states)) <= 1e-6
-
-    def test_max_step_is_honoured(self):
-        sys = ball_system(FAST_BALL)
-        free, _ = integrate_reparametrized(sys, FAST_X0, IntegratorConfig(horizon=5.0))
-        capped, _ = integrate_reparametrized(sys, FAST_X0,
-                                             IntegratorConfig(horizon=5.0, max_step=0.01))
-        assert capped.nfev > free.nfev
 
     def test_horizon_beyond_first_tau_budget(self):
         traj, t_phys = integrate_reparametrized(ball_system(FAST_BALL), FAST_X0,

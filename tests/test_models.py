@@ -21,7 +21,6 @@ from nonholo import (
     veselova_omega_from_M,
     veselova_system,
 )
-from nonholo.models import veselova_initial_state
 
 from conftest import rand_state, rand_unit
 
@@ -161,12 +160,6 @@ class TestVeselova:
             omega, g = rng.standard_normal(3), rand_unit(rng)
             M = veselova_M_from_omega(p, omega, g)
             assert abs((M + p.k) @ g - omega @ g) <= 1e-14
-
-    def test_initial_state_realizes_constraint(self, rng):
-        p = VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=K_DEMO, b=0.3)
-        x = veselova_initial_state(p, rand_unit(rng), rng.standard_normal(3))
-        M, g = unpack(x)
-        assert (M + p.k) @ g == pytest.approx(0.3, abs=1e-13)
 
     def test_gyrostat_integral_is_infinitesimally_conserved(self, rng):
         sys = veselova_system(VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=K_DEMO))

@@ -77,11 +77,6 @@ class TestLegendre:
         s_mom = sys.A1(q) * P[0] + sys.A2(q) * P[1] + sys.B(q)
         assert s_mom == pytest.approx(s_vel, rel=1e-12)
 
-    def test_usual_chaplygin_flag_zeroes_b(self, rng):
-        lag = random_lagrangian(rng, constant_G=True)
-        sys = from_lagrangian(lag, N=ScalarField.constant(1.0), usual_chaplygin=True)
-        assert sys.B(rng.standard_normal(2)) == 0.0
-
 
 class TestRhs:
     def test_canonical_when_uncoupled(self, rng):

@@ -53,7 +53,6 @@ from nonholo import (
 from nonholo import planar as planar_mod
 from nonholo.core import CHUNK, lift
 from nonholo.gauge import gauge_state_jacobian
-from nonholo.models import veselova_initial_state
 from nonholo.planar import (PlanarLagrangian, conformal_bracket, demo_system, energy_fn, from_lagrangian,
                             planar_rhs, to_conformal)
 from nonholo.planar import measure_residual as planar_measure_residual
@@ -176,7 +175,6 @@ def test_state_maps_stack_matches_points(which, rng, spectral_gauge):
 MOMENTUM_MAPS = {
     "ball M(omega)": lambda w, g: ball_M_from_omega(BALL, w, g),
     "veselova M(omega)": lambda w, g: veselova_M_from_omega(VES, w, g),
-    "veselova initial state": lambda w, g: veselova_initial_state(VES, g, w),
 }
 
 
@@ -315,7 +313,7 @@ _LAG = PlanarLagrangian(G=lambda q: _G0 * lift(1.0 + 0.1 * np.sin(q[..., 0] + q[
 _N = ScalarField(lambda q: np.exp(0.3 * q[..., 0] - 0.2 * q[..., 1]),
                  grad=lambda q: lift(np.exp(0.3 * q[..., 0] - 0.2 * q[..., 1])) * np.array([0.3, -0.2]))
 PLANAR = {"demo": demo_system(), "lagrangian": from_lagrangian(_LAG, _N),
-          "lagrangian, usual Chaplygin": from_lagrangian(_LAG, _N, usual_chaplygin=True)}
+          "lagrangian, usual Chaplygin": from_lagrangian(replace(_LAG, b=lambda q: 0.0), _N)}
 
 
 @pytest.mark.parametrize("name", sorted(PLANAR))
