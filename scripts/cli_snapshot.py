@@ -34,6 +34,8 @@ INVOCATIONS = {
     "check-gauge": ["check", "gauge"],
     "check-duality": ["check", "duality"],
     "check-duality-D2": ["check", "duality", "--D", "2"],
+    # a small D: the identity is read times D, so its round-off does not grow as 1/D
+    "check-duality-D1e-4": ["check", "duality", "--D", "1e-4"],
     "check-planar": ["check", "planar"],
     "reduce-ball-L32": ["reduce", "--model", "ball", "--L", "32"],
     "reduce-ball-L64": ["reduce", "--model", "ball", "--L", "64"],
@@ -69,6 +71,13 @@ INVOCATIONS = {
     "check-duality-small-D": ["check", "duality", "--D", "1e-300"],
     # a ball D whose 1/D overflows
     "check-jacobi-ball-tiny-D": ["check", "jacobi", "--model", "ball", "--D", "1e-320"],
+    # a ball D whose 1/D is finite but whose bracket's jacobiator overflows
+    "check-jacobi-ball-D1e-308": ["check", "jacobi", "--model", "ball", "--D", "1e-308"],
+    # an Ahat whose 1/Ahat overflows
+    "check-jacobi-veselova-tiny-Ahat": ["check", "jacobi", "--model", "veselova",
+                                        "--Ahat", "1e-320,1e-320,1e-320"],
+    # a finite M whose flow overflows: the refusal names the flow's knobs
+    "simulate-ball-huge-M": ["simulate", "--model", "ball", "--demo", "--M", "1e300,0,0", "--horizon", "1"],
     # constant pairs outside the reduction's scale rule: g, then f, too large
     # or too small, then F = -(f/g^2 + 1/g) too large or zero
     "reduce-g1e300-f0-L8": ["reduce", "--g", "1e300", "--f", "0", "--L", "8"],
@@ -88,6 +97,7 @@ EXITS = {"simulate-ball-loose-rtol": 4, "reduce-ball-near-boundary-L16": 4, "pla
          "reduce-ball-L0": 2, "simulate-ball-negative-threshold": 2, "simulate-ball-nan-rtol": 3,
          "simulate-ball-nan-threshold": 3, "reduce-g-nan-f0": 3, "simulate-ball-huge-U": 3,
          "check-duality-tiny-D": 3, "check-duality-small-D": 3, "check-jacobi-ball-tiny-D": 3,
+         "check-jacobi-ball-D1e-308": 3, "check-jacobi-veselova-tiny-Ahat": 3, "simulate-ball-huge-M": 3,
          "reduce-g1e300-f0-L8": 3, "reduce-g1e-300-f0-L8": 3, "reduce-g1-f1e300-L8": 3, "reduce-g1e-60-f1-L8": 3,
          "reduce-g1-f-1-L8": 3, "reduce-g1e102-f-1e102-L8": 3, "reduce-g1e-50-f-1e-50-L8": 3,
          "reduce-g7-f-7.000000001-L8": 3}

@@ -7,14 +7,15 @@ and returns ``(body, ok)``, the report body and whether every gate passed.
 A failing gate writes its worst value, threshold, state index and state to
 stderr.
 
-    jacobi(states, system)  jacobiator of the system's bracket P <= 1e-6
+    jacobi(states, params)  jacobiator of the model's bracket P <= 1e-6
     negative_control(states)  Jacobi must fail (> 1e-3) at >= 90 % of states
                             for the measure-mismatched P(g = 1, K of the ball)
     measure(states)         rho = 1/g invariant-measure residual <= 1e-10,
                             demo ball and Veselova
     conformal(states)       |flow - (1/g) P grad H| <= 1e-10, demo ball and
                             Veselova with and without gyrostat
-    duality(states, D)      dual Hamiltonian identity, g relation <= 1e-12
+    duality(states, D)      dual Hamiltonian identity times D, g relation
+                            times sqrt(D) <= 1e-12
     gauge(states)           composition law <= 1e-12, action on (g, f) of
                             fields with no analytic derivatives <= 1e-8
     planar(probes)          conformal residual <= 1e-8, bracket jacobiator
@@ -29,7 +30,7 @@ The library's evaluation functions are called through their home modules
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -76,8 +77,17 @@ def _gate_by_model(suite, vals_by_model, threshold, states) -> tuple[dict, bool]
             "threshold": threshold, "pass": ok}, ok
 
 
-def jacobi(states, system) -> tuple[dict, bool]:
-    vals = core.jacobiator(lambda x: sphere.assemble_P(system, x), states)
+def jacobi(states, params: BallParams | VeselovaParams) -> tuple[dict, bool]:
+    system = (ball_system if isinstance(params, BallParams) else veselova_system)(params)
+    # the bracket's entries grow with 1/D (ball) and with Ahat, 1/Ahat
+    # (Veselova): refused at the first overflow, before any value is reported
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            vals = core.jacobiator(lambda x: sphere.assemble_P(system, x), states)
+        except FloatingPointError:
+            named = ", ".join(f"{f.name} = {np.asarray(getattr(params, f.name)).tolist()}"
+                              for f in fields(params) if f.name != "U")
+            raise DomainError(f"the {system.name} bracket's jacobiator overflows at {named}") from None
     worst, ok = _gate(f"jacobi {system.name}", vals, JACOBI_GATE, states)
     return {"suite": "jacobi", "model": system.name, "max": worst,
             "threshold": JACOBI_GATE, "pass": ok}, ok
@@ -119,16 +129,17 @@ def conformal(states) -> tuple[dict, bool]:
 def duality(states, D: float) -> tuple[dict, bool]:
     vparams = VeselovaParams(**DEMO_VESELOVA)
     ball, ves = ball_system(duality_map(vparams, D=D)), veselova_system(vparams)
-    Dinv = 1.0 / D
     M, G = unpack(states)
-    # the dual ball's Hamiltonian squares its inertia (1 - Ahat) / D times M,
+    # H_ball = (M, M)/(2D) - H_ves/D times D and g_ball = g_ves/sqrt(D) times
+    # sqrt(D): their terms, and so their round-off, then do not grow with 1/D.
+    # The dual ball's Hamiltonian squares its inertia (1 - Ahat) / D times M,
     # which overflows once D is below about 1e-154 (the bound moves with the
     # states' |M|): refused at the first overflow, before any value is
     # reported
     with np.errstate(over="raise"):
         try:
-            h_vals = np.abs(ball.hamiltonian(M, G) - 0.5 * Dinv * np.vecdot(M, M) + Dinv * ves.hamiltonian(M, G))
-            g_vals = np.abs(ball.s_spec.g(G) - ves.s_spec.g(G) / np.sqrt(D))
+            h_vals = np.abs(D * ball.hamiltonian(M, G) - 0.5 * np.vecdot(M, M) + ves.hamiltonian(M, G))
+            g_vals = np.abs(np.sqrt(D) * ball.s_spec.g(G) - ves.s_spec.g(G))
         except FloatingPointError:
             raise DomainError(f"D = {D} is too small: the dual ball's Hamiltonian overflows") from None
     h_dev, h_ok = _gate("duality hamiltonian identity", h_vals, DUALITY_GATE, states)

@@ -68,8 +68,25 @@ def _output(flag: str, path):
         raise ConfigError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _leaves(value, key: str = ""):
+    """(dotted key, value) of each number, text or flag in a report."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{key}[{i}]")
+    else:
+        yield key, value
+
+
 def _emit(report: dict, path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write a report as strict JSON; a non-finite value is a domain error naming its key."""
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        key = next(k for k, v in _leaves(report) if isinstance(v, float) and not np.isfinite(v))
+        raise DomainError(f"the report's {key} is not finite") from None
     if path:
         with _output("--report", path):
             write_in_place(path, text)
@@ -236,7 +253,12 @@ def cmd_simulate(args) -> int:
                                 functools.partial(_number, least=0))
     seed = _flag_or_config(args.seed, "--seed", cfg, "seed", 0, _seed)
 
-    traj = integrate_sphere(sysm, x0, icfg)
+    try:
+        traj = integrate_sphere(sysm, x0, icfg)
+    except DomainError as exc:  # name the knobs that set the flow
+        model_flags = ", --A and --D" if isinstance(params, BallParams) else " and --Ahat"
+        raise DomainError(f"{exc}; its knobs are --M or --omega, --gamma, --gyrostat, --U-vec"
+                          f"{model_flags}") from None
     with _output("--csv", args.csv):
         trajectory_csv(traj, args.csv)
     drifts = drift_report(traj)
@@ -272,7 +294,7 @@ def cmd_check(args) -> int:
         _refuse(args, _MODEL_FLAGS, "beside --negative-control")
         body, ok = checks.negative_control(states)
     elif args.suite == "jacobi":
-        body, ok = checks.jacobi(states, _model(args, cfg)[1])
+        body, ok = checks.jacobi(states, _model(args, cfg)[0])
     elif args.suite == "duality":
         body, ok = checks.duality(states, _flag_or_config(args.D, "--D", cfg, "D", 1.0, _number))
     elif args.suite == "planar":

@@ -58,10 +58,14 @@ def _diag3(value, name: str) -> Array:
     a = np.asarray(value, float)
     if a.shape != (3,):
         raise DomainError(f"{name} must be the three diagonal entries, got shape {a.shape}")
+    with np.errstate(over="ignore", divide="ignore"):
+        inv = 1.0 / a
     for i, v in enumerate(a):
         if not 0.0 < v < np.inf:
             raise DomainError(f"{name}[{i}] ({_AXES[i]}-axis) must be "
                               f"{'finite' if v > 0.0 else 'positive'}, got {v}")
+        if inv[i] == np.inf:
+            raise DomainError(f"{name}[{i}] = {v} is too small: 1/{name}[{i}] overflows")
     return a
 
 

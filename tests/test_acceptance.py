@@ -65,8 +65,8 @@ def test_criterion_01_conservation_suite():
 
 def test_criterion_02_jacobi_identity():
     states = random_states(np.random.default_rng(2), 3000)
-    worst = max(checks.jacobi(states[:1000], ball_system(BALL))[0]["max"],
-                checks.jacobi(states[1000:2000], veselova_system(VES))[0]["max"])
+    worst = max(checks.jacobi(states[:1000], BALL)[0]["max"],
+                checks.jacobi(states[1000:2000], VES)[0]["max"])
     criterion(2, "bracket jacobiator for both models", worst, 1e-6)
 
     control, _ = checks.negative_control(states[2000:])

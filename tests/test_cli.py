@@ -215,6 +215,8 @@ def _unchecked_number(value, field, kind=float, least=-np.inf):
 
 BALL_CFG = {"model": "ball", "initial": {"M": [0.3, -0.2, 0.5], "gamma": [0.0, 0.0, 1.0]},
             "integrator": {"horizon": 1.0, "samples": 11}}
+# the knobs a ball simulate's refusal of its flow names
+BALL_FLOW_KNOBS = "; its knobs are --M or --omega, --gamma, --gyrostat, --U-vec, --A and --D"
 
 
 class TestNonFiniteInputs:
@@ -238,7 +240,7 @@ class TestNonFiniteInputs:
          "gyrostat k must be finite, got [nan, 0.0, 0.0]"),
         # a finite setting whose flow is not finite: refused before the first step
         (["simulate", "--model", "ball", "--demo", "--U", "linear", "--U-vec", "nan,0,0"],
-         "the flow is not finite at the initial state"),
+         "the flow is not finite at the initial state" + BALL_FLOW_KNOBS),
     ])
     def test_refused_within_seconds(self, workdir, capsys, monkeypatch, deadline, argv, message):
         # the value is refused as its flag, the last argument but one, is read
@@ -254,7 +256,8 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("argv", [["--U", "linear", "--U-vec", "1e150,0,0"], ["--gyrostat", "1e160,0,0"]])
     def test_overflowing_flow_is_refused(self, workdir, capsys, deadline, argv):
         assert run(["simulate", "--model", "ball", "--demo", *argv, "--horizon", "1"]) == 3
-        assert capsys.readouterr().err == "domain error: the flow is not finite at the initial state\n"
+        assert capsys.readouterr().err == ("domain error: the flow is not finite at the initial state"
+                                           f"{BALL_FLOW_KNOBS}\n")
         assert not (workdir / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -320,6 +323,28 @@ class TestNonFiniteInputs:
         (["reduce", "--g", "7", "--f", "-7.000000001", "--L", "8"],
          "--g 7.0 and --f -7.000000001 give |F| = 2.04082e-11 for F = -(f/g^2 + 1/g), which must be at most "
          "1e+102 and, to keep half its digits, at least sqrt(eps) (|f|/g^2 + 1/g) = 4.25747e-09"),
+        # a ball D whose 1/D is finite but whose bracket overflows: check
+        # jacobi warned and wrote a NaN worst value
+        (["check", "jacobi", "--model", "ball", "--D", "1e-308", "-n", "20"],
+         "the ball bracket's jacobiator overflows at A = [0.4, 0.5, 0.6], D = 1e-308, k = [0.0, 0.0, 0.0]"),
+        # an Ahat whose 1/Ahat overflows: check jacobi warned and wrote a NaN
+        # worst value, reduce warned and blamed the sphere grid, simulate
+        # blamed the flow
+        (["check", "jacobi", "--model", "veselova", "--Ahat", "1e-320,1e-320,1e-320", "-n", "20"],
+         "Ahat[0] = 1e-320 is too small: 1/Ahat[0] overflows"),
+        (["reduce", "--model", "veselova", "--Ahat", "1e-320,1e-320,1e-320", "--L", "8"],
+         "Ahat[0] = 1e-320 is too small: 1/Ahat[0] overflows"),
+        (["simulate", "--model", "veselova", "--Ahat", "1e-320,1e-320,1e-320", "--demo", "--horizon", "1"],
+         "Ahat[0] = 1e-320 is too small: 1/Ahat[0] overflows"),
+        # finite settings whose flow overflows at the initial state: the
+        # refusal named no knob
+        (["simulate", "--model", "ball", "--demo", "--M", "1e300,0,0", "--horizon", "1"],
+         "the flow is not finite at the initial state" + BALL_FLOW_KNOBS),
+        (["simulate", "--model", "ball", "--demo", "--gyrostat", "1e300,0,0", "--horizon", "1"],
+         "the flow is not finite at the initial state" + BALL_FLOW_KNOBS),
+        (["simulate", "--model", "veselova", "--demo", "--Ahat", "1e300,1e300,1e300", "--horizon", "1"],
+         "the flow is not finite at the initial state; its knobs are --M or --omega, --gamma, --gyrostat, "
+         "--U-vec and --Ahat"),
     ])
     def test_flag_is_named(self, workdir, capsys, deadline, argv, message):
         assert run(argv) == 3
@@ -522,6 +547,14 @@ class TestCheck:
         assert run(["check", "duality", "--D", "1", "-n", "200"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["hamiltonian_identity_max"] <= 1e-12
+
+    # the identity's terms grow as 1/D: read unscaled, its round-off failed
+    # the absolute gate (7.3e-12 at D = 1e-4 over 200 states, 1.2e-7 at 1e-8)
+    @pytest.mark.parametrize("D", ["1e-4", "1e-8"])
+    def test_duality_small_D(self, workdir, capsys, D):
+        assert run(["check", "duality", "--D", D, "-n", "200"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert max(out["hamiltonian_identity_max"], out["g_relation_max"]) <= 1e-12
 
     def test_duality_reads_config_D(self, workdir, capsys):
         (workdir / "d.json").write_text(json.dumps({"D": 2.0}))
@@ -945,6 +978,15 @@ class TestOutputFiles:
             for fd in (r, w):
                 if fd is not None:
                     os.close(fd)
+
+    def test_non_finite_report_value_exits_3(self, workdir, capsys, monkeypatch):
+        # a report with a NaN was written as `NaN`, which is not JSON
+        monkeypatch.setattr(cli_mod.checks, "measure",
+                            lambda states: ({"suite": "measure", "max_by_model": {"ball": np.nan}}, False))
+        assert run(["check", "measure", "-n", "5", "--report", "r.json"]) == 3
+        out, err = capsys.readouterr()
+        assert "NaN" not in out and not (workdir / "r.json").exists()
+        assert err == "domain error: the report's max_by_model.ball is not finite\n"
 
     def test_rewrite_equals_a_fresh_write(self, workdir, capsys, monkeypatch):
         argv = ["simulate", "--model", "ball", "--demo", "--horizon", "5",
