@@ -79,8 +79,8 @@ def _gate_by_model(suite, vals_by_model, threshold, states) -> tuple[dict, bool]
 
 def jacobi(states, params: BallParams | VeselovaParams) -> tuple[dict, bool]:
     system = (ball_system if isinstance(params, BallParams) else veselova_system)(params)
-    # the bracket's entries grow with 1/D (ball) and with Ahat, 1/Ahat
-    # (Veselova): refused at the first overflow, before any value is reported
+    # the ball's bracket grows as 1/D: a jacobiator that overflows (D = 1e-308,
+    # say) is refused at the first overflow, before any value is reported
     with np.errstate(over="raise", invalid="raise"):
         try:
             vals = core.jacobiator(lambda x: sphere.assemble_P(system, x), states)
