@@ -78,8 +78,9 @@ INVOCATIONS = {
                                         "--Ahat", "1e-320,1e-320,1e-320"],
     # a finite M whose flow overflows: the refusal names the flow's knobs
     "simulate-ball-huge-M": ["simulate", "--model", "ball", "--demo", "--M", "1e300,0,0", "--horizon", "1"],
-    # constant pairs outside the reduction's scale rule: g, then f, too large
-    # or too small, then F = -(f/g^2 + 1/g) too large or zero
+    # constant pairs outside the reduction's scale rule (gauge.reduce_to_e3):
+    # g too large or too small, whose reduction overflows, then |F| too large
+    # or F zero
     "reduce-g1e300-f0-L8": ["reduce", "--g", "1e300", "--f", "0", "--L", "8"],
     "reduce-g1e-300-f0-L8": ["reduce", "--g", "1e-300", "--f", "0", "--L", "8"],
     "reduce-g1-f1e300-L8": ["reduce", "--g", "1", "--f", "1e300", "--L", "8"],
@@ -89,6 +90,14 @@ INVOCATIONS = {
     "reduce-g1e102-f-1e102-L8": ["reduce", "--g", "1e102", "--f", "-1e102", "--L", "8"],
     "reduce-g1e-50-f-1e-50-L8": ["reduce", "--g", "1e-50", "--f", "-1e-50", "--L", "8"],
     "reduce-g7-f-7.000000001-L8": ["reduce", "--g", "7", "--f", "-7.000000001", "--L", "8"],
+    # the same rule on the model path: an F that overflows, and one whose
+    # terms cancel to fewer than half their digits
+    "reduce-veselova-tiny-Ahat-L8": ["reduce", "--model", "veselova", "--Ahat", "1e-300,1e-300,1e-300",
+                                     "--L", "8"],
+    "reduce-veselova-Ahat3-1e30-L8": ["reduce", "--model", "veselova", "--Ahat", "0.6,0.75,1e30", "--L", "8"],
+    # g = 1e150, within the rule: the ball at D = 1e-300 and the constant pair reduce alike
+    "reduce-ball-D1e-300-L8": ["reduce", "--model", "ball", "--D", "1e-300", "--L", "8"],
+    "reduce-g1e150-f0-L8": ["reduce", "--g", "1e150", "--f", "0", "--L", "8"],
 }
 # the exit code of each invocation that does not exit 0: 4 at a failing
 # gate, 2 at a refused flag, 3 at a refused value
@@ -100,7 +109,7 @@ EXITS = {"simulate-ball-loose-rtol": 4, "reduce-ball-near-boundary-L16": 4, "pla
          "check-jacobi-ball-D1e-308": 3, "check-jacobi-veselova-tiny-Ahat": 3, "simulate-ball-huge-M": 3,
          "reduce-g1e300-f0-L8": 3, "reduce-g1e-300-f0-L8": 3, "reduce-g1-f1e300-L8": 3, "reduce-g1e-60-f1-L8": 3,
          "reduce-g1-f-1-L8": 3, "reduce-g1e102-f-1e102-L8": 3, "reduce-g1e-50-f-1e-50-L8": 3,
-         "reduce-g7-f-7.000000001-L8": 3}
+         "reduce-g7-f-7.000000001-L8": 3, "reduce-veselova-tiny-Ahat-L8": 3, "reduce-veselova-Ahat3-1e30-L8": 3}
 
 WRITES_CSV = ("simulate", "planar-demo")
 

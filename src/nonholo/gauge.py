@@ -22,9 +22,9 @@ Choosing alpha = 1/g and solving (gamma, curl h) = F + c for the target
 
     F = -(alpha^2 f + alpha + (gamma, dalpha/dgamma))
 
-drives any (g, f) to (1, 0), i.e. to the standard e(3) structure.  The
-group removes neither Phi (alpha = c = 1 leaves Phi~ = Phi) nor k, so the
-reduction refuses both by name.
+drives any (g, f) within reduce_to_e3's scale rule to (1, 0), i.e. to the
+standard e(3) structure.  The group removes neither Phi (alpha = c = 1
+leaves Phi~ = Phi) nor k, so the reduction refuses both by name.
 
 Chaplygin's reducing multiplier is the element (1/g, 1, 0),
 zero_level_transform: on the zero level (M, gamma) = 0 it is the rescaling
@@ -64,6 +64,7 @@ from .spherical import RESIDUAL_TOL, CurlSolution, solve_curl_equation
 Array = np.ndarray
 
 BRACKET_TOL = 1e-6      # largest bracket_dev a reduction passes with
+F_SCALE = 1e102         # largest |F| a reduction reads: J P J^T multiplies three, and cbrt(max float) = 5.6e102
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,16 @@ def zero_level_reduce(g: ScalarField, x) -> Array:
 # reduction to the e(3) bracket
 # ---------------------------------------------------------------------------
 
+def _F_terms(p: GFParams, gamma) -> Array:
+    """-F's terms alpha^2 f, alpha and (gamma, dalpha) at points, on a first
+    axis; g <= 0 raises DomainError before any division."""
+    g = p.g(gamma)
+    if not np.all(g > 0.0):
+        raise DomainError(f"g must be positive on the sphere, got g = {np.min(g):g}")
+    a = 1.0 / g
+    return np.array([a * a * p.f(gamma), a, np.vecdot(gamma, -p.g.gradient(gamma) / lift(g * g))])
+
+
 def curl_target_F(p: GFParams) -> ScalarField:
     """Right-hand side F of the curl equation for the reducing gauge.
 
@@ -226,20 +237,27 @@ def curl_target_F(p: GFParams) -> ScalarField:
         raise DomainError("the reduction to e(3) cannot remove a Phi term")
     if np.any(p.k):
         raise DomainError("the reduction to e(3) cannot remove a nonzero gyrostat k")
-    alpha = p.g.reciprocal()
-
-    def F(gamma):
-        a = alpha(gamma)
-        return -(a * a * p.f(gamma) + a + np.vecdot(gamma, alpha.gradient(gamma)))
-
-    return ScalarField(F)
+    return ScalarField(lambda gamma: -np.sum(_F_terms(p, gamma), axis=0))
 
 
 def reduce_to_e3(p: GFParams, L: int = 32) -> tuple[GaugeTransform, CurlSolution]:
-    """The transform sending (g, f) to (1, 0), plus the solver diagnostics."""
+    """The transform sending (g, f) to (1, 0), plus the solver diagnostics.
+
+    A (g, f) is refused with DomainError unless g > 0 wherever F is read
+    and, at the verification points, |F| <= F_SCALE and c = -mean(F) keeps
+    half the digits of F's terms, |c| >= sqrt(eps) mean(|alpha^2 f| +
+    |alpha| + |(gamma, dalpha)|): a cancelling F would reduce their round-off.
+    """
     sol = solve_curl_equation(curl_target_F(p), L=L)
-    gauge = GaugeTransform(alpha=p.g.reciprocal(), c=sol.c, h=sol.h)
-    return gauge, sol
+    terms = _F_terms(p, sol.points)
+    F_max = np.max(np.abs(np.sum(terms, axis=0)))
+    least = np.sqrt(np.finfo(float).eps) * np.mean(np.sum(np.abs(terms), axis=0))
+    if not F_max <= F_SCALE:
+        raise DomainError(f"F = -(f/g^2 + 1/g + (gamma, d(1/g))) reaches |F| = {F_max:g}, past {F_SCALE:g}")
+    if not abs(sol.c) >= least:
+        raise DomainError(f"the dilation c = -mean(F) keeps fewer than half the digits of F's terms: |c| = "
+                          f"{abs(sol.c):g}, below sqrt(eps) mean(|f|/g^2 + 1/g + |(gamma, d(1/g))|) = {least:g}")
+    return GaugeTransform(alpha=p.g.reciprocal(), c=sol.c, h=sol.h), sol
 
 
 def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
@@ -255,22 +273,25 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     is one array call.  ``pass`` holds iff the residual is at most
     spherical.RESIDUAL_TOL and the bracket mismatch at most BRACKET_TOL.
     ``worst_gamma`` is the verification point where the residual peaks and
-    ``worst_bracket_gamma`` the gamma of the probe state where the bracket
-    mismatch does, [] with no probe states.
+    ``worst_bracket_gamma`` the probe gamma where the bracket mismatch does,
+    [] with no probe states.  An overflow raises DomainError, as a refusal does.
     """
-    gauge, sol = reduce_to_e3(p, L=L)
-    g_dev = np.max(np.abs((gauge.alpha * p.g)(sol.points) - 1.0))
-    f_dev = np.max(np.abs(_pushed_f(gauge, p, sol.points, sol.verify_h, sol.verify_normal_curl)))
-
-    X = random_states(np.random.default_rng(seed), n_states)
-    # the image first: the Jacobian's h(gamma) and dh then reuse the image's
-    # one synthesis of h's field at the same points
-    image = apply_gauge_state(gauge, X)
-    left = pushforward_bivector(gauge, gf_bivector(p), X)
-    right = e3_bivector(image)
-    deviation = np.max(np.abs(left - right), axis=(-2, -1), initial=0.0)
-    worst = X[np.argmax(deviation), 3:] if n_states else []
-    bracket_dev = float(np.max(deviation, initial=0.0))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            gauge, sol = reduce_to_e3(p, L=L)
+            g_dev = np.max(np.abs((gauge.alpha * p.g)(sol.points) - 1.0))
+            f_dev = np.max(np.abs(_pushed_f(gauge, p, sol.points, sol.verify_h, sol.verify_normal_curl)))
+            X = random_states(np.random.default_rng(seed), n_states)
+            # the image first: the Jacobian's h(gamma) and dh then reuse the image's
+            # one synthesis of h's field at the same points
+            image = apply_gauge_state(gauge, X)
+            left = pushforward_bivector(gauge, gf_bivector(p), X)
+            right = e3_bivector(image)
+            deviation = np.max(np.abs(left - right), axis=(-2, -1), initial=0.0)
+            worst = X[np.argmax(deviation), 3:] if n_states else []
+            bracket_dev = float(np.max(deviation, initial=0.0))
+    except FloatingPointError as exc:
+        raise DomainError(f"the reduction of this (g, f) is not finite: {exc}") from None
 
     return {
         "L": L,

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,16 @@ def rand_state(rng) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a run that has not ended within 10 s, as a hang would not."""
+    def expire(signum, frame):
+        raise TimeoutError("the run did not end within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -3,7 +3,6 @@
 import argparse
 import json
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -49,19 +48,6 @@ from nonholo.planar import PlanarSystem, conformal_bracket, demo_system, to_conf
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
-
-
-@pytest.fixture
-def deadline():
-    """Fail a run that has not ended within 10 s, as a hang would not."""
-    def expire(signum, frame):
-        raise TimeoutError("the run did not end within 10 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(10)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def run(args):
@@ -217,6 +203,12 @@ BALL_CFG = {"model": "ball", "initial": {"M": [0.3, -0.2, 0.5], "gamma": [0.0, 0
             "integrator": {"horizon": 1.0, "samples": 11}}
 # the knobs a ball simulate's refusal of its flow names
 BALL_FLOW_KNOBS = "; its knobs are --M or --omega, --gamma, --gyrostat, --U-vec, --A and --D"
+# gauge.reduce_to_e3's refusals, and the knobs reduce appends to them
+GF_KNOBS = "; its knobs are --g and --f"
+OVERFLOW = "the reduction of this (g, f) is not finite: overflow encountered in multiply"
+F_PAST = "F = -(f/g^2 + 1/g + (gamma, d(1/g))) reaches |F| = %s, past 1e+102"
+HALF_DIGITS = ("the dilation c = -mean(F) keeps fewer than half the digits of F's terms: |c| = %s, "
+               "below sqrt(eps) mean(|f|/g^2 + 1/g + |(gamma, d(1/g))|) = %s")
 
 
 class TestNonFiniteInputs:
@@ -299,30 +291,24 @@ class TestNonFiniteInputs:
          "D = 1e-320 is too small: 1/D overflows"),
         # constant pairs outside the reduction's scale rule: numpy overflow
         # warnings, then exit 0, a NaN bracket_dev, or a refusal naming the
-        # grid or the internal dilation c
-        (["reduce", "--g", "1e300", "--f", "0", "--L", "8"], "--g must lie in [1e-102, 1e+102], got 1e+300"),
-        (["reduce", "--g", "1e-300", "--f", "0", "--L", "8"], "--g must lie in [1e-102, 1e+102], got 1e-300"),
-        (["reduce", "--g", "1e-160", "--f", "0", "--L", "8"], "--g must lie in [1e-102, 1e+102], got 1e-160"),
-        (["reduce", "--g", "1", "--f", "1e300", "--L", "8"], "--f must be at most 1e+102 in size, got 1e+300"),
-        (["reduce", "--g", "1e-60", "--f", "1", "--L", "8"],
-         "--g 1e-60 and --f 1.0 give |F| = 1e+120 for F = -(f/g^2 + 1/g), which must be at most 1e+102 and, "
-         "to keep half its digits, at least sqrt(eps) (|f|/g^2 + 1/g) = 1.49012e+112"),
-        (["reduce", "--g", "1", "--f", "-1", "--L", "8"],
-         "--g 1.0 and --f -1.0 give |F| = 0 for F = -(f/g^2 + 1/g), which must be at most 1e+102 and, "
-         "to keep half its digits, at least sqrt(eps) (|f|/g^2 + 1/g) = 2.98023e-08"),
+        # grid or the internal dilation c.  The rule is the library's
+        # (gauge.reduce_to_e3), and the command appends the knobs
+        (["reduce", "--g", "1e300", "--f", "0", "--L", "8"], OVERFLOW + GF_KNOBS),
+        (["reduce", "--g", "1e-300", "--f", "0", "--L", "8"], OVERFLOW + GF_KNOBS),
+        (["reduce", "--g", "1e-160", "--f", "0", "--L", "8"], OVERFLOW + GF_KNOBS),
+        (["reduce", "--g", "1", "--f", "1e300", "--L", "8"], F_PAST % "1e+300" + GF_KNOBS),
+        (["reduce", "--g", "1e-60", "--f", "1", "--L", "8"], F_PAST % "1e+120" + GF_KNOBS),
+        (["reduce", "--g", "1", "--f", "-1", "--L", "8"], HALF_DIGITS % ("0", "2.98023e-08") + GF_KNOBS),
         # constant pairs whose F cancels: the reduction reduced the round-off
         # of its two terms, passing with f_tilde_dev 1.0 (c = 1.98e-118),
         # failing on an |F| of 2.1e34 that is exactly 0, or passing with
         # f_tilde_dev 9.5e-7
         (["reduce", "--g", "1e102", "--f", "-1e102", "--L", "8"],
-         "--g 1e+102 and --f -1e+102 give |F| = 1.98277e-118 for F = -(f/g^2 + 1/g), which must be at most "
-         "1e+102 and, to keep half its digits, at least sqrt(eps) (|f|/g^2 + 1/g) = 2.98023e-110"),
+         HALF_DIGITS % ("1.98277e-118", "2.98023e-110") + GF_KNOBS),
         (["reduce", "--g", "1e-50", "--f", "-1e-50", "--L", "8"],
-         "--g 1e-50 and --f -1e-50 give |F| = 2.07692e+34 for F = -(f/g^2 + 1/g), which must be at most "
-         "1e+102 and, to keep half its digits, at least sqrt(eps) (|f|/g^2 + 1/g) = 2.98023e+42"),
+         HALF_DIGITS % ("2.07692e+34", "2.98023e+42") + GF_KNOBS),
         (["reduce", "--g", "7", "--f", "-7.000000001", "--L", "8"],
-         "--g 7.0 and --f -7.000000001 give |F| = 2.04082e-11 for F = -(f/g^2 + 1/g), which must be at most "
-         "1e+102 and, to keep half its digits, at least sqrt(eps) (|f|/g^2 + 1/g) = 4.25747e-09"),
+         HALF_DIGITS % ("2.04082e-11", "4.25747e-09") + GF_KNOBS),
         # a ball D whose 1/D is finite but whose bracket overflows: check
         # jacobi warned and wrote a NaN worst value
         (["check", "jacobi", "--model", "ball", "--D", "1e-308", "-n", "20"],
@@ -807,23 +793,47 @@ class TestReduce:
         assert out["c"] == pytest.approx(1.0, abs=1e-10)
         assert out["bracket_dev"] <= 1e-6
 
-    @pytest.mark.parametrize("g", ["1e15", "1e100"])
+    @pytest.mark.parametrize("g", ["1e15", "1e100", "1e150"])
     def test_tiny_alpha_reduces(self, workdir, capsys, g):
         # alpha = 1/g is invertible; an absolute |alpha| < 1e-14 threshold
-        # refused it with exit 3 ("alpha vanishes")
+        # refused it with exit 3 ("alpha vanishes"), and a bound of 1e102
+        # on g refused 1e150
         assert run(["reduce", "--g", g, "--f", "0", "--L", "8"]) == 0
         captured = capsys.readouterr()
         assert captured.err == "" and json.loads(captured.out)["bracket_dev"] <= 1e-15
 
     @pytest.mark.parametrize("g, f", [("1", "1e102"), ("1", "-1e102"), ("1e102", "1e102"), ("1e-102", "-5e-103")])
     def test_constant_pair_at_the_scale_bound_stays_finite(self, workdir, capsys, g, f):
-        # the rule's largest g, 1/g, |f| or |F|: the congruence's products
-        # stay finite, so no numpy warning and a strict-JSON report.  The
-        # last pair keeps 1/g at the bound with |F| = 5e101, where
-        # (1e-102, -1e-102) cancelled
+        # |F| at or near gauge.F_SCALE, with |f| or 1/g as large: the
+        # congruence's products stay finite, so no numpy warning and a
+        # strict-JSON report.  The last pair has 1/g = 1e102 with
+        # |F| = 5e101, where (1e-102, -1e-102) cancelled
         assert run(["reduce", "--g", g, "--f", f, "--L", "8", "-n", "20"]) in (0, 4)
         rep = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
         assert rep["residual"] < np.inf and rep["bracket_dev"] < np.inf
+
+    @pytest.mark.parametrize("Ahat", ["1e-300,1e-300,1e-300", "1e-200,1e-200,1e-200", "1e-100,1e-100,1e-100",
+                                      "0.6,0.75,1e30", "1e100,1e100,1e100", "1e8,1e8,1e8"])
+    def test_veselova_outside_the_scale_rule_names_Ahat(self, workdir, capsys, Ahat):
+        # the model path had no scale rule: the three small Ahat warned in
+        # numpy (curl_target_F, the congruence J P J^T) and exited 3 naming
+        # no flag; the large ones passed on the round-off of F's cancelling
+        # terms, f_tilde_dev 8.0 (1e30), 3.0 (1e100) and 3e-8 (1e8)
+        assert run(["reduce", "--model", "veselova", "--Ahat", Ahat, "--L", "8", "-n", "20"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("domain error: ") and captured.err.endswith("; its knobs are --Ahat\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "ball", "--D", "1e-300"], ["--model", "veselova", "--Ahat", "3e7,3e7,3e7"],
+        ["--g", "1e120", "--f", "1"],
+    ])
+    def test_huge_g_within_the_scale_rule_reduces(self, workdir, capsys, argv):
+        # g = 1e150 for the ball at D = 1e-300 and 1e120 for the constant
+        # pair: a bound on g, which no model path had, refused the pair
+        assert run(["reduce", *argv, "--L", "8", "-n", "20"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["bracket_dev"] <= 1e-15
 
     def test_half_cancelling_pair_reduces(self, workdir, capsys):
         # F = -1.1e-8 keeps about half the digits of its terms +-1/3: the
@@ -937,7 +947,7 @@ class TestReduce:
 
     def test_non_positive_constant_g_exits_3(self, workdir, capsys):
         assert run(["reduce", "--g", "0", "--f", "0", "--L", "8", "-n", "5"]) == 3
-        assert capsys.readouterr().err == "domain error: --g must be positive, got 0.0\n"
+        assert capsys.readouterr().err == f"domain error: g must be positive on the sphere, got g = 0{GF_KNOBS}\n"
 
     def test_deterministic_report(self, workdir, capsys):
         run(["reduce", "--g", "1", "--f", "0", "--L", "6", "-n", "10"])

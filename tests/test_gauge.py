@@ -550,6 +550,31 @@ class TestReduction:
         assert rep["pass"] is True
         assert rep["worst_bracket_gamma"] in random_states(np.random.default_rng(0), 20)[:, 3:].tolist()
 
+    @pytest.mark.parametrize("reduce", [reduce_to_e3, reduction_report])
+    def test_scale_rule_refuses_a_cancelling_pair_in_the_library(self, reduce):
+        # F = -(f/g^2 + 1/g) = -2.0e-11 keeps under half the digits of its
+        # terms +-1/7: only the command line refused it, and the library
+        # passed with f_tilde_dev 9.5e-7
+        p = GFParams(g=ScalarField.constant(7.0), f=ScalarField.constant(-7.000000001))
+        with pytest.raises(DomainError, match=r"^the dilation c = -mean\(F\) keeps fewer than half the digits"):
+            reduce(p, L=8)
+
+    @pytest.mark.parametrize("g, message", [
+        (-2.0, "g must be positive on the sphere, got g = -2"),
+        (0.0, "g must be positive on the sphere, got g = 0"),
+        # |F| = 1e120, past F_SCALE
+        (1e-60, r"F = .* reaches \|F\| = 1e\+120, past 1e\+102"),
+    ])
+    def test_scale_rule_refuses_before_the_transform(self, g, message):
+        with pytest.raises(DomainError, match=message):
+            reduce_to_e3(GFParams(g=ScalarField.constant(g), f=ScalarField.constant(1.0)), L=8)
+
+    def test_report_refuses_an_overflow_at_its_first_step(self):
+        # 1/g^2 overflows in F's gradient term: one DomainError, no warning
+        p = GFParams(g=ScalarField.constant(1e300), f=ScalarField.constant(0.0))
+        with pytest.raises(DomainError, match="^the reduction of this \\(g, f\\) is not finite: overflow"):
+            reduction_report(p, L=8, n_states=5)
+
     def test_curl_target_closed_form_for_ball(self, rng):
         # F = -(1/D) u^(-3/2) with u = 1/D - (gamma, A gamma)
         F = curl_target_F(ball_params())

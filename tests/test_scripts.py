@@ -49,7 +49,7 @@ def test_cli_snapshot(monkeypatch, capsys, tmp_path):
     snapshot = runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))
     names, exits = list(snapshot["INVOCATIONS"]), snapshot["EXITS"]
     expected = {name: exits.get(name, 0) for name in names}
-    assert len(names) == 44 and sorted(exits.values()) == [2, 2, *[3] * 18, 4, 4, 4, 4]
+    assert len(names) == 48 and sorted(exits.values()) == [2, 2, *[3] * 20, 4, 4, 4, 4]
     assert out.strip().splitlines() == [f"{name}: exit {code}" for name, code in expected.items()]
     assert {name: int((tmp_path / f"{name}.exit").read_text()) for name in names} == expected
     # a failing gate or a refused flag or value writes one stderr line, a
@@ -61,7 +61,7 @@ def test_cli_snapshot(monkeypatch, capsys, tmp_path):
         {name: int(name in exits or name in warns) for name in names}
     assert all(errs[name] == line for name, line in warns.items())
     assert [name for name, err in errs.items() if re.search(r"\w+Warning\b", err)] == []
-    assert len(list(tmp_path.glob("*.csv"))) == 7 and len(list(tmp_path.glob("*.out"))) == 44
+    assert len(list(tmp_path.glob("*.csv"))) == 7 and len(list(tmp_path.glob("*.out"))) == 48
     # every report is strict JSON: NaN and Infinity are not JSON
     def refuse(constant):
         raise ValueError(f"{constant} in a report")
