@@ -9,16 +9,29 @@ directories and ``diff -r`` them to see exactly which outputs a change
 moved.  The invocations run against whichever ``nonholo`` is imported, so
 ``PYTHONPATH=<checkout>/src`` snapshots an older checkout too.
 
-Usage: python scripts/cli_snapshot.py OUTDIR
+The golden in tests/golden holds every .out, .err and .exit file, one
+SHA-256 per CSV (csv.sha256) and the numpy version it was written with
+(numpy.txt); tier-1 compares a fresh snapshot with it (``mismatch``).
+``--update`` snapshots into a temporary directory and rewrites the golden
+from it, so an output that moves on purpose shows as a git diff.
+
+Usage: python scripts/cli_snapshot.py OUTDIR | --update
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from nonholo.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+TEXTS = (".out", ".err", ".exit")
 
 INVOCATIONS = {
     "simulate-ball": ["simulate", "--model", "ball", "--demo"],
@@ -135,9 +148,58 @@ def snapshot(outdir: Path) -> dict[str, int]:
     return codes
 
 
+def _csv_hashes(outdir: Path) -> str:
+    """One ``sha256sum`` line per CSV in ``outdir``, sorted by name."""
+    return "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+                   for path in sorted(outdir.glob("*.csv")))
+
+
+def update(golden: Path = GOLDEN) -> dict[str, int]:
+    """Snapshot into a temporary directory and rewrite the golden from it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        codes = snapshot(Path(tmp))
+        golden.mkdir(parents=True, exist_ok=True)
+        for path in golden.iterdir():
+            if path.suffix in TEXTS:
+                path.unlink()
+        for name in INVOCATIONS:
+            for suffix in TEXTS:
+                (golden / f"{name}{suffix}").write_bytes((Path(tmp) / f"{name}{suffix}").read_bytes())
+        (golden / "csv.sha256").write_text(_csv_hashes(Path(tmp)))
+    (golden / "numpy.txt").write_text(f"{np.__version__}\n")
+    return codes
+
+
+def mismatch(outdir: Path, golden: Path = GOLDEN) -> str | None:
+    """Where a snapshot in ``outdir`` first differs from the golden: the
+    numpy version, a missing or extra file, the first differing line of a
+    text file, or a CSV's hash; None when they agree byte for byte."""
+    version = (golden / "numpy.txt").read_text().strip()
+    if version != np.__version__:
+        return f"the golden was written with numpy {version}, this run has {np.__version__}"
+    names = {path.name for path in outdir.iterdir() if path.suffix in TEXTS}
+    expected = {path.name for path in golden.iterdir() if path.suffix in TEXTS}
+    if names != expected:
+        return f"files differ: missing {sorted(expected - names)}, extra {sorted(names - expected)}"
+    for name in sorted(names):
+        new, old = (outdir / name).read_text(), (golden / name).read_text()
+        if new != old:
+            new_lines, old_lines = new.splitlines(keepends=True), old.splitlines(keepends=True)
+            i = next((i for i, (a, b) in enumerate(zip(new_lines, old_lines)) if a != b),
+                     min(len(new_lines), len(old_lines)))
+            line = lambda lines: repr(lines[i]) if i < len(lines) else "end of file"
+            return f"{name} line {i + 1}: golden {line(old_lines)}, now {line(new_lines)}"
+    new, old = _csv_hashes(outdir).splitlines(), (golden / "csv.sha256").read_text().splitlines()
+    if new != old:
+        diff = sorted(set(new) ^ set(old), key=lambda row: row.split()[1])
+        return f"{diff[0].split()[1]}: its SHA-256 differs from the golden's csv.sha256"
+    return None
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+    if len(sys.argv) != 2 or (sys.argv[1].startswith("-") and sys.argv[1] != "--update"):
         sys.stderr.write(__doc__.strip().splitlines()[-1] + "\n")
         sys.exit(2)
-    for name, code in snapshot(Path(sys.argv[1])).items():
+    codes = update() if sys.argv[1] == "--update" else snapshot(Path(sys.argv[1]))
+    for name, code in codes.items():
         print(f"{name}: exit {code}")

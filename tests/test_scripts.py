@@ -1,15 +1,20 @@
-"""Smoke runs of the example scripts, a check that every program name the
-benchmark reads exists, and a run of the benchmark's oracle tests, so that
-an API change cannot break them silently."""
+"""Smoke runs of the example scripts, the pinned command-line runs against
+their golden, a check that every program name the benchmark reads exists,
+and a run of the benchmark's oracle tests, so that an API change cannot
+break them silently."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import re
 import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 PERFBENCH = SCRIPTS.parent / "perfbench"
@@ -44,8 +49,20 @@ def test_reduction_demo(monkeypatch, capsys):
     assert rep["pass"] is (rep["residual"] <= 1e-6 and rep["bracket_dev"] <= 1e-6)
 
 
-def test_cli_snapshot(monkeypatch, capsys, tmp_path):
-    out = run_script("cli_snapshot.py", [str(tmp_path)], monkeypatch, capsys)
+@pytest.fixture(scope="module")
+def snapshot_run(tmp_path_factory):
+    """One run of cli_snapshot.py as a script, shared by the tests below:
+    its stdout and the directory it wrote."""
+    tmp_path = tmp_path_factory.mktemp("snapshot")
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(sys, "argv", ["cli_snapshot.py", str(tmp_path)])
+        runpy.run_path(str(SCRIPTS / "cli_snapshot.py"), run_name="__main__")
+    return out.getvalue(), tmp_path
+
+
+def test_cli_snapshot(snapshot_run):
+    out, tmp_path = snapshot_run
     snapshot = runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))
     names, exits = list(snapshot["INVOCATIONS"]), snapshot["EXITS"]
     expected = {name: exits.get(name, 0) for name in names}
@@ -69,6 +86,13 @@ def test_cli_snapshot(monkeypatch, capsys, tmp_path):
     for name in names:
         if text := (tmp_path / f"{name}.out").read_text():
             json.loads(text, parse_constant=refuse)
+
+
+def test_cli_snapshot_matches_golden(snapshot_run):
+    # every .out, .err and .exit byte and every CSV's hash of the pinned
+    # runs; an output that moves on purpose is rewritten with
+    # `python scripts/cli_snapshot.py --update` and shows in the diff
+    assert runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))["mismatch"](snapshot_run[1]) is None
 
 
 def _resolves(chain: str) -> bool:
