@@ -32,7 +32,7 @@ Each model is one component kernel, built once from its parameters: u
 (or G) and ``parts``, which gives S, dH/dM and dH/dgamma.  The same sums
 run on the Python floats of one state, for the closed-form ``flow`` and
 the conformal factor g that the integrators call, and on component arrays
-over the last axis, for the stacked H-gradients, H, the g/f/Phi fields,
+over the last axis, for the stacked H-gradient, H, the g/f/Phi fields,
 the S-vector K and omega(M) of the sphere layer.  The generic
 ``sphere.rhs``, built from the spec, stays the reference they are tested
 against.
@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, ScalarField, VectorField3, any_point, lift, vector
+from .core import DomainError, ScalarField, VectorField3, any_point, lift, pack, vector
 from .sphere import GFParams, SphereSystem
 
 Array = np.ndarray
@@ -103,7 +103,7 @@ def _xyz(v) -> tuple:
 
 
 def _kernel_maps(parts, k: Array, U: ScalarField | None):
-    """The flow of one state of shape (6,) and the stacked H-gradients from
+    """The flow of one state of shape (6,) and the stacked H-gradient from
     a kernel ``parts(M1, M2, M3, g1, g2, g3)`` = (S, dH/dM, dH/dgamma
     without U).  The flow adds grad U and forms, by components on floats,
 
@@ -129,14 +129,11 @@ def _kernel_maps(parts, k: Array, U: ScalarField | None):
             g1 * h2 - g2 * h1,
         ])
 
-    def dH_dM(M, g):
-        return vector(*parts(*_xyz(M), *_xyz(g))[1])
+    def grad_H(M, g):
+        _, hm, hg = parts(*_xyz(M), *_xyz(g))
+        return pack(vector(*hm), vector(*hg) if U is None else vector(*hg) + U.gradient(g))
 
-    def dH_dgamma(M, g):
-        out = vector(*parts(*_xyz(M), *_xyz(g))[2])
-        return out if U is None else out + U.gradient(g)
-
-    return flow, dH_dM, dH_dgamma
+    return flow, grad_H
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +199,7 @@ def ball_system(p: BallParams) -> SphereSystem:
         val = 0.5 * (np.vecdot(am, M) + np.vecdot(am, g) ** 2 / u(*_xyz(g)))
         return val + (U(g) if U is not None else 0.0)
 
-    flow, dH_dM, dH_dgamma = _kernel_maps(parts, p.k, U)
+    flow, grad_H = _kernel_maps(parts, p.k, U)
     g_field = ScalarField(lambda g: np.sqrt(u(*_xyz(g))),
                           grad=lambda g: -(A * g) / lift(np.sqrt(u(*_xyz(g)))))
     extras = ()
@@ -211,8 +208,7 @@ def ball_system(p: BallParams) -> SphereSystem:
     return SphereSystem(
         name="ball" if not np.any(p.k) else "ball+gyrostat",
         hamiltonian=H,
-        dH_dM=dH_dM,
-        dH_dgamma=dH_dgamma,
+        grad_H=grad_H,
         s_spec=GFParams(g=g_field, f=ScalarField.constant(0.0), k=p.k),
         extra_integrals=extras,
         flow=flow,
@@ -288,7 +284,7 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
         val = 0.5 * (np.vecdot(Ah * M, M) - w * w / Gv(g))
         return val + (U(g) if U is not None else 0.0)
 
-    flow, dH_dM, dH_dgamma = _kernel_maps(parts, k, U)
+    flow, grad_H = _kernel_maps(parts, k, U)
     g_field = ScalarField(lambda g: np.sqrt(Gv(g)),
                           grad=lambda g: (Ah * g) / lift(np.sqrt(Gv(g))))
     f_field = ScalarField(lambda g: 1.0 / np.sqrt(Gv(g)),
@@ -305,8 +301,7 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
     return SphereSystem(
         name="veselova" if not np.any(k) else "veselova+gyrostat",
         hamiltonian=H,
-        dH_dM=dH_dM,
-        dH_dgamma=dH_dgamma,
+        grad_H=grad_H,
         s_spec=GFParams(g=g_field, f=f_field, phi=phi_field, k=k),
         extra_integrals=extras,
         flow=flow,

@@ -51,10 +51,8 @@ class PlanarLagrangian:
 @dataclass(frozen=True)
 class PlanarSystem:
     H: Callable[[Array, Array], Array]
-    dH_dq: Callable[[Array, Array], Array]
-    dH_dP: Callable[[Array, Array], Array]
-    A1: Callable[[Array], Array]
-    A2: Callable[[Array], Array]
+    grad_H: Callable[[Array, Array], Array]   # (dH/dq, dH/dP), shape (..., 4)
+    A: Callable[[Array], Array]               # (A1, A2), shape (..., 2)
     B: Callable[[Array], Array]
     N: ScalarField                        # candidate invariant-measure density
     flow: Callable[[Array], Array] | None = field(default=None, repr=False, compare=False)
@@ -94,22 +92,16 @@ def from_lagrangian(lag: PlanarLagrangian, N: ScalarField) -> PlanarSystem:
     an analytic G keeps them at FD accuracy only.
     """
 
-    def dH_dP(q, P):
+    def velocity(q, P):
         return np.vecdot(np.linalg.inv(_kinetic_matrix(lag, q)), np.asarray(P, float)[..., None, :])
 
     def H(q, P):
-        return point_values(0.5 * np.vecdot(P, dH_dP(q, P)) + lag.V(q), q)
-
-    def dH_dq(q, P):
-        return fd_gradient(lambda qq: H(qq, P), q)
-
-    def mom_coeffs(q):
-        return dH_dP(q, vector(lag.a1(q), lag.a2(q)))
+        return point_values(0.5 * np.vecdot(P, velocity(q, P)) + lag.V(q), q)
 
     return PlanarSystem(
-        H=H, dH_dq=dH_dq, dH_dP=dH_dP,
-        A1=lambda q: mom_coeffs(q)[..., 0],
-        A2=lambda q: mom_coeffs(q)[..., 1],
+        H=H,
+        grad_H=lambda q, P: np.concatenate([fd_gradient(lambda qq: H(qq, P), q), velocity(q, P)], axis=-1),
+        A=lambda q: velocity(q, vector(lag.a1(q), lag.a2(q))),
         B=lag.b,
         N=N,
     )
@@ -119,9 +111,10 @@ def planar_rhs(sys: PlanarSystem, state) -> Array:
     """(qdot1, qdot2, Pdot1, Pdot2) at states (q1, q2, P1, P2)."""
     z = np.asarray(state, float)
     q, P = z[..., :2], z[..., 2:]
-    hp = np.asarray(sys.dH_dP(q, P), float)
-    hq = np.asarray(sys.dH_dq(q, P), float)
-    S = sys.A1(q) * P[..., 0] + sys.A2(q) * P[..., 1] + sys.B(q)
+    grad = np.asarray(sys.grad_H(q, P), float)
+    hq, hp = grad[..., :2], grad[..., 2:]
+    a = np.asarray(sys.A(q), float)
+    S = a[..., 0] * P[..., 0] + a[..., 1] * P[..., 1] + sys.B(q)
     return vector(hp[..., 0], hp[..., 1], -hq[..., 0] + hp[..., 1] * S, -hq[..., 1] - hp[..., 0] * S)
 
 
@@ -133,7 +126,8 @@ def measure_residual(sys: PlanarSystem, q) -> Array:
         raise DomainError(f"measure density N(q) = {np.min(n):.3e} is not positive "
                           f"at q = {_first(n <= 0.0, q)}")
     dn = sys.N.gradient(q) / lift(n)
-    return vector(dn[..., 0] - sys.A2(q), dn[..., 1] + sys.A1(q))
+    a = np.asarray(sys.A(q), float)
+    return vector(dn[..., 0] - a[..., 1], dn[..., 1] + a[..., 0])
 
 
 def conformal_bracket(sys: PlanarSystem) -> Callable[[Array], Array]:
@@ -166,8 +160,9 @@ def _conformal_residual(sys: PlanarSystem, state) -> Array:
     qdot, Pdot = vel[..., :2], vel[..., 2:]
     pdot = nv * Pdot + lift(np.vecdot(dn, qdot)) * P
     Pn = nv * P / nv
-    hp = np.asarray(sys.dH_dP(q, Pn), float)
-    hq = np.asarray(sys.dH_dq(q, Pn), float) - (dn / nv) * lift(np.vecdot(Pn, hp))
+    grad = np.asarray(sys.grad_H(q, Pn), float)
+    hp = grad[..., 2:]
+    hq = grad[..., :2] - (dn / nv) * lift(np.vecdot(Pn, hp))
     hp = hp / nv
     nb = n * sys.B(q)
     X = vector(hp[..., 0], hp[..., 1], -hq[..., 0] + nb * hp[..., 1], -hq[..., 1] - nb * hp[..., 0])
@@ -210,16 +205,14 @@ def _demo_flow(z) -> Array:
 
 
 def demo_system() -> PlanarSystem:
-    """Admissible demo: N = exp(q1), A2 = 1, A1 = 0, unit kinetic matrix,
+    """Admissible demo: N = exp(q1), (A1, A2) = (0, 1), unit kinetic matrix,
     bounded potential and B = cos(q2) / 2, with its closed-form flow."""
     V = ScalarField(lambda q: np.cos(q[..., 0]) + np.sin(q[..., 1]),
                     grad=lambda q: vector(-np.sin(q[..., 0]), np.cos(q[..., 1])))
     return PlanarSystem(
         H=lambda q, P: 0.5 * np.vecdot(P, P) + V(q),
-        dH_dq=lambda q, P: V.gradient(q),
-        dH_dP=lambda q, P: np.asarray(P, float),
-        A1=lambda q: 0.0,
-        A2=lambda q: 1.0,
+        grad_H=lambda q, P: np.concatenate([V.gradient(q), np.asarray(P, float)], axis=-1),
+        A=lambda q: (0.0, 1.0),
         B=lambda q: 0.5 * np.cos(q[..., 1]),
         N=ScalarField(lambda q: np.exp(q[..., 0]),
                       grad=lambda q: vector(np.exp(q[..., 0]), 0.0)),

@@ -23,7 +23,7 @@ and admits the invariant measure density rho = 1/g.  ``measure_residual(K,
 x, rho)`` tests an explicit S-vector K (S = (K, M) + ...) against an
 explicit density rho.
 
-``rhs`` evaluates the flow from the generic data (the H-gradients and the
+``rhs`` evaluates the flow from the generic data (the H-gradient and the
 parameters); it is the reference.  The integrators step through a system's
 ``flow``, which is ``rhs`` unless the system supplies a closed-form kernel,
 as the ball and Veselova models do.
@@ -33,7 +33,7 @@ States act over the last axis, as the fields do: ``s_value``, ``rhs``,
 ``measure_residual`` take one state of shape (6,) or a stack of shape
 (..., 6) and give per-state results of shape (...), (..., 6) or
 (..., 6, 6); one state gives a float (or one vector or matrix).  A
-system's Hamiltonian and its gradients act over the last axis of M and
+system's Hamiltonian and its gradient act over the last axis of M and
 gamma in the same way.
 """
 
@@ -98,11 +98,12 @@ def k_from_gf(g: ScalarField, f: ScalarField, gamma) -> Array:
 class SphereSystem:
     """Immutable specification of a flow on R^6(M, gamma).
 
-    The Hamiltonian, its gradients and the extra integrals are analytic
+    The Hamiltonian, its gradient and the extra integrals are analytic
     callables of (M, gamma) that act over the last axis: M and gamma of
-    shape (..., 3) give values of shape (...) or gradients of shape
-    (..., 3).  The tight residual tolerances downstream are not reachable
-    with finite-difference gradients.  ``extra_integrals`` holds named first
+    shape (..., 3) give values of shape (...), and ``grad_H`` gives
+    (dH/dM, dH/dgamma) packed as the state is, shape (..., 6).  The tight
+    residual tolerances downstream are not reachable with
+    finite-difference gradients.  ``extra_integrals`` holds named first
     integrals beyond the three automatic ones, e.g. M^2 where it is
     conserved.  ``flow`` maps one state of shape (6,) to dx/dt; it defaults
     to the reference ``rhs`` and is what the integrators call.  ``g`` maps
@@ -112,8 +113,7 @@ class SphereSystem:
 
     name: str
     hamiltonian: Callable[[Array, Array], Array]
-    dH_dM: Callable[[Array, Array], Array]
-    dH_dgamma: Callable[[Array, Array], Array]
+    grad_H: Callable[[Array, Array], Array]
     s_spec: GFParams
     extra_integrals: tuple[tuple[str, Callable[[Array, Array], Array]], ...] = ()
     flow: Callable[[Array], Array] | None = field(default=None, repr=False, compare=False)
@@ -153,8 +153,7 @@ def rhs(sys: SphereSystem, x) -> Array:
     """Right-hand side of the equations of motion, from the generic data:
     the reference against which a closed-form ``flow`` is tested."""
     M, gamma = unpack(x)
-    hm = np.asarray(sys.dH_dM(M, gamma), float)
-    hg = np.asarray(sys.dH_dgamma(M, gamma), float)
+    hm, hg = unpack(sys.grad_H(M, gamma))
     S = lift(s_value(sys, x))
     Mdot = np.cross(M + sys.s_spec.k - S * gamma, hm) + np.cross(gamma, hg)
     gdot = np.cross(gamma, hm)
@@ -235,7 +234,7 @@ def conformal_residual(sys: SphereSystem, x):
     """Sup-norm of rhs(x) - (1/g) P(x) grad H(x) per state; zero for
     admissible systems."""
     M, gamma = unpack(x)
-    gradH = pack(sys.dH_dM(M, gamma), sys.dH_dgamma(M, gamma))
+    gradH = np.asarray(sys.grad_H(M, gamma), float)
     bracket = (assemble_P(sys, x) @ gradH[..., None])[..., 0] / lift(sys.s_spec.g(gamma))
     return point_values(np.max(np.abs(rhs(sys, x) - bracket), axis=-1), x)
 

@@ -693,8 +693,8 @@ def _one_state_bodies(states, probes):
 
     planar = demo_system()
     P4 = conformal_bracket(planar)
-    inadmissible = PlanarSystem(H=planar.H, dH_dq=planar.dH_dq, dH_dP=planar.dH_dP, A1=planar.A1,
-                                A2=planar.A2, B=planar.B, N=ScalarField.constant(1.0))
+    inadmissible = PlanarSystem(H=planar.H, grad_H=planar.grad_H, A=planar.A, B=planar.B,
+                                N=ScalarField.constant(1.0))
     with pytest.raises(DomainError):
         to_conformal(inadmissible, probes[0])
     bodies[("planar",)] = {"suite": "planar",

@@ -53,8 +53,7 @@ def toy_system(g_const: float) -> SphereSystem:
     return SphereSystem(
         name="toy",
         hamiltonian=lambda M, g: 0.5 * np.vecdot(M, M),
-        dH_dM=lambda M, g: np.asarray(M, float),
-        dH_dgamma=lambda M, g: np.zeros_like(g),
+        grad_H=lambda M, g: pack(M, np.zeros_like(g)),
         s_spec=GFParams(g=ScalarField.constant(g_const), f=ScalarField.constant(0.0)),
     )
 
@@ -212,8 +211,7 @@ class TestReparametrized:
         (field,) = fields
         X = random_states(np.random.default_rng(0), 50)
         M, gamma = unpack(X)
-        grad_H = pack(system.dH_dM(M, gamma), system.dH_dgamma(M, gamma))
-        hamiltonian = (assemble_P(system, X) @ grad_H[..., None])[..., 0]
+        hamiltonian = (assemble_P(system, X) @ system.grad_H(M, gamma)[..., None])[..., 0]
         dz = np.array([field(np.append(x, 0.0)) for x in X])
         np.testing.assert_allclose(dz[:, :-1], hamiltonian, rtol=0.0, atol=1e-14 * np.max(np.abs(hamiltonian)))
         np.testing.assert_allclose(dz[:, -1], system.s_spec.g(gamma), rtol=1e-14)
@@ -295,8 +293,7 @@ class TestReparametrized:
 
     def test_vanishing_multiplier_rejected(self):
         bad = toy_system(1.0)
-        sys = SphereSystem(name="bad", hamiltonian=bad.hamiltonian, dH_dM=bad.dH_dM,
-                           dH_dgamma=bad.dH_dgamma,
+        sys = SphereSystem(name="bad", hamiltonian=bad.hamiltonian, grad_H=bad.grad_H,
                            s_spec=GFParams(g=ScalarField.constant(0.0),
                                            f=ScalarField.constant(0.0)))
         with pytest.raises(DomainError):

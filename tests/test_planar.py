@@ -74,41 +74,48 @@ class TestLegendre:
         q, qd = rng.standard_normal(2), rng.standard_normal(2)
         P, _ = legendre(lag, q, qd)
         s_vel = lag.a1(q) * qd[0] + lag.a2(q) * qd[1] + lag.b(q)
-        s_mom = sys.A1(q) * P[0] + sys.A2(q) * P[1] + sys.B(q)
+        s_mom = sys.A(q) @ P + sys.B(q)
         assert s_mom == pytest.approx(s_vel, rel=1e-12)
+
+    def test_G_inverted_once_for_the_pair_of_coefficients(self, rng, monkeypatch):
+        # grad H inverts G for dH/dP and at each of the 8 points of dH/dq's
+        # Richardson differences, A once for (A1, A2)
+        sys = from_lagrangian(random_lagrangian(rng), N=ScalarField.constant(1.0))
+        calls, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda G: calls.append(1) or inv(G))
+        planar_rhs(sys, rng.standard_normal(4))
+        assert len(calls) == 10
+        measure_residual(sys, rng.standard_normal(2))
+        assert len(calls) == 11
 
 
 class TestRhs:
     def test_canonical_when_uncoupled(self, rng):
         sys = demo_system()
-        plain = PlanarSystem(H=sys.H, dH_dq=sys.dH_dq, dH_dP=sys.dH_dP,
-                             A1=lambda q: 0.0, A2=lambda q: 0.0, B=lambda q: 0.0,
+        plain = PlanarSystem(H=sys.H, grad_H=sys.grad_H, A=lambda q: (0.0, 0.0), B=lambda q: 0.0,
                              N=ScalarField.constant(1.0))
         z = rng.standard_normal(4)
-        q, P = z[:2], z[2:]
+        grad = sys.grad_H(z[:2], z[2:])
         out = planar_rhs(plain, z)
-        np.testing.assert_allclose(out[:2], sys.dH_dP(q, P), atol=1e-15)
-        np.testing.assert_allclose(out[2:], -sys.dH_dq(q, P), atol=1e-15)
+        np.testing.assert_allclose(out[:2], grad[2:], atol=1e-15)
+        np.testing.assert_allclose(out[2:], -grad[:2], atol=1e-15)
 
     def test_pure_b_coupling(self, rng):
         sys = demo_system()
-        bsys = PlanarSystem(H=sys.H, dH_dq=sys.dH_dq, dH_dP=sys.dH_dP,
-                            A1=lambda q: 0.0, A2=lambda q: 0.0,
-                            B=lambda q: 0.7, N=ScalarField.constant(1.0))
+        bsys = PlanarSystem(H=sys.H, grad_H=sys.grad_H, A=lambda q: (0.0, 0.0), B=lambda q: 0.7,
+                            N=ScalarField.constant(1.0))
         z = rng.standard_normal(4)
-        q, P = z[:2], z[2:]
+        hq1, hq2, hp1, hp2 = sys.grad_H(z[:2], z[2:])
         out = planar_rhs(bsys, z)
-        assert out[2] == pytest.approx(-sys.dH_dq(q, P)[0] + 0.7 * sys.dH_dP(q, P)[1])
-        assert out[3] == pytest.approx(-sys.dH_dq(q, P)[1] - 0.7 * sys.dH_dP(q, P)[0])
+        assert out[2] == pytest.approx(-hq1 + 0.7 * hp2)
+        assert out[3] == pytest.approx(-hq2 - 0.7 * hp1)
 
     def test_energy_is_infinitesimally_conserved(self, rng):
         # the gyroscopic coupling does no work for any coefficients
         sys = demo_system()
         for _ in range(100):
             z = rng.standard_normal(4)
-            q, P = z[:2], z[2:]
-            gradE = np.concatenate([sys.dH_dq(q, P), sys.dH_dP(q, P)])
-            assert abs(gradE @ planar_rhs(sys, z)) <= 1e-12
+            assert abs(sys.grad_H(z[:2], z[2:]) @ planar_rhs(sys, z)) <= 1e-12
 
 
 class TestMeasure:
@@ -120,24 +127,20 @@ class TestMeasure:
 
     def test_uncoupled_uniform_density(self, rng):
         sys = demo_system()
-        plain = PlanarSystem(H=sys.H, dH_dq=sys.dH_dq, dH_dP=sys.dH_dP,
-                             A1=lambda q: 0.0, A2=lambda q: 0.0, B=sys.B,
+        plain = PlanarSystem(H=sys.H, grad_H=sys.grad_H, A=lambda q: (0.0, 0.0), B=sys.B,
                              N=ScalarField.constant(1.0))
         np.testing.assert_allclose(measure_residual(plain, rng.standard_normal(2)),
                                    0.0, atol=1e-15)
 
     def test_exponential_density_without_coupling(self):
         sys = demo_system()
-        mism = PlanarSystem(H=sys.H, dH_dq=sys.dH_dq, dH_dP=sys.dH_dP,
-                            A1=lambda q: 0.0, A2=lambda q: 0.0, B=sys.B, N=sys.N)
+        mism = PlanarSystem(H=sys.H, grad_H=sys.grad_H, A=lambda q: (0.0, 0.0), B=sys.B, N=sys.N)
         r = measure_residual(mism, np.array([0.3, -0.7]))
         np.testing.assert_allclose(r, [1.0, 0.0], atol=1e-12)
 
     def test_nonpositive_density_rejected(self):
         sys = demo_system()
-        bad = PlanarSystem(H=sys.H, dH_dq=sys.dH_dq, dH_dP=sys.dH_dP,
-                           A1=sys.A1, A2=sys.A2, B=sys.B,
-                           N=ScalarField.constant(-1.0))
+        bad = PlanarSystem(H=sys.H, grad_H=sys.grad_H, A=sys.A, B=sys.B, N=ScalarField.constant(-1.0))
         with pytest.raises(DomainError):
             measure_residual(bad, np.zeros(2))
 
@@ -145,8 +148,7 @@ class TestMeasure:
 class TestConformal:
     def test_trivial_system(self, rng):
         sys = demo_system()
-        plain = PlanarSystem(H=sys.H, dH_dq=sys.dH_dq, dH_dP=sys.dH_dP,
-                             A1=lambda q: 0.0, A2=lambda q: 0.0, B=lambda q: 0.0,
+        plain = PlanarSystem(H=sys.H, grad_H=sys.grad_H, A=lambda q: (0.0, 0.0), B=lambda q: 0.0,
                              N=ScalarField.constant(1.0))
         z = rng.standard_normal(4)
         p, nb, residual = to_conformal(plain, z)
@@ -167,9 +169,7 @@ class TestConformal:
 
     def test_gate_rejects_inadmissible(self, rng):
         sys = demo_system()
-        bad = PlanarSystem(H=sys.H, dH_dq=sys.dH_dq, dH_dP=sys.dH_dP,
-                           A1=sys.A1, A2=sys.A2, B=sys.B,
-                           N=ScalarField.constant(1.0))
+        bad = PlanarSystem(H=sys.H, grad_H=sys.grad_H, A=sys.A, B=sys.B, N=ScalarField.constant(1.0))
         with pytest.raises(DomainError, match=r"\(r1, r2\)"):
             to_conformal(bad, rng.standard_normal(4))
 
@@ -177,8 +177,7 @@ class TestConformal:
         # a slightly wrong density produces a proportionally small defect
         sys = demo_system()
         eps = 1e-6
-        near = PlanarSystem(H=sys.H, dH_dq=sys.dH_dq, dH_dP=sys.dH_dP,
-                            A1=sys.A1, A2=sys.A2, B=sys.B,
+        near = PlanarSystem(H=sys.H, grad_H=sys.grad_H, A=sys.A, B=sys.B,
                             N=ScalarField(lambda q: np.exp((1 + eps) * q[..., 0]),
                                           grad=lambda q: vector(
                                               (1 + eps) * np.exp((1 + eps) * q[..., 0]), 0.0)))

@@ -22,6 +22,7 @@ from nonholo import (
     hat,
     integrals,
     jacobiator,
+    random_states,
     k_from_gf,
     measure_residual,
     pack,
@@ -31,6 +32,7 @@ from nonholo import (
     veselova_K,
     veselova_system,
 )
+from nonholo import models
 
 from conftest import SYSTEMS, rand_state, rand_unit
 
@@ -43,8 +45,7 @@ def free_top():
     return SphereSystem(
         name="free-top",
         hamiltonian=lambda M, g: 0.5 * np.vecdot(M, M),
-        dH_dM=lambda M, g: np.asarray(M, float),
-        dH_dgamma=lambda M, g: np.zeros_like(g),
+        grad_H=lambda M, g: pack(M, np.zeros_like(g)),
         s_spec=GFParams(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0)),
     )
 
@@ -52,8 +53,7 @@ def free_top():
 class TestSValue:
     def test_zero_spec(self, rng):
         spec = GFParams(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0))
-        sys = SphereSystem("null", lambda M, g: 0.0, lambda M, g: np.zeros(3),
-                           lambda M, g: np.zeros(3), spec)
+        sys = SphereSystem("null", lambda M, g: 0.0, lambda M, g: np.zeros(6), spec)
         assert s_value(sys, rand_state(rng)) == 0.0
 
     def test_ball_orthogonal_state(self):
@@ -113,10 +113,9 @@ class TestRhs:
             v = rhs(sys, x)
             grad_F1 = pack(np.zeros(3), 2 * g)
             grad_F2 = pack(g, M + sys.s_spec.k)
-            grad_H = pack(sys.dH_dM(M, g), sys.dH_dgamma(M, g))
             assert abs(grad_F1 @ v) <= 1e-10
             assert abs(grad_F2 @ v) <= 1e-10
-            assert abs(grad_H @ v) <= 1e-10
+            assert abs(sys.grad_H(M, g) @ v) <= 1e-10
 
 
 class TestIntegrals:
@@ -282,22 +281,37 @@ class TestConformalResidual:
             assert conformal_residual(sys, rand_state(rng)) <= 1e-10
 
     def test_constant_hamiltonian(self, rng):
-        sys = SphereSystem("const", lambda M, g: 1.0, lambda M, g: np.zeros(3),
-                           lambda M, g: np.zeros(3),
+        sys = SphereSystem("const", lambda M, g: 1.0, lambda M, g: np.zeros(6),
                            GFParams(g=ScalarField.constant(1.0), f=ScalarField.constant(0.0)))
         assert conformal_residual(sys, rand_state(rng)) == 0.0
 
 
 def gradient_consistency(sys: SphereSystem, x) -> float:
-    """Worst deviation of the analytic H-gradients from finite differences."""
+    """Worst deviation of the analytic H-gradient from finite differences."""
     M, gamma = unpack(x)
-    gm = fd_gradient(lambda m: sys.hamiltonian(m, gamma), M)
-    gg = fd_gradient(lambda g: sys.hamiltonian(M, g), gamma)
-    return float(max(np.max(np.abs(gm - sys.dH_dM(M, gamma))),
-                     np.max(np.abs(gg - sys.dH_dgamma(M, gamma)))))
+    fd = pack(fd_gradient(lambda m: sys.hamiltonian(m, gamma), M),
+              fd_gradient(lambda g: sys.hamiltonian(M, g), gamma))
+    return float(np.max(np.abs(fd - sys.grad_H(M, gamma))))
 
 
 def test_analytic_gradients_match_fd(rng):
     for sys in SYSTEMS.values():
         for _ in range(10):
             assert gradient_consistency(sys, rand_state(rng)) <= 1e-6
+
+
+def test_one_kernel_call_per_rhs_and_two_per_conformal_residual(monkeypatch, rng):
+    # grad H is one object: rhs evaluates the model's component kernel once
+    # for it, and conformal_residual once more beside rhs
+    calls, kernel = [], models._ball_kernel
+
+    def counted(p):
+        u, parts = kernel(p)
+        return u, lambda *components: calls.append(1) or parts(*components)
+
+    monkeypatch.setattr(models, "_ball_kernel", counted)
+    sys, X = ball_system(BALL), random_states(rng, 5)
+    rhs(sys, X)
+    assert len(calls) == 1
+    conformal_residual(sys, X)
+    assert len(calls) == 3
