@@ -267,7 +267,9 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
     Reports the curl-equation residual, the sup deviation of the pushed
     parameters from (1, 0) on the verification grid, and the worst entrywise
     mismatch between the pushed-forward bivector and the e(3) bivector at
-    seeded random unit-gamma states.  g~ and f~ are pushforward_params's
+    seeded random states of e(3), unit gamma and momenta of order 1, pulled
+    back by the inverse transform: the mismatch is read where the reduced
+    flow lives, at its own scale.  g~ and f~ are pushforward_params's
     maps, with h and its normal curl read off the solution's synthesis on
     the verification rings instead of a synthesis per point; each probe set
     is one array call.  ``pass`` holds iff the residual is at most
@@ -281,7 +283,7 @@ def reduction_report(p: GFParams, L: int = 32, n_states: int = 200,
             gauge, sol = reduce_to_e3(p, L=L)
             g_dev = np.max(np.abs((gauge.alpha * p.g)(sol.points) - 1.0))
             f_dev = np.max(np.abs(_pushed_f(gauge, p, sol.points, sol.verify_h, sol.verify_normal_curl)))
-            X = random_states(np.random.default_rng(seed), n_states)
+            X = apply_gauge_state(inverse(gauge), random_states(np.random.default_rng(seed), n_states))
             # the image first: the Jacobian's h(gamma) and dh then reuse the image's
             # one synthesis of h's field at the same points
             image = apply_gauge_state(gauge, X)

@@ -797,10 +797,12 @@ class TestReduce:
     def test_tiny_alpha_reduces(self, workdir, capsys, g):
         # alpha = 1/g is invertible; an absolute |alpha| < 1e-14 threshold
         # refused it with exit 3 ("alpha vanishes"), and a bound of 1e102
-        # on g refused 1e150
+        # on g refused 1e150.  At e(3) probes of unit momentum scale the
+        # bracket's entries are of order 1 and bracket_dev their round-off
+        # (1.3e-15 at 1e150)
         assert run(["reduce", "--g", g, "--f", "0", "--L", "8"]) == 0
         captured = capsys.readouterr()
-        assert captured.err == "" and json.loads(captured.out)["bracket_dev"] <= 1e-15
+        assert captured.err == "" and json.loads(captured.out)["bracket_dev"] <= 1e-14
 
     @pytest.mark.parametrize("g, f", [("1", "1e102"), ("1", "-1e102"), ("1e102", "1e102"), ("1e-102", "-5e-103")])
     def test_constant_pair_at_the_scale_bound_stays_finite(self, workdir, capsys, g, f):
@@ -824,16 +826,32 @@ class TestReduce:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("domain error: ") and captured.err.endswith("; its knobs are --Ahat\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["--model", "ball", "--D", "1e-300"], ["--model", "veselova", "--Ahat", "3e7,3e7,3e7"],
-        ["--g", "1e120", "--f", "1"],
+    @pytest.mark.parametrize("argv, bound", [
+        (["--model", "ball", "--D", "1e-300"], 1e-14), (["--model", "veselova", "--Ahat", "3e7,3e7,3e7"], 2e-8),
+        (["--g", "1e120", "--f", "1"], 1e-14),
     ])
-    def test_huge_g_within_the_scale_rule_reduces(self, workdir, capsys, argv):
+    def test_huge_g_within_the_scale_rule_reduces(self, workdir, capsys, argv, bound):
         # g = 1e150 for the ball at D = 1e-300 and 1e120 for the constant
-        # pair: a bound on g, which no model path had, refused the pair
+        # pair: a bound on g, which no model path had, refused the pair.
+        # The Veselova body's c = 6.1e-12 shrank probes drawn in the source
+        # frame to |M~| of order c on e(3), where its bracket_dev read
+        # 1.1e-16; at e(3) probes it reads the band limit's 1.4e-8
         assert run(["reduce", *argv, "--L", "8", "-n", "20"]) == 0
         captured = capsys.readouterr()
-        assert captured.err == "" and json.loads(captured.out)["bracket_dev"] <= 1e-15
+        assert captured.err == "" and json.loads(captured.out)["bracket_dev"] <= bound
+
+    @pytest.mark.parametrize("L, code", [("8", 4), ("16", 4), ("32", 0)])
+    def test_bracket_gate_sees_a_wrong_f_tilde(self, workdir, capsys, L, code):
+        # c = 1.3e-5: probes drawn in the source frame shrank to a median
+        # |M~| of 0.027 on e(3), and L = 8 and 16 passed with f_tilde_dev
+        # 8.5e-3 and 6.4e-5 (bracket_dev 2.3e-7 and 1.3e-9).  Drawn on e(3),
+        # the probes show that error (0.018 and 9.9e-5), and the hint's
+        # band limit passes
+        assert run(["reduce", "--model", "veselova", "--Ahat", "1e3,2e3,3e3", "--L", L]) == code
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        assert (rep["bracket_dev"] > 1e-6) is (code == 4) and rep["pass"] is (code == 0)
+        assert captured.err.endswith(f"try --L {2 * int(L)}\n" if code else "")
 
     def test_half_cancelling_pair_reduces(self, workdir, capsys):
         # F = -1.1e-8 keeps about half the digits of its terms +-1/3: the
