@@ -9,6 +9,7 @@ verification tooling.
 """
 
 from .core import (
+    BudgetError,
     ConfigError,
     DomainError,
     ScalarField,

@@ -41,7 +41,7 @@ import numpy as np
 from . import checks
 from . import gauge as gauge_mod
 from . import planar as planar_mod
-from .core import ConfigError, DomainError, ScalarField, ToleranceFailure, pack, write_in_place
+from .core import BudgetError, ConfigError, DomainError, ScalarField, ToleranceFailure, pack, write_in_place
 from .integrate import IntegratorConfig, drift_report, integrate, integrate_sphere, trajectory_csv
 from .models import (DEMO_BALL, DEMO_VESELOVA, BallParams, VeselovaParams, ball_M_from_omega,
                      ball_system, linear_potential, quadratic_potential, veselova_M_from_omega,
@@ -252,9 +252,10 @@ def cmd_simulate(args) -> int:
 
     try:
         traj = integrate_sphere(sysm, x0, icfg)
-    except DomainError as exc:  # name the knobs that set the flow
+    except DomainError as exc:  # name the knobs that set the flow, and the horizon past the budget
         model_flags = ", --A and --D" if isinstance(params, BallParams) else " and --Ahat"
-        raise DomainError(f"{exc}; its knobs are --M or --omega, --gamma, --gyrostat, --U-vec"
+        horizon = "--horizon, " if isinstance(exc, BudgetError) else ""
+        raise DomainError(f"{exc}; its knobs are {horizon}--M or --omega, --gamma, --gyrostat, --U-vec"
                           f"{model_flags}") from None
     with _output("--csv", args.csv):
         trajectory_csv(traj, args.csv)
@@ -342,7 +343,10 @@ def cmd_reduce(args) -> int:
 def cmd_planar_demo(args) -> int:
     sysm = planar_mod.demo_system()
     icfg, seed = _integrator_config(args, {}), _flag_or_config(args.seed, "--seed", {}, "seed", 0, _seed)
-    traj = integrate(sysm.flow, np.array([0.2, -0.3, 0.4, 0.1]), icfg)
+    try:
+        traj = integrate(sysm.flow, np.array([0.2, -0.3, 0.4, 0.1]), icfg)
+    except BudgetError as exc:
+        raise DomainError(f"{exc}; its knob is --horizon") from None
     traj = replace(traj, integrals={"E": planar_mod.energy_fn(sysm)(traj.states)})
     drift = drift_report(traj)["E"]
     probes = np.random.default_rng(seed).standard_normal((100, 4))

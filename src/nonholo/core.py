@@ -27,6 +27,15 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
+class BudgetError(DomainError):
+    """An integration that used its budget of flow evaluations before its
+    end; ``last_t`` is the time it reached."""
+
+    def __init__(self, message: str, last_t: float):
+        super().__init__(message)
+        self.last_t = last_t
+
+
 class ToleranceFailure(RuntimeError):
     """A numerical result exceeded its required tolerance."""
 

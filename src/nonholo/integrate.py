@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError, StiffnessError, write_in_place
+from .core import BudgetError, DomainError, StiffnessError, write_in_place
 from .sphere import SphereSystem, integrals
 
 Array = np.ndarray
@@ -42,6 +42,15 @@ Array = np.ndarray
 # the smallest conformal factor g a rescaled run accepts: its physical clock
 # advances at dt/dtau = g, so a vanishing g stalls it
 _G_FLOOR = 1e-10
+
+# the most flow evaluations one solve takes before it is refused.  On a
+# 2-vCPU host an evaluation costs 4-7.5 us with the stepper's own work, so
+# the budget is 0.8-1.5 s; the demo runs take 2 993 (veselova+gyrostat),
+# 3 404 (ball) and 9 143 (planar-demo) and the demo ball at horizon 1000
+# takes 33 884 in 0.25 s.  The cost of a run grows with its horizon and the
+# speed of its flow, without bound: a Veselova body at Ahat = 1e30 would
+# need of order 1e29 evaluations for a horizon of 0.01
+MAX_NFEV = 200_000
 
 # Dormand-Prince 8(5,3) as scipy's DOP853 writes it (Hairer, Norsett and
 # Wanner I, II.10).  The flows are autonomous, so the stage times are not
@@ -203,8 +212,10 @@ def _solve(fn: Callable[[Array], Array], z0: Array, cfg: IntegratorConfig, t_end
     or until the last component of z reaches ``until``, and sample the dense
     output at ``cfg.samples`` uniform times from 0 to where the run stopped.
     The trajectory keeps the dense output only for a run with ``until``, for
-    its time map.  Raises ``StiffnessError`` when the step size underflows
-    and ``DomainError`` when the flow, or its scaled norm, is not finite at z0."""
+    its time map.  Raises ``StiffnessError`` when the step size underflows,
+    ``BudgetError`` before a step that would take the run past MAX_NFEV flow
+    evaluations, and ``DomainError`` when the flow, or its scaled norm, is not
+    finite at z0."""
     rtol, atol = max(cfg.rtol, 100 * _EPS), cfg.atol
     t, y = 0.0, z0
     f = np.asarray(fn(y), float)
@@ -224,6 +235,11 @@ def _solve(fn: Callable[[Array], Array], z0: Array, cfg: IntegratorConfig, t_end
     # rows 0-11: a step's stages; 12: the flow at its end; 13-15: the dense output's stages
     K = np.empty((16, y.size))
     while t < t_end and (until is None or y[-1] < until):
+        # the evaluations so far and the next step's 15 (12 stages, 3 for its dense output)
+        if 2 + 15 * (len(Fs) + 1) + 12 * rejected > MAX_NFEV:
+            last_t, end = (t, t_end) if until is None else (y[-1], until)
+            raise BudgetError(f"the integration used its budget of {MAX_NFEV} flow evaluations at "
+                              f"t = {last_t:.6g}, short of {end:g}", last_t=last_t)
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         retried = False

@@ -352,6 +352,32 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
+BUDGET = "domain error: the integration used its budget of 200000 flow evaluations at t = "
+VESELOVA_FLOW_KNOBS = "; its knobs are --horizon, --M or --omega, --gamma, --gyrostat, --U-vec and --Ahat"
+
+
+class TestRunBudget:
+    """A run whose cost no flag bounds exits 3 once its next step would pass
+    integrate.MAX_NFEV flow evaluations, naming --horizon with the flow's
+    knobs and writing no CSV.  The Veselova bodies were still running when
+    a 15 s timeout ended them, the horizons of 1e300 past 8 s."""
+
+    @pytest.mark.parametrize("argv, knobs", [
+        (["simulate", "--model", "veselova", "--demo", "--Ahat", "1e30,1e30,1e30", "--horizon", "0.01"],
+         VESELOVA_FLOW_KNOBS),
+        (["simulate", "--model", "veselova", "--demo", "--Ahat", "1e-30,1e-30,1e-30", "--horizon", "0.01"],
+         VESELOVA_FLOW_KNOBS),
+        (["simulate", "--model", "ball", "--demo", "--horizon", "1e300"],
+         BALL_FLOW_KNOBS.replace("are --M", "are --horizon, --M")),
+        (["planar-demo", "--horizon", "1e300"], "; its knob is --horizon"),
+    ], ids=["veselova-Ahat-1e30", "veselova-Ahat-1e-30", "simulate-horizon-1e300", "planar-demo-horizon-1e300"])
+    def test_refused_within_the_deadline(self, workdir, capsys, deadline, argv, knobs):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(BUDGET) and err.endswith(f", short of {float(argv[-1]):g}{knobs}\n")
+        assert list(workdir.glob("*.csv")) == []
+
+
 class TestConfigVectors:
     """Every 3-vector of a config file passes the check its flag passes."""
 

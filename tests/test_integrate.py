@@ -11,6 +11,7 @@ import pytest
 
 from nonholo import (
     BallParams,
+    BudgetError,
     IntegratorConfig,
     VeselovaParams,
     DomainError,
@@ -38,6 +39,9 @@ from nonholo.core import write_in_place
 from nonholo.models import DEMO_BALL, DEMO_GYROSTAT, DEMO_VESELOVA
 from nonholo.planar import demo_system, energy_fn, planar_rhs
 from nonholo.sphere import random_states
+
+# the module, which the package's integrate function shadows
+integrate_mod = sys.modules["nonholo.integrate"]
 
 BALL = BallParams(A=(0.4, 0.5, 0.6), D=1.0)
 X0 = pack([0.3, -0.2, 0.5], np.array([1.0, -2.0, 4.0]) / np.sqrt(21.0))
@@ -129,6 +133,28 @@ class TestIntegrate:
             integrate(lambda x: x ** 2, np.array([1.0]), cfg)
         assert info.value.last_state is not None
         assert info.value.last_t < 2.0
+
+    def test_budget_counts_the_reported_evaluations(self, monkeypatch):
+        # a run of n evaluations passes a budget of n; one fewer refuses its
+        # last step and names the time it reached
+        oscillator, x0 = (lambda x: np.array([x[1], -x[0]])), np.array([1.0, 0.0])
+        cfg = IntegratorConfig(horizon=50.0, samples=11)
+        n = integrate(oscillator, x0, cfg).nfev
+        monkeypatch.setattr(integrate_mod, "MAX_NFEV", n)
+        assert integrate(oscillator, x0, cfg).nfev == n
+        monkeypatch.setattr(integrate_mod, "MAX_NFEV", n - 1)
+        with pytest.raises(BudgetError, match=rf"^the integration used its budget of {n - 1} flow evaluations "
+                                              r"at t = \S+, short of 50$") as info:
+            integrate(oscillator, x0, cfg)
+        assert 45.0 < info.value.last_t < 50.0
+
+    def test_budget_reads_a_rescaled_run_on_its_clock(self, monkeypatch):
+        # the rescaled run steps open-ended in tau: its refusal names the
+        # physical time its clock reached
+        monkeypatch.setattr(integrate_mod, "MAX_NFEV", 1000)
+        with pytest.raises(BudgetError, match=r"short of 100$") as info:
+            integrate_reparametrized(ball_system(BALL), X0, IntegratorConfig())
+        assert 0.0 < info.value.last_t < 100.0
 
     def test_system_without_flow_steps_through_reference_rhs(self):
         sys = toy_system(1.0)
