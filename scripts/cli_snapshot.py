@@ -12,8 +12,8 @@ moved.  The invocations run against whichever ``nonholo`` is imported, so
 The golden in tests/golden holds every .out, .err and .exit file, one
 SHA-256 per CSV (csv.sha256) and the numpy version it was written with
 (numpy.txt); tier-1 compares a fresh snapshot with it (``mismatch``).
-``--update`` snapshots into a temporary directory and rewrites the golden
-from it, so an output that moves on purpose shows as a git diff.
+``--update`` rewrites the golden from a fresh snapshot, so an output that
+moves on purpose shows as a git diff.
 
 Usage: python scripts/cli_snapshot.py OUTDIR | --update
 """
@@ -23,7 +23,7 @@ import hashlib
 import io
 import os
 import sys
-import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -155,17 +155,15 @@ def _csv_hashes(outdir: Path) -> str:
 
 
 def update(golden: Path = GOLDEN) -> dict[str, int]:
-    """Snapshot into a temporary directory and rewrite the golden from it."""
-    with tempfile.TemporaryDirectory() as tmp:
-        codes = snapshot(Path(tmp))
-        golden.mkdir(parents=True, exist_ok=True)
-        for path in golden.iterdir():
-            if path.suffix in TEXTS:
-                path.unlink()
-        for name in INVOCATIONS:
-            for suffix in TEXTS:
-                (golden / f"{name}{suffix}").write_bytes((Path(tmp) / f"{name}{suffix}").read_bytes())
-        (golden / "csv.sha256").write_text(_csv_hashes(Path(tmp)))
+    """Rewrite the golden from a fresh snapshot: its text files as they are,
+    its CSVs as their hashes."""
+    for path in golden.glob("*"):
+        if path.suffix in TEXTS:        # the files of a run no longer pinned go too
+            path.unlink()
+    codes = snapshot(golden)
+    (golden / "csv.sha256").write_text(_csv_hashes(golden))
+    for path in golden.glob("*.csv"):
+        path.unlink()
     (golden / "numpy.txt").write_text(f"{np.__version__}\n")
     return codes
 
@@ -173,7 +171,8 @@ def update(golden: Path = GOLDEN) -> dict[str, int]:
 def mismatch(outdir: Path, golden: Path = GOLDEN) -> str | None:
     """Where a snapshot in ``outdir`` first differs from the golden: the
     numpy version, a missing or extra file, the first differing line of a
-    text file, or a CSV's hash; None when they agree byte for byte."""
+    text file, or the first differing CSV hash; None when they agree byte
+    for byte."""
     version = (golden / "numpy.txt").read_text().strip()
     if version != np.__version__:
         return f"the golden was written with numpy {version}, this run has {np.__version__}"
@@ -181,18 +180,13 @@ def mismatch(outdir: Path, golden: Path = GOLDEN) -> str | None:
     expected = {path.name for path in golden.iterdir() if path.suffix in TEXTS}
     if names != expected:
         return f"files differ: missing {sorted(expected - names)}, extra {sorted(names - expected)}"
-    for name in sorted(names):
-        new, old = (outdir / name).read_text(), (golden / name).read_text()
-        if new != old:
-            new_lines, old_lines = new.splitlines(keepends=True), old.splitlines(keepends=True)
-            i = next((i for i, (a, b) in enumerate(zip(new_lines, old_lines)) if a != b),
-                     min(len(new_lines), len(old_lines)))
-            line = lambda lines: repr(lines[i]) if i < len(lines) else "end of file"
-            return f"{name} line {i + 1}: golden {line(old_lines)}, now {line(new_lines)}"
-    new, old = _csv_hashes(outdir).splitlines(), (golden / "csv.sha256").read_text().splitlines()
-    if new != old:
-        diff = sorted(set(new) ^ set(old), key=lambda row: row.split()[1])
-        return f"{diff[0].split()[1]}: its SHA-256 differs from the golden's csv.sha256"
+    texts = [(name, (golden / name).read_text(), (outdir / name).read_text()) for name in sorted(names)]
+    texts.append(("csv.sha256", (golden / "csv.sha256").read_text(), _csv_hashes(outdir)))
+    for name, old, new in texts:
+        pairs = zip_longest(old.splitlines(keepends=True), new.splitlines(keepends=True))
+        for i, (old_line, new_line) in enumerate(pairs, start=1):
+            if old_line != new_line:
+                return f"{name} line {i}: golden {old_line!r}, now {new_line!r}"
     return None
 
 

@@ -852,11 +852,11 @@ class TestReduce:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("domain error: ") and captured.err.endswith("; its knobs are --Ahat\n")
 
-    @pytest.mark.parametrize("argv, bound", [
-        (["--model", "ball", "--D", "1e-300"], 1e-14), (["--model", "veselova", "--Ahat", "3e7,3e7,3e7"], 2e-8),
-        (["--g", "1e120", "--f", "1"], 1e-14),
+    @pytest.mark.parametrize("argv", [
+        ["--model", "ball", "--D", "1e-300"], ["--model", "veselova", "--Ahat", "3e7,3e7,3e7"],
+        ["--g", "1e120", "--f", "1"],
     ])
-    def test_huge_g_within_the_scale_rule_reduces(self, workdir, capsys, argv, bound):
+    def test_huge_g_within_the_scale_rule_reduces(self, workdir, capsys, argv):
         # g = 1e150 for the ball at D = 1e-300 and 1e120 for the constant
         # pair: a bound on g, which no model path had, refused the pair.
         # The Veselova body's c = 6.1e-12 shrank probes drawn in the source
@@ -864,6 +864,7 @@ class TestReduce:
         # 1.1e-16; at e(3) probes it reads the band limit's 1.4e-8
         assert run(["reduce", *argv, "--L", "8", "-n", "20"]) == 0
         captured = capsys.readouterr()
+        bound = 2e-8 if "veselova" in argv else 1e-14
         assert captured.err == "" and json.loads(captured.out)["bracket_dev"] <= bound
 
     @pytest.mark.parametrize("L, code", [("8", 4), ("16", 4), ("32", 0)])
