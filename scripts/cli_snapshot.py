@@ -11,7 +11,7 @@ moved.  The invocations run against whichever ``nonholo`` is imported, so
 
 The golden in tests/golden holds every .out, .err and .exit file, one
 SHA-256 per CSV (csv.sha256) and the numpy version it was written with
-(numpy.txt); tier-1 compares a fresh snapshot with it (``mismatch``).
+(numpy.txt); the test suite compares a fresh snapshot with it (``mismatch``).
 ``--update`` rewrites the golden from a fresh snapshot, so an output that
 moves on purpose shows as a git diff.
 
