@@ -10,13 +10,18 @@ and third-order error estimate with exponent -1/8, and the seventh-order
 dense output from three extra stages per accepted step, with the same
 initial step, step-size controller and order of arithmetic, so that it
 reproduces ``solve_ivp(method="DOP853")``, run with no limit on the step
-size, bit for bit.
+size, bit for bit.  Only what step control reads runs in the stepping
+loop: the twelve stages and the flow at the new state.  The dense
+output's three extra stages and seven coefficients are built once per
+run, for all accepted steps at once, so every flow acts over the last
+axis: one state in the loop, stacks of states after it.
 No projection or renormalization is applied to gamma; the drift of the known
 first integrals is the advertised measure of integration quality.
 
-Both runs step through the system's ``flow`` (a closed-form kernel for the
-model systems, the reference ``sphere.rhs`` otherwise).  The time-rescaled
-run integrates, in the new time tau,
+The direct run steps through the system's ``flow`` and the time-rescaled
+run through its ``rescaled_flow`` (closed-form kernels for the model
+systems, built on the reference ``sphere.rhs`` otherwise).  The
+time-rescaled run integrates, in the new time tau,
 
     dx/dtau = g(gamma) * flow(x) = P grad H,     dt/dtau = g(gamma),
 
@@ -44,12 +49,14 @@ Array = np.ndarray
 _G_FLOOR = 1e-10
 
 # the most flow evaluations one solve takes before it is refused.  On a
-# 2-vCPU host an evaluation costs 4-7.5 us with the stepper's own work, so
-# the budget is 0.8-1.5 s; the demo runs take 2 993 (veselova+gyrostat),
-# 3 404 (ball) and 9 143 (planar-demo) and the demo ball at horizon 1000
-# takes 33 884 in 0.25 s.  The cost of a run grows with its horizon and the
-# speed of its flow, without bound: a Veselova body at Ahat = 1e30 would
-# need of order 1e29 evaluations for a horizon of 0.01
+# 2-vCPU host an evaluation costs 4-7 us with the stepper's own work (the
+# demo runs take 22-36 ms in process), so the budget is about 0.8-1.4 s; the
+# demo runs take 2 993 (veselova+gyrostat), 3 404 (ball) and 9 143
+# (planar-demo) and the demo ball at horizon 1000 takes 33 884.  At the
+# budget the accepted steps' stages, kept for the dense output, take about
+# 12 MB for the rescaled run's 7 components.  The cost of a run grows with
+# its horizon and the speed of its flow, without bound: a Veselova body at
+# Ahat = 1e30 would need of order 1e29 evaluations for a horizon of 0.01
 MAX_NFEV = 200_000
 
 # Dormand-Prince 8(5,3) as scipy's DOP853 writes it (Hairer, Norsett and
@@ -230,13 +237,15 @@ def _solve(fn: Callable[[Array], Array], z0: Array, cfg: IntegratorConfig, t_end
     d2 = _rms((np.asarray(fn(y + h0 * f), float) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, t_end)
-    t_old, hs, y_old, Fs = [], [], [], []
+    t_old, hs, y_old, Ks = [], [], [], []
     rejected = 0
-    # rows 0-11: a step's stages; 12: the flow at its end; 13-15: the dense output's stages
+    # rows 0-11: a step's stages; 12: the flow at its end; 13-15: the dense
+    # output's stages, which run after the loop on all accepted steps at once
     K = np.empty((16, y.size))
+    KT = [K[:s].T for s in range(14)]
     while t < t_end and (until is None or y[-1] < until):
         # the evaluations so far and the next step's 15 (12 stages, 3 for its dense output)
-        if 2 + 15 * (len(Fs) + 1) + 12 * rejected > MAX_NFEV:
+        if 2 + 15 * (len(Ks) + 1) + 12 * rejected > MAX_NFEV:
             last_t, end = (t, t_end) if until is None else (y[-1], until)
             raise BudgetError(f"the integration used its budget of {MAX_NFEV} flow evaluations at "
                               f"t = {last_t:.6g}, short of {end:g}", last_t=last_t)
@@ -251,14 +260,23 @@ def _solve(fn: Callable[[Array], Array], z0: Array, cfg: IntegratorConfig, t_end
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
+            # each product rounds as y + K[:s].T.dot(a) * h does
             for s, a in enumerate(_STAGES, start=1):
-                K[s] = fn(y + K[:s].T.dot(a) * h)
-            y_new = y + h * K[:12].T.dot(_B)
+                d = KT[s].dot(a)
+                d *= h
+                d += y
+                K[s] = fn(d)
+            y_new = KT[12].dot(_B)
+            y_new *= h
+            y_new += y
             K[12] = fn(y_new)
             # the combined 5th/3rd-order error norm
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5 = _norm(K[:13].T.dot(_E5) / scale) ** 2
-            e3 = _norm(K[:13].T.dot(_E3) / scale) ** 2
+            scale = np.abs(y)
+            np.maximum(scale, np.abs(y_new), out=scale)
+            scale *= rtol
+            scale += atol
+            e5 = _norm(KT[13].dot(_E5) / scale) ** 2
+            e3 = _norm(KT[13].dot(_E3) / scale) ** 2
             error = 0.0 if e5 == 0 and e3 == 0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * y.size)
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT)
@@ -267,34 +285,50 @@ def _solve(fn: Callable[[Array], Array], z0: Array, cfg: IntegratorConfig, t_end
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
             retried = True
             rejected += 1
-        # the dense output: three more stages, then the 7 coefficients
-        for s, a in enumerate(_EXTRA, start=13):
-            K[s] = fn(y + K[:s].T.dot(a) * h)
-        dy = y_new - y
-        F = np.empty((7, y.size))
-        F[0] = dy
-        F[1] = h * f - dy
-        F[2] = 2 * dy - h * (K[12] + f)
-        F[3:] = h * _D.dot(K)
         t_old.append(t)
         hs.append(h)
         y_old.append(y)
-        Fs.append(F)
+        Ks.append(K.copy())
         t, y, f = t_new, y_new, K[12].copy()
-    dense = _DenseOutput(np.array(t_old), np.array(hs), np.array(y_old), np.stack(Fs))
+    accepted = len(Ks)
+    dense = _dense_output(fn, np.array(t_old), np.array(hs), np.array(y_old), y, np.array(Ks))
     if until is not None:
         t = float(dense.clock_inverse(np.array([until]))[0])
     samples = np.linspace(0.0, t, cfg.samples)
-    accepted = len(Fs)
     return Trajectory(t=samples, states=dense(samples), integrals={},
                       nfev=2 + 12 * (accepted + rejected) + 3 * accepted, accepted=accepted,
                       rejected=rejected, _dense=None if until is None else dense)
 
 
+def _dense_output(fn: Callable[[Array], Array], t_old: Array, h: Array, y_old: Array, y_end: Array,
+                  Ks: Array) -> _DenseOutput:
+    """The dense output of N accepted steps from their stages 0-12, Ks of
+    shape (N, 16, dim): the three extra stages in one stacked flow call
+    each, then the seven coefficients of every step.  Per step, each
+    stacked product is the one BLAS call of a single step, so every
+    coefficient has the bits of a step-by-step build."""
+    hv = h[:, None]
+    for s, a in enumerate(_EXTRA, start=13):
+        d = np.matmul(Ks[:, :s].transpose(0, 2, 1), a)
+        d *= hv
+        d += y_old
+        Ks[:, s] = fn(d)
+    f = Ks[:, 0]
+    dy = np.concatenate([y_old[1:], y_end[None]]) - y_old
+    F = np.empty((h.size, 7, y_end.size))
+    F[:, 0] = dy
+    F[:, 1] = hv * f - dy
+    F[:, 2] = 2 * dy - hv * (Ks[:, 12] + f)
+    F[:, 3:] = h[:, None, None] * np.matmul(_D, Ks)
+    return _DenseOutput(t_old, h, y_old, F)
+
+
 def integrate(fn: Callable[[Array], Array], state0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate dx/dt = fn(x) over [0, horizon] with dense sampling.
 
-    ``fn`` maps one state to its velocity.  The trajectory tracks no
+    ``fn`` maps states to velocities over the last axis: one state of
+    shape (dim,) in the stepping loop, a stack of shape (n, dim) for the
+    dense output's stages after it.  The trajectory tracks no
     integrals: a caller evaluates its own once on all samples, as
     ``integrate_sphere`` does, and puts them in ``integrals``.
     """
@@ -323,16 +357,15 @@ def integrate_reparametrized(sys: SphereSystem, state0,
     bounded below on the sphere, so the clock reaches the horizon at a
     finite tau.
     """
-    g_of, flow = sys.g, sys.flow
+    field = sys.rescaled_flow
 
     def z_rhs(z):
-        g = g_of(z[3:-1])
+        dz = field(z[..., :-1])
+        # one state compares a float; a stack, after the loop, its smallest row
+        g = dz[-1] if dz.ndim == 1 else np.min(dz[..., -1])
         if g <= _G_FLOOR:
             raise DomainError(f"conformal factor hit g = {g:.3e} <= {_G_FLOOR:.1e}, "
                               f"which stalls the physical clock dt/dtau = g")
-        dz = np.empty_like(z)
-        np.multiply(flow(z[:-1]), g, out=dz[:-1])
-        dz[-1] = g
         return dz
 
     traj = _solve(z_rhs, np.append(np.asarray(state0, float), 0.0), cfg, np.inf, cfg.horizon)

@@ -29,11 +29,12 @@ equation for rho = 1/g, the ball-Veselova duality identity, and
 conservation of (M + k)^2; see the tests.
 
 Each model is one component kernel, built once from its parameters: u
-(or G) and ``parts``, which gives S, dH/dM and dH/dgamma.  The same sums
-run on the Python floats of one state, for the closed-form ``flow`` and
-the conformal factor g that the integrators call, and on component arrays
-over the last axis, for the stacked H-gradient, H, the g/f/Phi fields,
-the S-vector K and omega(M) of the sphere layer.  The generic
+(or G) and ``parts``, which gives S, g^2 = u (or G), dH/dM and dH/dgamma.
+The same sums run on the Python floats of one state and on component
+arrays over the last axis: for the closed-form ``flow`` and
+``rescaled_flow`` (g flow and g from one kernel pass) that the integrators
+call on one state and on stacks, and for the stacked H-gradient, H, the
+g/f/Phi fields, the S-vector K and omega(M) of the sphere layer.  The generic
 ``sphere.rhs``, built from the spec, stays the reference they are tested
 against.
 """
@@ -103,37 +104,45 @@ def _xyz(v) -> tuple:
 
 
 def _kernel_maps(parts, k: Array, U: ScalarField | None):
-    """The flow of one state of shape (6,) and the stacked H-gradient from
-    a kernel ``parts(M1, M2, M3, g1, g2, g3)`` = (S, dH/dM, dH/dgamma
-    without U).  The flow adds grad U and forms, by components on floats,
+    """The flow, the rescaled field and the H-gradient from a kernel
+    ``parts(M1, M2, M3, g1, g2, g3)`` = (S, g^2, dH/dM, dH/dgamma without
+    U).  The flow adds grad U and forms, by components,
 
         dM/dt = (M + k - S gamma) x dH/dM + gamma x dH/dgamma,
         dgamma/dt = gamma x dH/dM
-    """
+
+    on the Python floats of one state of shape (6,), or on component arrays
+    over the last axis of a stack, in the same order, so that a stacked row
+    equals its state alone bit for bit.  With the clock it gives
+    (g flow, g), of shape (..., 7), from the same kernel pass."""
     k1, k2, k3 = k.tolist()
 
-    def flow(x):
+    def field(x, clock):
         x = np.asarray(x, float)
-        M1, M2, M3, g1, g2, g3 = x.tolist()
-        S, (h1, h2, h3), (q1, q2, q3) = parts(M1, M2, M3, g1, g2, g3)
+        one = x.ndim == 1
+        M1, M2, M3, g1, g2, g3 = x.tolist() if one else (x[..., i] for i in range(6))
+        S, gg, (h1, h2, h3), (q1, q2, q3) = parts(M1, M2, M3, g1, g2, g3)
         if U is not None:
-            u1, u2, u3 = U.gradient(x[3:]).tolist()
+            du = U.gradient(x[..., 3:])
+            u1, u2, u3 = du.tolist() if one else _xyz(du)
             q1, q2, q3 = q1 + u1, q2 + u2, q3 + u3
         p1, p2, p3 = M1 + k1 - S * g1, M2 + k2 - S * g2, M3 + k3 - S * g3
-        return np.array([
-            (p2 * h3 - p3 * h2) + (g2 * q3 - g3 * q2),
-            (p3 * h1 - p1 * h3) + (g3 * q1 - g1 * q3),
-            (p1 * h2 - p2 * h1) + (g1 * q2 - g2 * q1),
-            g2 * h3 - g3 * h2,
-            g3 * h1 - g1 * h3,
-            g1 * h2 - g2 * h1,
-        ])
+        v = [(p2 * h3 - p3 * h2) + (g2 * q3 - g3 * q2),
+             (p3 * h1 - p1 * h3) + (g3 * q1 - g1 * q3),
+             (p1 * h2 - p2 * h1) + (g1 * q2 - g2 * q1),
+             g2 * h3 - g3 * h2,
+             g3 * h1 - g1 * h3,
+             g1 * h2 - g2 * h1]
+        if clock:
+            g = math.sqrt(gg) if one else np.sqrt(gg)
+            v = [c * g for c in v] + [g]
+        return np.array(v) if one else np.stack(v, axis=-1)
 
     def grad_H(M, g):
-        _, hm, hg = parts(*_xyz(M), *_xyz(g))
+        _, _, hm, hg = parts(*_xyz(M), *_xyz(g))
         return pack(vector(*hm), vector(*hg) if U is None else vector(*hg) + U.gradient(g))
 
-    return flow, grad_H
+    return (lambda x: field(x, False)), (lambda x: field(x, True)), grad_H
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +191,10 @@ def _ball_kernel(p: BallParams):
     def parts(M1, M2, M3, g1, g2, g3):
         m1, m2, m3 = a1 * M1, a2 * M2, a3 * M3
         n1, n2, n3 = a1 * g1, a2 * g2, a3 * g3
-        S = (m1 * g1 + m2 * g2 + m3 * g3) / u(g1, g2, g3)
+        uv = u(g1, g2, g3)
+        S = (m1 * g1 + m2 * g2 + m3 * g3) / uv
         SS = S * S
-        return (S, (m1 + S * n1, m2 + S * n2, m3 + S * n3),
+        return (S, uv, (m1 + S * n1, m2 + S * n2, m3 + S * n3),
                 (S * m1 + SS * n1, S * m2 + SS * n2, S * m3 + SS * n3))
 
     return u, parts
@@ -199,7 +209,7 @@ def ball_system(p: BallParams) -> SphereSystem:
         val = 0.5 * (np.vecdot(am, M) + np.vecdot(am, g) ** 2 / u(*_xyz(g)))
         return val + (U(g) if U is not None else 0.0)
 
-    flow, grad_H = _kernel_maps(parts, p.k, U)
+    flow, rescaled_flow, grad_H = _kernel_maps(parts, p.k, U)
     g_field = ScalarField(lambda g: np.sqrt(u(*_xyz(g))),
                           grad=lambda g: -(A * g) / lift(np.sqrt(u(*_xyz(g)))))
     extras = ()
@@ -212,7 +222,7 @@ def ball_system(p: BallParams) -> SphereSystem:
         s_spec=GFParams(g=g_field, f=ScalarField.constant(0.0), k=p.k),
         extra_integrals=extras,
         flow=flow,
-        g=lambda gamma: math.sqrt(u(*gamma.tolist())),
+        rescaled_flow=rescaled_flow,
     )
 
 
@@ -264,9 +274,10 @@ def _veselova_kernel(p: VeselovaParams):
     def parts(M1, M2, M3, g1, g2, g3):
         n1, n2, n3 = b1 * g1, b2 * g2, b3 * g3
         r1, r2, r3 = b1 * M1 - M1 - k1, b2 * M2 - M2 - k2, b3 * M3 - M3 - k3
-        S = -(r1 * g1 + r2 * g2 + r3 * g3) / G(g1, g2, g3)
+        Gv = G(g1, g2, g3)
+        S = -(r1 * g1 + r2 * g2 + r3 * g3) / Gv
         SS = S * S
-        return (S, (b1 * M1 + S * (n1 - g1), b2 * M2 + S * (n2 - g2), b3 * M3 + S * (n3 - g3)),
+        return (S, Gv, (b1 * M1 + S * (n1 - g1), b2 * M2 + S * (n2 - g2), b3 * M3 + S * (n3 - g3)),
                 (S * r1 + SS * n1, S * r2 + SS * n2, S * r3 + SS * n3))
 
     return G, parts
@@ -284,7 +295,7 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
         val = 0.5 * (np.vecdot(Ah * M, M) - w * w / Gv(g))
         return val + (U(g) if U is not None else 0.0)
 
-    flow, grad_H = _kernel_maps(parts, k, U)
+    flow, rescaled_flow, grad_H = _kernel_maps(parts, k, U)
     g_field = ScalarField(lambda g: np.sqrt(Gv(g)),
                           grad=lambda g: (Ah * g) / lift(np.sqrt(Gv(g))))
     f_field = ScalarField(lambda g: 1.0 / np.sqrt(Gv(g)),
@@ -305,7 +316,7 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
         s_spec=GFParams(g=g_field, f=f_field, phi=phi_field, k=k),
         extra_integrals=extras,
         flow=flow,
-        g=lambda gamma: math.sqrt(G(*gamma.tolist())),
+        rescaled_flow=rescaled_flow,
     )
 
 

@@ -20,14 +20,16 @@ H(q, p/N) for the bracket
 Everything acts over the last axis, as in the sphere layer: a system's
 callables take q and P of shape (..., 2), the functions here states of
 shape (..., 4), and one state of shape (4,) gives floats.  The integrator
-calls ``PlanarSystem.flow``, which defaults to the reference ``planar_rhs``;
-the demo system supplies a closed-form kernel.
+calls ``PlanarSystem.flow`` on one state or a stack; it defaults to the
+reference ``planar_rhs``, and the demo system supplies a closed-form kernel
+for one state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -196,10 +198,14 @@ def energy_fn(sys: PlanarSystem) -> Callable[[Array], Array]:
     return lambda z: point_values(sys.H(np.asarray(z, float)[..., :2], np.asarray(z, float)[..., 2:]), z)
 
 
-def _demo_flow(z) -> Array:
-    """The demo's velocity at one state on Python floats: the float
-    operations of ``planar_rhs`` in the same order, so they agree bitwise."""
-    q1, q2, P1, P2 = np.asarray(z, float).tolist()
+def _demo_flow(sys: PlanarSystem, z) -> Array:
+    """The demo's velocity over the last axis: ``planar_rhs`` on a stack, and
+    on one state its float operations in the same order on Python floats, so
+    that the two agree bitwise."""
+    z = np.asarray(z, float)
+    if z.ndim > 1:
+        return planar_rhs(sys, z)
+    q1, q2, P1, P2 = z.tolist()
     S = 0.0 * P1 + 1.0 * P2 + 0.5 * math.cos(q2)
     return np.array([P1, P2, math.sin(q1) + P2 * S, -math.cos(q2) - P1 * S])
 
@@ -209,12 +215,12 @@ def demo_system() -> PlanarSystem:
     bounded potential and B = cos(q2) / 2, with its closed-form flow."""
     V = ScalarField(lambda q: np.cos(q[..., 0]) + np.sin(q[..., 1]),
                     grad=lambda q: vector(-np.sin(q[..., 0]), np.cos(q[..., 1])))
-    return PlanarSystem(
+    reference = PlanarSystem(
         H=lambda q, P: 0.5 * np.vecdot(P, P) + V(q),
         grad_H=lambda q, P: np.concatenate([V.gradient(q), np.asarray(P, float)], axis=-1),
         A=lambda q: (0.0, 1.0),
         B=lambda q: 0.5 * np.cos(q[..., 1]),
         N=ScalarField(lambda q: np.exp(q[..., 0]),
                       grad=lambda q: vector(np.exp(q[..., 0]), 0.0)),
-        flow=_demo_flow,
     )
+    return replace(reference, flow=functools.partial(_demo_flow, reference))

@@ -25,8 +25,9 @@ explicit density rho.
 
 ``rhs`` evaluates the flow from the generic data (the H-gradient and the
 parameters); it is the reference.  The integrators step through a system's
-``flow``, which is ``rhs`` unless the system supplies a closed-form kernel,
-as the ball and Veselova models do.
+``flow`` (and the time-rescaled run through its ``rescaled_flow``), which
+is ``rhs`` unless the system supplies a closed-form kernel, as the ball and
+Veselova models do.
 
 States act over the last axis, as the fields do: ``s_value``, ``rhs``,
 ``integrals``, ``assemble_P``, ``conformal_residual`` and
@@ -105,10 +106,12 @@ class SphereSystem:
     residual tolerances downstream are not reachable with
     finite-difference gradients.  ``extra_integrals`` holds named first
     integrals beyond the three automatic ones, e.g. M^2 where it is
-    conserved.  ``flow`` maps one state of shape (6,) to dx/dt; it defaults
-    to the reference ``rhs`` and is what the integrators call.  ``g`` maps
-    one gamma of shape (3,) to the conformal factor as a float; it defaults
-    to its parameters' g and is what the time-rescaled run calls.
+    conserved.  ``flow`` maps states of shape (..., 6) to dx/dt; it defaults
+    to the reference ``rhs`` and is what the integrators call.
+    ``rescaled_flow`` maps states of shape (..., 6) to the time-rescaled
+    field (dx/dtau, dt/dtau) = (g flow, g), shape (..., 7), that the
+    time-rescaled run calls; it defaults to ``flow`` and its parameters'
+    g.
     """
 
     name: str
@@ -117,13 +120,13 @@ class SphereSystem:
     s_spec: GFParams
     extra_integrals: tuple[tuple[str, Callable[[Array, Array], Array]], ...] = ()
     flow: Callable[[Array], Array] | None = field(default=None, repr=False, compare=False)
-    g: Callable[[Array], float] | None = field(default=None, repr=False, compare=False)
+    rescaled_flow: Callable[[Array], Array] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flow is None:
             object.__setattr__(self, "flow", lambda x: rhs(self, x))
-        if self.g is None:
-            object.__setattr__(self, "g", self.s_spec.g)
+        if self.rescaled_flow is None:
+            object.__setattr__(self, "rescaled_flow", lambda x: _rescaled(self, x))
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,12 @@ def rhs(sys: SphereSystem, x) -> Array:
     Mdot = np.cross(M + sys.s_spec.k - S * gamma, hm) + np.cross(gamma, hg)
     gdot = np.cross(gamma, hm)
     return pack(Mdot, gdot)
+
+
+def _rescaled(sys: SphereSystem, x) -> Array:
+    """(g flow, g) at states, from the system's flow and its parameters' g."""
+    g = sys.s_spec.g(unpack(x)[1])
+    return np.concatenate([sys.flow(x) * lift(g), np.asarray(g, float)[..., None]], axis=-1)
 
 
 def integrals(sys: SphereSystem, x) -> IntegralValues:

@@ -137,7 +137,8 @@ class TestIntegrate:
     def test_budget_counts_the_reported_evaluations(self, monkeypatch):
         # a run of n evaluations passes a budget of n; one fewer refuses its
         # last step and names the time it reached
-        oscillator, x0 = (lambda x: np.array([x[1], -x[0]])), np.array([1.0, 0.0])
+        # the flow acts over the last axis: the dense output's stages run on a stack
+        oscillator, x0 = (lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)), np.array([1.0, 0.0])
         cfg = IntegratorConfig(horizon=50.0, samples=11)
         n = integrate(oscillator, x0, cfg).nfev
         monkeypatch.setattr(integrate_mod, "MAX_NFEV", n)

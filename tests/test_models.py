@@ -284,9 +284,11 @@ def test_closed_form_flow_matches_reference_rhs(name):
             kappa = (1.0 / p.D) / (1.0 / p.D - g @ (p.A * g))
         tol = max(1e-13, 16.0 * eps * kappa) * max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(sys.flow(x) - ref)) <= tol, x
-        # the conformal factor the rescaled run reads, against the spec's
-        g_ref = sys.s_spec.g(x[3:])
-        assert abs(sys.g(x[3:]) - g_ref) <= 16.0 * eps * kappa * g_ref, x
+        # the rescaled run's field (g flow, g): its clock against the spec's
+        # g, and its velocity the flow times that clock, bit for bit
+        g_ref, dz = sys.s_spec.g(x[3:]), sys.rescaled_flow(x)
+        assert abs(dz[-1] - g_ref) <= 16.0 * eps * kappa * g_ref, x
+        assert np.array_equal(dz[:-1], sys.flow(x) * dz[-1]), x
 
 
 def test_closed_form_ball_flow_rejects_gamma_off_the_sphere():
@@ -296,4 +298,4 @@ def test_closed_form_ball_flow_rejects_gamma_off_the_sphere():
     with pytest.raises(DomainError, match="off the unit sphere"):
         sys.flow(pack([0.3, -0.2, 0.5], [0.0, 0.0, 1.01]))
     with pytest.raises(DomainError, match="off the unit sphere"):
-        sys.g(np.array([0.0, 0.0, 1.01]))
+        sys.rescaled_flow(pack([0.3, -0.2, 0.5], [0.0, 0.0, 1.01]))

@@ -9,6 +9,7 @@ blocks of ``CHUNK`` states and spectral synthesis in blocks of
 than two blocks.
 """
 
+import importlib
 import re
 from dataclasses import replace
 
@@ -19,7 +20,10 @@ from nonholo import (
     BallParams,
     DomainError,
     GaugeTransform,
+    GFParams,
+    IntegratorConfig,
     ScalarField,
+    SphereSystem,
     VectorField3,
     VeselovaParams,
     apply_gauge_state,
@@ -33,6 +37,7 @@ from nonholo import (
     e3_bivector,
     gf_bivector,
     integrals,
+    integrate_reparametrized,
     inverse,
     jacobiator,
     k_from_gf,
@@ -118,8 +123,12 @@ def _states(rng, n=7):
     return np.array([rand_state(rng) for _ in range(n)])
 
 
-def _same_rows(stacked, one_point, rows):
-    np.testing.assert_allclose(stacked, np.array([one_point(r) for r in rows]), rtol=1e-13, atol=1e-15)
+def _same_rows(stacked, one_point, rows, bitwise=False):
+    expected = np.array([one_point(r) for r in rows])
+    if bitwise:
+        np.testing.assert_array_equal(stacked, expected)
+    else:
+        np.testing.assert_allclose(stacked, expected, rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", sorted(SCALARS))
@@ -219,10 +228,82 @@ def test_ball_stack_refuses_gamma_off_the_sphere(sysm, row):
             fn(M, G)
     with pytest.raises(DomainError, match="off the unit sphere"):
         sysm.s_spec.g(G)
-    with pytest.raises(DomainError, match="off the unit sphere"):
-        sysm.g(G[1])
-    with pytest.raises(DomainError, match="off the unit sphere"):
-        sysm.flow(pack(M[1], G[1]))
+    X = pack(M, G)
+    for fn in (sysm.flow, sysm.rescaled_flow):
+        fn(X[0])
+        for x in (X[1], X):
+            with pytest.raises(DomainError, match="off the unit sphere"):
+                fn(x)
+
+
+# every model flow, each with and without a gyrostat and a potential: the
+# integrator steps one state at a time and builds its dense output on stacks
+FLOWS = {
+    f"{model}{'+gyrostat' if any(k) else ''}, {u}": (
+        ball_system(BallParams(A=(0.4, 0.5, 0.6), D=1.0, k=k, U=U)) if model == "ball"
+        else veselova_system(VeselovaParams(Ahat=(0.6, 0.75, 0.9), k=k, U=U)))
+    for model in ("ball", "veselova")
+    for k in ((0.0, 0.0, 0.0), (0.1, -0.2, 0.3))
+    for u, U in (("no U", None), ("linear U", linear_potential((0.3, -0.2, 0.5))),
+                 ("quadratic U", quadratic_potential((1.0, 2.0, 3.0))))
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_flow_stack_matches_states_bitwise(name, rng):
+    sysm, X = FLOWS[name], _states(rng)
+    assert sysm.flow(X).shape == (7, 6) and sysm.rescaled_flow(X).shape == (7, 7)
+    _same_rows(sysm.flow(X), sysm.flow, X, bitwise=True)
+    # both components of the rescaled field, g flow and the clock g
+    _same_rows(sysm.rescaled_flow(X), sysm.rescaled_flow, X, bitwise=True)
+    np.testing.assert_array_equal(sysm.rescaled_flow(X)[:, :-1], sysm.flow(X) * sysm.rescaled_flow(X)[:, -1:])
+
+
+def test_planar_demo_flow_stack_matches_states_bitwise(rng):
+    flow, Z = demo_system().flow, 3.0 * rng.standard_normal((7, 4))
+    assert flow(Z).shape == (7, 4)
+    _same_rows(flow(Z), flow, Z, bitwise=True)
+
+
+def _rescaled_field(sysm, monkeypatch):
+    """The field z -> (dx/dtau, dt/dtau) that ``integrate_reparametrized``
+    hands to the solver, on states with the clock as a seventh component."""
+    fields = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(fn, *args, **kwargs):
+        fields.append(fn)
+        raise Captured
+
+    monkeypatch.setattr(importlib.import_module("nonholo.integrate"), "_solve", capture)
+    with pytest.raises(Captured):
+        integrate_reparametrized(sysm, np.array([0.3, -0.2, 0.5, 0.0, 0.6, 0.8]), IntegratorConfig(horizon=1.0))
+    return fields[0]
+
+
+@pytest.mark.parametrize("name", ["ball, no U", "veselova+gyrostat, quadratic U"])
+def test_rescaled_run_field_stack_matches_states_bitwise(name, rng, monkeypatch):
+    field = _rescaled_field(FLOWS[name], monkeypatch)
+    Z = np.concatenate([_states(rng), rng.uniform(0.0, 5.0, (7, 1))], axis=-1)
+    assert field(Z).shape == (7, 7)
+    _same_rows(field(Z), field, Z, bitwise=True)
+
+
+def test_rescaled_run_refuses_a_stack_with_one_stalled_clock(monkeypatch):
+    # g = 1e-12 + gamma3^2 falls below the floor on the equator: the second
+    # row alone stalls the clock, and the stack is refused
+    g = ScalarField(lambda g: 1e-12 + g[..., 2] ** 2, grad=lambda g: vector(0.0, 0.0, 2.0 * g[..., 2]))
+    sysm = SphereSystem(name="stalling", hamiltonian=lambda M, g: 0.5 * np.vecdot(M, M),
+                        grad_H=lambda M, g: pack(M, np.zeros_like(g)),
+                        s_spec=GFParams(g=g, f=ScalarField.constant(0.0)))
+    field = _rescaled_field(sysm, monkeypatch)
+    Z = np.array([[0.3, -0.2, 0.5, 0.0, 0.0, 1.0, 0.0], [0.3, -0.2, 0.5, 1.0, 0.0, 0.0, 0.0]])
+    assert field(Z[0])[-1] == 1.0 + 1e-12
+    for z in (Z[1], Z):
+        with pytest.raises(DomainError, match=r"conformal factor hit g = 1\.000e-12 <= 1\.0e-10"):
+            field(z)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))

@@ -19,6 +19,7 @@ from nonholo import (
     veselova_system,
 )
 from nonholo.cli import DEMO_GAMMA, DEMO_M
+from nonholo.integrate import _D
 from nonholo.models import DEMO_BALL, DEMO_GYROSTAT, DEMO_VESELOVA
 from nonholo.planar import demo_system
 
@@ -52,12 +53,27 @@ def test_stepper_reproduces_scipy_dop853(name):
 ], ids=["demo-ball", "planar-demo"])
 def test_step_counters(name, accepted, rejected):
     fn, x0, cfg = RUNS[name]
-    calls = []
-    traj = integrate(lambda z: calls.append(None) or fn(z), x0, cfg)
+    rows = []
+    traj = integrate(lambda z: rows.append(1 if z.ndim == 1 else len(z)) or fn(z), x0, cfg)
     assert (traj.accepted, traj.rejected) == (accepted, rejected)
-    # 12 stages per attempted step, 3 more per accepted step for the dense
-    # output, and the initial step's two evaluations
-    assert traj.nfev == len(calls) == 2 + 12 * (traj.accepted + traj.rejected) + 3 * traj.accepted
+    # the initial step's two evaluations and 12 stages per attempted step,
+    # one state each; the dense output's 3 stages per accepted step, as three
+    # stacked calls after the last step
+    attempted = traj.accepted + traj.rejected
+    assert traj.nfev == sum(rows) == 2 + 12 * attempted + 3 * traj.accepted
+    assert len(rows) == 2 + 12 * attempted + 3
+
+
+@pytest.mark.parametrize("n", [4, 6, 7])
+def test_batched_products_are_per_step_products_bitwise(n, rng):
+    # the dense output's stages and coefficients are built for all steps at
+    # once; each stacked product must round as the one step's product does
+    Ks = rng.standard_normal((40, 16, n)) * np.exp(rng.uniform(-5, 5, (40, 16, 1)))
+    for s in range(1, 16):
+        a = rng.standard_normal(s)
+        stacked = np.matmul(Ks[:, :s].transpose(0, 2, 1), a)
+        assert np.array_equal(stacked, np.array([K[:s].T.dot(a) for K in Ks])), s
+    assert np.array_equal(np.matmul(_D, Ks), np.array([_D.dot(K) for K in Ks]))
 
 
 BLOCK_SCIPY = """
