@@ -83,7 +83,7 @@ def jacobi(states, params: BallParams | VeselovaParams) -> tuple[dict, bool]:
     # say) is refused at the first overflow, before any value is reported
     with np.errstate(over="raise", invalid="raise"):
         try:
-            vals = core.jacobiator(lambda x: sphere.assemble_P(system, x), states)
+            vals = core.jacobiator(lambda x: sphere.assemble_P(system, x), states, affine=3)
         except FloatingPointError:
             named = ", ".join(f"{f.name} = {np.asarray(getattr(params, f.name)).tolist()}"
                               for f in fields(params) if f.name != "U")
@@ -95,7 +95,7 @@ def jacobi(states, params: BallParams | VeselovaParams) -> tuple[dict, bool]:
 
 def negative_control(states) -> tuple[dict, bool]:
     P = sphere.bivector_field(g=ScalarField.constant(1.0), K=ball_K(BallParams(**DEMO_BALL)))
-    vals = core.jacobiator(P, states)
+    vals = core.jacobiator(P, states, affine=3)
     frac = float(np.mean(vals > NEGATIVE_GATE))
     ok = frac >= NEGATIVE_FRACTION
     if not ok:

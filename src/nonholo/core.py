@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -97,11 +97,13 @@ def skew_defect(P: Array) -> float:
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
-# One step rule (_steps) and one point layout (_stencil) serve every caller:
+# One step rule (_steps) serves every caller:
 # - the field fallbacks: fd_jacobian (fd_gradient for a scalar function) at
 #   FD_STEP with one Richardson level, exact to round-off on cubics.  It runs
 #   only at a leaf, since a field built by the algebra carries its derivative
-#   by the product rule, and a curl is always read off a Jacobian (_curl_of);
+#   by the product rule, and a curl is always read off a Jacobian (_curl_of).
+#   A leaf keeps its latest (points, derivative) pair, so the product rule,
+#   which reads a leaf several times at the same points, differences it once;
 # - the test oracles of the reduction, 1e-4 with one Richardson level.  The
 #   Cartesian curl that the residual (spherical._ring_curl, differences
 #   along theta and phi) is held against reads 8.8e-12 at ball L = 32, where
@@ -113,6 +115,9 @@ def skew_defect(P: Array) -> float:
 # - the jacobiator: plain central at FD_STEP, as is the benchmark's oracle,
 #   which fails a checks maximum more than 10x below its own; a Richardson
 #   jacobiator (3.6e-11 against 8.8e-10 at the demo ball) would likely trip it.
+#   Along the coordinates in which the caller says P is affine (M, for every
+#   sphere bracket) one forward step of max(1, |x|) is exact up to
+#   round-off: a sphere bracket's stencil has 10 points instead of 13.
 
 def _steps(x: Array, step: float | None = None) -> Array:
     """Per-point steps (..., 1): step (FD_STEP) times the norm, at least 1."""
@@ -170,15 +175,19 @@ def fd_curl(fn: Callable[[Array], Array], point, step: float | None = None) -> A
     return _curl_of(fd_jacobian(fn, point, step))
 
 
-# States per jacobiator block, each holding its 2n+1 stencil matrices and
-# n^3 derivatives.  At 32 the three `check jacobi` suites at -n 1000 raise
-# peak RSS by 1.1 MB, against 14 MB with all 1000 states in one block, in
-# the same wall time (2-vCPU Xeon VM).  Spectral synthesis sizes its own
+# States per jacobiator block.  A block holds, per state, the 10 stencil
+# points of a sphere bracket (13 with no affine coordinates) and their P,
+# and the n^3 arrays dP, T and the cyclic sum: at 64 states and n = 6 that
+# is 0.18 MB of P and 0.11 MB per n^3 array.  A `check jacobi --model ball`
+# suite at -n 1000 peaks at 0.37 MB of numpy allocations at 32, 0.67 MB at
+# 64, 1.27 MB at 128 and 9.4 MB with all 1000 states in one block; the
+# three jacobi suites take 31, 24 and 33 ms at 32, 64 and 128 (medians of
+# 40 interleaved runs, 2-vCPU Xeon VM).  Spectral synthesis sizes its own
 # blocks by table entries (spherical.BLOCK_ENTRIES).
-CHUNK = 32
+CHUNK = 64
 
 
-def jacobiator(P: Callable[[Array], Array], x):
+def jacobiator(P: Callable[[Array], Array], x, affine: int = 0):
     """Largest component of the Jacobi-identity obstruction of a bivector
     field, one value per state.
 
@@ -190,22 +199,48 @@ def jacobiator(P: Callable[[Array], Array], x):
     block of ``CHUNK`` states, on each state and its stencil.  ``x`` is one
     state of shape (n,), which gives a float, or a stack of shape (..., n),
     which gives shape (...).
+
+    ``affine`` is the number of leading coordinates in which P is affine,
+    a contract the caller must honour: along each of them one forward step
+    of max(1, |x|) gives the derivative exactly, up to round-off, in place
+    of a central pair.  The other coordinates are differenced centrally at
+    ``FD_STEP``.
     """
     x = np.asarray(x, float)
     flat = x.reshape(-1, x.shape[-1])
-    vals = np.concatenate([_jacobi_block(P, flat[k:k + CHUNK])
+    vals = np.concatenate([_jacobi_block(P, flat[k:k + CHUNK], affine)
                            for k in range(0, flat.shape[0], CHUNK)])
     return point_values(vals.reshape(x.shape[:-1]), x)
 
 
-def _jacobi_block(P, x: Array) -> Array:
+def _bracket_derivatives(P, x: Array, affine: int) -> tuple[Array, Array]:
+    """P at states of shape (b, n), shape (b, n, n), and its derivatives
+    dP[l, b, i, j] = d_l P[i, j], shape (n, b, n, n): a forward step along
+    each of the first ``affine`` coordinates, a central pair along the rest."""
+    b, n = x.shape
+    h, h_affine = _steps(x), _steps(x, 1.0)
+    # [0] the states, [1 + l] a forward step along l, [1 + n + l - affine]
+    # a backward step along each central l
+    X = np.empty((1 + 2 * n - affine, b, n))
+    X[...] = x
+    for l in range(n):
+        X[1 + l, :, l] += (h_affine if l < affine else h)[:, 0]
+        if l >= affine:
+            X[1 + n + l - affine, :, l] -= h[:, 0]
+    PX = np.broadcast_to(np.asarray(P(X), float), X.shape + (n,))
+    dP = np.empty((n, b, n, n))
+    dP[:affine] = (PX[1:1 + affine] - PX[0]) / h_affine[..., None]
+    dP[affine:] = (PX[1 + affine:1 + n] - PX[1 + n:]) / (2.0 * h[..., None])
+    return PX[0], dP
+
+
+def _jacobi_block(P, x: Array, affine: int) -> Array:
     """The jacobiator of states of shape (b, n), shape (b,)."""
     b, n = x.shape
-    h = _steps(x)
-    X = np.concatenate([x[None], _stencil(x, h).reshape(2 * n, b, n)])
-    PX = np.broadcast_to(np.asarray(P(X), float), (2 * n + 1, b, n, n))
-    dP = (PX[1:n + 1] - PX[n + 1:]) / (2.0 * h[..., None])  # [l, b, i, j] = d_l P[i, j]
-    T = np.einsum("bli,lbjk->bijk", PX[0], dP)
+    P0, dP = _bracket_derivatives(P, x, affine)
+    # T[b, i, jk] = sum_l P[b, l, i] dP[l, b, jk]: one gemm per state, so a
+    # state's value is bitwise the same in any block
+    T = np.matmul(P0.transpose(0, 2, 1), dP.reshape(n, b, n * n).transpose(1, 0, 2)).reshape(b, n, n, n)
     J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
     return np.max(np.abs(J), axis=(1, 2, 3))
 
@@ -272,6 +307,20 @@ def _fit(v, shape) -> Array:
     return v if v.shape == shape else np.broadcast_to(v, shape)
 
 
+def _leaf_derivative(leaf, x: Array, fd: Callable) -> Array:
+    """``fd(leaf, x)`` for a field made without its derivative, differenced
+    once per point set: the leaf keeps its latest (points, derivative) pair,
+    which the product rule reads several times at the same points."""
+    last = leaf._last
+    if "x" not in last or not np.array_equal(last["x"], x):
+        # a copy, which a caller moving its points in place cannot change;
+        # the derivative is read-only, so that no caller can change it
+        d = fd(leaf, x)
+        d.flags.writeable = False
+        last.update(x=x.copy(), d=d)
+    return last["d"]
+
+
 def point_values(v, x):
     """Per-point scalar results at points x of shape (..., n) as an array
     of shape (...), a constant broadcast; a float for one point."""
@@ -288,13 +337,15 @@ class ScalarField:
     components of a point as ``x[..., i]``, and a result that does not depend
     on the point may be a constant.  Calling the field on one point of shape
     (n,) gives a float.  A field made without a gradient falls back to
-    ``fd_gradient`` of itself; products and reciprocals carry theirs by the
-    product and quotient rules.  The point's dimension is not fixed; the same
-    type serves fields of gamma on R^3 and fields of q on R^2.
+    ``fd_gradient`` of itself, differenced once per point set (it keeps its
+    latest points and gradient); products and reciprocals carry theirs by
+    the product and quotient rules.  The point's dimension is not fixed; the
+    same type serves fields of gamma on R^3 and fields of q on R^2.
     """
 
     fn: Callable[[Array], Array]
     grad: Callable[[Array], Array] | None = None
+    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, point):
         x = np.asarray(point, float)
@@ -303,7 +354,7 @@ class ScalarField:
     def gradient(self, point) -> Array:
         x = np.asarray(point, float)
         if self.grad is None:
-            return fd_gradient(self, x)
+            return _leaf_derivative(self, x, fd_gradient)
         return _fit(self.grad(x), x.shape)
 
     @staticmethod
@@ -331,13 +382,14 @@ class VectorField3:
     one constant 3-vector; one point of shape (3,) gives one 3-vector.
     ``jacobian`` maps them to matrices J[..., i, j] = d fn_i / d x_j of shape
     (..., 3, 3), or to one constant matrix.  A field made without a Jacobian
-    falls back to ``fd_jacobian`` of itself, as ``ScalarField.gradient``
-    does; sums and scalings carry it by the product rule.  The curl is the
-    antisymmetric part of the Jacobian.
+    falls back to ``fd_jacobian`` of itself, once per point set, as
+    ``ScalarField.gradient`` does; sums and scalings carry it by the product
+    rule.  The curl is the antisymmetric part of the Jacobian.
     """
 
     fn: Callable[[Array], Array]
     jacobian: Callable[[Array], Array] | None = None
+    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, point) -> Array:
         x = np.asarray(point, float)
@@ -350,7 +402,7 @@ class VectorField3:
         x = np.asarray(point, float)
         if self.jacobian is not None:
             return _fit(self.jacobian(x), x.shape + (3,))
-        return fd_jacobian(self, x)
+        return _leaf_derivative(self, x, fd_jacobian)
 
     @staticmethod
     def zero() -> "VectorField3":

@@ -84,12 +84,13 @@ class GFParams:
     k: Array = field(default_factory=lambda: np.zeros(3))
 
 
-def k_from_gf(g: ScalarField, f: ScalarField, gamma) -> Array:
+def k_from_gf(g: ScalarField, f: ScalarField, gamma, g_val=None) -> Array:
     """The S-vector of (g, f), K = (f*gamma - dg/dgamma) / g over the last
     axis of gamma: exactly the one-parameter family of solutions of the
-    invariant-measure equation for density rho = 1/g."""
+    invariant-measure equation for density rho = 1/g.  ``g_val`` is g at
+    gamma, where the caller has it already."""
     gamma = np.asarray(gamma, float)
-    gv = g(gamma)
+    gv = g(gamma) if g_val is None else g_val
     if any_point(gv <= 0.0):
         raise DomainError(f"g(gamma) = {np.min(gv):.3e} is not positive")
     return (lift(f(gamma)) * gamma - g.gradient(gamma)) / lift(gv)
@@ -140,10 +141,12 @@ class IntegralValues:
     extras: dict[str, float | Array]
 
 
-def _s_term(p: GFParams, M: Array, gamma: Array) -> Array:
-    """S = (K, M) + Phi/g over the last axis, with K = k_from_gf(g, f)."""
-    s = np.vecdot(k_from_gf(p.g, p.f, gamma), M)
-    return s if p.phi is None else s + p.phi(gamma) / p.g(gamma)
+def _s_term(p: GFParams, M: Array, gamma: Array, g_val=None) -> Array:
+    """S = (K, M) + Phi/g over the last axis, with K = k_from_gf(g, f);
+    ``g_val`` is g at gamma, where the caller has it already."""
+    g_val = p.g(gamma) if g_val is None else g_val
+    s = np.vecdot(k_from_gf(p.g, p.f, gamma, g_val), M)
+    return s if p.phi is None else s + p.phi(gamma) / g_val
 
 
 def s_value(sys: SphereSystem, x):
@@ -156,9 +159,14 @@ def rhs(sys: SphereSystem, x) -> Array:
     """Right-hand side of the equations of motion, from the generic data:
     the reference against which a closed-form ``flow`` is tested."""
     M, gamma = unpack(x)
-    hm, hg = unpack(sys.grad_H(M, gamma))
-    S = lift(s_value(sys, x))
-    Mdot = np.cross(M + sys.s_spec.k - S * gamma, hm) + np.cross(gamma, hg)
+    return _cross_form(M, gamma, sys.grad_H(M, gamma), s_value(sys, x), sys.s_spec.k)
+
+
+def _cross_form(M: Array, gamma: Array, grad_H, S, k: Array) -> Array:
+    """The flow (M + k - S gamma) x dH/dM + gamma x dH/dgamma, gamma x dH/dM
+    from grad H packed as the state is and S of shape (...)."""
+    hm, hg = unpack(grad_H)
+    Mdot = np.cross(M + k - lift(S) * gamma, hm) + np.cross(gamma, hg)
     gdot = np.cross(gamma, hm)
     return pack(Mdot, gdot)
 
@@ -194,16 +202,28 @@ def measure_residual(K: VectorField3, x, rho: ScalarField) -> Array:
 # bivector assembly
 # ---------------------------------------------------------------------------
 
+def _pgf_select() -> Array:
+    """The signed selection matrix (6, 36) that takes (a, g gamma) to a
+    bracket matrix, flattened: hat(a) upper left, with a = g (M + k) -
+    g S gamma, and hat(g gamma) in the two off-diagonal blocks.  Each entry
+    is +-1 times one value plus zeros, which is exact, as in ``hat``."""
+    select = np.zeros((6, 6, 6))
+    select[:3, :3, :3] = select[3:, :3, 3:] = select[3:, 3:, :3] = hat(np.eye(3))   # [j] = hat(e_j)
+    return select.reshape(6, 36)
+
+
+_PGF_SELECT = _pgf_select()
+
+
 def _pgf_matrix(M: Array, gamma: Array, g_val, S_val, k: Array) -> Array:
     """The 6x6 bracket matrices of states stacked over the last axis of M
-    and gamma, shape (..., 6, 6), with g and S of shape (...)."""
-    g_val, S_val = lift(g_val, 2), lift(S_val, 2)
-    G = hat(gamma)
-    P = np.zeros(G.shape[:-2] + (6, 6))
-    P[..., :3, :3] = g_val * hat(M + k) - g_val * S_val * G
-    P[..., :3, 3:] = g_val * G
-    P[..., 3:, :3] = g_val * G
-    return P
+    and gamma, shape (..., 6, 6), with g and S of shape (...): the 6 values
+    (a, g gamma) per state times ``_PGF_SELECT``."""
+    g_val = lift(g_val)
+    V = np.empty(np.shape(gamma)[:-1] + (6,))
+    V[..., :3] = g_val * (M + k) - g_val * lift(S_val) * gamma
+    V[..., 3:] = g_val * gamma
+    return (V @ _PGF_SELECT).reshape(V.shape[:-1] + (6, 6))
 
 
 def e3_bivector(x) -> Array:
@@ -229,7 +249,8 @@ def gf_bivector(p: GFParams) -> Callable[[Array], Array]:
     of shape (..., 6) and matrices of shape (..., 6, 6)."""
     def P(x):
         M, gamma = unpack(x)
-        return _pgf_matrix(M, gamma, p.g(gamma), _s_term(p, M, gamma), p.k)
+        g = p.g(gamma)
+        return _pgf_matrix(M, gamma, g, _s_term(p, M, gamma, g), p.k)
 
     return P
 
@@ -241,9 +262,12 @@ def assemble_P(sys: SphereSystem, x) -> Array:
 
 def conformal_residual(sys: SphereSystem, x):
     """Sup-norm of rhs(x) - (1/g) P(x) grad H(x) per state; zero for
-    admissible systems."""
+    admissible systems.  The two sides share one grad H, one g and one S."""
+    p = sys.s_spec
     M, gamma = unpack(x)
     gradH = np.asarray(sys.grad_H(M, gamma), float)
-    bracket = (assemble_P(sys, x) @ gradH[..., None])[..., 0] / lift(sys.s_spec.g(gamma))
-    return point_values(np.max(np.abs(rhs(sys, x) - bracket), axis=-1), x)
+    g = p.g(gamma)
+    S = _s_term(p, M, gamma, g)
+    bracket = (_pgf_matrix(M, gamma, g, S, p.k) @ gradH[..., None])[..., 0] / lift(g)
+    return point_values(np.max(np.abs(_cross_form(M, gamma, gradH, S, p.k) - bracket), axis=-1), x)
 

@@ -673,11 +673,11 @@ def _one_state_bodies(states, probes):
     for argv, sysm in ((["--model", "ball"], ball_system(ball)),
                        (["--model", "veselova", "--gyrostat", "0,0,0.1"],
                         veselova_system(VeselovaParams(Ahat=ves.Ahat, k=k)))):
-        worst = max(jacobiator(lambda x: assemble_P(sysm, x), x) for x in states)
+        worst = max(jacobiator(lambda x: assemble_P(sysm, x), x, affine=3) for x in states)
         bodies[("jacobi", *argv)] = {"suite": "jacobi", "model": sysm.name, "max": worst,
                                      "threshold": 1e-6, "pass": True}
     P = bivector_field(g=ScalarField.constant(1.0), K=ball_K(ball))
-    vals = [jacobiator(P, x) for x in states]
+    vals = [jacobiator(P, x, affine=3) for x in states]
     frac = float(np.mean([v > 1e-3 for v in vals]))
     bodies[("jacobi", "--negative-control")] = {
         "suite": "jacobi-negative-control", "max": max(vals), "min": min(vals),
@@ -761,6 +761,17 @@ class TestStackedSuites:
         assert run(argv + ["-n", "1000"]) == 0
         assert 1 <= len(calls) <= models
 
+    def test_gauge_differences_each_leaf_once(self, workdir, capsys, monkeypatch):
+        # the suite's 5 leaves have no analytic derivatives, and the product
+        # rule reads each at the same points several times: 13 differences
+        # if a leaf did not keep its latest derivative
+        received = []
+        for name in ("fd_gradient", "fd_jacobian"):
+            monkeypatch.setattr(core, name, lambda fn, *a, _fd=getattr(core, name), **k:
+                                received.append(fn) or _fd(fn, *a, **k))
+        assert run(["check", "gauge", "-n", "1000"]) == 0
+        assert len(received) == 5 and len({id(fn) for fn in received}) == 5
+
     def test_reports_equal_one_state_calls(self, workdir, capsys):
         bodies = _one_state_bodies(*_one_state_draws(7, 200))
         for argv, body in bodies.items():
@@ -770,7 +781,7 @@ class TestStackedSuites:
 
     def test_failed_gate_names_the_worst_state(self, workdir, capsys, monkeypatch):
         monkeypatch.setattr(core, "jacobiator",
-                            lambda P, X: np.where(np.arange(len(X)) == 17, 0.25, 1e-12))
+                            lambda P, X, affine=0: np.where(np.arange(len(X)) == 17, 0.25, 1e-12))
         assert run(["check", "jacobi", "--model", "ball", "-n", "50", "--seed", "3"]) == 4
         captured = capsys.readouterr()
         out = json.loads(captured.out)
@@ -784,7 +795,7 @@ class TestStackedSuites:
         # 40 of 50 states violate Jacobi, below the 90 % the control needs
         vals = np.where(np.arange(50) < 10, 1e-6, 1.0)
         vals[7] = 1e-9
-        monkeypatch.setattr(core, "jacobiator", lambda P, X: vals)
+        monkeypatch.setattr(core, "jacobiator", lambda P, X, affine=0: vals)
         assert run(["check", "jacobi", "--negative-control", "-n", "50", "--seed", "3"]) == 4
         captured = capsys.readouterr()
         out = json.loads(captured.out)

@@ -5,22 +5,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonholo import (
+    BallParams,
     DomainError,
     ScalarField,
     VectorField3,
+    assemble_P,
+    ball_K,
+    bivector_field,
     e3_bivector,
     fd_curl,
     fd_gradient,
     fd_jacobian,
     hat,
     jacobiator,
+    k_from_gf,
     skew_defect,
     vector,
 )
 
 import nonholo.core as core
+from nonholo.core import lift
+from nonholo.sphere import random_states
 
-from conftest import rand_state
+from conftest import SYSTEMS, rand_state
 
 finite3 = st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=3)
 
@@ -132,6 +139,41 @@ class TestJacobiator:
         P = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
         assert jacobiator(lambda z: P, rng.standard_normal(4)) <= 1e-12
 
+    @pytest.mark.parametrize("name", sorted(SYSTEMS) + ["negative control"])
+    def test_one_sided_steps_along_M_agree_with_central(self, rng, name):
+        # every sphere bracket is affine in M; the negative control breaks
+        # Jacobi by O(1e-2) and must read the same either way
+        P = (bivector_field(g=ScalarField.constant(1.0), K=ball_K(BallParams(A=(0.4, 0.5, 0.6), D=1.0)))
+             if name == "negative control" else lambda x: assemble_P(SYSTEMS[name], x))
+        X = random_states(rng, 50) * np.r_[3.0, 3.0, 3.0, 1.0, 1.0, 1.0]
+        central, affine = jacobiator(P, X), jacobiator(P, X, affine=3)
+        np.testing.assert_allclose(affine, central, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_M_derivative_is_the_closed_form(self, rng, name):
+        # d P / d M_l = g (hat(e_l) - K_l hat(gamma)) in the upper-left block
+        # and 0 elsewhere, read by one forward step to round-off
+        sysm = SYSTEMS[name]
+        X = random_states(rng, 50) * np.r_[3.0, 3.0, 3.0, 1.0, 1.0, 1.0]
+        _, dP = core._bracket_derivatives(lambda x: assemble_P(sysm, x), X, 3)
+        gamma = X[:, 3:]
+        g, K = sysm.s_spec.g(gamma), k_from_gf(sysm.s_spec.g, sysm.s_spec.f, gamma)
+        exact = np.zeros((3, 50, 6, 6))
+        for l in range(3):
+            exact[l, :, :3, :3] = lift(g, 2) * (hat(np.eye(3)[l]) - lift(K[:, l], 2) * hat(gamma))
+        np.testing.assert_allclose(dP[:3], exact, rtol=0, atol=2e-15)
+
+    def test_affine_is_a_contract_of_the_caller(self, rng):
+        # hat(grad C) is Poisson for every C; for C = x1^2 x3 + x2^2 x1 it is
+        # quadratic, and a forward step along x reads an O(1) violation
+        def P(x):
+            return hat(vector(2 * x[..., 0] * x[..., 2] + x[..., 1] ** 2, 2 * x[..., 0] * x[..., 1],
+                              x[..., 0] ** 2))
+
+        X = rng.standard_normal((20, 3))
+        assert np.max(jacobiator(P, X)) <= 1e-9
+        assert np.max(jacobiator(P, X, affine=3)) >= 0.1
+
 
 class TestFields:
     def test_scalar_product_gradient(self, rng):
@@ -203,10 +245,14 @@ class TestDerivativeRule:
     product and quotient rules over its factors'; the finite-difference
     fallbacks only ever see a leaf made without one."""
 
-    a = ScalarField(lambda g: 1.0 + g[..., 0] ** 2, grad=lambda g: vector(2 * g[..., 0], 0, 0))
-    b = ScalarField(lambda g: np.sin(g[..., 1]) + 2.0 * g[..., 2])
-    h = VectorField3(lambda g: vector(g[..., 1], -g[..., 2] ** 2, g[..., 0] * g[..., 1]))
-    k = VectorField3(lambda g: vector(g[..., 2] ** 2, g[..., 0], -g[..., 1] * g[..., 2]), jacobian=_k_jacobian)
+    def setup_method(self):
+        # new leaves per test: a leaf keeps its latest derivative, and the
+        # cases draw the same points
+        self.a = ScalarField(lambda g: 1.0 + g[..., 0] ** 2, grad=lambda g: vector(2 * g[..., 0], 0, 0))
+        self.b = ScalarField(lambda g: np.sin(g[..., 1]) + 2.0 * g[..., 2])
+        self.h = VectorField3(lambda g: vector(g[..., 1], -g[..., 2] ** 2, g[..., 0] * g[..., 1]))
+        self.k = VectorField3(lambda g: vector(g[..., 2] ** 2, g[..., 0], -g[..., 1] * g[..., 2]),
+                              jacobian=_k_jacobian)
 
     @pytest.mark.parametrize("build", [lambda a, b: a * b, lambda a, b: b * a, lambda a, b: 2.5 * b,
                                        lambda a, b: b.reciprocal()],
@@ -245,8 +291,42 @@ class TestDerivativeRule:
         np.testing.assert_allclose(field.jacobian_at(x[0]), J[0], atol=1e-15)
 
 
+class TestLeafDerivative:
+    """A leaf made without its derivative differences once per point set."""
+
+    @pytest.mark.parametrize("make, derivative, name", [
+        (lambda: ScalarField(lambda g: np.sin(g[..., 1]) + 2.0 * g[..., 2]), "gradient", "fd_gradient"),
+        (lambda: VectorField3(lambda g: vector(g[..., 1], -g[..., 2] ** 2, g[..., 0] * g[..., 1])),
+         "jacobian_at", "fd_jacobian"),
+    ], ids=["scalar", "vector"])
+    def test_differences_again_only_at_other_points(self, monkeypatch, rng, make, derivative, name):
+        leaf = make()
+        received = _recording(monkeypatch, name)
+        x = rng.standard_normal((5, 3))
+        first = getattr(leaf, derivative)(x)
+        np.testing.assert_array_equal(getattr(leaf, derivative)(x.copy()), first)
+        assert len(received) == 1
+        # new points
+        y = rng.standard_normal((5, 3))
+        np.testing.assert_array_equal(getattr(leaf, derivative)(y), fd_jacobian(leaf, y))
+        assert len(received) == 2
+        # the caller's array, changed in place after the call
+        y[2] += 0.5
+        np.testing.assert_array_equal(getattr(leaf, derivative)(y), fd_jacobian(leaf, y))
+        assert len(received) == 3
+        # one point of the first set
+        np.testing.assert_array_equal(getattr(leaf, derivative)(x[0]), fd_jacobian(leaf, x[0]))
+        assert len(received) == 4
+
+    def test_kept_derivative_is_read_only(self, rng):
+        leaf = ScalarField(lambda g: g[..., 0] * g[..., 1])
+        grad = leaf.gradient(rng.standard_normal((5, 3)))
+        with pytest.raises(ValueError):
+            grad *= 2.0
+
+
 def test_every_assembled_bivector_is_exactly_skew(rng):
-    from nonholo import BallParams, assemble_P, ball_system
+    from nonholo import ball_system
     sys = ball_system(BallParams(A=(0.4, 0.5, 0.6), D=1.0))
     for _ in range(20):
         assert skew_defect(assemble_P(sys, rand_state(rng))) == 0.0

@@ -300,9 +300,9 @@ def test_analytic_gradients_match_fd(rng):
             assert gradient_consistency(sys, rand_state(rng)) <= 1e-6
 
 
-def test_one_kernel_call_per_rhs_and_two_per_conformal_residual(monkeypatch, rng):
+def test_one_kernel_call_per_rhs_and_per_conformal_residual(monkeypatch, rng):
     # grad H is one object: rhs evaluates the model's component kernel once
-    # for it, and conformal_residual once more beside rhs
+    # for it, and conformal_residual once for both of its sides
     calls, kernel = [], models._ball_kernel
 
     def counted(p):
@@ -314,4 +314,4 @@ def test_one_kernel_call_per_rhs_and_two_per_conformal_residual(monkeypatch, rng
     rhs(sys, X)
     assert len(calls) == 1
     conformal_residual(sys, X)
-    assert len(calls) == 3
+    assert len(calls) == 2

@@ -347,13 +347,17 @@ def test_measure_residual_stack_matches_points(rng):
 def test_jacobiator_blocks_match_points(name, rng):
     P = (BIVECTORS["ball (g, K)"] if name == "negative control"
          else lambda x: assemble_P(SYSTEMS[name], x))
-    X = _states(rng, 70)
+    n = 2 * CHUNK + 6
+    X = _states(rng, n)
     assert X.shape[0] > 2 * CHUNK and X.shape[0] % CHUNK
-    assert isinstance(jacobiator(P, X[0]), float)
-    vals = jacobiator(P, X)
-    assert vals.shape == (70,)
-    _same_rows(vals, lambda x: jacobiator(P, x), X)
-    np.testing.assert_array_equal(jacobiator(P, X.reshape(2, 35, 6)), vals.reshape(2, 35))
+    # the sphere brackets are affine in M: central steps, and one forward
+    # step along each of M's coordinates
+    for affine in (0, 3):
+        assert isinstance(jacobiator(P, X[0], affine), float)
+        vals = jacobiator(P, X, affine)
+        assert vals.shape == (n,)
+        _same_rows(vals, lambda x: jacobiator(P, x, affine), X, bitwise=True)
+        np.testing.assert_array_equal(jacobiator(P, X.reshape(2, n // 2, 6), affine), vals.reshape(2, n // 2))
 
 
 def test_synthesis_blocks_match_points(rng):
