@@ -10,8 +10,10 @@ moved.  The invocations run against whichever ``nonholo`` is imported, so
 ``PYTHONPATH=<checkout>/src`` snapshots an older checkout too.
 
 The golden in tests/golden holds every .out, .err and .exit file, one
-SHA-256 per CSV (csv.sha256) and the numpy version it was written with
-(numpy.txt); the test suite compares a fresh snapshot with it (``mismatch``).
+SHA-256 per CSV (csv.sha256) and the host it was written on (host.txt): the
+numpy version, the OpenBLAS kernel and the numpy SIMD targets in use, on
+which the bits depend besides the code.  The test suite compares a fresh
+snapshot with it (``mismatch``).
 ``--update`` rewrites the golden from a fresh snapshot, so an output that
 moves on purpose shows as a git diff.
 
@@ -19,6 +21,7 @@ Usage: python scripts/cli_snapshot.py OUTDIR | --update
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -27,10 +30,12 @@ from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from nonholo.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+HOST = "host.txt"
 TEXTS = (".out", ".err", ".exit")
 
 INVOCATIONS = {
@@ -154,6 +159,21 @@ def _csv_hashes(outdir: Path) -> str:
                    for path in sorted(outdir.glob("*.csv")))
 
 
+def host() -> dict[str, str]:
+    """This process's numpy version, the kernel that numpy's bundled
+    OpenBLAS picked at load time ("unknown" without that library) and the
+    numpy SIMD dispatch targets in use."""
+    try:
+        lib = next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except (StopIteration, OSError, AttributeError):
+        core = "unknown"
+    return {"numpy": np.__version__, "BLAS core": core,
+            "SIMD targets": " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))}
+
+
 def update(golden: Path = GOLDEN) -> dict[str, int]:
     """Rewrite the golden from a fresh snapshot: its text files as they are,
     its CSVs as their hashes."""
@@ -164,18 +184,19 @@ def update(golden: Path = GOLDEN) -> dict[str, int]:
     (golden / "csv.sha256").write_text(_csv_hashes(golden))
     for path in golden.glob("*.csv"):
         path.unlink()
-    (golden / "numpy.txt").write_text(f"{np.__version__}\n")
+    (golden / HOST).write_text("".join(f"{field}: {value}\n" for field, value in host().items()))
     return codes
 
 
 def mismatch(outdir: Path, golden: Path = GOLDEN) -> str | None:
-    """Where a snapshot in ``outdir`` first differs from the golden: the
-    numpy version, a missing or extra file, the first differing line of a
+    """Where a snapshot in ``outdir`` first differs from the golden: a field
+    of the host, a missing or extra file, the first differing line of a
     text file, or the first differing CSV hash; None when they agree byte
     for byte."""
-    version = (golden / "numpy.txt").read_text().strip()
-    if version != np.__version__:
-        return f"the golden was written with numpy {version}, this run has {np.__version__}"
+    written = dict(line.split(": ", 1) for line in (golden / HOST).read_text().splitlines())
+    for field, value in host().items():
+        if written.get(field) != value:
+            return f"the golden was written with {field} {written.get(field)}, this run has {field} {value}"
     names = {path.name for path in outdir.iterdir() if path.suffix in TEXTS}
     expected = {path.name for path in golden.iterdir() if path.suffix in TEXTS}
     if names != expected:

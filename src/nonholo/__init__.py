@@ -22,7 +22,6 @@ from .core import (
     hat,
     jacobiator,
     pack,
-    skew_defect,
     unpack,
     vector,
 )
@@ -31,13 +30,11 @@ from .gauge import (
     apply_gauge_state,
     compose,
     curl_target_F,
-    identity_gauge,
     inverse,
     pushforward_bivector,
     pushforward_params,
     reduce_to_e3,
     reduction_report,
-    zero_level_reduce,
     zero_level_transform,
 )
 from .integrate import (
@@ -55,14 +52,12 @@ from .models import (
     VeselovaParams,
     ball_K,
     ball_M_from_omega,
-    ball_omega_from_M,
     ball_system,
     duality_map,
     linear_potential,
     quadratic_potential,
     veselova_K,
     veselova_M_from_omega,
-    veselova_omega_from_M,
     veselova_system,
 )
 from .sphere import (

@@ -54,7 +54,6 @@ class StiffnessError(ToleranceFailure):
 UNIT_GAMMA = 1e-9      # |gamma^2 - 1| accepted for on-sphere states
 FD_STEP = 1e-5         # base finite-difference step, scaled by |x|
 MEASURE_GATE = 1e-8    # admissibility gate for conformal forms
-ZERO_LEVEL = 1e-12     # |(M, gamma)| accepted as the zero level
 
 
 def pack(M, gamma) -> Array:
@@ -87,11 +86,6 @@ def hat(v) -> Array:
     """
     v = np.asarray(v, float)
     return (v @ _HAT).reshape(v.shape[:-1] + (3, 3))
-
-
-def skew_defect(P: Array) -> float:
-    """Largest entry of P + P^T; zero for an exactly skew matrix."""
-    return float(np.max(np.abs(P + P.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +202,9 @@ def jacobiator(P: Callable[[Array], Array], x, affine: int = 0):
     """
     x = np.asarray(x, float)
     flat = x.reshape(-1, x.shape[-1])
-    vals = np.concatenate([_jacobi_block(P, flat[k:k + CHUNK], affine)
-                           for k in range(0, flat.shape[0], CHUNK)])
+    vals = np.empty(flat.shape[0])
+    for k in range(0, flat.shape[0], CHUNK):
+        vals[k:k + CHUNK] = _jacobi_block(P, flat[k:k + CHUNK], affine)
     return point_values(vals.reshape(x.shape[:-1]), x)
 
 
@@ -307,18 +302,15 @@ def _fit(v, shape) -> Array:
     return v if v.shape == shape else np.broadcast_to(v, shape)
 
 
-def _leaf_derivative(leaf, x: Array, fd: Callable) -> Array:
-    """``fd(leaf, x)`` for a field made without its derivative, differenced
-    once per point set: the leaf keeps its latest (points, derivative) pair,
-    which the product rule reads several times at the same points."""
-    last = leaf._last
+def latest(last: dict, x: Array, compute: Callable[[Array], Array]) -> Array:
+    """``compute(x)``, read-only, and computed again only at other points
+    than those of the copy kept in ``last`` with it: a caller moving its
+    points in place cannot change the copy, nor any caller the result."""
     if "x" not in last or not np.array_equal(last["x"], x):
-        # a copy, which a caller moving its points in place cannot change;
-        # the derivative is read-only, so that no caller can change it
-        d = fd(leaf, x)
-        d.flags.writeable = False
-        last.update(x=x.copy(), d=d)
-    return last["d"]
+        v = compute(x)
+        v.flags.writeable = False
+        last.update(x=x.copy(), v=v)
+    return last["v"]
 
 
 def point_values(v, x):
@@ -354,7 +346,7 @@ class ScalarField:
     def gradient(self, point) -> Array:
         x = np.asarray(point, float)
         if self.grad is None:
-            return _leaf_derivative(self, x, fd_gradient)
+            return latest(self._last, x, lambda x: fd_gradient(self, x))
         return _fit(self.grad(x), x.shape)
 
     @staticmethod
@@ -402,7 +394,7 @@ class VectorField3:
         x = np.asarray(point, float)
         if self.jacobian is not None:
             return _fit(self.jacobian(x), x.shape + (3,))
-        return _leaf_derivative(self, x, fd_jacobian)
+        return latest(self._last, x, lambda x: fd_jacobian(self, x))
 
     @staticmethod
     def zero() -> "VectorField3":

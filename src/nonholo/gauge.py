@@ -47,11 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ZERO_LEVEL,
     DomainError,
     ScalarField,
     VectorField3,
-    any_point,
     hat,
     lift,
     pack,
@@ -76,10 +74,6 @@ class GaugeTransform:
     def __post_init__(self):
         if self.c == 0.0:
             raise DomainError("the normal dilation c must be nonzero")
-
-
-def identity_gauge() -> GaugeTransform:
-    return GaugeTransform(ScalarField.constant(1.0), 1.0, VectorField3.zero())
 
 
 def compose(t2: GaugeTransform, t1: GaugeTransform) -> GaugeTransform:
@@ -198,18 +192,6 @@ def zero_level_transform(g: ScalarField) -> GaugeTransform:
     of e (x) d(M, gamma), which every bracket of the family annihilates,
     (M, gamma) being a Casimir: on the zero level both congruences agree."""
     return GaugeTransform(g.reciprocal(), 1.0, VectorField3.zero())
-
-
-def zero_level_reduce(g: ScalarField, x) -> Array:
-    """On (M, gamma) = 0 the rescaling M -> M / g(gamma) already lands on the
-    e(3) bracket; this returns the rescaled states, over the last axis.  The
-    bracket P moves to pushforward_bivector(zero_level_transform(g), P, x)."""
-    M, gamma = unpack(x)
-    require_unit_gamma(gamma)
-    level = np.abs(np.vecdot(M, gamma))
-    if any_point(level > ZERO_LEVEL):
-        raise DomainError(f"state is off the zero level: |(M, gamma)| = {np.max(level):.3e}")
-    return apply_gauge_state(zero_level_transform(g), x)
 
 
 # ---------------------------------------------------------------------------

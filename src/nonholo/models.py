@@ -34,7 +34,7 @@ The same sums run on the Python floats of one state and on component
 arrays over the last axis: for the closed-form ``flow`` and
 ``rescaled_flow`` (g flow and g from one kernel pass) that the integrators
 call on one state and on stacks, and for the stacked H-gradient, H, the
-g/f/Phi fields, the S-vector K and omega(M) of the sphere layer.  The generic
+g/f/Phi fields and the S-vector K of the sphere layer.  The generic
 ``sphere.rhs``, built from the spec, stays the reference they are tested
 against.
 """
@@ -145,6 +145,23 @@ def _kernel_maps(parts, k: Array, U: ScalarField | None):
     return (lambda x: field(x, False)), (lambda x: field(x, True)), grad_H
 
 
+def _sphere_system(model: str, p: "BallParams | VeselovaParams", parts, H, g: ScalarField, f: ScalarField,
+                   phi: ScalarField | None = None, extras=()) -> SphereSystem:
+    """The SphereSystem of a model's kernel ``parts`` and Hamiltonian H without
+    U, with its fields (g, f, Phi) and extra integrals; U and k from ``p``."""
+    U, k = p.U, p.k
+    flow, rescaled_flow, grad_H = _kernel_maps(parts, k, U)
+    return SphereSystem(
+        name=model + "+gyrostat" if np.any(k) else model,
+        hamiltonian=lambda M, gamma: H(M, gamma) + (U(gamma) if U is not None else 0.0),
+        grad_H=grad_H,
+        s_spec=GFParams(g=g, f=f, phi=phi, k=k),
+        extra_integrals=extras,
+        flow=flow,
+        rescaled_flow=rescaled_flow,
+    )
+
+
 # ---------------------------------------------------------------------------
 # ball
 # ---------------------------------------------------------------------------
@@ -201,29 +218,19 @@ def _ball_kernel(p: BallParams):
 
 
 def ball_system(p: BallParams) -> SphereSystem:
-    A, U = p.A, p.U
+    A = p.A
     u, parts = _ball_kernel(p)
 
     def H(M, g):
         am = A * M
-        val = 0.5 * (np.vecdot(am, M) + np.vecdot(am, g) ** 2 / u(*_xyz(g)))
-        return val + (U(g) if U is not None else 0.0)
+        return 0.5 * (np.vecdot(am, M) + np.vecdot(am, g) ** 2 / u(*_xyz(g)))
 
-    flow, rescaled_flow, grad_H = _kernel_maps(parts, p.k, U)
     g_field = ScalarField(lambda g: np.sqrt(u(*_xyz(g))),
                           grad=lambda g: -(A * g) / lift(np.sqrt(u(*_xyz(g)))))
     extras = ()
-    if U is None and not np.any(p.k):
+    if p.U is None and not np.any(p.k):
         extras = (("Msq", lambda M, g: np.vecdot(M, M)),)
-    return SphereSystem(
-        name="ball" if not np.any(p.k) else "ball+gyrostat",
-        hamiltonian=H,
-        grad_H=grad_H,
-        s_spec=GFParams(g=g_field, f=ScalarField.constant(0.0), k=p.k),
-        extra_integrals=extras,
-        flow=flow,
-        rescaled_flow=rescaled_flow,
-    )
+    return _sphere_system("ball", p, parts, H, g_field, ScalarField.constant(0.0), extras=extras)
 
 
 def ball_K(p: BallParams) -> VectorField3:
@@ -235,12 +242,6 @@ def ball_K(p: BallParams) -> VectorField3:
 def ball_M_from_omega(p: BallParams, omega, gamma) -> Array:
     omega, gamma = np.asarray(omega, float), np.asarray(gamma, float)
     return omega / p.A - p.D * lift(np.vecdot(omega, gamma)) * gamma
-
-
-def ball_omega_from_M(p: BallParams, M, gamma) -> Array:
-    M, gamma = np.asarray(M, float), np.asarray(gamma, float)
-    S = _ball_kernel(p)[1](*_xyz(M), *_xyz(gamma))[0]
-    return p.A * (M + lift(S) * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +285,7 @@ def _veselova_kernel(p: VeselovaParams):
 
 
 def veselova_system(p: VeselovaParams) -> SphereSystem:
-    Ah, k, U = p.Ahat, p.k, p.U
+    Ah, k = p.Ahat, p.k
     G, parts = _veselova_kernel(p)
 
     def Gv(g):
@@ -292,10 +293,8 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
 
     def H(M, g):
         w = np.vecdot(Ah * M - M - k, g)
-        val = 0.5 * (np.vecdot(Ah * M, M) - w * w / Gv(g))
-        return val + (U(g) if U is not None else 0.0)
+        return 0.5 * (np.vecdot(Ah * M, M) - w * w / Gv(g))
 
-    flow, rescaled_flow, grad_H = _kernel_maps(parts, k, U)
     g_field = ScalarField(lambda g: np.sqrt(Gv(g)),
                           grad=lambda g: (Ah * g) / lift(np.sqrt(Gv(g))))
     f_field = ScalarField(lambda g: 1.0 / np.sqrt(Gv(g)),
@@ -306,18 +305,10 @@ def veselova_system(p: VeselovaParams) -> SphereSystem:
             lambda g: np.vecdot(g, k) / np.sqrt(Gv(g)),
             grad=lambda g: k / lift(np.sqrt(Gv(g))) - lift(np.vecdot(g, k)) * (Ah * g) / lift(Gv(g) ** 1.5))
     extras = ()
-    if U is None:
+    if p.U is None:
         name = "MkSq" if np.any(k) else "Msq"
         extras = ((name, lambda M, g: np.vecdot(M + k, M + k)),)
-    return SphereSystem(
-        name="veselova" if not np.any(k) else "veselova+gyrostat",
-        hamiltonian=H,
-        grad_H=grad_H,
-        s_spec=GFParams(g=g_field, f=f_field, phi=phi_field, k=k),
-        extra_integrals=extras,
-        flow=flow,
-        rescaled_flow=rescaled_flow,
-    )
+    return _sphere_system("veselova", p, parts, H, g_field, f_field, phi_field, extras)
 
 
 def veselova_K(p: VeselovaParams) -> VectorField3:
@@ -330,12 +321,6 @@ def veselova_M_from_omega(p: VeselovaParams, omega, gamma) -> Array:
     omega, gamma = np.asarray(omega, float), np.asarray(gamma, float)
     lam = np.vecdot(omega / p.Ahat - omega + p.k, gamma)
     return omega / p.Ahat - lift(lam) * gamma
-
-
-def veselova_omega_from_M(p: VeselovaParams, M, gamma) -> Array:
-    M, gamma = np.asarray(M, float), np.asarray(gamma, float)
-    S = _veselova_kernel(p)[1](*_xyz(M), *_xyz(gamma))[0]
-    return p.Ahat * (M + lift(S) * gamma)
 
 
 # ---------------------------------------------------------------------------

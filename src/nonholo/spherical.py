@@ -63,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DomainError, ScalarField, VectorField3
+from .core import DomainError, ScalarField, VectorField3, latest
 
 Array = np.ndarray
 
@@ -418,15 +418,11 @@ def _rotated_gradient(components: SphereSpectralField) -> VectorField3:
     # the values at the latest points: a Jacobian by the product rule
     # (VectorField3.scaled, or the curl in gauge.pushforward_params) reads h
     # and its Jacobian at the same points, and so does the state Jacobian
-    # at the states' gamma
+    # at the states' gamma; full.value rejects the origin and non-finite points
     last = {}
 
     def values(x):
-        x = np.asarray(x, float)
-        if "x" not in last or not np.array_equal(last["x"], x):
-            # a copy, which a caller moving its points in place cannot change
-            last.update(x=x.copy(), values=full.value(x))      # rejects the origin and non-finite points
-        return last["values"]
+        return latest(last, np.asarray(x, float), full.value)
 
     def jacobian(x):
         v = values(x)

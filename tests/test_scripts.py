@@ -10,6 +10,7 @@ import io
 import json
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,27 @@ def test_cli_snapshot_matches_golden(snapshot_run):
     # runs; an output that moves on purpose is rewritten with
     # `python scripts/cli_snapshot.py --update` and shows in the diff
     assert runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))["mismatch"](snapshot_run[1]) is None
+
+
+def test_golden_of_another_blas_kernel_names_the_kernel(tmp_path):
+    # another OpenBLAS kernel moves output bits (22 .out files and every
+    # CSV under Haswell against SkylakeX), so a golden written on such a
+    # host is refused by its kernel before any output line it moved
+    snapshot = runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))
+    golden, out = tmp_path / "golden", tmp_path / "out"
+    shutil.copytree(snapshot["GOLDEN"], golden)
+    shutil.copytree(snapshot["GOLDEN"], out)
+    conformal = (out / "check-conformal.out").read_text()
+    (out / "check-conformal.out").write_text(conformal.replace("2.220446049250313e-15", "2.6645352591003757e-15", 1))
+    fields = snapshot["host"]()
+    here = "".join(f"{field}: {value}\n" for field, value in fields.items())
+    (golden / "host.txt").write_text(here)
+    assert snapshot["mismatch"](out, golden).startswith("check-conformal.out line 3: ")
+    core = fields["BLAS core"]
+    other = "Haswell" if core != "Haswell" else "SkylakeX"
+    (golden / "host.txt").write_text(here.replace(f"BLAS core: {core}\n", f"BLAS core: {other}\n"))
+    assert snapshot["mismatch"](out, golden) == \
+        f"the golden was written with BLAS core {other}, this run has BLAS core {core}"
 
 
 def _resolves(chain: str) -> bool:

@@ -357,6 +357,9 @@ class TestClosedFormCurl:
         sol.h(z)
         z += x
         np.testing.assert_array_equal(sol.h(z), solve_curl_equation(self.F, L=8).h(x + y))
+        # the kept values are read-only, as a leaf's kept derivative is
+        with pytest.raises(ValueError, match="read-only"):
+            sol.h(z)[0] += 1.0
 
     def test_demo_ball_f_tilde_is_band_limit_truncation(self):
         # with a finite-difference curl in f~ this read 4.6e-11, its noise
